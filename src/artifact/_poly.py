@@ -9,7 +9,7 @@ hashable tuple keys such as ``("y", 4, 1)``, ``("c", 4, 1)`` and
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 VarKey = Tuple
 Monomial = Tuple[Tuple[VarKey, int], ...]
@@ -255,38 +255,6 @@ class Polynomial:
                 best = mono
         return best, self.terms[best]
 
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Exact polynomial division; raises ValueError when inexact."""
-        other = self._coerce_operand(other)
-        if other is None or other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return self
-        lead_m, lead_c = other._leading()
-        inv = scalar_inverse(lead_c, self.p)
-        rem = dict(self.terms)
-        out: Dict[Monomial, object] = {}
-        while rem:
-            rpoly = Polynomial(rem, self.p)
-            if rpoly.is_zero():
-                break
-            rm, rc = rpoly._leading()
-            qm = _mono_div(rm, lead_m)
-            if qm is None:
-                raise ValueError("inexact polynomial division")
-            qc = rc * inv
-            if self.p is not None:
-                qc %= self.p
-            out[qm] = out.get(qm, 0) + qc
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(qm, m2)
-                rem[mono] = rem.get(mono, 0) - qc * c2
-                if rem[mono] == 0 or (self.p and rem[mono] % self.p == 0):
-                    del rem[mono]
-            rem = {m: c for m, c in rem.items()
-                   if (c % self.p if self.p else c) != 0}
-        return Polynomial(out, self.p)
-
     def div_mono(self, mono: Monomial) -> "Polynomial":
         out = {}
         for m, c in self.terms.items():
@@ -295,6 +263,25 @@ class Polynomial:
                 raise ValueError("monomial does not divide every term")
             out[q] = c
         return Polynomial(out, self.p)
+
+
+def substitute(poly: Polynomial, value, p: Optional[int] = None):
+    """Sum of coef * prod value(key)**exp over the terms of ``poly``.
+
+    ``value`` maps a variable key to a scalar, a numpy integer array or a
+    polynomial.  With a prime ``p`` the coefficients are taken mod p and
+    every product and sum is reduced mod p as soon as it is formed, so
+    int64 arrays of residues cannot overflow.
+    """
+    total = coerce_scalar(0, p)
+    for mono, coef in poly.terms.items():
+        term = coerce_scalar(coef, p)
+        for key, exp in mono:
+            x = value(key)
+            for _ in range(exp):
+                term = term * x if p is None else term * x % p
+        total = total + term if p is None else (total + term) % p
+    return total
 
 
 def _var_text(key: VarKey) -> str:

@@ -8,14 +8,16 @@ working set is the closure; closure minus picks is the bullet set.
 """
 from __future__ import annotations
 
+import functools
 import warnings
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .root_system import (
     InvalidDimension,
     Root,
     RootSet,
     c_split,
+    check_dimension,
     lex_greater,
     lex_sort_key,
     positive_roots,
@@ -44,26 +46,34 @@ class UnverifiedRegimeWarning(UserWarning):
 
 
 class AdmissibleSubset:
-    """An admissible choice sequence with its derived data."""
+    """An immutable admissible choice sequence with its derived data."""
 
     __slots__ = ("n", "xi", "otimes_mask", "a_chain", "a_set", "m_set",
                  "s_otimes", "s_box", "label")
 
     def __init__(self, n: int, xi: Tuple[Root, ...],
                  otimes_mask: Tuple[bool, ...],
-                 a_chain: List[RootSet], label=None):
-        self.n = n
-        self.xi = xi
-        self.otimes_mask = otimes_mask
-        self.a_chain = a_chain
-        self.a_set = a_chain[-1]
+                 a_chain: Sequence[RootSet], label=None):
+        a_set = a_chain[-1]
         chosen = set(xi)
-        self.m_set = RootSet(n, (r for r in self.a_set if r not in chosen))
-        self.s_otimes = RootSet(
-            n, (r for r, is_x in zip(xi, otimes_mask) if is_x))
-        self.s_box = RootSet(
-            n, (r for r, is_x in zip(xi, otimes_mask) if not is_x))
-        self.label = label
+        fields = {
+            "n": n,
+            "xi": xi,
+            "otimes_mask": otimes_mask,
+            "a_chain": tuple(a_chain),
+            "a_set": a_set,
+            "m_set": RootSet(n, (r for r in a_set if r not in chosen)),
+            "s_otimes": RootSet(
+                n, (r for r, is_x in zip(xi, otimes_mask) if is_x)),
+            "s_box": RootSet(
+                n, (r for r, is_x in zip(xi, otimes_mask) if not is_x)),
+            "label": label,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AdmissibleSubset is immutable")
 
     def __repr__(self):
         label = f" label={self.label}" if self.label else ""
@@ -194,6 +204,12 @@ def sequence_successor(s: AdmissibleSubset) -> Optional[AdmissibleSubset]:
     """
     if not is_maximal(s):
         raise NotMaximal("successor is defined for maximal subsets only")
+    return _successor(s)
+
+
+def _successor(s: AdmissibleSubset) -> Optional[AdmissibleSubset]:
+    # The catalog walk starts from a greedy completion and only ever
+    # greedily re-completes, so maximality holds by construction there.
     cross_slots = [i for i, is_x in enumerate(s.otimes_mask) if is_x]
     if not cross_slots:
         return None
@@ -209,37 +225,38 @@ def sequence_successor(s: AdmissibleSubset) -> Optional[AdmissibleSubset]:
     return _greedy_complete(s.n, list(s.xi[:slot]) + [replacement])
 
 
-def _assign_labels(n: int, subsets: List[AdmissibleSubset]) -> None:
-    k_serial = {}
-    for s in subsets:
+@functools.lru_cache(maxsize=None)
+def _catalog(n: int) -> Tuple[AdmissibleSubset, ...]:
+    out = []
+    k_serial: Dict[int, int] = {}
+    s = _greedy_complete(n, [])
+    while s is not None:
         k = sum(1 for r in s.m_set if r.col == 1)
         k_serial[k] = k_serial.get(k, 0) + 1
-        s.label = (n, k, k_serial[k])
+        out.append(AdmissibleSubset(n, s.xi, s.otimes_mask, s.a_chain,
+                                    label=(n, k, k_serial[k])))
+        s = _successor(s)
+    return tuple(out)
 
 
 def enumerate_maximal(n: int) -> List[AdmissibleSubset]:
-    """All maximal subsets, in catalog order, with (n, k, m) labels."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidDimension(f"matrix size must be >= 2, got {n!r}")
+    """All maximal subsets, in catalog order, with (n, k, m) labels.
+
+    The catalog is built once per n; each call returns a fresh list of the
+    same immutable subsets.
+    """
+    check_dimension(n)
     if n >= 8:
         warnings.warn(
             f"catalog for n = {n} is outside the cross-checked range",
             UnverifiedRegimeWarning, stacklevel=2)
-    out = [_greedy_complete(n, [])]
-    while True:
-        nxt = sequence_successor(out[-1])
-        if nxt is None:
-            break
-        out.append(nxt)
-    _assign_labels(n, out)
-    return out
+    return list(_catalog(n))
 
 
 def enumerate_maximal_by_search(n: int) -> List[AdmissibleSubset]:
     """Independent enumeration: exhaust all admissible sequences, group
     them by cross set, and take each group's union of picks."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidDimension(f"matrix size must be >= 2, got {n!r}")
+    check_dimension(n)
     groups = {}
 
     def record(seq: List[Root], s: AdmissibleSubset) -> None:

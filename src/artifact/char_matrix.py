@@ -12,9 +12,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._poly import LocalizedPolynomial, Polynomial
+from ._poly import LocalizedPolynomial, Polynomial, substitute
 from .root_system import Root, lex_greater, lex_sort_key
-from .symbolic import _subst_loc, c_var, const, loc, y_var
+from .symbolic import (_linear_split, _substitute_rules, _y_roots, c_var,
+                       const, loc, y_var)
 
 __all__ = [
     "LemmaFailure", "MinorSpec", "NotInA", "TauPolynomial", "WEta",
@@ -102,31 +103,6 @@ def _det_cofactor(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return total
 
 
-def _det_bareiss(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    size = len(m)
-    if size == 0:
-        return const(1)
-    a = [list(row) for row in m]
-    p = a[0][0].p
-    sign = 1
-    prev = const(1, p)
-    for k in range(size - 1):
-        if a[k][k].is_zero():
-            swap = next((r for r in range(k + 1, size)
-                         if not a[r][k].is_zero()), None)
-            if swap is None:
-                return Polynomial.zero(p)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-        prev = a[k][k]
-    det = a[size - 1][size - 1]
-    return det if sign > 0 else -det
-
-
 def minor(n: int, spec: MinorSpec) -> TauPolynomial:
     cols = tuple(spec.cols)
     rows = tuple(spec.rows)
@@ -141,8 +117,7 @@ def minor(n: int, spec: MinorSpec) -> TauPolynomial:
             raise ValueError(f"index {idx} outside 1..{n}")
     m = phi_tau(n)
     sub = [[m[r - 1][c - 1] for c in cols] for r in rows]
-    det = _det_bareiss(sub) if len(sub) >= 4 else _det_cofactor(sub)
-    return TauPolynomial.from_polynomial(det)
+    return TauPolynomial.from_polynomial(_det_cofactor(sub))
 
 
 # --- the word attached to a closure root --------------------------------
@@ -232,26 +207,6 @@ class TriangularSystem:
     coeffs: Dict[Root, LocalizedPolynomial]
 
 
-def _canonical_value(poly: Polynomial, values: Dict[Root, Polynomial]
-                     ) -> Polynomial:
-    total = Polynomial.zero(poly.p)
-    for mono, coef in poly.terms.items():
-        term = Polynomial({(): coef}, poly.p)
-        alive = True
-        for key, exp in mono:
-            if key[0] != "y":
-                term = term * Polynomial.variable(key, poly.p) ** exp
-                continue
-            val = values.get(Root(key[1], key[2]))
-            if val is None:
-                alive = False
-                break
-            term = term * val ** exp
-        if alive:
-            total = total + term
-    return total
-
-
 def triangular_system(s, c=None) -> TriangularSystem:
     """Solve each closure root's invariant for its own coordinate.
 
@@ -260,30 +215,31 @@ def triangular_system(s, c=None) -> TriangularSystem:
     be linear in its own coordinate with a constants-only leading
     coefficient; otherwise LemmaFailure.
     """
-    values: Dict[Root, Polynomial] = {}
-    for r in s.xi:
-        values[r] = c_var(r) if c is None else const(c.get(r, 0))
+    point = {r: c_var(r) if c is None else const(c.get(r, 0))
+             for r in s.xi}
+
+    def value(key):
+        # y off the picks is zero at the canonical point; c stays symbolic.
+        if key[0] != "y":
+            return Polynomial.variable(key)
+        return point.get(Root(key[1], key[2]), 0)
+
     rules: Dict[Root, LocalizedPolynomial] = {}
     coeffs: Dict[Root, LocalizedPolynomial] = {}
-    order: List[Root] = []
     for eta in sorted(s.a_set, key=lex_sort_key):  # lex-greatest first
         invariant = p_h_eta(s, eta)
-        red = LocalizedPolynomial(invariant)
-        for rho in order:
-            red = _subst_loc(red, ("y", rho.row, rho.col), rules[rho])
-        key = ("y", eta.row, eta.col)
-        if red.num.degree_in(key) != 1:
+        red = _substitute_rules(LocalizedPolynomial(invariant), rules.items())
+        split = _linear_split(red.num, eta)
+        if split is None:
             raise LemmaFailure(
                 f"invariant of {eta!r} is not linear in its coordinate")
-        lead = red.num.coefficient_of(key, 1)
-        rest = red.num.coefficient_of(key, 0)
-        if lead.is_zero() or any(k[0] == "y" for k in lead.variables()):
+        lead, rest = split
+        if _y_roots(lead):
             raise LemmaFailure(
                 f"leading coefficient for {eta!r} is not constants-only")
-        base = _canonical_value(invariant, values)
+        base = substitute(invariant, value)
         rules[eta] = loc(base * red.den - rest, lead)
         coeffs[eta] = loc(lead, red.den)
-        order.append(eta)
     return TriangularSystem(rules, coeffs)
 
 

@@ -16,7 +16,9 @@ from typing import Dict, List, Optional
 from .admissible import dimension, enumerate_maximal, render_diagram
 from .orbit_engine import (
     BudgetExceeded,
+    InvalidInput,
     LinearForm,
+    _check_prime,
     all_orbits,
     canonical_form,
     census,
@@ -26,7 +28,8 @@ from .orbit_engine import (
     subregular_classify,
     verify_polarization,
 )
-from .root_system import root_from_text, root_to_text
+from .root_system import InvalidDimension, check_dimension, \
+    root_from_text, root_to_text
 from .symbolic import build_ideal, is_poisson_ideal, poly_text
 
 __all__ = ["main"]
@@ -320,8 +323,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        check_dimension(args.n)
+        if getattr(args, "p", None) is not None:
+            _check_prime(args.p)
         payload = args.func(args)
-    except UsageError as exc:
+    except (UsageError, InvalidDimension, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

@@ -8,6 +8,7 @@ therefore vectorizes to one matrix per generator.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,18 +16,19 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._poly import coerce_scalar
+from ._poly import coerce_scalar, substitute
 from .admissible import AdmissibleSubset, dimension, enumerate_maximal
-from .root_system import Root, RootSet, c_split, columns_and_chain, \
-    positive_roots, root_sum
+from .root_system import Root, RootSet, c_split, check_dimension, \
+    columns_and_chain, positive_roots, root_sum
 from .symbolic import evaluate, IdealHandle, Polynomial, UnsupportedColumn
 
 __all__ = [
     "BudgetExceeded", "ClassificationMismatch", "GroupElement", "InvalidC",
-    "LinearForm", "NotSubregular", "Orbit", "all_orbits", "canonical_form",
-    "census", "classify", "coadjoint_act", "kirillov_rank", "orbit_bfs",
-    "polarization", "regular_ideal", "stratum", "stratum_max_dims",
-    "subregular_classify", "verify_polarization",
+    "InvalidInput", "LinearForm", "NotSubregular", "Orbit", "all_orbits",
+    "canonical_form", "census", "classify", "coadjoint_act",
+    "kirillov_rank", "orbit_bfs", "polarization", "regular_ideal",
+    "stratum", "stratum_max_dims", "subregular_classify",
+    "verify_polarization",
 ]
 
 _DEFAULT_BUDGET = 1 << 26
@@ -48,6 +50,17 @@ class NotSubregular(ValueError):
     """The orbit dimension is not the subregular one."""
 
 
+class InvalidInput(ValueError):
+    """A field size that is not a prime, a root outside the triangle, or
+    an unparseable ARTIFACT_BFS_BUDGET."""
+
+
+def _check_prime(p: int) -> None:
+    if not isinstance(p, int) or p < 2 or \
+            any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise InvalidInput(f"p must be a prime, got {p!r}")
+
+
 # --- linear forms and the group ------------------------------------------
 
 class LinearForm:
@@ -60,6 +73,9 @@ class LinearForm:
                  values: Optional[Dict[Root, object]] = None):
         vals: Dict[Root, object] = {}
         for root, raw in (values or {}).items():
+            if not 1 <= root.col < root.row <= n:
+                raise InvalidInput(
+                    f"{root!r} lies outside the n={n} triangle")
             v = coerce_scalar(raw, p)
             if v != 0:
                 vals[root] = v
@@ -219,6 +235,21 @@ def _action_matrices(n: int, p: int) -> List[np.ndarray]:
     return mats
 
 
+def _digits(codes: np.ndarray, p: int, width: int) -> np.ndarray:
+    """Rows of the base-p digits of packed state codes, least significant
+    digit (the first root) first."""
+    out = np.empty((len(codes), width), dtype=np.int64)
+    for k in range(width):
+        out[:, k] = codes % p
+        codes = codes // p
+    return out
+
+
+def _row_form(n: int, p: int, roots: List[Root], row: List[int]
+              ) -> LinearForm:
+    return LinearForm(n, p, {r: d for r, d in zip(roots, row) if d})
+
+
 class Orbit:
     """A coadjoint orbit over a finite field, stored as packed states."""
 
@@ -237,14 +268,6 @@ class Orbit:
             total += int(f.value(root)) * self._powers[k]
         return total
 
-    def _unpack(self, code: int) -> LinearForm:
-        vals = {}
-        for k, root in enumerate(self._roots):
-            digit = (code // self._powers[k]) % self.p
-            if digit:
-                vals[root] = digit
-        return LinearForm(self.n, self.p, vals)
-
     def __len__(self) -> int:
         return len(self._packed)
 
@@ -254,26 +277,31 @@ class Orbit:
         return self._pack(f) in self._packed
 
     def __iter__(self):
-        for code in sorted(self._packed):
-            yield self._unpack(code)
+        for row in self.member_array().tolist():
+            yield _row_form(self.n, self.p, self._roots, row)
 
     def member_array(self) -> np.ndarray:
         codes = np.fromiter(self._packed, dtype=np.int64,
                             count=len(self._packed))
         codes.sort()
-        out = np.empty((len(codes), len(self._roots)), dtype=np.int64)
-        rem = codes
-        for k in range(len(self._roots)):
-            out[:, k] = rem % self.p
-            rem = rem // self.p
-        return out
+        return _digits(codes, self.p, len(self._roots))
 
 
 def _budget_value(budget: Optional[int]) -> int:
     if budget is not None:
         return budget
     raw = os.environ.get("ARTIFACT_BFS_BUDGET")
-    return int(raw) if raw else _DEFAULT_BUDGET
+    if not raw:
+        return _DEFAULT_BUDGET
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise InvalidInput(
+            f"ARTIFACT_BFS_BUDGET must be a non-negative integer, "
+            f"got {raw!r}")
+    return limit
 
 
 def orbit_bfs(f: LinearForm, budget: Optional[int] = None) -> Orbit:
@@ -316,11 +344,11 @@ def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
     total = p ** len(roots)
     seen: set = set()
     orbits = []
-    probe = Orbit(n, p, LinearForm(n, p, {}), set())
     for code in range(total):
         if code in seen:
             continue
-        f = probe._unpack(code)
+        row = _digits(np.array([code]), p, len(roots))[0].tolist()
+        f = _row_form(n, p, roots, row)
         orbit = orbit_bfs(f, budget=budget)
         seen.update(orbit._packed)
         orbits.append(orbit)
@@ -440,17 +468,13 @@ def verify_polarization(pol: Iterable[Root], f: LinearForm) -> bool:
 
 # --- classification -------------------------------------------------------
 
-def _diagram_catalog(n: int) -> List[AdmissibleSubset]:
-    return enumerate_maximal(n)
-
-
 def _classify_orbit(orbit: Orbit) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     n, p = orbit.n, orbit.p
     roots = _root_order(n)
     index = {r: k for k, r in enumerate(roots)}
     members = orbit.member_array()
     matches: List[Tuple[AdmissibleSubset, Dict[Root, int]]] = []
-    for s in _diagram_catalog(n):
+    for s in enumerate_maximal(n):
         picks = set(s.xi)
         outside = [index[r] for r in roots if r not in picks]
         marked = [index[r] for r, m in zip(s.xi, s.otimes_mask) if m]
@@ -475,17 +499,18 @@ def _classify_orbit(orbit: Orbit) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
 def classify(f: LinearForm, budget: Optional[int] = None
              ) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     """Find the diagram and constants of the orbit through f."""
-    if f.p is None:
-        raise ValueError("classification needs a finite field")
+    check_dimension(f.n)
+    _check_prime(f.p)
     return _classify_orbit(orbit_bfs(f, budget=budget))
 
 
 def census(n: int, p: int, budget: Optional[int] = None) -> Dict:
     """Classify every orbit and tally counts per diagram label, together
     with the two counting identities."""
-    orbits = all_orbits(n, p, budget=budget)
+    check_dimension(n)
+    _check_prime(p)
     tally: Dict[Tuple[int, int, int], Dict[str, int]] = {}
-    for orbit in orbits:
+    for orbit in all_orbits(n, p, budget=budget):
         s, _values = _classify_orbit(orbit)
         dim = dimension(s)
         row = tally.setdefault(s.label, {"dim": dim, "count": 0})
@@ -495,7 +520,7 @@ def census(n: int, p: int, budget: Optional[int] = None) -> Dict:
     rows = []
     point_sum = 0
     formula_ok = True
-    for s in _diagram_catalog(n):
+    for s in enumerate_maximal(n):
         row = tally.get(s.label)
         if row is None:
             formula_ok = False
@@ -561,31 +586,6 @@ class SubregularRecord:
     j0: int
     system: Tuple[Polynomial, ...]
     cuts_exactly: Optional[bool]
-
-
-def _eval_rows(poly: Polynomial, members: np.ndarray,
-               index: Dict[Root, int], p: int) -> np.ndarray:
-    out = np.zeros(len(members), dtype=np.int64)
-    for mono, coef in poly.terms.items():
-        term = np.full(len(members), int(coerce_scalar(coef, p)),
-                       dtype=np.int64)
-        for key, exp in mono:
-            col = index[Root(key[1], key[2])]
-            term = term * pow_mod_array(members[:, col], exp, p) % p
-        out = (out + term) % p
-    return out
-
-
-def pow_mod_array(col: np.ndarray, exp: int, p: int) -> np.ndarray:
-    out = np.ones_like(col)
-    base = col % p
-    e = exp
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
 
 
 def subregular_classify(target, budget: Optional[int] = None
@@ -655,16 +655,13 @@ def subregular_classify(target, budget: Optional[int] = None
     if f.p is not None:
         p = f.p
         roots = _root_order(n)
-        index = {r: k for k, r in enumerate(roots)}
+        index = {("y", r.row, r.col): k for k, r in enumerate(roots)}
         codes = np.arange(p ** len(roots), dtype=np.int64)
-        members = np.empty((len(codes), len(roots)), dtype=np.int64)
-        rem = codes
-        for k in range(len(roots)):
-            members[:, k] = rem % p
-            rem = rem // p
+        members = _digits(codes, p, len(roots))
         mask = np.ones(len(codes), dtype=bool)
         for gen in system:
-            mask &= _eval_rows(gen, members, index, p) == 0
+            mask &= substitute(gen, lambda key: members[:, index[key]],
+                               p) == 0
         cut_set = set(codes[mask].tolist())
         orbit = orbit_bfs(f, budget=budget)
         cuts = cut_set == orbit._packed

@@ -17,6 +17,12 @@ class InvalidDimension(ValueError):
     """Matrix size must be an integer >= 2."""
 
 
+def check_dimension(n) -> None:
+    """Raise InvalidDimension unless n is an integer >= 2."""
+    if not isinstance(n, int) or n < 2:
+        raise InvalidDimension(f"matrix size must be >= 2, got {n!r}")
+
+
 class NotSubset(ValueError):
     """First argument is required to be contained in the second."""
 
@@ -59,8 +65,7 @@ class RootSet:
     __slots__ = ("n", "_roots")
 
     def __init__(self, n: int, roots=()):
-        if not isinstance(n, int) or n < 2:
-            raise InvalidDimension(f"matrix size must be >= 2, got {n!r}")
+        check_dimension(n)
         self.n = n
         self._roots = frozenset(roots)
 
@@ -94,8 +99,7 @@ class RootSet:
 
 def positive_roots(n: int) -> RootSet:
     """All strictly lower positions of the n-by-n matrix."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidDimension(f"matrix size must be >= 2, got {n!r}")
+    check_dimension(n)
     return RootSet(n, (Root(i, j) for i in range(2, n + 1)
                        for j in range(1, i)))
 

@@ -19,6 +19,7 @@ from ._poly import (
     Polynomial,
     coerce_scalar,
     poly_text,
+    substitute,
 )
 from .admissible import NotMaximal, is_maximal
 from .root_system import (
@@ -174,19 +175,13 @@ def evaluate(expr, form):
         raise FieldMismatch(
             f"expression over p={expr.p} evaluated at a form over "
             f"p={target}")
-    total = Fraction(0) if target is None else 0
-    for mono, coef in expr.terms.items():
-        val = coerce_scalar(coef, target)
-        for key, exp in mono:
-            if key[0] != "y":
-                raise ValueError(f"unbound variable {key} in evaluation")
-            point = coerce_scalar(form.value(Root(key[1], key[2])), target)
-            if target is None:
-                val *= point ** exp
-            else:
-                val = (val * pow(point, exp, target)) % target
-        total = total + val
-    return total if target is None else total % target
+
+    def value(key):
+        if key[0] != "y":
+            raise ValueError(f"unbound variable {key} in evaluation")
+        return coerce_scalar(form.value(Root(key[1], key[2])), target)
+
+    return substitute(expr, value, target)
 
 
 # --- triangular ideal handles ------------------------------------------
@@ -217,9 +212,35 @@ def _subst_poly(poly: Polynomial, key,
     return LocalizedPolynomial(acc, rep.den ** top)
 
 
-def _subst_loc(val: LocalizedPolynomial, key,
-               rep: LocalizedPolynomial) -> LocalizedPolynomial:
-    return _subst_poly(val.num, key, rep) / _subst_poly(val.den, key, rep)
+def _substitute_rules(val: LocalizedPolynomial, rules
+                      ) -> LocalizedPolynomial:
+    """Substitute each (root, value) pair's value for y_root, in the
+    order given."""
+    for root, rep in rules:
+        key = ("y", root.row, root.col)
+        val = _subst_poly(val.num, key, rep) / _subst_poly(val.den, key, rep)
+    return val
+
+
+def _linear_split(poly: Polynomial, root: Root
+                  ) -> Optional[Tuple[Polynomial, Polynomial]]:
+    """(lead, rest) with poly = lead * y_root + rest, or None when poly is
+    not linear in y_root."""
+    key = ("y", root.row, root.col)
+    if poly.degree_in(key) != 1:
+        return None
+    return poly.coefficient_of(key, 1), poly.coefficient_of(key, 0)
+
+
+def _y_roots(poly: Polynomial) -> List[Root]:
+    return [Root(k[1], k[2]) for k in poly.variables() if k[0] == "y"]
+
+
+def _least_first(rules: Dict[Root, Rule]):
+    # Substituting upward eliminates each variable once, because every
+    # rule's right side only involves greater roots.
+    return [(root, rules[root].value)
+            for root in sorted(rules, key=lex_sort_key, reverse=True)]
 
 
 class IdealHandle:
@@ -252,60 +273,34 @@ class IdealHandle:
             # Reduce by the rules extracted so far; pivots must be sought in
             # the reduced form, whose leading coefficients can simplify to
             # units even when the raw ones do not.
-            red_loc = _as_loc(gen, gen.p)
-            for prev in sorted(rules, key=lex_sort_key, reverse=True):
-                pk = ("y", prev.row, prev.col)
-                red_loc = _subst_loc(red_loc, pk, rules[prev].value)
-            red = red_loc.num
+            red = _substitute_rules(_as_loc(gen, gen.p),
+                                    _least_first(rules)).num
             if red.is_zero():
                 continue
             found = None
-            y_roots = sorted(
-                {Root(k[1], k[2]) for k in red.variables() if k[0] == "y"},
-                key=lex_sort_key, reverse=True)  # least root first
-            for v in y_roots:
-                key = ("y", v.row, v.col)
-                if red.degree_in(key) != 1:
+            # least root first
+            for v in sorted(_y_roots(red), key=lex_sort_key, reverse=True):
+                split = _linear_split(red, v)
+                if split is None:
                     continue
-                den = red.coefficient_of(key, 1)
-                rest = red - den * Polynomial.variable(key, gen.p)
-                good = True
-                for dk in den.variables():
-                    if dk[0] != "y":
-                        continue
-                    r = Root(dk[1], dk[2])
-                    if r not in inv_set or not lex_greater(r, v):
-                        good = False
-                        break
-                if good:
-                    for mono in rest.terms:
-                        for rk, _e in mono:
-                            if rk[0] == "y" and not lex_greater(
-                                    Root(rk[1], rk[2]), v):
-                                good = False
-                if good:
-                    found = (v, den, rest)
+                den, rest = split
+                if all(r in inv_set and lex_greater(r, v)
+                       for r in _y_roots(den)) and \
+                        all(lex_greater(r, v) for r in _y_roots(rest)):
+                    found = Rule(v, den, rest)
                     break
-            if found is None or (rules is not None and found[0] in rules):
+            if found is None or found.root in rules:
                 rules = None
                 break
-            rules[found[0]] = Rule(found[0], found[1], found[2])
+            rules[found.root] = found
         return cls(n, generators, rules, inv, p)
-
-    def _rule_order(self) -> List[Root]:
-        # least root first: substituting upward eliminates each variable
-        # once, because every rule's right side only involves greater roots.
-        return sorted(self.rules, key=lex_sort_key, reverse=True)
 
     def normal_form(self, x) -> LocalizedPolynomial:
         val = _as_loc(x, self.p)
         if self.rules is None:
             raise UnsupportedIdealShape(
                 "generators did not triangularize; no normal form")
-        for root in self._rule_order():
-            key = ("y", root.row, root.col)
-            val = _subst_loc(val, key, self.rules[root].value)
-        return val
+        return _substitute_rules(val, _least_first(self.rules))
 
     def contains(self, x) -> bool:
         val = _as_loc(x, self.p)
@@ -424,21 +419,13 @@ def _map_var(ctx: ReductionContext, pair_index: int, key
     return out
 
 
-def _hom_apply(ctx: ReductionContext, pair_index: int,
-               poly: Polynomial) -> LocalizedPolynomial:
-    acc = LocalizedPolynomial(Polynomial.zero(poly.p))
-    for mono, coef in poly.terms.items():
-        term = LocalizedPolynomial(const(coef, poly.p))
-        for key, exp in mono:
-            term = term * (_map_var(ctx, pair_index, key) ** exp)
-        acc = acc + term
-    return acc
-
-
 def _apply_tmap(ctx: ReductionContext, pair_index: int,
                 val: LocalizedPolynomial) -> LocalizedPolynomial:
-    num = _hom_apply(ctx, pair_index, val.num)
-    den = _hom_apply(ctx, pair_index, val.den)
+    def image(key):
+        return _map_var(ctx, pair_index, key)
+
+    num = _as_loc(substitute(val.num, image), val.p)
+    den = _as_loc(substitute(val.den, image), val.p)
     if den.num.is_zero():
         raise UnsupportedColumn("denominator image vanished identically")
     return num / den

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from artifact._poly import substitute
 from artifact.root_system import positive_roots
 from artifact.admissible import build_admissible, dimension, enumerate_maximal, render_diagram
 from artifact.symbolic import IdealHandle, build_ideal, is_casimir_mod, is_poisson_ideal, y_var
@@ -40,19 +41,6 @@ from conftest import (
     SUBREGULAR_LABELS,
 )
 from test_char_matrix import drop_vars, perm_sign
-
-
-def vec_eval(poly, states, index, p):
-    """Evaluate `poly` at every row of `states` (mod p), vectorised."""
-    total = np.zeros(states.shape[0], dtype=np.int64)
-    for coeff, mono in poly.monomials():
-        term = np.full(states.shape[0], int(coeff) % p, dtype=np.int64)
-        for key, exp in mono:
-            col = states[:, index[(key[1], key[2])]]
-            for _ in range(exp):
-                term = term * col % p
-        total = (total + term) % p
-    return total
 
 
 def states_of(forms, roots):
@@ -144,12 +132,12 @@ def test_criterion_06_generator_invariance():
         s, _ = classify(orbit.representative)
         states = states_of(list(orbit), roots)
         for g in gens_of(s):
-            vals = vec_eval(g, states, index, p)
+            vals = substitute(g, lambda key: states[:, index[key]], p)
             assert np.all(vals == vals[0]), (p, s.label)
 
     for n in (3, 4, 5):
         roots = sorted(positive_roots(n), key=lambda r: (r.row, r.col))
-        index = {(r.row, r.col): k for k, r in enumerate(roots)}
+        index = {("y", r.row, r.col): k for k, r in enumerate(roots)}
         for p in ((2, 3) if n <= 4 else (2,)):
             orbits = all_orbits(n, p)
             for orbit in orbits:
@@ -164,8 +152,10 @@ def test_criterion_06_generator_invariance():
                     rep_state = states_of([orbit.representative], roots)
                     mask = np.ones(grids.shape[0], dtype=bool)
                     for g in gens_of(s):
-                        target = vec_eval(g, rep_state, index, p)[0]
-                        mask &= vec_eval(g, grids, index, p) == target
+                        target = substitute(
+                            g, lambda key: rep_state[:, index[key]], p)[0]
+                        mask &= substitute(
+                            g, lambda key: grids[:, index[key]], p) == target
                     cut = {tuple(row) for row in grids[mask]}
                     members = {tuple(row)
                                for row in states_of(list(orbit), roots)}
@@ -173,7 +163,7 @@ def test_criterion_06_generator_invariance():
 
     rng = random.Random(2026)
     roots6 = sorted(positive_roots(6), key=lambda r: (r.row, r.col))
-    index6 = {(r.row, r.col): k for k, r in enumerate(roots6)}
+    index6 = {("y", r.row, r.col): k for k, r in enumerate(roots6)}
     orbits6 = all_orbits(6, 2)
     for orbit in rng.sample(orbits6, 100):
         check_orbit_constancy(orbit, 2, roots6, index6)

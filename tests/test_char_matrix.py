@@ -62,8 +62,8 @@ class TestMinor:
         with pytest.raises(ValueError):
             minor(4, MinorSpec(cols=(1, 2), rows=(4,)))
 
-    def test_bareiss_matches_cofactor(self):
-        from artifact.char_matrix import _det_bareiss, _det_cofactor
+    def test_minor_matches_leibniz(self):
+        import itertools
 
         for n, cols, rows in [
             (5, (1, 2, 3), (3, 4, 5)),
@@ -71,8 +71,17 @@ class TestMinor:
             (7, (1, 2, 3, 4, 5), (2, 3, 4, 5, 7)),
         ]:
             m = phi_tau(n)
-            sub = [[m[r - 1][c - 1] for c in cols] for r in rows]
-            assert _det_bareiss(sub) == _det_cofactor(sub)
+            det = Polynomial.zero()
+            for perm in itertools.permutations(range(len(cols))):
+                term = const(perm_sign(perm))
+                for k, pk in enumerate(perm):
+                    term = term * m[rows[k] - 1][cols[pk] - 1]
+                det = det + term
+            want = TauPolynomial.from_polynomial(det)
+            got = minor(n, MinorSpec(cols=cols, rows=rows))
+            assert got.degrees() == want.degrees(), (n, cols, rows)
+            for k in want.degrees():
+                assert got.coeff(k) == want.coeff(k), (n, cols, rows, k)
 
 
 class TestWEta727:

@@ -141,3 +141,26 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "classify", "--n", "3", "--p", "2",
                          "--values", "{not json")
         assert code == 2
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("argv", [
+        ("census", "--n", "3", "--p", "4"),
+        ("classify", "--n", "3", "--p", "4", "--values", '{"3,1": 1}'),
+        ("census", "--n", "3", "--p", "1"),
+        ("census", "--n", "1", "--p", "2"),
+        ("classify", "--n", "3", "--p", "2", "--values", '{"9,1": 1}'),
+    ])
+    def test_one_line_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unparseable_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", "abc")
+        code, out, err = run(capsys, "census", "--n", "3", "--p", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ARTIFACT_BFS_BUDGET" in err

@@ -151,6 +151,38 @@ class TestEvaluate:
         f = LinearForm(3, None, {R(3, 1): Fraction(2)})
         assert evaluate(loc(y(2, 1) + const(4), y(3, 1)), f) == Fraction(2)
 
+    @pytest.mark.parametrize("kind", [
+        "rational form", "F_p form", "numpy rows", "polynomial values"])
+    def test_one_evaluator_agrees(self, kind):
+        import numpy as np
+
+        from artifact._poly import coerce_scalar, substitute
+        from artifact.orbit_engine import LinearForm
+
+        # 1/2*y21*y31^2 + 3*y32 - 1 is 37/2 at this point; a coefficient
+        # truncated to an integer would give 14 instead.
+        poly = (const(Fraction(1, 2)) * y(2, 1) * y(3, 1) ** 2
+                + 3 * y(3, 2) - 1)
+        point = {R(2, 1): 1, R(3, 1): 3, R(3, 2): 5}
+        want = Fraction(37, 2)
+        p = 7
+        if kind == "rational form":
+            assert evaluate(poly, LinearForm(3, None, point)) == want
+        elif kind == "F_p form":
+            assert evaluate(poly, LinearForm(3, p, point)) == \
+                coerce_scalar(want, p)
+        elif kind == "numpy rows":
+            keys = [("y", r.row, r.col) for r in point]
+            rows = np.array([list(point.values()), [0, 0, 0]],
+                            dtype=np.int64)
+            got = substitute(poly, lambda key: rows[:, keys.index(key)], p)
+            assert got.tolist() == [coerce_scalar(want, p),
+                                    coerce_scalar(-1, p)]
+        else:
+            got = substitute(
+                poly, lambda key: const(point[Root(key[1], key[2])]))
+            assert got == const(want)
+
 
 class TestIdealHandle:
     def test_zero_ideal(self):
