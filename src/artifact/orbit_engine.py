@@ -4,7 +4,10 @@ Linear forms on the strictly lower triangle are acted on by the lower
 unitriangular group through conjugation of the corresponding upper
 triangular value matrix.  Orbits are enumerated by breadth-first search
 over the generator set I + e_alpha, which is linear on value vectors and
-therefore vectorizes to one matrix per generator.
+changes only a few values of each, so one search step is a small product
+on those values.  The search runs on packed codes only: each state is one
+int64 holding its base-p digits, and an orbit is the sorted array of its
+codes, so the field size is limited to p^(n(n-1)/2) <= 2^63.
 """
 from __future__ import annotations
 
@@ -51,8 +54,9 @@ class NotSubregular(ValueError):
 
 
 class InvalidInput(ValueError):
-    """A field size that is not a prime, a root outside the triangle, or
-    an unparseable ARTIFACT_BFS_BUDGET."""
+    """A field size that is not a prime, a root outside the triangle, an
+    unparseable ARTIFACT_BFS_BUDGET, or a field too large for packed orbit
+    states."""
 
 
 def _check_prime(p: int) -> None:
@@ -114,13 +118,14 @@ class LinearForm:
 class GroupElement:
     """A lower unitriangular matrix over the field."""
 
-    __slots__ = ("n", "p", "matrix")
+    __slots__ = ("n", "p", "matrix", "_inverse")
 
     def __init__(self, n: int, p: Optional[int],
                  entries: Optional[Dict[Tuple[int, int], object]] = None,
                  _matrix: Optional[List[List[object]]] = None):
         self.n = n
         self.p = p
+        self._inverse: Optional["GroupElement"] = None
         if _matrix is not None:
             self.matrix = _matrix
             return
@@ -135,7 +140,8 @@ class GroupElement:
 
     def _mul(self, a, b):
         n, p = self.n, self.p
-        out = [[coerce_scalar(0, p) for _ in range(n)] for _ in range(n)]
+        zero = coerce_scalar(0, p)
+        out = [[zero] * n for _ in range(n)]
         for i in range(n):
             for k in range(n):
                 if a[i][k] == 0:
@@ -154,43 +160,54 @@ class GroupElement:
                             _matrix=self._mul(self.matrix, other.matrix))
 
     def inverse(self) -> "GroupElement":
-        n, p = self.n, self.p
-        one = coerce_scalar(1, p)
-        nil = [[self.matrix[i][j] - (one if i == j else 0)
-                for j in range(n)] for i in range(n)]
-        if p is not None:
-            nil = [[v % p for v in row] for row in nil]
-        ident = GroupElement(n, p).matrix
-        acc = [row[:] for row in ident]
-        power = [row[:] for row in ident]
-        sign = 1
-        for _ in range(n - 1):
-            power = self._mul(power, nil)
-            sign = -sign
-            for i in range(n):
-                for j in range(n):
-                    v = acc[i][j] + sign * power[i][j]
-                    acc[i][j] = v % p if p is not None else v
-        return GroupElement(n, p, _matrix=acc)
+        """The inverse, solved once by forward substitution and cached:
+        row i of the inverse is -sum_{k<i} m[i][k] * (row k), plus e_i."""
+        if self._inverse is None:
+            n, p, m = self.n, self.p, self.matrix
+            one = coerce_scalar(1, p)
+            zero = coerce_scalar(0, p)
+            inv = [[one if i == j else zero for j in range(n)]
+                   for i in range(n)]
+            for i in range(1, n):
+                row = inv[i]
+                for k in range(i):
+                    if m[i][k] == 0:
+                        continue
+                    src = inv[k]
+                    for j in range(k + 1):
+                        row[j] = row[j] - m[i][k] * src[j]
+                if p is not None:
+                    inv[i] = [v % p for v in row]
+            self._inverse = GroupElement(n, p, _matrix=inv)
+        return self._inverse
 
 
 def coadjoint_act(g: GroupElement, f: LinearForm) -> LinearForm:
-    """Conjugate the value matrix and keep its strictly upper part."""
+    """Conjugate the value matrix and keep its strictly upper part.
+
+    The value matrix V is strictly upper triangular: with 0-based k < l,
+    V[k][l] is the value of f at root (l + 1, k + 1).  Each nonzero entry v
+    adds v * g[a][k] * g^-1[l][b] to entry (a, b) of g V g^-1, and only
+    k <= a < b <= l can be nonzero and strictly upper, so the dense products
+    are never formed."""
     if (g.n, g.p) != (f.n, f.p):
         raise ValueError("group element and form live over different fields")
     n, p = f.n, f.p
-    zero = coerce_scalar(0, p)
-    val = [[zero for _ in range(n)] for _ in range(n)]
+    gm, hm = g.matrix, g.inverse().matrix
+    acc: Dict[Tuple[int, int], object] = {}
     for root, v in f.values.items():
-        val[root.col - 1][root.row - 1] = v
-    tmp = g._mul(g.matrix, val)
-    conj = g._mul(tmp, g.inverse().matrix)
-    out: Dict[Root, object] = {}
-    for j in range(n):
-        for i in range(j + 1, n):
-            if conj[j][i] != 0:
-                out[Root(i + 1, j + 1)] = conj[j][i]
-    return LinearForm(n, p, out)
+        k, l = root.col - 1, root.row - 1
+        rights = [(b, hm[l][b]) for b in range(k + 1, l + 1)
+                  if hm[l][b] != 0]
+        for a in range(k, l):
+            if gm[a][k] == 0:
+                continue
+            left = v * gm[a][k]
+            for b, h in rights:
+                if b > a:
+                    acc[a, b] = acc.get((a, b), 0) + left * h
+    return LinearForm(n, p, {Root(b + 1, a + 1): acc[a, b]
+                             for a, b in sorted(acc)})
 
 
 # --- canonical forms ------------------------------------------------------
@@ -220,19 +237,47 @@ def _root_order(n: int) -> List[Root]:
     return list(positive_roots(n))
 
 
-def _action_matrices(n: int, p: int) -> List[np.ndarray]:
+def _generator_moves(n: int, p: int
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The generators I + e_alpha as sparse moves on states.
+
+    A generator changes only a few values of a form.  Column t of
+    ``columns`` gives the new value at root ``coords[t]`` as a linear
+    function of the old values; the columns of one generator are adjacent,
+    and ``starts`` indexes the first column of each generator that moves
+    anything."""
     roots = _root_order(n)
+    size = len(roots)
     index = {r: k for k, r in enumerate(roots)}
-    mats = []
-    for gen_root in roots:
+    # full[g, k, i]: value at root i of basis form k moved by generator g.
+    full = np.zeros((size, size, size), dtype=np.int64)
+    basis = [LinearForm(n, p, {r: 1}) for r in roots]
+    for g_at, gen_root in enumerate(roots):
         g = GroupElement(n, p, {(gen_root.row, gen_root.col): 1})
-        mat = np.zeros((len(roots), len(roots)), dtype=np.int64)
-        for k, basis_root in enumerate(roots):
-            image = coadjoint_act(g, LinearForm(n, p, {basis_root: 1}))
+        for k, form in enumerate(basis):
+            image = coadjoint_act(g, form)
             for root, v in image.values.items():
-                mat[index[root], k] = v
-        mats.append(mat)
-    return mats
+                full[g_at, k, index[root]] = v
+    gens, coords = np.nonzero(
+        (full != np.eye(size, dtype=np.int64)).any(axis=1))
+    columns = full[gens, :, coords].T.astype(np.float64)
+    starts = np.flatnonzero(np.diff(gens, prepend=-1))
+    return columns, coords, starts
+
+
+# Rows of codes handled at once when a state array would otherwise grow
+# with the orbit or the space; bounds the int64 scratch to this many cells.
+_BLOCK_CELLS = 1 << 20
+
+
+def _check_codes_fit(n: int, p: int) -> None:
+    """A state is packed into one int64 code, the base-p digits of its values
+    in root order, least significant first, so all p^N codes must fit."""
+    width = n * (n - 1) // 2
+    if p ** width > 1 << 63:
+        raise InvalidInput(
+            f"p^{width} = {p}^{width} exceeds 2^63, the limit of packed "
+            f"orbit states at n={n}")
 
 
 def _digits(codes: np.ndarray, p: int, width: int) -> np.ndarray:
@@ -245,46 +290,46 @@ def _digits(codes: np.ndarray, p: int, width: int) -> np.ndarray:
     return out
 
 
+def _encode(f: LinearForm, roots: List[Root]) -> int:
+    code = 0
+    for root in reversed(roots):
+        code = code * f.p + int(f.value(root))
+    return code
+
+
 def _row_form(n: int, p: int, roots: List[Root], row: List[int]
               ) -> LinearForm:
     return LinearForm(n, p, {r: d for r, d in zip(roots, row) if d})
 
 
 class Orbit:
-    """A coadjoint orbit over a finite field, stored as packed states."""
+    """A coadjoint orbit over a finite field, stored as its sorted array of
+    packed state codes."""
 
     def __init__(self, n: int, p: int, representative: LinearForm,
-                 packed: set):
+                 codes: np.ndarray):
         self.n = n
         self.p = p
         self.representative = representative
-        self._packed = packed
+        self.codes = codes
         self._roots = _root_order(n)
-        self._powers = [p ** k for k in range(len(self._roots))]
-
-    def _pack(self, f: LinearForm) -> int:
-        total = 0
-        for k, root in enumerate(self._roots):
-            total += int(f.value(root)) * self._powers[k]
-        return total
 
     def __len__(self) -> int:
-        return len(self._packed)
+        return len(self.codes)
 
     def __contains__(self, f) -> bool:
         if not isinstance(f, LinearForm) or (f.n, f.p) != (self.n, self.p):
             return False
-        return self._pack(f) in self._packed
+        code = _encode(f, self._roots)
+        at = int(np.searchsorted(self.codes, code))
+        return at < len(self.codes) and int(self.codes[at]) == code
 
     def __iter__(self):
         for row in self.member_array().tolist():
             yield _row_form(self.n, self.p, self._roots, row)
 
     def member_array(self) -> np.ndarray:
-        codes = np.fromiter(self._packed, dtype=np.int64,
-                            count=len(self._packed))
-        codes.sort()
-        return _digits(codes, self.p, len(self._roots))
+        return _digits(self.codes, self.p, len(self._roots))
 
 
 def _budget_value(budget: Optional[int]) -> int:
@@ -305,53 +350,64 @@ def _budget_value(budget: Optional[int]) -> int:
 
 
 def orbit_bfs(f: LinearForm, budget: Optional[int] = None) -> Orbit:
-    """Breadth-first closure of f under the generator actions."""
+    """Breadth-first closure of f under the generator actions, run level by
+    level on sorted arrays of packed codes."""
     if f.p is None:
         raise ValueError("orbit enumeration needs a finite field")
     n, p = f.n, f.p
+    _check_codes_fit(n, p)
     limit = _budget_value(budget)
     roots = _root_order(n)
-    powers = np.array([p ** k for k in range(len(roots))], dtype=np.int64)
-    mats = _action_matrices(n, p)
-    start = np.array([[int(f.value(r)) for r in roots]], dtype=np.int64)
-    start_code = int(start[0] @ powers)
-    visited = {start_code}
-    frontier = start
+    width = len(roots)
+    columns, coords, starts = _generator_moves(n, p)
+    scale = np.array([p ** k for k in range(width)], dtype=np.int64)[coords]
+    rows = max(1, _BLOCK_CELLS // max(width, len(coords)))
+    visited = np.array([_encode(f, roots)], dtype=np.int64)
+    frontier = visited
     while frontier.size:
         if len(visited) > limit:
             raise BudgetExceeded(
                 f"orbit search passed {limit} states")
-        images = [frontier @ mat.T % p for mat in mats]
-        cand = np.unique(np.concatenate(images, axis=0), axis=0)
-        codes = cand @ powers
-        fresh_rows = []
-        for row, code in zip(cand, codes.tolist()):
-            if code not in visited:
-                visited.add(code)
-                fresh_rows.append(row)
+        images = []
+        for first in range(0, len(frontier), rows):
+            block = frontier[first:first + rows]
+            digits = _digits(block, p, width)
+            # Exact in float64: a new value is below width * p^2 <= 2^47,
+            # since p^width <= 2^63 and width >= 3 whenever anything moves.
+            new = (digits @ columns % p).astype(np.int64)
+            moved = (new - digits[:, coords]) * scale
+            images.append((block[:, None] + np.add.reduceat(
+                moved, starts, axis=1)).ravel())
+        # Sort and drop repeats instead of np.unique/np.union1d: for int64
+        # their hash path is an order of magnitude slower than a sort.
+        images = np.sort(np.concatenate(images))
+        keep = np.ones(len(images), dtype=bool)
+        keep[1:] = images[1:] != images[:-1]
+        images = images[keep]
+        frontier = images[~np.isin(images, visited, assume_unique=True)]
+        visited = np.sort(np.concatenate((visited, frontier)))
         if len(visited) > limit:
             raise BudgetExceeded(
                 f"orbit search passed {limit} states")
-        frontier = np.array(fresh_rows, dtype=np.int64) if fresh_rows \
-            else np.empty((0, len(roots)), dtype=np.int64)
     return Orbit(n, p, f, visited)
 
 
 def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
     """Partition the whole dual space into orbits, in order of the least
     packed state."""
+    _check_codes_fit(n, p)
     roots = _root_order(n)
-    total = p ** len(roots)
-    seen: set = set()
+    free = np.ones(p ** len(roots), dtype=bool)
     orbits = []
-    for code in range(total):
-        if code in seen:
-            continue
+    code = 0
+    while code < len(free):
         row = _digits(np.array([code]), p, len(roots))[0].tolist()
-        f = _row_form(n, p, roots, row)
-        orbit = orbit_bfs(f, budget=budget)
-        seen.update(orbit._packed)
+        orbit = orbit_bfs(_row_form(n, p, roots, row), budget=budget)
+        free[orbit.codes] = False
         orbits.append(orbit)
+        code += int(np.argmax(free[code:]))
+        if not free[code]:
+            break
     return orbits
 
 
@@ -473,16 +529,13 @@ def _classify_orbit(orbit: Orbit) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     roots = _root_order(n)
     index = {r: k for k, r in enumerate(roots)}
     members = orbit.member_array()
+    # Bit k of a member's support is set when its value at root k is nonzero.
+    support = (members != 0) @ (1 << np.arange(len(roots), dtype=np.int64))
     matches: List[Tuple[AdmissibleSubset, Dict[Root, int]]] = []
     for s in enumerate_maximal(n):
-        picks = set(s.xi)
-        outside = [index[r] for r in roots if r not in picks]
-        marked = [index[r] for r, m in zip(s.xi, s.otimes_mask) if m]
-        mask = np.ones(len(members), dtype=bool)
-        if outside:
-            mask &= (members[:, outside] == 0).all(axis=1)
-        if marked:
-            mask &= (members[:, marked] != 0).all(axis=1)
+        picks = sum(1 << index[r] for r in s.xi)
+        marked = sum(1 << index[r] for r, m in zip(s.xi, s.otimes_mask) if m)
+        mask = ((support & ~picks) == 0) & ((support & marked) == marked)
         for row in members[mask]:
             values = {r: int(row[index[r]]) for r in s.xi}
             matches.append((s, values))
@@ -654,15 +707,21 @@ def subregular_classify(target, budget: Optional[int] = None
     cuts: Optional[bool] = None
     if f.p is not None:
         p = f.p
+        _check_codes_fit(n, p)
         roots = _root_order(n)
         index = {("y", r.row, r.col): k for k, r in enumerate(roots)}
-        codes = np.arange(p ** len(roots), dtype=np.int64)
-        members = _digits(codes, p, len(roots))
-        mask = np.ones(len(codes), dtype=bool)
-        for gen in system:
-            mask &= substitute(gen, lambda key: members[:, index[key]],
-                               p) == 0
-        cut_set = set(codes[mask].tolist())
+        total = p ** len(roots)
+        rows = max(1, _BLOCK_CELLS // len(roots))
+        cut = []
+        for first in range(0, total, rows):
+            codes = np.arange(first, min(first + rows, total),
+                              dtype=np.int64)
+            members = _digits(codes, p, len(roots))
+            mask = np.ones(len(codes), dtype=bool)
+            for gen in system:
+                mask &= substitute(gen, lambda key: members[:, index[key]],
+                                   p) == 0
+            cut.append(codes[mask])
         orbit = orbit_bfs(f, budget=budget)
-        cuts = cut_set == orbit._packed
+        cuts = np.array_equal(np.concatenate(cut), orbit.codes)
     return SubregularRecord(case, j0, tuple(system), cuts)

@@ -150,6 +150,7 @@ class TestBoundaryValidation:
         ("census", "--n", "3", "--p", "1"),
         ("census", "--n", "1", "--p", "2"),
         ("classify", "--n", "3", "--p", "2", "--values", '{"9,1": 1}'),
+        ("classify", "--n", "6", "--p", "31", "--values", '{"6,1": 1}'),
     ])
     def test_one_line_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
 """Oracle tests for the finite-field orbit engine."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from artifact.orbit_engine import (
     ClassificationMismatch,
     GroupElement,
     InvalidC,
+    InvalidInput,
     LinearForm,
     NotSubregular,
     canonical_form,
+    all_orbits,
     census,
     classify,
     coadjoint_act,
@@ -142,6 +145,97 @@ class TestOrbitBfs:
         members = list(orbit_bfs(f))
         assert len(members) == 4
         assert all(isinstance(m, LinearForm) for m in members)
+
+
+def all_forms(n, p):
+    roots = list(positive_roots(n))
+    for code in range(p ** len(roots)):
+        yield form(n, p, {r: (code // p ** k) % p
+                          for k, r in enumerate(roots)})
+
+
+def reference_closure(f):
+    """The orbit of f as a set, by breadth-first search through
+    coadjoint_act with every generator I + e_alpha."""
+    gens = [GroupElement(f.n, f.p, {(r.row, r.col): 1})
+            for r in positive_roots(f.n)]
+    seen, frontier = {f}, {f}
+    while frontier:
+        frontier = {coadjoint_act(g, x) for x in frontier for g in gens}
+        frontier -= seen
+        seen |= frontier
+    return seen
+
+
+def assert_orbit_is(orbit, expected):
+    assert len(orbit) == len(expected)
+    assert set(orbit) == expected
+    assert all(x in orbit for x in expected)
+    codes = orbit.codes.tolist()
+    assert codes == sorted(set(codes))
+    rows = orbit.member_array()
+    assert rows.shape == (len(expected), len(list(positive_roots(orbit.n))))
+    assert {form(orbit.n, orbit.p, dict(zip(positive_roots(orbit.n), row)))
+            for row in rows.tolist()} == expected
+
+
+class TestSearchAgainstReference:
+    @pytest.mark.parametrize("n,p", [(3, 3), (4, 2)])
+    def test_all_orbits_on_every_point(self, n, p):
+        orbits = all_orbits(n, p)
+        assert sum(len(o) for o in orbits) == p ** (n * (n - 1) // 2)
+        for f in all_forms(n, p):
+            closure = reference_closure(f)
+            owners = [o for o in orbits if f in o]
+            assert len(owners) == 1
+            assert_orbit_is(owners[0], closure)
+            assert all(x not in owners[0] for x in all_forms(n, p)
+                       if x not in closure)
+
+    def test_orbit_bfs_on_sampled_points_n5(self):
+        points = list(all_forms(5, 2))
+        for f in random.Random(5).sample(points, 24):
+            closure = reference_closure(f)
+            orbit = orbit_bfs(f)
+            assert_orbit_is(orbit, closure)
+            outside = next(x for x in points if x not in closure)
+            assert outside not in orbit
+
+
+class TestCodeRange:
+    """Packed states are int64 codes, so p^(n(n-1)/2) may not pass 2^63."""
+
+    def test_classify_rejects_wrapping_codes(self):
+        with pytest.raises(InvalidInput, match="2\\^63"):
+            classify(form(6, 19, {R(6, 5): 18}))
+
+    def test_largest_fitting_field_classifies(self):
+        s, c = classify(form(6, 17, {R(6, 5): 16}))
+        assert s.label == (6, 4, 11)
+        assert c[R(6, 5)] == 16
+
+    def test_all_orbits_rejects_wrapping_codes(self):
+        with pytest.raises(InvalidInput):
+            all_orbits(6, 19)
+
+    def test_subregular_cut_rejects_wrapping_codes(self):
+        s = build_admissible(4, CATALOG4[(4, 1, 1)]["seq"])
+        f = canonical_form(s, {R(3, 1): 1, R(4, 2): 1, R(4, 3): 2}, p=1451)
+        with pytest.raises(InvalidInput):
+            subregular_classify(f)
+
+
+class TestBlocks:
+    def test_small_blocks_change_nothing(self, monkeypatch):
+        from artifact import orbit_engine
+
+        s = build_admissible(4, CATALOG4[(4, 1, 1)]["seq"])
+        f = canonical_form(s, {R(3, 1): 1, R(4, 2): 1, R(4, 3): 2}, p=3)
+        expected = census(4, 3), subregular_classify(f)
+        monkeypatch.setattr(orbit_engine, "_BLOCK_CELLS", 64)
+        got = census(4, 3), subregular_classify(f)
+        assert got == expected
+        assert got[1].cuts_exactly
 
 
 class TestKirillovRank:

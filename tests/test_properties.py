@@ -147,6 +147,71 @@ class TestOrbitInvariants:
         assert c2 == c
 
 
+def _dense_mul(a, b, p):
+    n = len(a)
+    out = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+           for i in range(n)]
+    return [[v % p for v in row] for row in out] if p is not None else out
+
+
+def _dense_inverse(m, p):
+    """(I + N)^-1 = I - N + N^2 - ... for the nilpotent part N."""
+    n = len(m)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    nil = [[m[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
+    acc, power = ident, ident
+    for step in range(1, n):
+        power = _dense_mul(power, nil, p)
+        acc = [[x + (-1) ** step * y for x, y in zip(ra, rp)]
+               for ra, rp in zip(acc, power)]
+    return [[v % p for v in row] for row in acc] if p is not None else acc
+
+
+def _dense_coadjoint(g, f):
+    """The strictly upper part of g V g^-1 by plain triple loops, with
+    V[col][row] = f(y_row,col)."""
+    n, p = f.n, f.p
+    val = [[0] * n for _ in range(n)]
+    for root, v in f.values.items():
+        val[root.col - 1][root.row - 1] = v
+    conj = _dense_mul(_dense_mul(g.matrix, val, p),
+                      _dense_inverse(g.matrix, p), p)
+    return LinearForm(n, p, {Root(i + 1, j + 1): conj[j][i]
+                             for j in range(n) for i in range(j + 1, n)})
+
+
+@st.composite
+def group_and_form(draw):
+    n = draw(st.integers(2, 6))
+    p = draw(st.sampled_from([2, 3, 5, 7, None]))
+    scalar = (st.fractions(-4, 4, max_denominator=5) if p is None
+              else st.integers(0, p - 1))
+    roots = sorted(positive_roots(n), key=lambda r: (r.row, r.col))
+    pick = st.lists(st.sampled_from(roots), unique=True, max_size=len(roots))
+    g = GroupElement(n, p, {(r.row, r.col): draw(scalar)
+                            for r in draw(pick)})
+    f = LinearForm(n, p, {r: draw(scalar) for r in draw(pick)})
+    return g, f
+
+
+class TestGroupArithmetic:
+    @given(group_and_form())
+    @settings(max_examples=150)
+    def test_coadjoint_act_matches_dense_conjugation(self, gf):
+        g, f = gf
+        assert coadjoint_act(g, f) == _dense_coadjoint(g, f)
+
+    @given(group_and_form())
+    @settings(max_examples=100)
+    def test_inverse(self, gf):
+        g, _f = gf
+        n, p = g.n, g.p
+        assert g.compose(g.inverse()).matrix == GroupElement(n, p).matrix
+        assert g.inverse().compose(g).matrix == GroupElement(n, p).matrix
+        assert g.inverse().inverse().matrix == g.matrix
+        assert g.inverse().matrix == _dense_inverse(g.matrix, p)
+
+
 class TestWEtaInvariants:
     @given(st.data())
     @settings(max_examples=40)
