@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials and monomial-denominator fractions.
 
 Coefficients live either in the rationals (field marker ``p is None``,
-coefficients are ``fractions.Fraction``) or in the prime field of size
-``p`` (coefficients are ints reduced mod p).  Variables are identified by
-hashable tuple keys such as ``("y", 4, 1)``, ``("c", 4, 1)`` and
-``("tau",)``; a monomial is a sorted tuple of ``(key, exponent)`` pairs.
+coefficients are ints when integral and ``fractions.Fraction`` otherwise)
+or in the prime field of size ``p`` (coefficients are ints reduced mod p).
+Variables are identified by hashable tuple keys such as ``("y", 4, 1)``,
+``("c", 4, 1)`` and ``("tau",)``; a monomial is a sorted tuple of
+``(key, exponent)`` pairs.
 """
 from __future__ import annotations
 
@@ -95,12 +96,21 @@ class Polynomial:
     __slots__ = ("terms", "p", "_hash")
 
     def __init__(self, terms: Dict[Monomial, object], p: Optional[int] = None):
+        # Over Q an integral coefficient is stored as an int: it equals,
+        # hashes and prints like the Fraction it stands for, and int
+        # arithmetic is far cheaper.
         clean = {}
         for mono, coef in terms.items():
-            coef = coerce_scalar(coef, p)
-            if coef == 0:
-                continue
-            clean[mono] = coef
+            if type(coef) is int:
+                if p is not None:
+                    coef %= p
+            else:
+                if p is not None or type(coef) is not Fraction:
+                    coef = coerce_scalar(coef, p)
+                if coef.denominator == 1:
+                    coef = coef.numerator
+            if coef:
+                clean[mono] = coef
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_hash", None)
@@ -453,7 +463,7 @@ def _reduce_fraction(num: Polynomial, den: Polynomial):
         num = num.div_mono(mono)
         den = den.div_mono(mono)
     _m, lead = den._leading()
-    if lead != coerce_scalar(1, den.p):
+    if lead != 1:
         inv = scalar_inverse(lead, den.p)
         num = num * inv
         den = den * inv

@@ -8,6 +8,7 @@ system), and the fixed families used for regular and subregular orbits.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -115,6 +116,14 @@ def minor(n: int, spec: MinorSpec) -> TauPolynomial:
     for idx in cols + rows:
         if not 1 <= idx <= n:
             raise ValueError(f"index {idx} outside 1..{n}")
+    return _minor(n, cols, rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _minor(n: int, cols: Tuple[int, ...], rows: Tuple[int, ...]
+           ) -> TauPolynomial:
+    """The determinant behind ``minor``, computed once per selection; the
+    result is shared, so it must not be mutated."""
     m = phi_tau(n)
     sub = [[m[r - 1][c - 1] for c in cols] for r in rows]
     return TauPolynomial.from_polynomial(_det_cofactor(sub))

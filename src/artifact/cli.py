@@ -309,8 +309,12 @@ def _emit(args, payload: object) -> None:
         text = payload if isinstance(payload, str) else str(payload)
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -326,7 +330,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         check_dimension(args.n)
         if getattr(args, "p", None) is not None:
             _check_prime(args.p)
-        payload = args.func(args)
+        _emit(args, args.func(args))
     except (UsageError, InvalidDimension, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -336,7 +340,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    _emit(args, payload)
     return 0
 
 

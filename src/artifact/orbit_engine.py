@@ -42,7 +42,8 @@ class InvalidC(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Orbit enumeration visited more states than the budget allows."""
+    """Orbit enumeration visited, or a whole-space scan would visit, more
+    states than the budget allows."""
 
 
 class ClassificationMismatch(RuntimeError):
@@ -349,6 +350,19 @@ def _budget_value(budget: Optional[int]) -> int:
     return limit
 
 
+def _check_space_budget(stage: str, n: int, p: int,
+                        budget: Optional[int]) -> None:
+    """A whole-space scan visits all p^(n(n-1)/2) states; refuse it before
+    allocating anything when that is more than the budget."""
+    _check_codes_fit(n, p)
+    states = p ** (n * (n - 1) // 2)
+    limit = _budget_value(budget)
+    if states > limit:
+        raise BudgetExceeded(
+            f"{stage} at n={n}, p={p} would scan {states} states, over "
+            f"the limit of {limit}")
+
+
 def orbit_bfs(f: LinearForm, budget: Optional[int] = None) -> Orbit:
     """Breadth-first closure of f under the generator actions, run level by
     level on sorted arrays of packed codes."""
@@ -395,7 +409,7 @@ def orbit_bfs(f: LinearForm, budget: Optional[int] = None) -> Orbit:
 def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
     """Partition the whole dual space into orbits, in order of the least
     packed state."""
-    _check_codes_fit(n, p)
+    _check_space_budget("all_orbits", n, p, budget)
     roots = _root_order(n)
     free = np.ones(p ** len(roots), dtype=bool)
     orbits = []
@@ -707,7 +721,7 @@ def subregular_classify(target, budget: Optional[int] = None
     cuts: Optional[bool] = None
     if f.p is not None:
         p = f.p
-        _check_codes_fit(n, p)
+        _check_space_budget("subregular cut", n, p, budget)
         roots = _root_order(n)
         index = {("y", r.row, r.col): k for k, r in enumerate(roots)}
         total = p ** len(roots)

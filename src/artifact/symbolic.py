@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ._poly import (
@@ -193,7 +194,7 @@ class Rule:
     den: Polynomial
     rest: Polynomial
 
-    @property
+    @cached_property
     def value(self) -> LocalizedPolynomial:
         return LocalizedPolynomial(-self.rest, self.den)
 
@@ -215,10 +216,18 @@ def _subst_poly(poly: Polynomial, key,
 def _substitute_rules(val: LocalizedPolynomial, rules
                       ) -> LocalizedPolynomial:
     """Substitute each (root, value) pair's value for y_root, in the
-    order given."""
+    order given.
+
+    A rule whose variable occurs in neither side is skipped: substituting
+    it would rebuild the same already reduced fraction.
+    """
+    present = val.num.variables() | val.den.variables()
     for root, rep in rules:
         key = ("y", root.row, root.col)
+        if key not in present:
+            continue
         val = _subst_poly(val.num, key, rep) / _subst_poly(val.den, key, rep)
+        present = val.num.variables() | val.den.variables()
     return val
 
 
@@ -263,11 +272,20 @@ class IdealHandle:
     def from_generators(cls, n: int, generators, invertible=None
                         ) -> "IdealHandle":
         generators = list(generators)
-        inv = tuple(invertible or ())
-        inv_set = set(inv)
         p = generators[0].p if generators else None
-        rules: Optional[Dict[Root, Rule]] = {}
+        empty = cls(n, [], {}, tuple(invertible or ()), p)
+        return empty._extended(generators)
+
+    def _extended(self, generators) -> "IdealHandle":
+        """A new handle with ``generators`` appended.  The rule search
+        continues from the rules already found: a rule depends only on the
+        generators before it."""
+        generators = list(generators)
+        inv_set = set(self.invertible)
+        rules = None if self.rules is None else dict(self.rules)
         for gen in generators:
+            if rules is None:
+                break
             if gen.is_zero():
                 continue
             # Reduce by the rules extracted so far; pivots must be sought in
@@ -293,7 +311,8 @@ class IdealHandle:
                 rules = None
                 break
             rules[found.root] = found
-        return cls(n, generators, rules, inv, p)
+        return IdealHandle(self.n, self.generators + generators, rules,
+                           self.invertible, self.p)
 
     def normal_form(self, x) -> LocalizedPolynomial:
         val = _as_loc(x, self.p)
@@ -388,8 +407,7 @@ class ReductionContext:
         self.n = s.n
         self.cmap = cmap
         self.tmaps: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []
-        self.gens: List[Polynomial] = []
-        self.handle: IdealHandle = IdealHandle.zero(s.n)
+        self.handle = IdealHandle(s.n, [], {}, tuple(s.s_otimes))
         self._var_cache: Dict = {}
 
 
@@ -480,11 +498,9 @@ def reduce_column(ctx: ReductionContext, s, t: int, c=None):
         for index in reversed(range(len(ctx.tmaps))):
             val = _apply_tmap(ctx, index, val)
         images[eta] = val
-    for eta, val in images.items():
-        cval = ctx.cmap.get(eta, Polynomial.zero())
-        ctx.gens.append(val.num - cval * val.den)
-    ctx.handle = IdealHandle.from_generators(
-        s.n, list(ctx.gens), invertible=list(s.s_otimes))
+    ctx.handle = ctx.handle._extended(
+        val.num - ctx.cmap.get(eta, Polynomial.zero()) * val.den
+        for eta, val in images.items())
     return new_pairs, images, ctx.handle
 
 

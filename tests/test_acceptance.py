@@ -1,8 +1,10 @@
 """Top-level acceptance checks.
 
-Each test below covers exactly one release criterion and produces a single
-pass/fail line under ``pytest -v``.
+Each criterion test below covers exactly one release criterion and produces
+a single pass/fail line under ``pytest -v``; the golden-text test pins the
+exact minor and triangular-solver texts of every maximal diagram.
 """
+import hashlib
 import itertools
 import os
 import random
@@ -13,10 +15,10 @@ import numpy as np
 import pytest
 
 from artifact._poly import substitute
-from artifact.root_system import positive_roots
+from artifact.root_system import lex_sort_key, positive_roots
 from artifact.admissible import build_admissible, dimension, enumerate_maximal, render_diagram
-from artifact.symbolic import IdealHandle, build_ideal, is_casimir_mod, is_poisson_ideal, y_var
-from artifact.char_matrix import p_h_eta, regular_minors
+from artifact.symbolic import IdealHandle, build_ideal, is_casimir_mod, is_poisson_ideal, poly_text, y_var
+from artifact.char_matrix import LemmaFailure, p_h_eta, regular_minors, triangular_system
 from artifact.orbit_engine import (
     LinearForm,
     all_orbits,
@@ -50,6 +52,43 @@ def states_of(forms, roots):
 
 def generators_for(s):
     return [p_h_eta(s, eta) for eta in s.a_set]
+
+
+def texts_digest(lines):
+    """sha256 of one text line per diagram, "label|text ; text ; ..."."""
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def label_line(s, texts):
+    return ",".join(map(str, s.label)) + "|" + " ; ".join(texts)
+
+
+# Digests of the exact texts for every maximal diagram, per n, taken from
+# the cofactor/Fraction implementation before the integer-coefficient core.
+GOLDEN_GENERATORS = {
+    2: "d4ab7772b0e530d7ecc4e38eea50d7a620e6675ceb4fa455b2a3f72864652a11",
+    3: "47bcdae7040bc0dd26c6b1ef7408f4cd19e20fd52d42884cb4e0acd4642e8acd",
+    4: "4feae46f178f8c7f5e3c44ae4b7065653930e2045b65cf88222a1022f4a097fc",
+    5: "4897e4f3d4bd6935b0b3f721c951ab5b8b55c64dd6da0c749b8ef9735fda0578",
+    6: "d695f8748add43481cbdf7bafe63a490e66e3a2eef67abff67eafce11cfa09e9",
+    7: "9c98c7e16c0eb9df27e9f8a08eca72a6c666200bf3b3e95ec05a18b5a747707e",
+}
+GOLDEN_P_H_ETA = {
+    2: "c9f66417b02b9a434d2e9bf9d5107996619b3f5863f3b5c3cefa361f7eb8d76a",
+    3: "16c7d4bb900bdcecb731eb91e09be229bcbba9886a13424406c360c8ebf54d81",
+    4: "6bd3a777224672efd05c824292cd5abc3bd00b1eb7f6bfed9c18efbaddf27980",
+    5: "c8598bffc3a798942a4b8af380d49da3807db4c3e40a1aa4d2ea4f091aaa06b7",
+    6: "5cdff54d7e7ee3a13d6acbc821f9521eb6f59df56c19da0d1673045a2adfa947",
+    7: "6dd9fb492f91511e6dbc733860bbae901e00102edaa02544a04f0150a2e66f47",
+}
+GOLDEN_TRIANGULAR = {
+    2: "86c45b582788e77bf07162f0b72ee3d98fde561677d52c481d3b7830653ee6f6",
+    3: "86110ac339a254c4bc147505d7466adaebfc69eda742c1d78fd3e043b7cd2ba4",
+    4: "1657320fed9afacd00db5b95a44966ea12bc0097269c70f81898ca0aef40f83f",
+    5: "9bea4a14d69feed479deddc60ad7bde6ff6c6cbeac94195a0fb5248f5c0aa8a1",
+    6: "f1feff08236ef4aa7615a1e01b55c32747df5363e143fd09801c28f0e350851e",
+    7: "793f61f424c2cf807cda85370d56f6ab8d4e80cc5beb8e486fe48531b4efcf43",
+}
 
 
 def test_criterion_01_catalog_counts():
@@ -219,9 +258,11 @@ def test_criterion_07_worked_polynomials():
 
 def test_criterion_08_poisson_ideals():
     for n in range(2, 8):
+        lines = []
         for s in enumerate_maximal(n):
             handle = build_ideal(s, None)
             assert is_poisson_ideal(handle), s.label
+            lines.append(label_line(s, map(poly_text, handle.generators)))
             if s.label == (6, 3, 4):
                 nf = handle.normal_form(
                     y_var(5, 3) * y_var(3, 1) + y_var(5, 2) * y_var(2, 1))
@@ -229,6 +270,29 @@ def test_criterion_08_poisson_ideals():
                     assert not any(key[0] == "y"
                                    for _, mono in poly.monomials()
                                    for key, _ in mono)
+        assert texts_digest(lines) == GOLDEN_GENERATORS[n], n
+
+
+def test_golden_minor_and_triangular_texts():
+    unsolved = []
+    for n in range(2, 8):
+        minors, solved = [], []
+        for s in enumerate_maximal(n):
+            roots = sorted(s.a_set, key=lex_sort_key)
+            minors.append(label_line(
+                s, (poly_text(p_h_eta(s, eta)) for eta in roots)))
+            try:
+                system = triangular_system(s)
+            except LemmaFailure:
+                unsolved.append(s.label)
+                solved.append(label_line(s, ["LemmaFailure"]))
+                continue
+            solved.append(label_line(s, (
+                f"{r.row},{r.col}: {poly_text(system.rules[r])} | "
+                f"{poly_text(system.coeffs[r])}" for r in system.rules)))
+        assert texts_digest(minors) == GOLDEN_P_H_ETA[n], n
+        assert texts_digest(solved) == GOLDEN_TRIANGULAR[n], n
+    assert unsolved == [(7, 2, 1), (7, 3, 1)]
 
 
 def test_criterion_09_polarizations():

@@ -9,6 +9,7 @@ from artifact.char_matrix import (
     MinorSpec,
     NotInA,
     TauPolynomial,
+    _minor,
     bordered_minors,
     h_subset,
     minor,
@@ -61,6 +62,26 @@ class TestMinor:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             minor(4, MinorSpec(cols=(1, 2), rows=(4,)))
+
+    @pytest.mark.parametrize("n,cols,rows", [
+        (4, (1, 2), (4,)),
+        (4, (), ()),
+        (4, (1, 5), (3, 4)),
+        (4, (0,), (2,)),
+    ])
+    def test_bad_spec_raises_every_call(self, n, cols, rows):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                minor(n, MinorSpec(cols=cols, rows=rows))
+
+    def test_memoised_result_is_stable(self):
+        spec = MinorSpec(cols=(1, 2, 3), rows=(4, 5, 6))
+        first = minor(6, spec)
+        assert minor(6, MinorSpec(cols=(1, 2, 3), rows=(4, 5, 6))) is first
+        assert minor(7, spec) is not first
+        fresh = _minor.__wrapped__(6, spec.cols, spec.rows)
+        assert first.degrees() == fresh.degrees() == [3]
+        assert first.coeff(3) == fresh.coeff(3)
 
     def test_minor_matches_leibniz(self):
         import itertools

@@ -158,6 +158,29 @@ class TestBoundaryValidation:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "diagrams", "--n", "3",
+                             "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("census", "--n", "6", "--p", "17"),
+        ("verify", "--suite", "strata", "--n", "5", "--p", "7"),
+        ("verify", "--suite", "subregular", "--n", "7", "--p", "3"),
+    ])
+    def test_whole_space_over_budget(self, capsys, monkeypatch, argv):
+        # Refused before any allocation: the default budget is 2^26 states.
+        monkeypatch.delenv("ARTIFACT_BFS_BUDGET", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+        assert f"n={argv[-3]}, p={argv[-1]}" in err
+
     def test_unparseable_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("ARTIFACT_BFS_BUDGET", "abc")
         code, out, err = run(capsys, "census", "--n", "3", "--p", "2")

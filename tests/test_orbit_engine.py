@@ -140,6 +140,18 @@ class TestOrbitBfs:
         with pytest.raises(BudgetExceeded):
             orbit_bfs(f, budget=10)
 
+    def test_whole_space_budget(self):
+        # all_orbits(3, 2) scans 2^3 states: a budget of 8 allows it, 7
+        # refuses it before any search.
+        assert len(all_orbits(3, 2, budget=8)) == 5
+        with pytest.raises(BudgetExceeded, match=r"all_orbits at n=3, p=2"
+                           r" would scan 8 states, over the limit of 7"):
+            all_orbits(3, 2, budget=7)
+        s = build_admissible(4, CATALOG4[(4, 2, 1)]["seq"])
+        f = canonical_form(s, {r: 1 for r in s.xi}, p=3)
+        with pytest.raises(BudgetExceeded, match="subregular cut"):
+            subregular_classify(f, budget=3 ** 6 - 1)
+
     def test_iteration_yields_members(self):
         f = form(3, 2, {R(3, 1): 1})
         members = list(orbit_bfs(f))

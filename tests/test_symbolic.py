@@ -64,6 +64,34 @@ class TestPolynomialCore:
         assert l.den == Polynomial.one()
 
 
+class TestCoefficientRepresentation:
+    def test_integral_fraction_is_invisible(self):
+        a = y(2, 1) * const(Fraction(3))
+        b = y(2, 1) * const(3)
+        assert a == b and hash(a) == hash(b)
+        assert poly_text(a) == poly_text(b) == "3*y_2_1"
+        assert type(a.terms[((("y", 2, 1), 1),)]) is int
+
+    def test_integral_product_stored_as_int(self):
+        half = const(Fraction(1, 2))
+        assert type(half.terms[()]) is Fraction
+        assert type((half * 2).terms[()]) is int
+        assert poly_text(half * 2) == "1"
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_other_types_rejected(self, p):
+        import numpy as np
+
+        for bad in (1.5, 2.0, np.int64(3)):
+            with pytest.raises(TypeError):
+                Polynomial({(): bad}, p)
+
+    def test_denominator_vanishing_mod_p(self):
+        with pytest.raises(FieldMismatch):
+            Polynomial({(): Fraction(1, 7)}, 7)
+        assert Polynomial({(): Fraction(1, 2)}, 7).terms[()] == 4
+
+
 class TestBracket:
     def test_structure_constants(self):
         assert bracket(y(3, 2), y(2, 1)) == y(3, 1)
@@ -461,3 +489,84 @@ def is_constant_in_c(value):
             if var[0] == "y":
                 return False
     return True
+
+
+def _every_diagram(max_n):
+    from artifact.admissible import enumerate_maximal
+
+    for n in range(2, max_n + 1):
+        yield from enumerate_maximal(n)
+
+
+class TestIncrementalIdeal:
+    def test_extended_handle_matches_from_generators(self):
+        # After each column the handle extended column by column has the
+        # rules of a handle built from the whole generator list at once.
+        for s in _every_diagram(6):
+            ctx = initial_context(s, None)
+            for t in range(1, s.n):
+                _pairs, _images, handle = reduce_column(ctx, s, t, None)
+                whole = IdealHandle.from_generators(
+                    s.n, handle.generators, invertible=s.s_otimes)
+                assert handle.rules == whole.rules, (s.label, t)
+
+    def test_extension_leaves_earlier_handle(self):
+        first = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
+        second = first._extended([y(2, 1)])
+        assert set(first.rules) == {R(3, 1)}
+        assert len(first.generators) == 1
+        assert set(second.rules) == {R(3, 1), R(2, 1)}
+        assert second.contains(y(2, 1) * y(3, 2))
+
+    def test_rule_value_computed_once(self):
+        handle = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
+        rule = handle.rules[R(3, 1)]
+        assert rule.value is rule.value
+        assert rule.value == loc(const(2))
+
+
+def _normal_form_every_rule(handle, x):
+    """Reference normal form: substitute every rule, least root first,
+    whether or not its variable occurs."""
+    from artifact.root_system import lex_sort_key
+    from artifact.symbolic import _subst_poly
+
+    val = x if isinstance(x, LocalizedPolynomial) else loc(x)
+    for root in sorted(handle.rules, key=lex_sort_key, reverse=True):
+        key = ("y", root.row, root.col)
+        rep = LocalizedPolynomial(-handle.rules[root].rest,
+                                  handle.rules[root].den)
+        val = _subst_poly(val.num, key, rep) / _subst_poly(val.den, key, rep)
+    return val
+
+
+class TestSkippedSubstitutions:
+    def test_normal_form_matches_unconditional_reference(self):
+        from artifact.root_system import positive_roots
+
+        for s in _every_diagram(5):
+            handle = build_ideal(s, None)
+            probes = [bracket(g, y(r.row, r.col))
+                      for g in handle.generators
+                      for r in positive_roots(s.n)]
+            probes += [y(r.row, r.col) * y(r2.row, r2.col)
+                       for r in positive_roots(s.n)
+                       for r2 in positive_roots(s.n)]
+            for x in probes:
+                got = handle.normal_form(x)
+                want = _normal_form_every_rule(handle, x)
+                assert (got.num, got.den) == (want.num, want.den), s.label
+                assert poly_text(got) == poly_text(want)
+
+    def test_substitution_brings_in_a_later_rule(self):
+        # y21 -> y31 -> 2: the first substitution introduces the variable
+        # of the next rule, in the numerator or in the denominator.
+        handle = IdealHandle.from_generators(
+            3, [y(2, 1) - y(3, 1), y(3, 1) - const(2)])
+        for x, want in [(y(2, 1), loc(const(2))),
+                        (loc(const(1), y(2, 1)), loc(const(1), const(2))),
+                        (loc(y(3, 2), y(2, 1) + y(3, 1)),
+                         loc(y(3, 2), const(4)))]:
+            assert handle.normal_form(x) == want
+            ref = _normal_form_every_rule(handle, x)
+            assert poly_text(handle.normal_form(x)) == poly_text(ref)
