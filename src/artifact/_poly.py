@@ -10,6 +10,7 @@ Variables are identified by hashable tuple keys such as ``("y", 4, 1)``,
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 VarKey = Tuple
@@ -121,11 +122,13 @@ class Polynomial:
     # --- constructors -------------------------------------------------
     @classmethod
     def zero(cls, p: Optional[int] = None) -> "Polynomial":
-        return cls({}, p)
+        """The zero of the field: one shared instance per p."""
+        return _shared(_ZEROS, {}, p)
 
     @classmethod
     def one(cls, p: Optional[int] = None) -> "Polynomial":
-        return cls({(): 1}, p)
+        """The one of the field: one shared instance per p."""
+        return _shared(_ONES, {(): 1}, p)
 
     @classmethod
     def term(cls, mono, coef=1, p: Optional[int] = None) -> "Polynomial":
@@ -273,6 +276,20 @@ class Polynomial:
                 raise ValueError("monomial does not divide every term")
             out[q] = c
         return Polynomial(out, self.p)
+
+
+_ZEROS: Dict[Optional[int], Polynomial] = {}
+_ONES: Dict[Optional[int], Polynomial] = {}
+
+
+def _shared(table, terms, p: Optional[int]) -> Polynomial:
+    poly = table.get(p)
+    if poly is None:
+        poly = Polynomial(terms, p)
+        # A shared instance must not be changed through its term dict.
+        object.__setattr__(poly, "terms", MappingProxyType(poly.terms))
+        table[p] = poly
+    return poly
 
 
 def substitute(poly: Polynomial, value, p: Optional[int] = None):

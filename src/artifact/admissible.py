@@ -183,13 +183,20 @@ def _greedy_complete(n: int, prefix: Sequence[Root]) -> AdmissibleSubset:
 
 def is_maximal(s: AdmissibleSubset) -> bool:
     """No proper admissible superset exists."""
-    chosen = set(s.xi)
-    for r in positive_roots(s.n):
+    return _is_maximal(s.n, tuple(s.xi))
+
+
+@functools.lru_cache(maxsize=None)
+def _is_maximal(n: int, xi: Tuple[Root, ...]) -> bool:
+    # Maximality depends on the picks alone, so it is proved once per
+    # (n, picks).
+    chosen = set(xi)
+    for r in positive_roots(n):
         if r in chosen:
             continue
         candidate = sorted(chosen | {r}, key=lex_sort_key)
         try:
-            build_admissible(s.n, candidate)
+            build_admissible(n, candidate)
         except InvalidChoice:
             continue
         return False

@@ -428,40 +428,64 @@ def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
 # --- invariants of a point ------------------------------------------------
 
 def kirillov_rank(f: LinearForm) -> int:
-    """Rank of the form's bracket matrix over the positive roots."""
-    roots = _root_order(f.n)
+    """Rank of the form's bracket matrix over the positive roots.
+
+    The matrix is built from ``f.values`` as ints: residues mod p over F_p
+    and, over Q, the values times the lcm of their denominators, which
+    leaves the rank unchanged.
+    """
     p = f.p
-    size = len(roots)
-    mat = [[coerce_scalar(0, p) for _ in range(size)] for _ in range(size)]
-    for a, alpha in enumerate(roots):
-        for b, beta in enumerate(roots):
-            i, j = alpha.row, alpha.col
-            k, l = beta.row, beta.col
-            v = coerce_scalar(0, p)
-            if j == k and i > l:
-                v = v + f.value(Root(i, l))
-            if l == i and k > j:
-                v = v - f.value(Root(k, j))
-            mat[a][b] = v % p if p is not None else v
+    vals = {(r.row, r.col): v for r, v in f.values.items()}
+    if p is None:
+        scale = math.lcm(*(v.denominator for v in vals.values()))
+        vals = {key: v.numerator * (scale // v.denominator)
+                for key, v in vals.items()}
+    pairs = [(r.row, r.col) for r in _root_order(f.n)]
+    mat = []
+    for i, j in pairs:
+        row = []
+        for k, l in pairs:
+            # {y_ij, y_kl} = [j=k] y_il - [l=i] y_kj
+            v = 0
+            if j == k:
+                v += vals.get((i, l), 0)
+            if l == i:
+                v -= vals.get((k, j), 0)
+            row.append(v if p is None else v % p)
+        mat.append(row)
+    return _int_rank(mat, p)
+
+
+def _int_rank(mat: List[List[int]], p: Optional[int]) -> int:
+    """Rank of an int matrix over F_p (entries reduced mod p), or over Q
+    by fraction-free (Bareiss) elimination, whose divisions are exact.
+    Rows are changed in place."""
+    size = len(mat)
+    width = len(mat[0]) if mat else 0
     rank = 0
-    row = 0
-    for col in range(size):
-        pivot = next((r for r in range(row, size) if mat[r][col] != 0), None)
+    prev = 1
+    for col in range(width):
+        pivot = next((r for r in range(rank, size) if mat[r][col]), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = (pow(int(mat[row][col]), -1, p) if p is not None
-               else Fraction(1) / mat[row][col])
-        for r in range(row + 1, size):
-            if mat[r][col] == 0:
-                continue
-            factor = mat[r][col] * inv
-            for cc in range(col, size):
-                v = mat[r][cc] - factor * mat[row][cc]
-                mat[r][cc] = v % p if p is not None else v
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        lead = top[col]
+        inv = None if p is None else pow(lead, -1, p)
+        for r in range(rank + 1, size):
+            row = mat[r]
+            m = row[col]
+            if p is not None:
+                if m:
+                    m = m * inv % p
+                    for cc in range(col, width):
+                        row[cc] = (row[cc] - m * top[cc]) % p
+            else:
+                for cc in range(col, width):
+                    row[cc] = (lead * row[cc] - m * top[cc]) // prev
+        prev = lead
         rank += 1
-        row += 1
-        if row == size:
+        if rank == size:
             break
     return rank
 

@@ -263,6 +263,7 @@ class IdealHandle:
         self.rules = rules
         self.invertible = tuple(invertible)
         self.p = p
+        self._chain_rules: Dict[Optional[int], "_ChainRule"] = {}
 
     @classmethod
     def zero(cls, n: int) -> "IdealHandle":
@@ -331,21 +332,137 @@ class IdealHandle:
         return self.normal_form(val).num.is_zero()
 
 
+class _ChainRule:
+    """The normal form phi of one handle over one field, applied to
+    brackets with coordinates by the chain rule.
+
+    phi is the ring homomorphism that sends each y to its fully
+    substituted rule value (the identity when the generators did not
+    triangularize), and bracketing with y_kl is a derivation, so
+
+        phi({z, y_kl}) = sum_a phi(dz/dy_a) * phi({y_a, y_kl}).
+
+    ``exact`` is False when some rule is over another field or has a
+    denominator that phi sends to zero.  Bracketing then ``contains`` can
+    raise on such a handle at a point that depends on the expression, so
+    the bracket is tested as it is.
+    """
+
+    def __init__(self, rules: Optional[Dict[Root, Rule]],
+                 field: Optional[int]):
+        # No reference back to the handle, which holds this object: a
+        # cycle would outlive the handle until the next garbage collection.
+        self.order = None if rules is None else _least_first(rules)
+        self.field = field
+        self.images: Dict = {}  # phi(y) per coordinate key
+        self.exact = rules is None or (
+            all(rule.den.p == field for rule in rules.values())
+            and all(self.nonzero(rule.den) for rule in rules.values()))
+
+    def nonzero(self, poly: Polynomial) -> bool:
+        try:
+            return not self.image(poly).num.is_zero()
+        except ZeroDivisionError:
+            return False
+
+    def image(self, x) -> LocalizedPolynomial:
+        """``normal_form(x)``, with the rule order sorted once."""
+        val = _as_loc(x, self.field)
+        if self.order is None:
+            return val
+        return _substitute_rules(val, self.order)
+
+    def coordinate(self, row: int, col: int) -> LocalizedPolynomial:
+        key = ("y", row, col)
+        hit = self.images.get(key)
+        if hit is None:
+            hit = self.images[key] = self.image(y_var(row, col, self.field))
+        return hit
+
+
+def _partial_loc(z: LocalizedPolynomial, key) -> LocalizedPolynomial:
+    """d(num/den)/dkey by the quotient rule."""
+    num, den = z.num, z.den
+    if den.is_constant():
+        return LocalizedPolynomial(_partial(num, key), den)
+    return LocalizedPolynomial(
+        _partial(num, key) * den - num * _partial(den, key), den * den)
+
+
+def _brackets_in_ideal(z, handle: IdealHandle) -> bool:
+    """True when {z, y_r} lies in the ideal for every coordinate y_r, in
+    ``positive_roots`` order.  As with ``contains``, a bracket that is not
+    identically zero raises ``UnsupportedIdealShape`` when the generators
+    did not triangularize."""
+    val = _as_loc(z)
+    field = val.p
+    chain = handle._chain_rules.get(field)
+    if chain is None:
+        chain = handle._chain_rules[field] = _ChainRule(handle.rules, field)
+    roots = positive_roots(handle.n)
+    # A denominator of z that phi sends to zero is as unsafe as one of a
+    # rule's.
+    if not chain.exact or not (val.den.is_constant()
+                               or chain.nonzero(val.den)):
+        return all(handle.contains(bracket(z, y_var(r.row, r.col, field)))
+                   for r in roots)
+    ys = sorted(k for k in val.num.variables() | val.den.variables()
+                if k[0] == "y")
+    partials: Dict = {}
+    for r in roots:
+        k, l = r.row, r.col
+        terms = []
+        for key in ys:
+            _, i, j = key
+            # {y_ij, y_kl} = [j=k] y_il - [l=i] y_kj
+            if j == k:
+                step = chain.coordinate(i, l)
+            elif l == i:
+                step = -chain.coordinate(k, j)
+            else:
+                continue
+            part = partials.get(key)
+            if part is None:
+                part = partials[key] = chain.image(_partial_loc(val, key))
+            if not (part.num.is_zero() or step.num.is_zero()):
+                terms.append((part, step))
+        # A lone product of nonzero factors is nonzero.
+        if len(terms) > 1:
+            total = sum((a * b for a, b in terms[1:]),
+                        terms[0][0] * terms[0][1])
+            if total.num.is_zero():
+                continue
+        elif not terms:
+            continue
+        if handle.rules is None:
+            raise UnsupportedIdealShape(
+                "generators did not triangularize; membership undecidable")
+        return False
+    return True
+
+
 def is_casimir_mod(z, handle: IdealHandle) -> bool:
     """True when z brackets into the ideal with every coordinate."""
-    p = z.p if isinstance(z, Polynomial) else z.num.p
-    for r in positive_roots(handle.n):
-        if not handle.contains(bracket(z, y_var(r.row, r.col, p))):
-            return False
-    return True
+    return _brackets_in_ideal(z, handle)
 
 
 def is_poisson_ideal(handle: IdealHandle) -> bool:
-    for gen in handle.generators:
-        for r in positive_roots(handle.n):
-            if not handle.contains(bracket(gen, y_var(r.row, r.col, gen.p))):
-                return False
-    return True
+    """True when {g, y_r} lies in the ideal for every generator g and
+    coordinate y_r.
+
+    Each bracket is tested through the handle's normal form phi, a ring
+    homomorphism, by the chain rule:
+
+        phi({g, y_kl}) = sum_a phi(dg/dy_a) * phi({y_a, y_kl}),
+        {y_ij, y_kl} = [j=k] y_il - [l=i] y_kj,
+
+    so each generator costs one normal form per variable it involves, and
+    phi(y) is computed once per coordinate.  Generators and roots are
+    visited in order; the result, and ``UnsupportedIdealShape`` for a
+    bracket that is not identically zero when the generators did not
+    triangularize, are those of bracketing then ``contains``.
+    """
+    return all(_brackets_in_ideal(gen, handle) for gen in handle.generators)
 
 
 # --- the twist map ------------------------------------------------------
@@ -409,6 +526,8 @@ class ReductionContext:
         self.tmaps: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []
         self.handle = IdealHandle(s.n, [], {}, tuple(s.s_otimes))
         self._var_cache: Dict = {}
+        # The per-column working sets depend on the diagram alone.
+        self.bs = columns_and_chain(s)[1]
 
 
 def initial_context(s, c=None) -> ReductionContext:
@@ -456,8 +575,7 @@ def reduce_column(ctx: ReductionContext, s, t: int, c=None):
 
     Returns (pairs, images, ideal).
     """
-    _deltas, bs = columns_and_chain(s)
-    bset = bs[t - 1]
+    bset = ctx.bs[t - 1]
     xis = [(r, is_x) for r, is_x in zip(s.xi, s.otimes_mask) if r.col == t]
     case = _column_case(xis, set(bset))
     new_pairs: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []

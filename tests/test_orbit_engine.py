@@ -270,6 +270,102 @@ class TestKirillovRank:
         f = form(3, 101, {R(3, 1): 5})
         assert kirillov_rank(f) == 2
 
+    @pytest.mark.parametrize("p", [None, 2, 3, 101])
+    def test_matches_field_elimination(self, p):
+        # Seeded random forms of every density, against Gaussian
+        # elimination over the field itself.
+        rng = random.Random(f"kirillov/{p}")
+        for n in range(2, 8):
+            roots = list(positive_roots(n))
+            for _ in range(12):
+                density = rng.random()
+                vals = {}
+                for r in roots:
+                    if rng.random() < density:
+                        vals[r] = (rng.randrange(p) if p is not None else
+                                   Fraction(rng.randint(-9, 9),
+                                            rng.randint(1, 12)))
+                f = form(n, p, vals)
+                assert kirillov_rank(f) == _rank_by_field_elimination(f), \
+                    (n, p, vals)
+
+    @pytest.mark.parametrize("p", [None, 2, 3, 101])
+    def test_int_rank_matches_field_elimination(self, p):
+        # Seeded random int matrices of every shape and density, where the
+        # exact divisions of the fraction-free elimination matter.
+        from artifact.orbit_engine import _int_rank
+
+        rng = random.Random(f"int-rank/{p}")
+        for _ in range(300):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            density = rng.random()
+            mat = [[rng.randint(-6, 6) if rng.random() < density else 0
+                    for _ in range(cols)] for _ in range(rows)]
+            if p is not None:
+                mat = [[v % p for v in row] for row in mat]
+            want = _rank_of(mat, p)
+            assert _int_rank([row[:] for row in mat], p) == want, mat
+
+    def test_bareiss_rank_deficient_columns(self):
+        from artifact.orbit_engine import _int_rank
+
+        # A zero column and a dependent row in front of the last pivot.
+        mat = [[0, 2, 4, 1], [0, 1, 2, 3], [0, 3, 6, 4]]
+        assert _int_rank([row[:] for row in mat], None) == 2
+        assert _int_rank([row[:] for row in mat], 7) == 2
+        assert _int_rank([row[:] for row in mat], 5) == 1
+        assert _int_rank([[6, 4], [9, 6]], None) == 1
+        assert _int_rank([[6, 4], [9, 7]], None) == 2
+        assert _int_rank([[0, 1], [0, 1]], 3) == 1
+
+
+def _rank_by_field_elimination(f):
+    """Rank of the bracket matrix by elimination over the field of f, with
+    Fractions over Q."""
+    roots = list(positive_roots(f.n))
+    p = f.p
+    size = len(roots)
+    mat = [[0] * size for _ in range(size)]
+    for a, alpha in enumerate(roots):
+        for b, beta in enumerate(roots):
+            i, j = alpha.row, alpha.col
+            k, l = beta.row, beta.col
+            v = Fraction(0)
+            if j == k and i > l:
+                v = v + f.value(Root(i, l))
+            if l == i and k > j:
+                v = v - f.value(Root(k, j))
+            mat[a][b] = v % p if p is not None else v
+    return _rank_of(mat, p)
+
+
+def _rank_of(mat, p):
+    """Gaussian elimination over F_p, or over Q with Fractions."""
+    mat = [[Fraction(v) if p is None else v for v in row] for row in mat]
+    size = len(mat)
+    width = len(mat[0]) if mat else 0
+    rank = 0
+    row = 0
+    for col in range(width):
+        pivot = next((r for r in range(row, size) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = (pow(int(mat[row][col]), -1, p) if p is not None
+               else Fraction(1) / mat[row][col])
+        for r in range(row + 1, size):
+            if mat[r][col] == 0:
+                continue
+            factor = mat[r][col] * inv
+            for cc in range(col, width):
+                v = mat[r][cc] - factor * mat[row][cc]
+                mat[r][cc] = v % p if p is not None else v
+        rank += 1
+        row += 1
+        if row == size:
+            break
+    return rank
+
 
 class TestPolarization:
     def test_521(self):

@@ -570,3 +570,280 @@ class TestSkippedSubstitutions:
             assert handle.normal_form(x) == want
             ref = _normal_form_every_rule(handle, x)
             assert poly_text(handle.normal_form(x)) == poly_text(ref)
+
+
+class TestSharedConstants:
+    @pytest.mark.parametrize("p", [None, 3, 7])
+    def test_one_instance_per_field(self, p):
+        assert Polynomial.zero(p) is Polynomial.zero(p)
+        assert Polynomial.one(p) is Polynomial.one(p)
+        assert Polynomial.zero(p).p == Polynomial.one(p).p == p
+        assert Polynomial.zero(p) == Polynomial({}, p)
+        assert Polynomial.one(p) == Polynomial({(): 1}, p)
+        assert hash(Polynomial.one(p)) == hash(Polynomial({(): 1}, p))
+        assert Polynomial.zero(p) is not Polynomial.zero(
+            None if p else 5)
+
+    def test_shared_instances_cannot_be_mutated(self):
+        for shared in (Polynomial.zero(), Polynomial.one(),
+                       Polynomial.one(3)):
+            with pytest.raises(AttributeError):
+                shared.terms = {}
+            with pytest.raises(TypeError):
+                shared.terms[((("y", 2, 1), 1),)] = 1
+            with pytest.raises(TypeError):
+                del shared.terms[()]
+        assert Polynomial.zero().terms == {}
+        assert Polynomial.one().terms == {(): 1}
+
+    def test_arithmetic_returns_new_objects(self):
+        zero, one = Polynomial.zero(), Polynomial.one()
+        for out in (zero + y(2, 1), one * y(2, 1), one + one, one * one,
+                    zero + zero, -one, one - zero, one ** 2):
+            assert out is not zero and out is not one
+        assert one + one == const(2)
+        assert y(2, 1) ** 0 == one
+        assert zero.terms == {} and one.terms == {(): 1}
+
+
+def _poisson_reference(handle):
+    """Reference closure check: bracket each generator with every
+    coordinate, then test membership."""
+    from artifact.root_system import positive_roots
+
+    for gen in handle.generators:
+        for r in positive_roots(handle.n):
+            if not handle.contains(bracket(gen, y_var(r.row, r.col, gen.p))):
+                return False
+    return True
+
+
+def _casimir_reference(z, handle):
+    from artifact.root_system import positive_roots
+
+    p = z.p if isinstance(z, Polynomial) else z.num.p
+    for r in positive_roots(handle.n):
+        if not handle.contains(bracket(z, y_var(r.row, r.col, p))):
+            return False
+    return True
+
+
+def _outcome(fn, *args):
+    """The boolean a check returns, or the type and text of what it
+    raises."""
+    try:
+        return ("returns", fn(*args))
+    except Exception as exc:  # compared with the reference's outcome
+        return ("raises", type(exc), str(exc))
+
+
+class TestChainRuleClosure:
+    def test_every_diagram_matches_reference(self):
+        from artifact.char_matrix import p_h_eta
+        from artifact.root_system import lex_sort_key
+
+        for s in _every_diagram(6):
+            handle = build_ideal(s, None)
+            assert is_poisson_ideal(handle) is _poisson_reference(handle)
+            probes = [p_h_eta(s, eta)
+                      for eta in sorted(s.a_set, key=lex_sort_key)]
+            probes += [loc(handle.generators[0], y(r.row, r.col))
+                       for r in s.s_otimes]
+            for z in probes:
+                assert _outcome(is_casimir_mod, z, handle) == \
+                    _outcome(_casimir_reference, z, handle), s.label
+
+    def test_triangular_handles_bracket_nothing(self, monkeypatch):
+        # On a triangular ideal the check needs no bracket and no
+        # membership test.
+        from artifact import symbolic
+
+        handles = [build_ideal(s, None) for s in _every_diagram(5)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-bracket path taken")
+
+        monkeypatch.setattr(symbolic, "bracket", refuse)
+        monkeypatch.setattr(IdealHandle, "contains", refuse)
+        assert all(is_poisson_ideal(h) for h in handles)
+
+    def test_coordinate_image_computed_once(self, monkeypatch):
+        from artifact import symbolic
+        from artifact.admissible import enumerate_maximal
+
+        built = []
+        real = symbolic.y_var
+
+        def counting(row, col, p=None):
+            built.append((row, col, p))
+            return real(row, col, p)
+
+        s = next(x for x in enumerate_maximal(6) if x.label == (6, 3, 4))
+        handle = build_ideal(s, None)
+        monkeypatch.setattr(symbolic, "y_var", counting)
+        for _ in range(2):
+            assert is_poisson_ideal(handle)
+            for gen in handle.generators:
+                is_casimir_mod(gen, handle)
+        assert built, "no coordinate image was computed"
+        assert len(built) == len(set(built))
+        # A new handle computes its own images.
+        seen = len(built)
+        assert is_poisson_ideal(build_ideal(s, None))
+        assert len(built) > seen
+
+    def test_quotient_rule(self):
+        # y31 written over a denominator that brackets nontrivially is
+        # still central; y21 over the same denominator is not.
+        den = y(3, 2) + y(2, 1)
+        zero = IdealHandle.zero(3)
+        central = loc(y(3, 1) * den, den)
+        assert central.den == den
+        assert is_casimir_mod(central, zero)
+        assert not is_casimir_mod(loc(y(2, 1), den), zero)
+        for z in (central, loc(y(2, 1), den), loc(y(3, 1), den)):
+            assert _outcome(is_casimir_mod, z, zero) == \
+                _outcome(_casimir_reference, z, zero)
+
+    def test_undecidable_raises_like_contains(self):
+        # y21 is central mod nothing, y41*y52 - 1 has no linear lead:
+        # the first bracket that is not identically zero raises.
+        handle = IdealHandle.from_generators(
+            5, [y(5, 1), y(4, 1) * y(5, 2) - const(1)])
+        assert handle.rules is None
+        for check, args in [(is_poisson_ideal, (handle,)),
+                            (is_casimir_mod, (y(3, 2), handle))]:
+            with pytest.raises(UnsupportedIdealShape):
+                check(*args)
+        assert is_casimir_mod(y(5, 1), handle)
+
+    def test_vanishing_denominator_matches_reference(self):
+        # y32 = -y21/y31 with y31 in the ideal: the normal form divides
+        # by zero, and the check raises where the reference raises.
+        handle = IdealHandle.from_generators(
+            3, [y(3, 1) * y(3, 2) + y(2, 1), y(3, 1)],
+            invertible=[R(3, 1)])
+        assert set(handle.rules) == {R(3, 2), R(3, 1)}
+        assert _outcome(is_poisson_ideal, handle) == \
+            _outcome(_poisson_reference, handle)
+        for z in (y(3, 2), y(2, 1), y(3, 2) ** 2, loc(y(2, 1), y(3, 1))):
+            assert _outcome(is_casimir_mod, z, handle) == \
+                _outcome(_casimir_reference, z, handle)
+        # Rules without denominators, but z's denominator is in the ideal.
+        corner = IdealHandle.from_generators(3, [y(3, 1)])
+        for z in (loc(y(2, 1), y(3, 1)), loc(y(3, 2), y(3, 1)),
+                  loc(const(1), y(3, 1))):
+            assert _outcome(is_casimir_mod, z, corner) == \
+                _outcome(_casimir_reference, z, corner)
+
+
+def _drawn_ideals():
+    from hypothesis import assume, strategies as st
+
+    from artifact.admissible import enumerate_maximal
+    from artifact.root_system import positive_roots
+
+    @st.composite
+    def draw_ideal(draw):
+        n = draw(st.integers(3, 5))
+        p = draw(st.sampled_from([None, None, 3]))
+        roots = sorted(positive_roots(n), key=lambda r: (r.row, r.col))
+        root = st.sampled_from(roots)
+
+        def poly(max_terms):
+            out = Polynomial.zero(p)
+            for _ in range(draw(st.integers(1, max_terms))):
+                term = const(draw(st.integers(-2, 2)), p)
+                if draw(st.integers(0, 3)) == 0:
+                    term = term * c_var(draw(root), p)
+                for r in draw(st.lists(root, max_size=2)):
+                    term = term * y(r.row, r.col, p)
+                out = out + term
+            return out
+
+        gens = []
+        if p is None and draw(st.booleans()):
+            # A diagram's ideal, Poisson-closed, maybe with one more
+            # generator.
+            s = draw(st.sampled_from(enumerate_maximal(n)))
+            gens = list(build_ideal(s, None).generators)
+        gens += [poly(3) for _ in range(draw(st.integers(0, 3)))]
+        if not gens:
+            gens = [poly(3)]
+        invertible = draw(st.lists(root, max_size=2))
+        if invertible and draw(st.booleans()):
+            # Put a root said to be invertible into the ideal, so that a
+            # rule's denominator can vanish modulo the ideal.
+            gens.append(y(invertible[0].row, invertible[0].col, p))
+        try:
+            handle = IdealHandle.from_generators(n, gens,
+                                                 invertible=invertible)
+        except ZeroDivisionError:
+            # The rule search itself divided by a vanishing denominator.
+            assume(False)
+        probes = [poly(4)]
+        if not draw(st.integers(0, 2)):
+            den = poly(1)
+            if not den.is_zero():
+                probes.append(loc(poly(3), den))
+        return handle, probes
+
+    return draw_ideal()
+
+
+class TestChainRuleProperties:
+    from hypothesis import given, settings
+
+    @settings(max_examples=150)
+    @given(_drawn_ideals())
+    def test_matches_reference(self, drawn):
+        handle, probes = drawn
+        assert _outcome(is_poisson_ideal, handle) == \
+            _outcome(_poisson_reference, handle)
+        for z in probes:
+            assert _outcome(is_casimir_mod, z, handle) == \
+                _outcome(_casimir_reference, z, handle)
+
+
+class TestPerDiagramWork:
+    def test_maximality_proved_once_per_diagram(self, monkeypatch):
+        from artifact import admissible
+
+        s = build_admissible(5, CATALOG5[(5, 2, 1)]["seq"])
+        build_ideal(s, None)
+        calls = []
+        real = admissible.build_admissible
+
+        def counting(n, seq):
+            calls.append(tuple(seq))
+            return real(n, seq)
+
+        monkeypatch.setattr(admissible, "build_admissible", counting)
+        again = build_ideal(build_admissible(5, s.xi), None)
+        assert calls == []
+        assert list(map(poly_text, again.generators)) == \
+            list(map(poly_text, build_ideal(s, None).generators))
+
+    def test_not_maximal_rejected_on_every_call(self):
+        s = build_admissible(3, [R(3, 2)])
+        for _ in range(3):
+            with pytest.raises(NotMaximal):
+                build_ideal(s, None)
+            with pytest.raises(NotMaximal):
+                build_ideal(build_admissible(3, [R(3, 2)]), None)
+
+    def test_column_sets_computed_once(self, monkeypatch):
+        from artifact import symbolic
+
+        calls = []
+        real = symbolic.columns_and_chain
+
+        def counting(s):
+            calls.append(s.label)
+            return real(s)
+
+        monkeypatch.setattr(symbolic, "columns_and_chain", counting)
+        for s in _every_diagram(6):
+            calls.clear()
+            build_ideal(s, None)
+            assert calls == [s.label]
