@@ -389,11 +389,13 @@ def _partial_loc(z: LocalizedPolynomial, key) -> LocalizedPolynomial:
         _partial(num, key) * den - num * _partial(den, key), den * den)
 
 
-def _brackets_in_ideal(z, handle: IdealHandle) -> bool:
-    """True when {z, y_r} lies in the ideal for every coordinate y_r, in
-    ``positive_roots`` order.  As with ``contains``, a bracket that is not
-    identically zero raises ``UnsupportedIdealShape`` when the generators
-    did not triangularize."""
+def is_casimir_mod(z, handle: IdealHandle) -> bool:
+    """True when z brackets into the ideal with every coordinate.
+
+    The coordinates are taken in ``positive_roots`` order.  As with
+    ``contains``, a bracket that is not identically zero raises
+    ``UnsupportedIdealShape`` when the generators did not triangularize.
+    """
     val = _as_loc(z)
     field = val.p
     chain = handle._chain_rules.get(field)
@@ -441,11 +443,6 @@ def _brackets_in_ideal(z, handle: IdealHandle) -> bool:
     return True
 
 
-def is_casimir_mod(z, handle: IdealHandle) -> bool:
-    """True when z brackets into the ideal with every coordinate."""
-    return _brackets_in_ideal(z, handle)
-
-
 def is_poisson_ideal(handle: IdealHandle) -> bool:
     """True when {g, y_r} lies in the ideal for every generator g and
     coordinate y_r.
@@ -462,7 +459,7 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
     bracket that is not identically zero when the generators did not
     triangularize, are those of bracketing then ``contains``.
     """
-    return all(_brackets_in_ideal(gen, handle) for gen in handle.generators)
+    return all(is_casimir_mod(gen, handle) for gen in handle.generators)
 
 
 # --- the twist map ------------------------------------------------------

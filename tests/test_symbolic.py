@@ -706,7 +706,7 @@ class TestChainRuleClosure:
                 _outcome(_casimir_reference, z, zero)
 
     def test_undecidable_raises_like_contains(self):
-        # y21 is central mod nothing, y41*y52 - 1 has no linear lead:
+        # y51 is central and y41*y52 - 1 has no admissible linear lead:
         # the first bracket that is not identically zero raises.
         handle = IdealHandle.from_generators(
             5, [y(5, 1), y(4, 1) * y(5, 2) - const(1)])
