@@ -260,45 +260,6 @@ def enumerate_maximal(n: int) -> List[AdmissibleSubset]:
     return list(_catalog(n))
 
 
-def enumerate_maximal_by_search(n: int) -> List[AdmissibleSubset]:
-    """Independent enumeration: exhaust all admissible sequences, group
-    them by cross set, and take each group's union of picks."""
-    check_dimension(n)
-    groups = {}
-
-    def record(seq: List[Root], s: AdmissibleSubset) -> None:
-        key = frozenset(s.s_otimes)
-        bucket = groups.setdefault(key, set())
-        bucket.update(seq)
-
-    def walk(seq: List[Root], s: AdmissibleSubset) -> None:
-        record(seq, s)
-        last = seq[-1] if seq else None
-        for r in s.a_set:
-            if last is not None and not lex_greater(last, r):
-                continue
-            seq.append(r)
-            walk(seq, build_admissible(n, seq))
-            seq.pop()
-
-    walk([], build_admissible(n, []))
-    out = []
-    seen = set()
-    for key, picks in groups.items():
-        candidate = sorted(picks, key=lex_sort_key)
-        try:
-            s = build_admissible(n, candidate)
-        except InvalidChoice:
-            continue
-        if frozenset(s.s_otimes) != key or not is_maximal(s):
-            continue
-        if s.xi in seen:
-            continue
-        seen.add(s.xi)
-        out.append(s)
-    return out
-
-
 def star_expand(count: int, inner) -> AdmissibleSubset:
     """Grow a maximal diagram by ``count`` extra rows: shift the inner
     picks down-right by one, prepend the (2,1) pick, and greedily

@@ -378,10 +378,13 @@ def orbit_bfs(f: LinearForm, budget: Optional[int] = None) -> Orbit:
     rows = max(1, _BLOCK_CELLS // max(width, len(coords)))
     visited = np.array([_encode(f, roots)], dtype=np.int64)
     frontier = visited
-    while frontier.size:
+    while True:
         if len(visited) > limit:
             raise BudgetExceeded(
-                f"orbit search passed {limit} states")
+                f"orbit_bfs at n={n}, p={p} reached {len(visited)} states, "
+                f"over the limit of {limit}")
+        if not frontier.size:
+            break
         images = []
         for first in range(0, len(frontier), rows):
             block = frontier[first:first + rows]
@@ -400,9 +403,6 @@ def orbit_bfs(f: LinearForm, budget: Optional[int] = None) -> Orbit:
         images = images[keep]
         frontier = images[~np.isin(images, visited, assume_unique=True)]
         visited = np.sort(np.concatenate((visited, frontier)))
-        if len(visited) > limit:
-            raise BudgetExceeded(
-                f"orbit search passed {limit} states")
     return Orbit(n, p, f, visited)
 
 
@@ -562,7 +562,8 @@ def verify_polarization(pol: Iterable[Root], f: LinearForm) -> bool:
 
 # --- classification -------------------------------------------------------
 
-def _classify_orbit(orbit: Orbit) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
+def _classify_orbit(orbit: Orbit, stage: str
+                    ) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     n, p = orbit.n, orbit.p
     roots = _root_order(n)
     index = {r: k for k, r in enumerate(roots)}
@@ -579,11 +580,13 @@ def _classify_orbit(orbit: Orbit) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
             matches.append((s, values))
     if len(matches) != 1:
         raise ClassificationMismatch(
-            f"orbit has {len(matches)} canonical members")
+            f"{stage} at n={n}, p={p}: an orbit of {len(orbit)} states has "
+            f"{len(matches)} canonical members, not 1")
     s, values = matches[0]
     if len(orbit) != p ** dimension(s):
         raise ClassificationMismatch(
-            f"orbit size {len(orbit)} != p^{dimension(s)}")
+            f"{stage} at n={n}, p={p}: an orbit of label {s.label} has "
+            f"{len(orbit)} states, not p^{dimension(s)}")
     return s, values
 
 
@@ -592,7 +595,7 @@ def classify(f: LinearForm, budget: Optional[int] = None
     """Find the diagram and constants of the orbit through f."""
     check_dimension(f.n)
     _check_prime(f.p)
-    return _classify_orbit(orbit_bfs(f, budget=budget))
+    return _classify_orbit(orbit_bfs(f, budget=budget), "classify")
 
 
 def census(n: int, p: int, budget: Optional[int] = None) -> Dict:
@@ -602,11 +605,13 @@ def census(n: int, p: int, budget: Optional[int] = None) -> Dict:
     _check_prime(p)
     tally: Dict[Tuple[int, int, int], Dict[str, int]] = {}
     for orbit in all_orbits(n, p, budget=budget):
-        s, _values = _classify_orbit(orbit)
+        s, _values = _classify_orbit(orbit, "census")
         dim = dimension(s)
         row = tally.setdefault(s.label, {"dim": dim, "count": 0})
         if row["dim"] != dim:
-            raise ClassificationMismatch("label with inconsistent dimension")
+            raise ClassificationMismatch(
+                f"census at n={n}, p={p}: label {s.label} has orbits of "
+                f"dimension {row['dim']} and {dim}")
         row["count"] += 1
     rows = []
     point_sum = 0
@@ -648,7 +653,8 @@ def stratum_max_dims(n: int, p: int, budget: Optional[int] = None
             dim += 1
         if p ** dim != size:
             raise ClassificationMismatch(
-                f"orbit size {size} is not a power of {p}")
+                f"stratum_max_dims at n={n}, p={p}: an orbit of {size} "
+                f"states is not a power of {p}")
         st = stratum(orbit.representative)
         best[st] = max(best[st], dim)
     return best

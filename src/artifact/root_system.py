@@ -10,6 +10,7 @@ algebra is (n, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 
@@ -66,8 +67,12 @@ class RootSet:
 
     def __init__(self, n: int, roots=()):
         check_dimension(n)
-        self.n = n
-        self._roots = frozenset(roots)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_roots", frozenset(roots))
+
+    def __setattr__(self, name, value):
+        # positive_roots hands one instance to every caller.
+        raise AttributeError("RootSet is immutable")
 
     def __len__(self) -> int:
         return len(self._roots)
@@ -98,8 +103,14 @@ class RootSet:
 
 
 def positive_roots(n: int) -> RootSet:
-    """All strictly lower positions of the n-by-n matrix."""
+    """All strictly lower positions of the n-by-n matrix: one shared
+    immutable set per n."""
     check_dimension(n)
+    return _positive_roots(n)
+
+
+@lru_cache(maxsize=None)
+def _positive_roots(n: int) -> RootSet:
     return RootSet(n, (Root(i, j) for i in range(2, n + 1)
                        for j in range(1, i)))
 

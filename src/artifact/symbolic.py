@@ -499,6 +499,43 @@ def tilde_map(x, p_elt, q_elt, ideal: IdealHandle):
     return _series(_as_loc(x, pl.p), pl, ql, limit)
 
 
+# The twist of one canonical pair, shared by every diagram: the image of a
+# variable or of a whole value depends only on n (the series limit), the
+# pair and the input.  Pairs and the values they act on are y-polynomials
+# over Q whatever the constants, so the n <= 7 catalogs bound the memo and
+# nothing is evicted.  Keys hold the polynomials, which carry their field,
+# not fractions, whose == cross-multiplies.
+_TWISTS: Dict[Tuple, LocalizedPolynomial] = {}
+
+
+def _twist(n: int, pair, val: LocalizedPolynomial) -> LocalizedPolynomial:
+    """The image of val when each y goes to its adjoint series under the
+    canonical pair."""
+    pl, ql = pair
+    base = (n, pl.num, pl.den, ql.num, ql.den)
+    val_key = base + (val.num, val.den)
+    hit = _TWISTS.get(val_key)
+    if hit is not None:
+        return hit
+
+    def image(key):
+        var_key = base + (key,)
+        out = _TWISTS.get(var_key)
+        if out is None:
+            out = LocalizedPolynomial(Polynomial.variable(key))
+            if key[0] == "y":
+                out = _series(out, pl, ql, n * n + 2)
+            _TWISTS[var_key] = out
+        return out
+
+    num = _as_loc(substitute(val.num, image), val.p)
+    den = _as_loc(substitute(val.den, image), val.p)
+    if den.num.is_zero():
+        raise UnsupportedColumn("denominator image vanished identically")
+    out = _TWISTS[val_key] = num / den
+    return out
+
+
 # --- column reduction ---------------------------------------------------
 
 def _column_case(xis, bset) -> int:
@@ -522,7 +559,6 @@ class ReductionContext:
         self.cmap = cmap
         self.tmaps: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []
         self.handle = IdealHandle(s.n, [], {}, tuple(s.s_otimes))
-        self._var_cache: Dict = {}
         # The per-column working sets depend on the diagram alone.
         self.bs = columns_and_chain(s)[1]
 
@@ -535,34 +571,6 @@ def initial_context(s, c=None) -> ReductionContext:
         else:
             cmap[r] = const(c.get(r, 0))
     return ReductionContext(s, cmap)
-
-
-def _map_var(ctx: ReductionContext, pair_index: int, key
-             ) -> LocalizedPolynomial:
-    cache_key = (pair_index, key)
-    hit = ctx._var_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    pl, ql = ctx.tmaps[pair_index]
-    base = LocalizedPolynomial(Polynomial.variable(key))
-    if key[0] != "y":
-        out = base
-    else:
-        out = _series(base, pl, ql, ctx.n * ctx.n + 2)
-    ctx._var_cache[cache_key] = out
-    return out
-
-
-def _apply_tmap(ctx: ReductionContext, pair_index: int,
-                val: LocalizedPolynomial) -> LocalizedPolynomial:
-    def image(key):
-        return _map_var(ctx, pair_index, key)
-
-    num = _as_loc(substitute(val.num, image), val.p)
-    den = _as_loc(substitute(val.den, image), val.p)
-    if den.num.is_zero():
-        raise UnsupportedColumn("denominator image vanished identically")
-    return num / den
 
 
 def reduce_column(ctx: ReductionContext, s, t: int, c=None):
@@ -610,8 +618,8 @@ def reduce_column(ctx: ReductionContext, s, t: int, c=None):
     for eta in (r for r in s.a_set if r.col == t):
         val = _as_loc(y_var(eta.row, eta.col))
         # Later columns act innermost: their pairs are peeled off first.
-        for index in reversed(range(len(ctx.tmaps))):
-            val = _apply_tmap(ctx, index, val)
+        for pair in reversed(ctx.tmaps):
+            val = _twist(ctx.n, pair, val)
         images[eta] = val
     ctx.handle = ctx.handle._extended(
         val.num - ctx.cmap.get(eta, Polynomial.zero()) * val.den

@@ -1,7 +1,12 @@
 """Oracle tests for diagram construction, rendering and enumeration."""
 import pytest
 
-from artifact.root_system import Root, positive_roots
+from artifact.root_system import (
+    Root,
+    lex_greater,
+    lex_sort_key,
+    positive_roots,
+)
 from artifact.admissible import (
     InvalidChoice,
     InvalidInner,
@@ -11,6 +16,7 @@ from artifact.admissible import (
     diagram_to_json,
     dimension,
     enumerate_maximal,
+    is_maximal,
     render_diagram,
     sequence_successor,
     star_expand,
@@ -28,6 +34,39 @@ from conftest import (
 )
 
 ALL_FROZEN = [(3, CATALOG3), (4, CATALOG4), (5, CATALOG5)]
+
+
+def enumerate_maximal_by_search(n):
+    """Independent enumeration, the oracle for the catalog walk: exhaust
+    all admissible sequences, group them by cross set, and take each
+    group's union of picks."""
+    groups = {}
+
+    def walk(seq, s):
+        groups.setdefault(frozenset(s.s_otimes), set()).update(seq)
+        last = seq[-1] if seq else None
+        for r in s.a_set:
+            if last is not None and not lex_greater(last, r):
+                continue
+            seq.append(r)
+            walk(seq, build_admissible(n, seq))
+            seq.pop()
+
+    walk([], build_admissible(n, []))
+    out = []
+    seen = set()
+    for key, picks in groups.items():
+        try:
+            s = build_admissible(n, sorted(picks, key=lex_sort_key))
+        except InvalidChoice:
+            continue
+        if frozenset(s.s_otimes) != key or not is_maximal(s):
+            continue
+        if s.xi in seen:
+            continue
+        seen.add(s.xi)
+        out.append(s)
+    return out
 
 
 class TestBuildAdmissible:
@@ -211,8 +250,6 @@ class TestEnumerateMaximal:
                 assert acc == q ** total, (n, q)
 
     def test_full_recursion_agrees(self):
-        from artifact.admissible import enumerate_maximal_by_search
-
         for n in range(2, 7):
             a = {s.xi for s in enumerate_maximal_by_search(n)}
             b = {s.xi for s in enumerate_maximal(n)}

@@ -140,6 +140,18 @@ class TestOrbitBfs:
         with pytest.raises(BudgetExceeded):
             orbit_bfs(f, budget=10)
 
+    def test_budget_message_names_stage_and_counts(self):
+        s = build_admissible(5, CATALOG5[(5, 0, 1)]["seq"])
+        f = canonical_form(s, {R(5, 1): 1, R(4, 2): 1}, p=3)
+        # The first level reaches 50 states; a budget of 0 refuses the
+        # starting state itself.
+        with pytest.raises(BudgetExceeded, match=r"^orbit_bfs at n=5, p=3 "
+                           r"reached 50 states, over the limit of 10$"):
+            orbit_bfs(f, budget=10)
+        with pytest.raises(BudgetExceeded, match=r"^orbit_bfs at n=5, p=3 "
+                           r"reached 1 states, over the limit of 0$"):
+            orbit_bfs(f, budget=0)
+
     def test_whole_space_budget(self):
         # all_orbits(3, 2) scans 2^3 states: a budget of 8 allows it, 7
         # refuses it before any search.
@@ -589,3 +601,46 @@ class TestStratumMaxDims:
 class TestErrorsExist:
     def test_classification_mismatch_is_exception(self):
         assert issubclass(ClassificationMismatch, Exception)
+
+
+class TestClassificationMismatchMessages:
+    """Forced cross-check failures name the stage, (n, p) and counts."""
+
+    def test_canonical_member_count(self, monkeypatch):
+        from artifact import orbit_engine
+
+        catalog = orbit_engine.enumerate_maximal(3)
+        f = form(3, 2, {R(3, 1): 1})
+        monkeypatch.setattr(orbit_engine, "enumerate_maximal",
+                            lambda n: catalog + catalog)
+        with pytest.raises(ClassificationMismatch, match=r"^classify at "
+                           r"n=3, p=2: an orbit of 4 states has 2 canonical "
+                           r"members, not 1$"):
+            classify(f)
+        with pytest.raises(ClassificationMismatch, match=r"^census at n=3, "
+                           r"p=2: an orbit of 1 states has 2 canonical "
+                           r"members, not 1$"):
+            census(3, 2)
+        monkeypatch.setattr(orbit_engine, "enumerate_maximal", lambda n: [])
+        with pytest.raises(ClassificationMismatch,
+                           match="has 0 canonical members, not 1$"):
+            classify(f)
+
+    def test_orbit_size(self, monkeypatch):
+        from artifact import orbit_engine
+
+        monkeypatch.setattr(orbit_engine, "dimension", lambda s: 5)
+        with pytest.raises(ClassificationMismatch, match=r"^classify at "
+                           r"n=3, p=2: an orbit of label \(3, 0, 1\) has 4 "
+                           r"states, not p\^5$"):
+            classify(form(3, 2, {R(3, 1): 1}))
+
+    def test_stratum_orbit_size(self, monkeypatch):
+        from artifact import orbit_engine
+
+        monkeypatch.setattr(orbit_engine, "all_orbits",
+                            lambda n, p, budget=None: [[None] * 3])
+        with pytest.raises(ClassificationMismatch, match=r"^stratum_max_dims "
+                           r"at n=3, p=2: an orbit of 3 states is not a "
+                           r"power of 2$"):
+            stratum_max_dims(3, 2)

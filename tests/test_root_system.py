@@ -42,15 +42,29 @@ class TestPositiveRoots:
         for root in positive_roots(6):
             assert root.row > root.col
 
-    @pytest.mark.parametrize("bad", [0, 1, -3])
+    @pytest.mark.parametrize("bad", [0, 1, -3, "7", 7.0, None, [7]])
     def test_invalid_dimension(self, bad):
-        with pytest.raises(InvalidDimension):
-            positive_roots(bad)
+        # Checked before the per-n cache, so on every call.
+        for _ in range(3):
+            with pytest.raises(InvalidDimension):
+                positive_roots(bad)
 
     def test_iteration_is_lex_decreasing(self):
         roots = list(positive_roots(5))
         for a, b in zip(roots, roots[1:]):
             assert lex_greater(a, b)
+
+    def test_cached_per_n(self):
+        for n in range(2, 8):
+            first = positive_roots(n)
+            assert positive_roots(n) is first
+            # Column-major, greatest root first, as an uncached build.
+            expected = [R(i, j) for j in range(1, n) for i in range(n, j, -1)]
+            assert list(first) == expected
+            assert list(positive_roots(n)) == expected
+        with pytest.raises(AttributeError):
+            positive_roots(5).n = 4
+        assert positive_roots(5).n == 5
 
 
 class TestLexOrder:

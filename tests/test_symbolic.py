@@ -845,3 +845,155 @@ class TestPerDiagramWork:
             calls.clear()
             build_ideal(s, None)
             assert calls == [s.label]
+
+
+def _generator_texts(s, c=None):
+    return [poly_text(g) for g in build_ideal(s, c).generators]
+
+
+def _numeric_c(s):
+    # Marked picks nonzero, every other unmarked pick zero.
+    return {r: Fraction(2 * k + 1, k + 2) if marked or k % 2 else 0
+            for k, (r, marked) in enumerate(zip(s.xi, s.otimes_mask))}
+
+
+@pytest.fixture(scope="module")
+def catalogs67():
+    from artifact.admissible import enumerate_maximal
+
+    return {n: enumerate_maximal(n) for n in (6, 7)}
+
+
+@pytest.fixture(scope="module")
+def cold_texts(catalogs67):
+    """Generator texts of every n = 6, 7 diagram, with symbolic and with
+    numeric constants, each built with the twist memo cleared just before:
+    nothing is reused from another diagram."""
+    from artifact import symbolic
+
+    out = {}
+    for n, catalog in catalogs67.items():
+        for s in catalog:
+            for kind, c in (("symbolic", None), ("numeric", _numeric_c(s))):
+                symbolic._TWISTS.clear()
+                out[s.label, kind] = _generator_texts(s, c)
+    return out
+
+
+class TestTwistMemo:
+    """One memo of canonical-pair images serves every diagram: the texts
+    do not depend on what was built before, in which order or at which n,
+    or with which constants."""
+
+    def test_cold_texts_are_the_golden_ones(self, catalogs67, cold_texts):
+        from test_acceptance import GOLDEN_GENERATORS, label_line, \
+            texts_digest
+
+        for n, catalog in catalogs67.items():
+            lines = [label_line(s, cold_texts[s.label, "symbolic"])
+                     for s in catalog]
+            assert texts_digest(lines) == GOLDEN_GENERATORS[n], n
+
+    def _check(self, order, cold_texts, kind="symbolic"):
+        for s in order:
+            c = None if kind == "symbolic" else _numeric_c(s)
+            assert _generator_texts(s, c) == cold_texts[s.label, kind], \
+                (s.label, kind)
+
+    def test_cleared_then_warm_pass(self, catalogs67, cold_texts,
+                                    monkeypatch):
+        from artifact import symbolic
+
+        order = catalogs67[6] + catalogs67[7]
+        symbolic._TWISTS.clear()
+        self._check(order, cold_texts)
+        size = len(symbolic._TWISTS)
+        assert size > 0
+        # A warm pass computes no adjoint series and adds no entry.
+        calls = []
+        real = symbolic._series
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(symbolic, "_series", counting)
+        self._check(order, cold_texts)
+        assert calls == []
+        assert len(symbolic._TWISTS) == size
+        # Pairs and images never involve the constants.
+        self._check(order, cold_texts, "numeric")
+        assert len(symbolic._TWISTS) == size
+
+    def test_reverse_catalog_order(self, catalogs67, cold_texts):
+        from artifact import symbolic
+
+        symbolic._TWISTS.clear()
+        self._check(list(reversed(catalogs67[6] + catalogs67[7])),
+                    cold_texts)
+
+    def test_n6_and_n7_interleaved(self, catalogs67, cold_texts):
+        from itertools import zip_longest
+
+        from artifact import symbolic
+
+        order = [s for pair in zip_longest(catalogs67[6], catalogs67[7])
+                 for s in pair if s is not None]
+        symbolic._TWISTS.clear()
+        self._check(order, cold_texts)
+
+    def test_numeric_constants_first(self, catalogs67, cold_texts):
+        from artifact import symbolic
+
+        order = catalogs67[7] + catalogs67[6]
+        symbolic._TWISTS.clear()
+        self._check(order, cold_texts, "numeric")
+        self._check(order, cold_texts)
+
+    def test_key_separates_denominators(self):
+        from artifact import symbolic
+
+        # Inputs that differ only in one denominator: of p, of q or of
+        # the value.  y_3_2 goes to y_3_2 + y_3_1 * q under p = y_2_1.
+        p_elt, q_elt = loc(y(2, 1)), loc(y(3, 1))
+        val = loc(y(3, 2))
+        inputs = [((p_elt, q_elt), val),
+                  ((p_elt, loc(y(3, 1), y(4, 3))), val),
+                  ((loc(y(2, 1), y(4, 3)), q_elt), val),
+                  ((p_elt, q_elt), loc(y(3, 2), y(4, 3)))]
+        expected = []
+        for pair, x in inputs:
+            symbolic._TWISTS.clear()
+            expected.append(symbolic._twist(4, pair, x))
+        assert len({poly_text(e) for e in expected}) == len(inputs)
+        indices = range(len(inputs))
+        for order in (indices, reversed(indices)):
+            symbolic._TWISTS.clear()
+            for i in order:
+                got = symbolic._twist(4, *inputs[i])
+                assert (got.num, got.den) == (expected[i].num,
+                                              expected[i].den), i
+
+    def test_key_separates_n(self):
+        from artifact import symbolic
+
+        # ad_p raises the height of a root by one, so y_2_1 takes 8
+        # nonzero steps: more than the limit n^2 + 2 = 6 at n = 2, fewer
+        # than 11 at n = 3.
+        p_elt = loc(sum((y(i + 1, i) for i in range(2, 10)), y(2, 1)))
+        pair = (p_elt, loc(y(2, 1)))
+        val = loc(y(2, 1))
+        for first, second in ((3, 2), (2, 3)):
+            symbolic._TWISTS.clear()
+            for n in (first, second):
+                if n == 2:
+                    with pytest.raises(UnsupportedColumn,
+                                       match="did not terminate"):
+                        symbolic._twist(n, pair, val)
+                else:
+                    assert not symbolic._twist(n, pair, val).is_zero()
+
+    def test_no_per_context_cache(self, catalogs67):
+        s = catalogs67[6][0]
+        ctx = initial_context(s, None)
+        assert set(vars(ctx)) == {"s", "n", "cmap", "tmaps", "handle", "bs"}
