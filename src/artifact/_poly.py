@@ -157,9 +157,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not mono for mono in self.terms)
 
-    def constant_value(self):
-        return self.terms.get((), coerce_scalar(0, self.p))
-
     def degree_in(self, key) -> int:
         key = tuple(key)
         best = 0

@@ -125,31 +125,19 @@ class Diagram:
         return "\n".join(self._rows)
 
 
-def render_diagram(s: AdmissibleSubset, pair_order: str = "inc") -> Diagram:
+def render_diagram(s: AdmissibleSubset) -> Diagram:
     """Render crosses, boxes, the +/- pair cells, and bullets.
 
-    ``pair_order`` chooses the scan direction over a pick's decompositions
-    ("inc" or "dec"); the assignment is independent of it because the
-    paired cells are disjoint across decompositions.
+    A pick's pair cells leave the working set, so no later pick or pair
+    touches them.
     """
-    if pair_order not in ("inc", "dec"):
-        raise ValueError(f"unknown pair order {pair_order!r}")
     n = s.n
     grid = [[" "] * n for _ in range(n)]
-    for (choice, is_x), stage in zip(zip(s.xi, s.otimes_mask), s.a_chain):
+    for choice, is_x, stage in zip(s.xi, s.otimes_mask, s.a_chain):
         grid[choice.row - 1][choice.col - 1] = "X" if is_x else "B"
-        middles = range(choice.col + 1, choice.row)
-        if pair_order == "dec":
-            middles = reversed(middles)
-        for a in middles:
-            gamma = Root(a, choice.col)
-            delta = Root(choice.row, a)
-            if gamma in stage and delta in stage:
-                if (grid[gamma.row - 1][gamma.col - 1] != " "
-                        or grid[delta.row - 1][delta.col - 1] != " "):
-                    continue
-                grid[gamma.row - 1][gamma.col - 1] = "+"
-                grid[delta.row - 1][delta.col - 1] = "-"
+        for cells, mark in zip(c_split(choice, stage), "+-"):
+            for r in cells:
+                grid[r.row - 1][r.col - 1] = mark
     for r in s.m_set:
         grid[r.row - 1][r.col - 1] = "."
     return Diagram(["".join(row) for row in grid])

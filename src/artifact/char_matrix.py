@@ -68,18 +68,8 @@ class TauPolynomial:
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "TauPolynomial":
-        parts: Dict[int, Polynomial] = {}
-        for mono, coef in poly.terms.items():
-            rest = []
-            deg = 0
-            for key, exp in mono:
-                if key == _TAU:
-                    deg = exp
-                else:
-                    rest.append((key, exp))
-            part = parts.get(deg, Polynomial.zero(poly.p))
-            parts[deg] = part + Polynomial({tuple(rest): coef}, poly.p)
-        return cls(parts, poly.p)
+        return cls({k: poly.coefficient_of(_TAU, k)
+                    for k in range(poly.degree_in(_TAU) + 1)}, poly.p)
 
     def coeff(self, k: int) -> Polynomial:
         return self._parts.get(k, Polynomial.zero(self.p))

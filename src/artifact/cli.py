@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 from .admissible import dimension, enumerate_maximal, render_diagram
 from .orbit_engine import (
     BudgetExceeded,
+    ClassificationMismatch,
     InvalidInput,
     LinearForm,
     _check_prime,
@@ -337,7 +338,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1
-    except CheckFailure as exc:
+    except (CheckFailure, ClassificationMismatch) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     return 0

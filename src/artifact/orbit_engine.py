@@ -21,9 +21,9 @@ import numpy as np
 
 from ._poly import coerce_scalar, substitute
 from .admissible import AdmissibleSubset, dimension, enumerate_maximal
-from .root_system import Root, RootSet, c_split, check_dimension, \
-    columns_and_chain, positive_roots, root_sum
-from .symbolic import evaluate, IdealHandle, Polynomial, UnsupportedColumn
+from .root_system import Root, RootSet, check_dimension, positive_roots, \
+    root_sum
+from .symbolic import canonical_pairs, evaluate, IdealHandle, Polynomial
 
 __all__ = [
     "BudgetExceeded", "ClassificationMismatch", "GroupElement", "InvalidC",
@@ -503,41 +503,10 @@ def stratum(f: LinearForm) -> int:
 
 # --- polarizations --------------------------------------------------------
 
-def _column_pairs(s: AdmissibleSubset) -> List[Tuple[Root, Root]]:
-    """(p-side, q-side) root pairs of every column, in peel order."""
-    _deltas, bs = columns_and_chain(s)
-    out: List[Tuple[Root, Root]] = []
-    for t in range(1, s.n):
-        bset = bs[t - 1]
-        xis = [(r, m) for r, m in zip(s.xi, s.otimes_mask) if r.col == t]
-        crosses = [r for r, m in xis if m]
-        if len(crosses) >= 2:
-            raise UnsupportedColumn(
-                f"two crosses in column {t}")
-        if not crosses:
-            continue
-        cross = crosses[0]
-        plus, _minus = c_split(cross, bset)
-        boxes = [r for r, m in xis if not m]
-        if not boxes:
-            for gamma in plus:
-                out.append((Root(cross.row, gamma.row), gamma))
-        else:
-            for gamma in plus:
-                delta = Root(cross.row, gamma.row)
-                blocked = any(gamma.row < b.row < cross.row for b in boxes)
-                if not blocked:
-                    out.append((delta, gamma))
-                else:
-                    out.append((gamma, delta))
-    return out
-
-
 def polarization(s: AdmissibleSubset) -> RootSet:
     """The positive roots minus the p-side of every canonical pair."""
-    removed = {pair[0] for pair in _column_pairs(s)}
-    keep = [r for r in positive_roots(s.n) if r not in removed]
-    return RootSet(s.n, keep)
+    return positive_roots(s.n).difference(
+        p for pairs in canonical_pairs(s) for p, _q, _d in pairs)
 
 
 def verify_polarization(pol: Iterable[Root], f: LinearForm) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ._poly import (
@@ -30,15 +30,16 @@ from .root_system import (
     lex_greater,
     lex_sort_key,
     positive_roots,
+    root_sum,
 )
 
 __all__ = [
     "FieldMismatch", "IdealHandle", "LocalizedPolynomial",
     "NotCanonicalPair", "NotMaximal", "Polynomial", "Rule",
     "UnsupportedColumn", "UnsupportedIdealShape", "bracket", "build_ideal",
-    "c_var", "const", "evaluate", "initial_context", "is_casimir_mod",
-    "is_poisson_ideal", "loc", "poly_text", "reduce_column", "tilde_map",
-    "y_var",
+    "c_var", "canonical_pairs", "const", "evaluate", "initial_context",
+    "is_casimir_mod", "is_poisson_ideal", "loc", "poly_text",
+    "reduce_column", "tilde_map", "y_var",
 ]
 
 
@@ -538,16 +539,56 @@ def _twist(n: int, pair, val: LocalizedPolynomial) -> LocalizedPolynomial:
 
 # --- column reduction ---------------------------------------------------
 
-def _column_case(xis, bset) -> int:
-    """1: lone cross; 2: cross sharing its column with a box; 3: no cross."""
-    crosses = [r for r, is_x in xis if is_x]
-    if len(crosses) >= 2:
+def canonical_pairs(s) -> List[List[Tuple[Root, Root, bool]]]:
+    """The canonical pairs of every column t = 1..n-1, as (p, q, den_on_p)
+    roots in peel order (greatest first).
+
+    A column's lone cross splits into pairs over its working set; the cross
+    is the root sum of p and q, and its coordinate divides the p side when
+    den_on_p is true, the q side otherwise.
+    """
+    out = []
+    for t, bset in zip(range(1, s.n), columns_and_chain(s)[1]):
+        picks = [(r, is_x) for r, is_x in zip(s.xi, s.otimes_mask)
+                 if r.col == t]
+        crosses = [r for r, is_x in picks if is_x]
+        if len(crosses) >= 2:
+            raise UnsupportedColumn(
+                f"two crosses in column {t}: {crosses[0]!r}, "
+                f"{crosses[1]!r}")
+        boxes = [r for r, is_x in picks if not is_x]
+        pairs = []
+        for cross in crosses:
+            for gamma in c_split(cross, bset)[0]:
+                delta = Root(cross.row, gamma.row)
+                # Only a box strictly inside the row span of the delta
+                # side obstructs it; boxes outside the span leave the
+                # delta side free to carry the denominator.
+                if any(gamma.row < b.row < cross.row for b in boxes):
+                    pairs.append((gamma, delta, False))
+                else:
+                    pairs.append((delta, gamma, bool(boxes)))
+        out.append(pairs)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pair_elements(p_root: Root, q_root: Root, den_on_p: bool
+                   ) -> Tuple[LocalizedPolynomial, LocalizedPolynomial]:
+    """The elements (p, q) of one ``canonical_pairs`` triple, checked
+    {p, q} = 1.  They depend on the roots alone, so every diagram shares
+    them; a failed check is not stored, so it raises again."""
+    cross = root_sum(p_root, q_root)
+    y_cross = y_var(cross.row, cross.col)
+    q_side = y_var(q_root.row, q_root.col)
+    if q_root.row == cross.row:  # q is the delta root
+        q_side = -q_side
+    pair = (loc(y_var(p_root.row, p_root.col), y_cross if den_on_p else None),
+            loc(q_side, None if den_on_p else y_cross))
+    if not (_as_loc(bracket(*pair)) - 1).num.is_zero():
         raise UnsupportedColumn(
-            f"two crosses in one column: {crosses[0]!r}, {crosses[1]!r}")
-    if not crosses:
-        return 3
-    boxes = [r for r, is_x in xis if not is_x]
-    return 2 if boxes else 1
+            f"pair {p_root!r}, {q_root!r} of {cross!r} is not canonical")
+    return pair
 
 
 class ReductionContext:
@@ -559,8 +600,8 @@ class ReductionContext:
         self.cmap = cmap
         self.tmaps: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []
         self.handle = IdealHandle(s.n, [], {}, tuple(s.s_otimes))
-        # The per-column working sets depend on the diagram alone.
-        self.bs = columns_and_chain(s)[1]
+        # The canonical pairs depend on the diagram alone.
+        self.pairs = canonical_pairs(s)
 
 
 def initial_context(s, c=None) -> ReductionContext:
@@ -574,44 +615,13 @@ def initial_context(s, c=None) -> ReductionContext:
 
 
 def reduce_column(ctx: ReductionContext, s, t: int, c=None):
-    """Process column t: derive its canonical pairs, push the images of
+    """Process column t: take its canonical pairs, push the images of
     the column's closure roots through the accumulated maps, and extend
     the ideal by their cleared generators.
 
     Returns (pairs, images, ideal).
     """
-    bset = ctx.bs[t - 1]
-    xis = [(r, is_x) for r, is_x in zip(s.xi, s.otimes_mask) if r.col == t]
-    case = _column_case(xis, set(bset))
-    new_pairs: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []
-    if case in (1, 2):
-        cross = next(r for r, is_x in xis if is_x)
-        plus, _minus = c_split(cross, bset)
-        y_cross = y_var(cross.row, cross.col)
-        if case == 1:
-            for gamma in plus:  # iteration is greatest-first peel order
-                delta = Root(cross.row, gamma.row)
-                new_pairs.append((loc(y_var(delta.row, delta.col)),
-                                  loc(y_var(gamma.row, gamma.col), y_cross)))
-        else:
-            boxes = [r for r, is_x in xis if not is_x]
-            for gamma in plus:  # greatest-first peel order, as in case 1
-                delta = Root(cross.row, gamma.row)
-                # Only a box strictly inside the row span of the delta
-                # side obstructs it; boxes outside the span leave the
-                # delta side free to carry the denominator.
-                blocked = any(gamma.row < b.row < cross.row for b in boxes)
-                if not blocked:
-                    pair = (loc(y_var(delta.row, delta.col), y_cross),
-                            loc(y_var(gamma.row, gamma.col)))
-                else:
-                    pair = (loc(y_var(gamma.row, gamma.col)),
-                            loc(-y_var(delta.row, delta.col), y_cross))
-                check = _as_loc(bracket(pair[0], pair[1])) - 1
-                if not check.num.is_zero():
-                    raise UnsupportedColumn(
-                        f"column {t} pair is not canonical")
-                new_pairs.append(pair)
+    new_pairs = [_pair_elements(*triple) for triple in ctx.pairs[t - 1]]
     # Within a column the last peeled pair acts first.
     ctx.tmaps.extend(reversed(new_pairs))
     images: Dict[Root, LocalizedPolynomial] = {}

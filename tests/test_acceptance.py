@@ -90,6 +90,26 @@ GOLDEN_TRIANGULAR = {
     7: "793f61f424c2cf807cda85370d56f6ab8d4e80cc5beb8e486fe48531b4efcf43",
 }
 
+# Digests of the polarization sets and rendered pictures of every maximal
+# diagram, per n, taken from the implementation that derived canonical
+# pairs separately for polarizations and for pictures.
+GOLDEN_POLARIZATIONS = {
+    2: "b032698ba124f17799ff52091e9f63c59d22c23b3a36864dd604ccef09e368b4",
+    3: "ac8d4af05cebb7f07bfea7a2e8ed831e408a9f4b7c7952a4ab3a04b4fb410094",
+    4: "22874c3cc256d448ac702628ec0bed9c9eece7f0bf27d08022ef0bd9e418fe7f",
+    5: "929b95306b7ccc43499ede06c420204af0d530de876e5e263a2f9fcde23c93ad",
+    6: "2784f1545315b910bb52a5d191e31a448b183b8b19c4b512f009db2c2eff68ef",
+    7: "d194b833be1132c162d959555d9a73ae2ed00f22a2c9731ea7e865c15784ab3d",
+}
+GOLDEN_PICTURES = {
+    2: "84c1150a0d820757db17ce0937d61e84a30d66b0f32e9f73fcb3ee8e26484100",
+    3: "52911559f2298e21d6c08640b8bb483de7ac073de323336b116c4e731bc4ea43",
+    4: "0bec87d29fdf1d1804534d9c2be2b48a30c1dfc09c0a1e2a4c2400a830a7e017",
+    5: "0c07ced650f14d7f7b2e4e853da413af94de67a9cb8f574e54c8bcfd0a90138e",
+    6: "50705fe47f6879609adac9421128973ff8030a71679df97754bf6d3aff9a8628",
+    7: "dfcf4a9d14c02426c9cc9fd16284277e0f2fd7b25ffe3381d976c7e72ece971c",
+}
+
 
 def test_criterion_01_catalog_counts():
     start = time.perf_counter()
@@ -306,6 +326,17 @@ def test_criterion_09_polarizations():
     s738 = next(x for x in enumerate_maximal(7) if x.label == (7, 3, 8))
     pol = polarization(s738)
     assert R(7, 5) in pol and R(5, 4) not in pol
+
+
+def test_golden_polarizations_and_pictures():
+    for n in range(2, 8):
+        catalog = enumerate_maximal(n)
+        pols = [f"{s.label}|" + ";".join(f"{r.row},{r.col}"
+                                         for r in polarization(s))
+                for s in catalog]
+        assert texts_digest(pols) == GOLDEN_POLARIZATIONS[n], n
+        pictures = [str(render_diagram(s)) for s in catalog]
+        assert texts_digest(pictures) == GOLDEN_PICTURES[n], n
 
 
 def test_criterion_10_regular_subregular():

@@ -3,6 +3,7 @@ import pytest
 
 from artifact.root_system import (
     Root,
+    c_split,
     lex_greater,
     lex_sort_key,
     positive_roots,
@@ -151,12 +152,21 @@ class TestRenderDiagram:
                 assert joined.count("+") == joined.count("-")
 
     def test_pair_order_independence(self):
+        # The +/- cells are the union of every pick's split of its stage,
+        # and no cell is in two pairs, so no scan order can change them.
         for n, catalog in ALL_FROZEN + [(6, {0: ANCHOR_634}), (7, {0: ANCHOR_727})]:
             for entry in catalog.values():
                 s = build_admissible(n, entry["seq"])
-                inc = render_diagram(s, pair_order="inc")
-                dec = render_diagram(s, pair_order="dec")
-                assert inc.ascii_rows() == dec.ascii_rows()
+                rows = render_diagram(s).ascii_rows()
+                splits = [c_split(choice, stage)
+                          for choice, stage in zip(s.xi, s.a_chain)]
+                cells = [r for split in splits for side in split for r in side]
+                assert len(cells) == len(set(cells))
+                for mark, side in (("+", 0), ("-", 1)):
+                    marked = {Root(i, j) for i, row in enumerate(rows, 1)
+                              for j, ch in enumerate(row, 1) if ch == mark}
+                    assert marked == {r for split in splits
+                                      for r in split[side]}
 
     def test_sub_subset_bullets(self):
         # Dropping trailing choices turns their cells into bullets but keeps

@@ -188,3 +188,16 @@ class TestBoundaryValidation:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ARTIFACT_BFS_BUDGET" in err
+
+    def test_classification_mismatch_is_a_failed_check(self, capsys,
+                                                       monkeypatch):
+        from artifact import orbit_engine
+
+        catalog = orbit_engine.enumerate_maximal(3)
+        monkeypatch.setattr(orbit_engine, "enumerate_maximal",
+                            lambda n: catalog + catalog)
+        code, out, err = run(capsys, "census", "--n", "3", "--p", "2")
+        assert code == 1
+        assert out == ""
+        assert err == ("check failed: census at n=3, p=2: an orbit of 1 "
+                       "states has 2 canonical members, not 1\n")

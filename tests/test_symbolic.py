@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from artifact.root_system import Root
-from artifact.admissible import build_admissible
+from artifact.root_system import Root, positive_roots
+from artifact.admissible import AdmissibleSubset, build_admissible
 from artifact.symbolic import (
     FieldMismatch,
     IdealHandle,
@@ -18,6 +18,7 @@ from artifact.symbolic import (
     bracket,
     build_ideal,
     c_var,
+    canonical_pairs,
     const,
     evaluate,
     initial_context,
@@ -362,18 +363,44 @@ class TestReduceColumn:
         _, bs = columns_and_chain(s)
         assert set(bs[4]) == {R(6, 5)}
 
-    def test_column_case_detection(self):
-        from artifact.symbolic import _column_case
-
-        assert _column_case([(R(5, 2), True)], {R(4, 2), R(5, 2)}) == 1
-        assert _column_case([(R(5, 2), False)], {R(5, 2)}) == 3
-        assert _column_case([], set()) == 3
-        assert _column_case(
-            [(R(7, 4), True), (R(6, 4), False)],
-            {R(5, 4), R(6, 4), R(7, 4), R(7, 5), R(6, 5)}) == 2
+    def test_column_case_detection(self, by_label):
+        # Each column's pairs as (p, q, den_on_p) roots, in peel order.
+        lone = canonical_pairs(build_admissible(3, CATALOG3[(3, 0, 1)]["seq"]))
+        assert lone == [[(R(3, 2), R(2, 1), False)], []]
+        # Column 3 holds two boxes and no cross.
+        no_cross = canonical_pairs(
+            build_admissible(5, CATALOG5[(5, 2, 1)]["seq"]))
+        assert no_cross[2] == []
+        # Box (5,4) lies outside the delta side's rows 6..7: unblocked.
+        assert canonical_pairs(by_label((7, 3, 4)))[3] == [
+            (R(7, 6), R(6, 4), True)]
+        # Box (6,4) lies strictly between rows 5 and 7: blocked.
+        assert canonical_pairs(by_label((7, 3, 8)))[3] == [
+            (R(5, 4), R(7, 5), False)]
+        # No admissible sequence for n <= 6 has two crosses in one column.
+        full = positive_roots(6)
+        two = AdmissibleSubset(6, (R(6, 2), R(5, 2)), (True, True),
+                               (full, full, full))
+        with pytest.raises(UnsupportedColumn, match="two crosses in column 2"):
+            canonical_pairs(two)
         with pytest.raises(UnsupportedColumn):
-            _column_case([(R(6, 2), True), (R(5, 2), True)],
-                         {R(5, 2), R(6, 2)})
+            initial_context(two, None)
+
+    def test_every_pair_is_checked(self, monkeypatch):
+        from artifact import symbolic
+
+        # (3,0,1) has one lone cross; its pair must pass {p, q} = 1 too,
+        # and a failed check is not remembered.
+        s = build_admissible(3, CATALOG3[(3, 0, 1)]["seq"])
+        symbolic._pair_elements.cache_clear()
+        monkeypatch.setattr(symbolic, "bracket", lambda f, g: const(0))
+        for _ in range(2):
+            with pytest.raises(UnsupportedColumn, match="not canonical"):
+                build_ideal(s, None)
+        monkeypatch.undo()
+        pair = symbolic._pair_elements(R(3, 2), R(2, 1), False)
+        assert pair == (loc(y(3, 2)), loc(y(2, 1), y(3, 1)))
+        assert symbolic._pair_elements(R(3, 2), R(2, 1), False) is pair
 
 
 class TestBuildIdeal:
@@ -996,4 +1023,5 @@ class TestTwistMemo:
     def test_no_per_context_cache(self, catalogs67):
         s = catalogs67[6][0]
         ctx = initial_context(s, None)
-        assert set(vars(ctx)) == {"s", "n", "cmap", "tmaps", "handle", "bs"}
+        assert set(vars(ctx)) == {"s", "n", "cmap", "tmaps", "handle",
+                                  "pairs"}
