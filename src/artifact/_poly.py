@@ -157,26 +157,19 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not mono for mono in self.terms)
 
-    def degree_in(self, key) -> int:
-        key = tuple(key)
-        best = 0
-        for mono in self.terms:
-            for k, e in mono:
-                if k == key and e > best:
-                    best = e
-        return best
-
-    def coefficient_of(self, key, exp: int) -> "Polynomial":
-        """The polynomial coefficient of key**exp (key removed)."""
-        key = tuple(key)
-        out = {}
+    def split_by(self, key) -> Dict[int, "Polynomial"]:
+        """{exponent of key: its polynomial coefficient (key removed)},
+        in one pass over the terms."""
+        parts: Dict[int, Dict[Monomial, object]] = {}
         for mono, coef in self.terms.items():
-            d = dict(mono)
-            if d.get(key, 0) != exp:
-                continue
-            d.pop(key, None)
-            out[tuple(sorted(d.items()))] = coef
-        return Polynomial(out, self.p)
+            exp, rest = 0, mono
+            for i, (k, e) in enumerate(mono):
+                if k == key:
+                    exp, rest = e, mono[:i] + mono[i + 1:]
+                    break
+            parts.setdefault(exp, {})[rest] = coef
+        return {exp: Polynomial(terms, self.p)
+                for exp, terms in parts.items()}
 
     # --- arithmetic ---------------------------------------------------
     def _coerce_operand(self, other) -> Optional["Polynomial"]:
@@ -215,10 +208,18 @@ class Polynomial:
     def __neg__(self):
         return Polynomial({m: -c for m, c in self.terms.items()}, self.p)
 
+    def _scaled(self, k) -> "Polynomial":
+        return Polynomial({m: c * k for m, c in self.terms.items()}, self.p)
+
     def __mul__(self, other):
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
+        # A constant factor scales the coefficients of the other.
+        if len(other.terms) == 1 and () in other.terms:
+            return self._scaled(other.terms[()])
+        if len(self.terms) == 1 and () in self.terms:
+            return other._scaled(self.terms[()])
         out: Dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -231,14 +232,18 @@ class Polynomial:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a nonnegative int")
-        result = Polynomial.one(self.p)
-        base = self
-        while exp:
+        if exp == 0:
+            return Polynomial.one(self.p)
+        # Start from the base and square only while bits remain.
+        result, base = None, self
+        while True:
             if exp & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exp >>= 1
-        return result
+            if not exp:
+                break
+            base = base * base
+        return Polynomial(self.terms, self.p) if result is self else result
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -302,9 +307,12 @@ def substitute(poly: Polynomial, value, p: Optional[int] = None):
         term = coerce_scalar(coef, p)
         for key, exp in mono:
             x = value(key)
+            if type(x) is int and not x:
+                break  # the term vanishes
             for _ in range(exp):
                 term = term * x if p is None else term * x % p
-        total = total + term if p is None else (total + term) % p
+        else:
+            total = total + term if p is None else (total + term) % p
     return total
 
 
@@ -456,6 +464,12 @@ class LocalizedPolynomial:
 def _reduce_fraction(num: Polynomial, den: Polynomial):
     """Cancel common monomial content and make the denominator's leading
     coefficient one."""
+    if den.is_constant():
+        lead = den.terms[()]
+        if lead == 1:
+            return num, den
+        return num * scalar_inverse(lead, den.p), Polynomial.one(den.p)
+
     def content(poly: Polynomial) -> Dict[VarKey, int]:
         out: Optional[Dict[VarKey, int]] = None
         for mono in poly.terms:

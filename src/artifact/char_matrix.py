@@ -68,8 +68,7 @@ class TauPolynomial:
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "TauPolynomial":
-        return cls({k: poly.coefficient_of(_TAU, k)
-                    for k in range(poly.degree_in(_TAU) + 1)}, poly.p)
+        return cls(poly.split_by(_TAU), poly.p)
 
     def coeff(self, k: int) -> Polynomial:
         return self._parts.get(k, Polynomial.zero(self.p))

@@ -202,15 +202,18 @@ class Rule:
 
 def _subst_poly(poly: Polynomial, key,
                 rep: LocalizedPolynomial) -> LocalizedPolynomial:
-    top = poly.degree_in(key)
+    parts = poly.split_by(key)
+    top = max(parts, default=0)
     if top == 0:
         return LocalizedPolynomial(poly)
     acc = Polynomial.zero(poly.p)
-    for exp in range(top + 1):
-        part = poly.coefficient_of(key, exp)
-        if part.is_zero():
-            continue
-        acc = acc + part * (rep.num ** exp) * (rep.den ** (top - exp))
+    for exp in sorted(parts):
+        part = parts[exp]
+        if exp:
+            part = part * rep.num ** exp
+        if exp < top:
+            part = part * rep.den ** (top - exp)
+        acc = acc + part
     return LocalizedPolynomial(acc, rep.den ** top)
 
 
@@ -236,10 +239,10 @@ def _linear_split(poly: Polynomial, root: Root
                   ) -> Optional[Tuple[Polynomial, Polynomial]]:
     """(lead, rest) with poly = lead * y_root + rest, or None when poly is
     not linear in y_root."""
-    key = ("y", root.row, root.col)
-    if poly.degree_in(key) != 1:
+    parts = poly.split_by(("y", root.row, root.col))
+    if max(parts, default=0) != 1:
         return None
-    return poly.coefficient_of(key, 1), poly.coefficient_of(key, 0)
+    return parts[1], parts.get(0, Polynomial.zero(poly.p))
 
 
 def _y_roots(poly: Polynomial) -> List[Root]:
@@ -614,7 +617,7 @@ def initial_context(s, c=None) -> ReductionContext:
     return ReductionContext(s, cmap)
 
 
-def reduce_column(ctx: ReductionContext, s, t: int, c=None):
+def reduce_column(ctx: ReductionContext, t: int):
     """Process column t: take its canonical pairs, push the images of
     the column's closure roots through the accumulated maps, and extend
     the ideal by their cleared generators.
@@ -625,7 +628,7 @@ def reduce_column(ctx: ReductionContext, s, t: int, c=None):
     # Within a column the last peeled pair acts first.
     ctx.tmaps.extend(reversed(new_pairs))
     images: Dict[Root, LocalizedPolynomial] = {}
-    for eta in (r for r in s.a_set if r.col == t):
+    for eta in (r for r in ctx.s.a_set if r.col == t):
         val = _as_loc(y_var(eta.row, eta.col))
         # Later columns act innermost: their pairs are peeled off first.
         for pair in reversed(ctx.tmaps):
@@ -647,5 +650,5 @@ def build_ideal(s, c=None) -> IdealHandle:
         raise NotMaximal("the diagram admits a proper extension")
     ctx = initial_context(s, c)
     for t in range(1, s.n):
-        reduce_column(ctx, s, t, c)
+        reduce_column(ctx, t)
     return ctx.handle

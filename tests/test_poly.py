@@ -1,0 +1,210 @@
+"""Fast paths of the polynomial kernel against their generic formulas."""
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from artifact import _poly
+from artifact._poly import (
+    LocalizedPolynomial,
+    Polynomial,
+    coerce_scalar,
+    substitute,
+)
+from artifact.symbolic import _subst_poly, y_var
+
+FIELDS = (None, 3, 7)
+KEYS = (("y", 2, 1), ("y", 3, 1), ("c", 3, 1))
+
+
+def _mono(exps):
+    return tuple(sorted((key, e) for key, e in zip(KEYS, exps) if e))
+
+
+@st.composite
+def polys(draw, p, max_terms=4, max_exp=3, allow_zero=True):
+    coef = (st.fractions(min_value=-4, max_value=4, max_denominator=3)
+            if p is None else st.integers(0, p - 1))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * len(KEYS)).map(_mono), coef,
+        min_size=0 if allow_zero else 1, max_size=max_terms))
+    poly = Polynomial(terms, p)
+    if not allow_zero and poly.is_zero():
+        poly = Polynomial.one(p) + Polynomial.variable(KEYS[0], p)
+    return poly
+
+
+def _reference_mul(a, b):
+    """The product term by term, with no fast path."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            merged = dict(m1)
+            for key, e in m2:
+                merged[key] = merged.get(key, 0) + e
+            mono = tuple(sorted(merged.items()))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return Polynomial(out, a.p)
+
+
+def _coefficient_of(poly, key, exp):
+    """The polynomial coefficient of key**exp, one pass per exponent."""
+    out = {}
+    for mono, coef in poly.terms.items():
+        d = dict(mono)
+        if d.get(key, 0) == exp:
+            d.pop(key, None)
+            out[tuple(sorted(d.items()))] = coef
+    return Polynomial(out, poly.p)
+
+
+def _reference_subst(poly, key, rep):
+    """The per-exponent formula: one coefficient pass per exponent."""
+    top = max((e for mono in poly.terms for k, e in mono if k == key),
+              default=0)
+    if top == 0:
+        return LocalizedPolynomial(poly)
+    acc = Polynomial.zero(poly.p)
+    for exp in range(top + 1):
+        part = _coefficient_of(poly, key, exp)
+        if part.is_zero():
+            continue
+        acc = acc + part * (rep.num ** exp) * (rep.den ** (top - exp))
+    return LocalizedPolynomial(acc, rep.den ** top)
+
+
+def _reference_substitute(poly, value, p=None):
+    """substitute without stopping a term at a zero value."""
+    total = coerce_scalar(0, p)
+    for mono, coef in poly.terms.items():
+        term = coerce_scalar(coef, p)
+        for key, exp in mono:
+            x = value(key)
+            for _ in range(exp):
+                term = term * x if p is None else term * x % p
+        total = total + term if p is None else (total + term) % p
+    return total
+
+
+class TestPower:
+    @pytest.mark.parametrize("p", FIELDS)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_power_is_repeated_product(self, p, data):
+        a = data.draw(polys(p, max_terms=3, max_exp=2))
+        expected = Polynomial.one(p)
+        for k in range(7):
+            got = a ** k
+            assert got == expected and got.p == p, k
+            assert got is not a
+            expected = _reference_mul(expected, a)
+
+    def test_zero_power_is_one_and_first_power_a_copy(self):
+        a = y_var(2, 1) + y_var(3, 1)
+        assert a ** 0 is Polynomial.one()
+        assert a ** 1 == a and a ** 1 is not a
+
+
+class TestConstantProduct:
+    @pytest.mark.parametrize("p", FIELDS)
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_constant_on_either_side(self, p, data):
+        a = data.draw(polys(p))
+        k = data.draw(st.integers(-5, 5) if p else
+                      st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=4))
+        c = Polynomial({(): k}, p)
+        expected = _reference_mul(c, a)
+        for got in (c * a, a * c, k * a, a * k):
+            assert got == expected and got.p == p
+            assert got is not a and got is not c
+
+    def test_constant_denominator_is_scaled_away(self):
+        num = y_var(2, 1) * 3 + 1
+        frac = LocalizedPolynomial(num, Polynomial({(): 6}))
+        assert frac.num == num * Fraction(1, 6)
+        assert frac.den == Polynomial.one()
+        frac = LocalizedPolynomial(y_var(2, 1, 7) * 3, Polynomial({(): 3}, 7))
+        assert frac.num == y_var(2, 1, 7) and frac.den == Polynomial.one(7)
+
+
+class TestSubstitutionSplit:
+    @pytest.mark.parametrize("p", FIELDS)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_split_by_matches_coefficients(self, p, data):
+        poly = data.draw(polys(p))
+        key = data.draw(st.sampled_from(KEYS))
+        parts = poly.split_by(key)
+        assert all(not part.is_zero() for part in parts.values())
+        for exp in range(5):
+            assert parts.get(exp, Polynomial.zero(p)) == \
+                _coefficient_of(poly, key, exp)
+
+    @pytest.mark.parametrize("p", FIELDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_exponent_formula(self, p, data):
+        poly = data.draw(polys(p))
+        rep = LocalizedPolynomial(
+            data.draw(polys(p, max_terms=3, max_exp=1)),
+            data.draw(polys(p, max_terms=2, max_exp=1, allow_zero=False)))
+        key = data.draw(st.sampled_from(KEYS))
+        got, expected = _subst_poly(poly, key, rep), _reference_subst(
+            poly, key, rep)
+        assert got.num == expected.num and got.den == expected.den
+
+
+class TestSubstitute:
+    @pytest.mark.parametrize("p", FIELDS)
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_int_zero_values_match_full_sum(self, p, data):
+        poly = data.draw(polys(p))
+        # y_2_1 goes to the int 0, as triangular_system sends every y off
+        # the picks; y_3_1 to an int; c_3_1 stays symbolic over Q, as
+        # there, and goes to an int mod p.
+        ints = st.integers(-3, 3)
+        point = {KEYS[0]: 0, KEYS[1]: data.draw(ints),
+                 KEYS[2]: Polynomial.variable(KEYS[2]) if p is None
+                 else data.draw(ints)}
+        got = substitute(poly, point.__getitem__, p)
+        assert got == _reference_substitute(poly, point.__getitem__, p)
+
+    @settings(max_examples=20)
+    @given(polys(7))
+    def test_numpy_values_unchanged(self, poly):
+        columns = np.array([[0, 1, 2, 0], [3, 0, 6, 0], [0, 0, 5, 1]],
+                           dtype=np.int64)
+
+        def value(key):
+            return columns[KEYS.index(key)]
+
+        got = substitute(poly, value, 7)
+        expected = _reference_substitute(poly, value, 7)
+        assert np.array_equal(np.broadcast_to(got, (4,)),
+                              np.broadcast_to(expected, (4,)))
+
+
+class TestWorkCounts:
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        inner = _poly._mono_mul
+
+        def counting(a, b):
+            calls.append((a, b))
+            return inner(a, b)
+
+        monkeypatch.setattr(_poly, "_mono_mul", counting)
+        return calls
+
+    def test_monomial_products(self, products):
+        a = y_var(2, 1) + y_var(3, 1)
+        for expr, count in ((lambda: a ** 1, 0), (lambda: 3 * a, 0),
+                            (lambda: a ** 2, 4)):
+            products.clear()
+            expr()
+            assert len(products) == count

@@ -307,7 +307,7 @@ class TestReduceColumn:
     def test_n3_regular(self):
         s = build_admissible(3, CATALOG3[(3, 0, 1)]["seq"])
         ctx = initial_context(s, None)
-        pairs, images, i1 = reduce_column(ctx, s, 1, None)
+        pairs, images, i1 = reduce_column(ctx, 1)
         assert pairs == [(loc(y(3, 2), const(1)), loc(y(2, 1), y(3, 1)))]
         assert images == {R(3, 1): loc(y(3, 1), const(1))}
         assert i1.contains(y(3, 1) - c_var(R(3, 1)))
@@ -316,32 +316,32 @@ class TestReduceColumn:
         s = build_admissible(5, CATALOG5[(5, 2, 1)]["seq"])
         ctx = initial_context(s, None)
 
-        pairs1, images1, _ = reduce_column(ctx, s, 1, None)
+        pairs1, images1, _ = reduce_column(ctx, 1)
         assert pairs1 == [(loc(y(3, 2), const(1)), loc(y(2, 1), y(3, 1)))]
         assert set(images1) == {R(3, 1), R(4, 1), R(5, 1)}
         assert images1[R(4, 1)] == loc(y(4, 1), const(1))
         assert images1[R(5, 1)] == loc(y(5, 1), const(1))
 
-        pairs2, images2, _ = reduce_column(ctx, s, 2, None)
+        pairs2, images2, _ = reduce_column(ctx, 2)
         assert pairs2 == [(loc(y(5, 4), const(1)), loc(y(4, 2), y(5, 2)))]
         assert images2 == {R(5, 2): loc(y(5, 2), const(1))}
 
-        pairs3, images3, i3 = reduce_column(ctx, s, 3, None)
+        pairs3, images3, i3 = reduce_column(ctx, 3)
         assert pairs3 == []
         assert images3[R(4, 3)] == loc(
             y(4, 3) * y(5, 2) - y(5, 3) * y(4, 2), y(5, 2))
         assert images3[R(5, 3)] == loc(
             y(5, 3) * y(3, 1) + y(5, 2) * y(2, 1), y(3, 1))
 
-        pairs4, images4, i4 = reduce_column(ctx, s, 4, None)
+        pairs4, images4, i4 = reduce_column(ctx, 4)
         assert pairs4 == [] and images4 == {}
 
     def test_d4_first_kind(self, by_label):
         s = by_label((7, 3, 4))
         ctx = initial_context(s, None)
         for t in (1, 2, 3):
-            reduce_column(ctx, s, t, None)
-        pairs, images, i4 = reduce_column(ctx, s, 4, None)
+            reduce_column(ctx, t)
+        pairs, images, i4 = reduce_column(ctx, 4)
         assert pairs == [(loc(y(7, 6), y(7, 4)), loc(y(6, 4), const(1)))]
         assert set(images) == {R(7, 4), R(5, 4)}
         # Remaining chain is empty: columns 5 and 6 contribute nothing.
@@ -354,8 +354,8 @@ class TestReduceColumn:
         s = by_label((7, 3, 8))
         ctx = initial_context(s, None)
         for t in (1, 2, 3):
-            reduce_column(ctx, s, t, None)
-        pairs, images, i4 = reduce_column(ctx, s, 4, None)
+            reduce_column(ctx, t)
+        pairs, images, i4 = reduce_column(ctx, 4)
         assert pairs == [(loc(y(5, 4), const(1)), loc(-y(7, 5), y(7, 4)))]
         assert set(images) == {R(7, 4), R(6, 4)}
         from artifact.root_system import columns_and_chain
@@ -533,7 +533,7 @@ class TestIncrementalIdeal:
         for s in _every_diagram(6):
             ctx = initial_context(s, None)
             for t in range(1, s.n):
-                _pairs, _images, handle = reduce_column(ctx, s, t, None)
+                _pairs, _images, handle = reduce_column(ctx, t)
                 whole = IdealHandle.from_generators(
                     s.n, handle.generators, invertible=s.s_otimes)
                 assert handle.rules == whole.rules, (s.label, t)
@@ -694,6 +694,19 @@ class TestChainRuleClosure:
         monkeypatch.setattr(symbolic, "bracket", refuse)
         monkeypatch.setattr(IdealHandle, "contains", refuse)
         assert all(is_poisson_ideal(h) for h in handles)
+
+    def test_catalog_chain_rules_are_exact(self):
+        # Every catalog ideal for n <= 7 triangularizes with denominators
+        # that its normal form keeps nonzero, and its generators have no
+        # denominator, so is_poisson_ideal never falls back to bracketing
+        # then contains on the catalog.
+        from artifact.symbolic import _ChainRule
+
+        handles = [build_ideal(s, None) for s in _every_diagram(7)]
+        assert len(handles) == 168
+        for h in handles:
+            assert h.rules is not None
+            assert _ChainRule(h.rules, None).exact
 
     def test_coordinate_image_computed_once(self, monkeypatch):
         from artifact import symbolic
