@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._poly import LocalizedPolynomial, Polynomial, substitute
 from .root_system import Root, lex_greater, lex_sort_key
-from .symbolic import (_linear_split, _substitute_rules, _y_roots, c_var,
-                       const, loc, y_var)
+from .symbolic import _solve_for, _substitute_rules, c_var, const, loc, y_var
 
 __all__ = [
     "LemmaFailure", "MinorSpec", "NotInA", "TauPolynomial", "WEta",
@@ -209,9 +208,10 @@ def triangular_system(s, c=None) -> TriangularSystem:
     """Solve each closure root's invariant for its own coordinate.
 
     Processing the closure roots from the lex-greatest down, each
-    invariant — with all previously solved coordinates substituted — must
-    be linear in its own coordinate with a constants-only leading
-    coefficient; otherwise LemmaFailure.
+    invariant minus its value at the canonical point — with all previously
+    solved coordinates substituted — must solve for its own coordinate
+    with a constants-only leading coefficient (``symbolic._solve_for``
+    with nothing invertible); otherwise LemmaFailure.
     """
     point = {r: c_var(r) if c is None else const(c.get(r, 0))
              for r in s.xi}
@@ -226,18 +226,14 @@ def triangular_system(s, c=None) -> TriangularSystem:
     coeffs: Dict[Root, LocalizedPolynomial] = {}
     for eta in sorted(s.a_set, key=lex_sort_key):  # lex-greatest first
         invariant = p_h_eta(s, eta)
-        red = _substitute_rules(LocalizedPolynomial(invariant), rules.items())
-        split = _linear_split(red.num, eta)
-        if split is None:
+        red = _substitute_rules(loc(invariant - substitute(invariant, value)),
+                                rules.items())
+        rule = _solve_for(red.num, eta, ())
+        if rule is None:
             raise LemmaFailure(
-                f"invariant of {eta!r} is not linear in its coordinate")
-        lead, rest = split
-        if _y_roots(lead):
-            raise LemmaFailure(
-                f"leading coefficient for {eta!r} is not constants-only")
-        base = substitute(invariant, value)
-        rules[eta] = loc(base * red.den - rest, lead)
-        coeffs[eta] = loc(lead, red.den)
+                f"invariant of {eta!r} does not solve for its coordinate")
+        rules[eta] = rule.value
+        coeffs[eta] = loc(rule.den, red.den)
     return TriangularSystem(rules, coeffs)
 
 

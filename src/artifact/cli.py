@@ -72,7 +72,8 @@ def _parse_values(raw: str) -> Dict:
             root = root_from_text(key)
         except ValueError as exc:
             raise UsageError(f"bad root key {key!r}") from exc
-        if not isinstance(val, int):
+        # bool subclasses int, but JSON true/false are not values.
+        if not isinstance(val, int) or isinstance(val, bool):
             raise UsageError(f"value for {key!r} must be an integer")
         out[root] = val
     return out

@@ -26,7 +26,6 @@ from .admissible import NotMaximal, is_maximal
 from .root_system import (
     Root,
     c_split,
-    columns_and_chain,
     lex_greater,
     lex_sort_key,
     positive_roots,
@@ -235,18 +234,22 @@ def _substitute_rules(val: LocalizedPolynomial, rules
     return val
 
 
-def _linear_split(poly: Polynomial, root: Root
-                  ) -> Optional[Tuple[Polynomial, Polynomial]]:
-    """(lead, rest) with poly = lead * y_root + rest, or None when poly is
-    not linear in y_root."""
-    parts = poly.split_by(("y", root.row, root.col))
-    if max(parts, default=0) != 1:
-        return None
-    return parts[1], parts.get(0, Polynomial.zero(poly.p))
-
-
 def _y_roots(poly: Polynomial) -> List[Root]:
     return [Root(k[1], k[2]) for k in poly.variables() if k[0] == "y"]
+
+
+def _solve_for(poly: Polynomial, v: Root, invertible) -> Optional[Rule]:
+    """The rule den * y_v + rest = 0 read off ``poly``, or None unless
+    poly is linear in y_v, every y in den is invertible and greater than
+    v, and every y in rest is greater than v."""
+    parts = poly.split_by(("y", v.row, v.col))
+    if max(parts, default=0) != 1:
+        return None
+    den, rest = parts[1], parts.get(0, Polynomial.zero(poly.p))
+    if all(r in invertible and lex_greater(r, v) for r in _y_roots(den)) \
+            and all(lex_greater(r, v) for r in _y_roots(rest)):
+        return Rule(v, den, rest)
+    return None
 
 
 def _least_first(rules: Dict[Root, Rule]):
@@ -303,14 +306,8 @@ class IdealHandle:
             found = None
             # least root first
             for v in sorted(_y_roots(red), key=lex_sort_key, reverse=True):
-                split = _linear_split(red, v)
-                if split is None:
-                    continue
-                den, rest = split
-                if all(r in inv_set and lex_greater(r, v)
-                       for r in _y_roots(den)) and \
-                        all(lex_greater(r, v) for r in _y_roots(rest)):
-                    found = Rule(v, den, rest)
+                found = _solve_for(red, v, inv_set)
+                if found is not None:
                     break
             if found is None or found.root in rules:
                 rules = None
@@ -546,23 +543,23 @@ def canonical_pairs(s) -> List[List[Tuple[Root, Root, bool]]]:
     """The canonical pairs of every column t = 1..n-1, as (p, q, den_on_p)
     roots in peel order (greatest first).
 
-    A column's lone cross splits into pairs over its working set; the cross
-    is the root sum of p and q, and its coordinate divides the p side when
-    den_on_p is true, the q side otherwise.
+    A column's lone cross splits into pairs over the working set it was
+    picked from; the cross is the root sum of p and q, and its coordinate
+    divides the p side when den_on_p is true, the q side otherwise.
     """
     out = []
-    for t, bset in zip(range(1, s.n), columns_and_chain(s)[1]):
-        picks = [(r, is_x) for r, is_x in zip(s.xi, s.otimes_mask)
-                 if r.col == t]
-        crosses = [r for r, is_x in picks if is_x]
+    for t in range(1, s.n):
+        picks = [(r, is_x, stage) for r, is_x, stage
+                 in zip(s.xi, s.otimes_mask, s.a_chain) if r.col == t]
+        crosses = [(r, stage) for r, is_x, stage in picks if is_x]
         if len(crosses) >= 2:
             raise UnsupportedColumn(
-                f"two crosses in column {t}: {crosses[0]!r}, "
-                f"{crosses[1]!r}")
-        boxes = [r for r, is_x in picks if not is_x]
+                f"two crosses in column {t}: {crosses[0][0]!r}, "
+                f"{crosses[1][0]!r}")
+        boxes = [r for r, is_x, _ in picks if not is_x]
         pairs = []
-        for cross in crosses:
-            for gamma in c_split(cross, bset)[0]:
+        for cross, stage in crosses:
+            for gamma in c_split(cross, stage)[0]:
                 delta = Root(cross.row, gamma.row)
                 # Only a box strictly inside the row span of the delta
                 # side obstructs it; boxes outside the span leave the

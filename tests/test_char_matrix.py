@@ -3,7 +3,8 @@ import pytest
 
 from artifact.root_system import Root, positive_roots
 from artifact.admissible import build_admissible
-from artifact.symbolic import Polynomial, c_var, const, poly_text, y_var
+from artifact._poly import substitute
+from artifact.symbolic import Polynomial, c_var, const, loc, poly_text, y_var
 from artifact.char_matrix import (
     LemmaFailure,
     MinorSpec,
@@ -263,6 +264,51 @@ class TestTriangularSystem:
         s = build_admissible(3, [R(2, 1), R(3, 2)])
         sys = triangular_system(s, None)
         assert set(sys.rules) == {R(2, 1), R(3, 1), R(3, 2)}
+
+    @pytest.mark.parametrize("label, eta", [
+        ((7, 2, 1), R(7, 5)),
+        ((7, 3, 1), R(7, 4)),
+    ])
+    def test_known_gaps_name_their_root(self, by_label, label, eta):
+        with pytest.raises(LemmaFailure) as exc:
+            triangular_system(by_label(label), None)
+        assert str(exc.value) == (
+            f"invariant of {eta!r} does not solve for its coordinate")
+
+    def test_invariants_vanish_on_their_rules(self, catalogs):
+        # Each rule value involves only coordinates off the closure, so one
+        # simultaneous substitution of every rule sends each invariant to
+        # its value at the canonical point.
+        checked = 0
+        for n in range(2, 8):
+            for s in catalogs(n):
+                try:
+                    system = triangular_system(s, None)
+                except LemmaFailure:
+                    continue
+                assert set(system.rules) == set(s.a_set)
+                closure = {("y", r.row, r.col) for r in s.a_set}
+                for val in system.rules.values():
+                    assert not (val.num.variables()
+                                | val.den.variables()) & closure
+                picks = {r: c_var(r) for r in s.xi}
+
+                def at_point(key):
+                    if key[0] != "y":
+                        return Polynomial.variable(key)
+                    return picks.get(Root(key[1], key[2]), 0)
+
+                def solved(key):
+                    if key in closure:
+                        return system.rules[Root(key[1], key[2])]
+                    return loc(Polynomial.variable(key))
+
+                for eta in s.a_set:
+                    inv = p_h_eta(s, eta)
+                    diff = substitute(inv, solved) - substitute(inv, at_point)
+                    assert diff.num.is_zero(), (s.label, eta)
+                    checked += 1
+        assert checked == 1827
 
 
 class TestSectionThreeMinors:

@@ -158,6 +158,21 @@ class TestBoundaryValidation:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, key", [
+        (("classify", "--n", "3", "--p", "2", "--values", '{"2,1": true}'),
+         "2,1"),
+        (("classify", "--n", "3", "--p", "2", "--values", '{"2,1": false}'),
+         "2,1"),
+        (("canonical", "--n", "3", "--label", "3,0,1",
+          "--c", '{"3,1": true}'), "3,1"),
+    ])
+    def test_boolean_value_is_not_an_integer(self, capsys, argv, key):
+        # JSON true/false would otherwise pass as the ints 1/0.
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: value for '{key}' must be an integer\n"
+
     def test_unwritable_out(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"
         code, out, err = run(capsys, "diagrams", "--n", "3",

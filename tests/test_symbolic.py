@@ -13,6 +13,7 @@ from artifact.symbolic import (
     NotCanonicalPair,
     NotMaximal,
     Polynomial,
+    Rule,
     UnsupportedColumn,
     UnsupportedIdealShape,
     bracket,
@@ -30,6 +31,7 @@ from artifact.symbolic import (
     tilde_map,
     y_var,
 )
+from artifact.symbolic import _solve_for
 
 from conftest import ANCHOR_634, CATALOG3, CATALOG5, R
 
@@ -236,6 +238,33 @@ class TestIdealHandle:
         i = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
         nf = i.normal_form(y(3, 1) * y(3, 1))
         assert nf == loc(const(4), const(1))
+
+
+class TestSolveFor:
+    """The one triangular solve step: den * y_v + rest = 0 with every y
+    of den invertible and greater than v, every y of rest greater."""
+
+    def test_accepted_rule(self):
+        poly = y(3, 1) * y(2, 1) + y(4, 1) - const(2)
+        rule = _solve_for(poly, R(2, 1), {R(3, 1)})
+        assert rule == Rule(R(2, 1), y(3, 1), y(4, 1) - const(2))
+        assert rule.value == loc(const(2) - y(4, 1), y(3, 1))
+
+    @pytest.mark.parametrize("poly, invertible", [
+        # quadratic in y_2_1
+        (y(2, 1) * y(2, 1) + y(3, 1), {R(3, 1)}),
+        # y_2_1 absent
+        (y(3, 1) - const(1), {R(3, 1)}),
+        # leading coefficient's root (3,1) is not invertible
+        (y(3, 1) * y(2, 1) + const(1), ()),
+        # invertible leading root (3,2) is not greater than (2,1)
+        (y(3, 2) * y(2, 1) + const(1), {R(3, 2)}),
+        # the rest holds (3,2), lesser than (2,1)
+        (y(3, 1) * y(2, 1) + y(3, 2), {R(3, 1)}),
+    ], ids=["quadratic", "absent", "lead-not-invertible",
+            "lead-not-greater", "rest-lesser"])
+    def test_rejected(self, poly, invertible):
+        assert _solve_for(poly, R(2, 1), invertible) is None
 
 
 class TestCasimir:
@@ -871,16 +900,18 @@ class TestPerDiagramWork:
                 build_ideal(build_admissible(3, [R(3, 2)]), None)
 
     def test_column_sets_computed_once(self, monkeypatch):
+        # Every column's canonical pairs come from one derivation per
+        # diagram.
         from artifact import symbolic
 
         calls = []
-        real = symbolic.columns_and_chain
+        real = symbolic.canonical_pairs
 
         def counting(s):
             calls.append(s.label)
             return real(s)
 
-        monkeypatch.setattr(symbolic, "columns_and_chain", counting)
+        monkeypatch.setattr(symbolic, "canonical_pairs", counting)
         for s in _every_diagram(6):
             calls.clear()
             build_ideal(s, None)
