@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._poly import LocalizedPolynomial, Polynomial, substitute
 from .root_system import Root, lex_greater, lex_sort_key
-from .symbolic import _solve_for, _substitute_rules, c_var, const, loc, y_var
+from .symbolic import _solve_for, _substitute_rules, const, loc, \
+    pick_values, y_var
 
 __all__ = [
     "LemmaFailure", "MinorSpec", "NotInA", "TauPolynomial", "WEta",
@@ -213,8 +214,7 @@ def triangular_system(s, c=None) -> TriangularSystem:
     with a constants-only leading coefficient (``symbolic._solve_for``
     with nothing invertible); otherwise LemmaFailure.
     """
-    point = {r: c_var(r) if c is None else const(c.get(r, 0))
-             for r in s.xi}
+    point = pick_values(s, c)
 
     def value(key):
         # y off the picks is zero at the canonical point; c stays symbolic.

@@ -22,7 +22,7 @@ import numpy as np
 from ._poly import coerce_scalar, substitute
 from .admissible import AdmissibleSubset, dimension, enumerate_maximal
 from .root_system import Root, RootSet, check_dimension, positive_roots, \
-    root_sum
+    root_sum, structure_constants
 from .symbolic import canonical_pairs, evaluate, IdealHandle, Polynomial
 
 __all__ = [
@@ -435,24 +435,16 @@ def kirillov_rank(f: LinearForm) -> int:
     leaves the rank unchanged.
     """
     p = f.p
-    vals = {(r.row, r.col): v for r, v in f.values.items()}
+    vals = f.values
     if p is None:
         scale = math.lcm(*(v.denominator for v in vals.values()))
-        vals = {key: v.numerator * (scale // v.denominator)
-                for key, v in vals.items()}
-    pairs = [(r.row, r.col) for r in _root_order(f.n)]
-    mat = []
-    for i, j in pairs:
-        row = []
-        for k, l in pairs:
-            # {y_ij, y_kl} = [j=k] y_il - [l=i] y_kj
-            v = 0
-            if j == k:
-                v += vals.get((i, l), 0)
-            if l == i:
-                v -= vals.get((k, j), 0)
-            row.append(v if p is None else v % p)
-        mat.append(row)
+        vals = {r: v.numerator * (scale // v.denominator)
+                for r, v in vals.items()}
+    size = len(positive_roots(f.n))
+    mat = [[0] * size for _ in range(size)]
+    for i, j, sign, c in structure_constants(f.n):
+        v = sign * vals.get(c, 0)
+        mat[i][j] = v if p is None else v % p
     return _int_rank(mat, p)
 
 

@@ -124,6 +124,26 @@ def root_sum(a: Root, b: Root) -> Optional[Root]:
     return None
 
 
+def root_bracket(a: Root, b: Root) -> Optional[tuple]:
+    """(sign, c) with {y_a, y_b} = sign * y_c in the Lie-Poisson
+    structure {y_ij, y_kl} = [j=k] y_il - [l=i] y_kj, else None."""
+    c = root_sum(a, b)
+    if c is None:
+        return None
+    return (1 if a.col == b.row else -1), c
+
+
+@lru_cache(maxsize=None)
+def structure_constants(n: int) -> tuple:
+    """Every nonzero {y_a, y_b} = sign * y_c among the positive roots of
+    size n, as (i, j, sign, c) with a, b the i-th and j-th roots in
+    ``positive_roots`` order."""
+    roots = list(positive_roots(n))
+    return tuple((i, j) + rb for i, a in enumerate(roots)
+                 for j, b in enumerate(roots)
+                 if (rb := root_bracket(a, b)) is not None)
+
+
 def is_additive(rs: RootSet) -> bool:
     """Closed under root sums."""
     members = set(rs)
@@ -178,29 +198,6 @@ def restrict(rs: RootSet, xi: Root) -> RootSet:
     inner = [r for r in rs
              if r == xi or (r.col > xi.col and r.row < xi.row)]
     return RootSet(rs.n, inner)
-
-
-def columns_and_chain(s) -> tuple:
-    """Column slices and the per-column working sets of a diagram.
-
-    Returns (deltas, bs) where deltas[t-1] is the full column-t slice of
-    the positive roots (t = 1..n-1) and bs[t-1] is the working set for
-    column t: the roots in columns >= t that survive every choice made in
-    columns before t.
-    """
-    n = s.n
-    full = positive_roots(n)
-    deltas = [RootSet(n, (r for r in full if r.col == t))
-              for t in range(1, n)]
-    bs = []
-    for t in range(1, n + 1):
-        stage = 0
-        for j, xi in enumerate(s.xi, start=1):
-            if xi.col < t:
-                stage = j
-        a_stage = s.a_chain[stage]
-        bs.append(RootSet(n, (r for r in a_stage if r.col >= t)))
-    return deltas, bs
 
 
 def root_to_text(r: Root) -> str:

@@ -29,7 +29,7 @@ from .root_system import (
     lex_greater,
     lex_sort_key,
     positive_roots,
-    root_sum,
+    root_bracket,
 )
 
 __all__ = [
@@ -37,8 +37,8 @@ __all__ = [
     "NotCanonicalPair", "NotMaximal", "Polynomial", "Rule",
     "UnsupportedColumn", "UnsupportedIdealShape", "bracket", "build_ideal",
     "c_var", "canonical_pairs", "const", "evaluate", "initial_context",
-    "is_casimir_mod", "is_poisson_ideal", "loc", "poly_text",
-    "reduce_column", "tilde_map", "y_var",
+    "is_casimir_mod", "is_poisson_ideal", "loc", "pick_values",
+    "poly_text", "reduce_column", "tilde_map", "y_var",
 ]
 
 
@@ -101,55 +101,41 @@ def _partial(poly: Polynomial, key) -> Polynomial:
     return Polynomial(out, poly.p)
 
 
-def _bracket_vars(a, b, p: Optional[int]) -> Polynomial:
-    if a[0] != "y" or b[0] != "y":
-        return Polynomial.zero(p)
-    _, i, j = a
-    _, k, l = b
-    out = Polynomial.zero(p)
-    if j == k:
-        out = out + y_var(i, l, p)
-    if l == i:
-        out = out - y_var(k, j, p)
-    return out
+def _quotient_partial(num: Polynomial, den: Polynomial, key) -> Polynomial:
+    """The numerator num_key * den - num * den_key of d(num/den)/dkey.  A
+    constant den is one, as ``LocalizedPolynomial`` keeps it."""
+    if den.is_constant():
+        return _partial(num, key)
+    return _partial(num, key) * den - num * _partial(den, key)
 
 
-def _bracket_poly(f: Polynomial, g: Polynomial) -> Polynomial:
-    if f.p != g.p:
-        raise FieldMismatch(f"mixed coefficient fields: {f.p} vs {g.p}")
-    p = f.p
-    out = Polynomial.zero(p)
-    f_y = [k for k in f.variables() if k[0] == "y"]
-    g_y = [k for k in g.variables() if k[0] == "y"]
-    for a in f_y:
-        df = _partial(f, a)
-        if df.is_zero():
-            continue
-        for b in g_y:
-            base = _bracket_vars(a, b, p)
-            if base.is_zero():
-                continue
-            dg = _partial(g, b)
-            if dg.is_zero():
-                continue
-            out = out + df * dg * base
-    return out
+def _y_partials(z: LocalizedPolynomial) -> Dict[Root, Polynomial]:
+    return {r: _quotient_partial(z.num, z.den, ("y", r.row, r.col))
+            for r in sorted({*_y_roots(z.num), *_y_roots(z.den)})}
 
 
 def bracket(f, g):
     """Poisson bracket; returns a Polynomial for polynomial inputs and a
-    LocalizedPolynomial when either side has a denominator."""
+    LocalizedPolynomial when either side has a denominator.
+
+    With f = a/b and g = c/d, {f, g} is
+
+        sum_{x, z} (a_x b - a b_x)(c_z d - c d_z) {y_x, y_z} / (b d)^2.
+    """
+    fl, gl = _as_loc(f), _as_loc(g)
+    if fl.p != gl.p:
+        raise FieldMismatch(f"mixed coefficient fields: {fl.p} vs {gl.p}")
+    num = Polynomial.zero(fl.p)
+    g_parts = _y_partials(gl)
+    for x, f_x in _y_partials(fl).items():
+        for z, g_z in g_parts.items():
+            rb = root_bracket(x, z)
+            if rb is not None:
+                sign, c = rb
+                num = num + f_x * g_z * y_var(c.row, c.col, fl.p) * sign
     if isinstance(f, Polynomial) and isinstance(g, Polynomial):
-        return _bracket_poly(f, g)
-    fl = _as_loc(f)
-    gl = _as_loc(g)
-    a, b = fl.num, fl.den
-    c, d = gl.num, gl.den
-    num = (_bracket_poly(a, c) * b * d
-           - _bracket_poly(a, d) * b * c
-           - _bracket_poly(b, c) * a * d
-           + _bracket_poly(b, d) * a * c)
-    return LocalizedPolynomial(num, b * b * d * d)
+        return num
+    return LocalizedPolynomial(num, (fl.den * gl.den) ** 2)
 
 
 # --- evaluation ---------------------------------------------------------
@@ -219,18 +205,21 @@ def _subst_poly(poly: Polynomial, key,
 def _substitute_rules(val: LocalizedPolynomial, rules
                       ) -> LocalizedPolynomial:
     """Substitute each (root, value) pair's value for y_root, in the
-    order given.
+    order given, into each side of val that holds y_root.
 
     A rule whose variable occurs in neither side is skipped: substituting
     it would rebuild the same already reduced fraction.
     """
-    present = val.num.variables() | val.den.variables()
+    num_vars, den_vars = val.num.variables(), val.den.variables()
     for root, rep in rules:
         key = ("y", root.row, root.col)
-        if key not in present:
+        if key not in num_vars and key not in den_vars:
             continue
-        val = _subst_poly(val.num, key, rep) / _subst_poly(val.den, key, rep)
-        present = val.num.variables() | val.den.variables()
+        top = _subst_poly(val.num, key, rep) if key in num_vars \
+            else LocalizedPolynomial(val.num)
+        val = top / _subst_poly(val.den, key, rep) if key in den_vars \
+            else LocalizedPolynomial(top.num, top.den * val.den)
+        num_vars, den_vars = val.num.variables(), val.den.variables()
     return val
 
 
@@ -270,7 +259,8 @@ class IdealHandle:
         self.rules = rules
         self.invertible = tuple(invertible)
         self.p = p
-        self._chain_rules: Dict[Optional[int], "_ChainRule"] = {}
+        self._images: Dict = {}  # phi(y) per (field, root)
+        self._exact: Dict = {}  # is_exact per field
 
     @classmethod
     def zero(cls, n: int) -> "IdealHandle":
@@ -316,12 +306,23 @@ class IdealHandle:
         return IdealHandle(self.n, self.generators + generators, rules,
                            self.invertible, self.p)
 
-    def normal_form(self, x) -> LocalizedPolynomial:
+    @cached_property
+    def _order(self):
+        return _least_first(self.rules)
+
+    def _image(self, x) -> LocalizedPolynomial:
+        """phi(x), where the ring homomorphism phi sends each y to its
+        fully substituted rule value, or is the identity when the
+        generators did not triangularize."""
         val = _as_loc(x, self.p)
+        return val if self.rules is None else \
+            _substitute_rules(val, self._order)
+
+    def normal_form(self, x) -> LocalizedPolynomial:
         if self.rules is None:
             raise UnsupportedIdealShape(
                 "generators did not triangularize; no normal form")
-        return _substitute_rules(val, _least_first(self.rules))
+        return self._image(x)
 
     def contains(self, x) -> bool:
         val = _as_loc(x, self.p)
@@ -332,62 +333,29 @@ class IdealHandle:
                 "generators did not triangularize; membership undecidable")
         return self.normal_form(val).num.is_zero()
 
-
-class _ChainRule:
-    """The normal form phi of one handle over one field, applied to
-    brackets with coordinates by the chain rule.
-
-    phi is the ring homomorphism that sends each y to its fully
-    substituted rule value (the identity when the generators did not
-    triangularize), and bracketing with y_kl is a derivation, so
-
-        phi({z, y_kl}) = sum_a phi(dz/dy_a) * phi({y_a, y_kl}).
-
-    ``exact`` is False when some rule is over another field or has a
-    denominator that phi sends to zero.  Bracketing then ``contains`` can
-    raise on such a handle at a point that depends on the expression, so
-    the bracket is tested as it is.
-    """
-
-    def __init__(self, rules: Optional[Dict[Root, Rule]],
-                 field: Optional[int]):
-        # No reference back to the handle, which holds this object: a
-        # cycle would outlive the handle until the next garbage collection.
-        self.order = None if rules is None else _least_first(rules)
-        self.field = field
-        self.images: Dict = {}  # phi(y) per coordinate key
-        self.exact = rules is None or (
-            all(rule.den.p == field for rule in rules.values())
-            and all(self.nonzero(rule.den) for rule in rules.values()))
-
-    def nonzero(self, poly: Polynomial) -> bool:
+    def _nonzero(self, poly: Polynomial) -> bool:
         try:
-            return not self.image(poly).num.is_zero()
+            return not self._image(poly).num.is_zero()
         except ZeroDivisionError:
             return False
 
-    def image(self, x) -> LocalizedPolynomial:
-        """``normal_form(x)``, with the rule order sorted once."""
-        val = _as_loc(x, self.field)
-        if self.order is None:
-            return val
-        return _substitute_rules(val, self.order)
+    def is_exact(self, field: Optional[int]) -> bool:
+        """False when a rule is over another field or has a denominator
+        that phi sends to zero: bracketing then ``contains`` can raise on
+        such a handle at a point that depends on the expression."""
+        if field not in self._exact:
+            dens = [rule.den for rule in (self.rules or {}).values()]
+            self._exact[field] = all(den.p == field for den in dens) \
+                and all(self._nonzero(den) for den in dens)
+        return self._exact[field]
 
-    def coordinate(self, row: int, col: int) -> LocalizedPolynomial:
-        key = ("y", row, col)
-        hit = self.images.get(key)
-        if hit is None:
-            hit = self.images[key] = self.image(y_var(row, col, self.field))
-        return hit
-
-
-def _partial_loc(z: LocalizedPolynomial, key) -> LocalizedPolynomial:
-    """d(num/den)/dkey by the quotient rule."""
-    num, den = z.num, z.den
-    if den.is_constant():
-        return LocalizedPolynomial(_partial(num, key), den)
-    return LocalizedPolynomial(
-        _partial(num, key) * den - num * _partial(den, key), den * den)
+    def coordinate(self, root: Root, field: Optional[int]
+                   ) -> LocalizedPolynomial:
+        """phi(y_root) over ``field``, computed once per handle."""
+        if (field, root) not in self._images:
+            self._images[field, root] = self._image(
+                y_var(root.row, root.col, field))
+        return self._images[field, root]
 
 
 def is_casimir_mod(z, handle: IdealHandle) -> bool:
@@ -399,34 +367,29 @@ def is_casimir_mod(z, handle: IdealHandle) -> bool:
     """
     val = _as_loc(z)
     field = val.p
-    chain = handle._chain_rules.get(field)
-    if chain is None:
-        chain = handle._chain_rules[field] = _ChainRule(handle.rules, field)
     roots = positive_roots(handle.n)
     # A denominator of z that phi sends to zero is as unsafe as one of a
     # rule's.
-    if not chain.exact or not (val.den.is_constant()
-                               or chain.nonzero(val.den)):
+    if not handle.is_exact(field) or not (val.den.is_constant()
+                                          or handle._nonzero(val.den)):
         return all(handle.contains(bracket(z, y_var(r.row, r.col, field)))
                    for r in roots)
-    ys = sorted(k for k in val.num.variables() | val.den.variables()
-                if k[0] == "y")
-    partials: Dict = {}
+    partials, den2 = _y_partials(val), val.den ** 2
+    images: Dict = {}
     for r in roots:
-        k, l = r.row, r.col
         terms = []
-        for key in ys:
-            _, i, j = key
-            # {y_ij, y_kl} = [j=k] y_il - [l=i] y_kj
-            if j == k:
-                step = chain.coordinate(i, l)
-            elif l == i:
-                step = -chain.coordinate(k, j)
-            else:
+        for y in partials:
+            rb = root_bracket(y, r)
+            if rb is None:
                 continue
-            part = partials.get(key)
-            if part is None:
-                part = partials[key] = chain.image(_partial_loc(val, key))
+            sign, c = rb
+            step = handle.coordinate(c, field)
+            if sign < 0:
+                step = -step
+            if y not in images:
+                images[y] = handle._image(
+                    LocalizedPolynomial(partials[y], den2))
+            part = images[y]
             if not (part.num.is_zero() or step.num.is_zero()):
                 terms.append((part, step))
         # A lone product of nonzero factors is nonzero.
@@ -475,7 +438,6 @@ def _series(val: LocalizedPolynomial, p_elt: LocalizedPolynomial,
     factorial = 1
     for s in range(1, limit + 1):
         cur = bracket(p_elt, cur)
-        cur = _as_loc(cur, field)
         if cur.num.is_zero():
             return acc
         factorial *= s
@@ -488,30 +450,31 @@ def _series(val: LocalizedPolynomial, p_elt: LocalizedPolynomial,
 
 
 def tilde_map(x, p_elt, q_elt, ideal: IdealHandle):
-    """Twist x by the canonical pair (p, q); requires {p, q} = 1 modulo
-    the given ideal."""
+    """Twist x by the canonical pair (p, q), as ``reduce_column`` does and
+    through the same memo; requires {p, q} = 1 modulo the given ideal."""
     pl = _as_loc(p_elt)
     ql = _as_loc(q_elt)
-    pb = _as_loc(bracket(pl, ql), pl.p)
-    if not ideal.contains(pb - 1):
+    if not ideal.contains(bracket(pl, ql) - 1):
         raise NotCanonicalPair(
             "the pair's bracket is not one modulo the ideal")
-    limit = ideal.n * ideal.n + 2
-    return _series(_as_loc(x, pl.p), pl, ql, limit)
+    val = _as_loc(x, pl.p)
+    if val.p != pl.p:
+        raise FieldMismatch(f"mixed coefficient fields: {val.p} vs {pl.p}")
+    return _twist(ideal.n, (pl, ql), val)
 
 
-# The twist of one canonical pair, shared by every diagram: the image of a
-# variable or of a whole value depends only on n (the series limit), the
-# pair and the input.  Pairs and the values they act on are y-polynomials
-# over Q whatever the constants, so the n <= 7 catalogs bound the memo and
-# nothing is evicted.  Keys hold the polynomials, which carry their field,
-# not fractions, whose == cross-multiplies.
+# The twist of one canonical pair, shared by every diagram and by
+# ``tilde_map``: the image of a variable or of a whole value depends only on
+# n (the series limit), the pair and the input.  The pairs and values of
+# ``reduce_column`` are y-polynomials over Q whatever the constants, so the
+# n <= 7 catalogs bound the memo.  Keys hold the polynomials, which carry
+# their field, not fractions, whose == cross-multiplies.
 _TWISTS: Dict[Tuple, LocalizedPolynomial] = {}
 
 
 def _twist(n: int, pair, val: LocalizedPolynomial) -> LocalizedPolynomial:
-    """The image of val when each y goes to its adjoint series under the
-    canonical pair."""
+    """The image of val, over the pair's field, when each y goes to its
+    adjoint series under the canonical pair."""
     pl, ql = pair
     base = (n, pl.num, pl.den, ql.num, ql.den)
     val_key = base + (val.num, val.den)
@@ -523,7 +486,7 @@ def _twist(n: int, pair, val: LocalizedPolynomial) -> LocalizedPolynomial:
         var_key = base + (key,)
         out = _TWISTS.get(var_key)
         if out is None:
-            out = LocalizedPolynomial(Polynomial.variable(key))
+            out = LocalizedPolynomial(Polynomial.variable(key, val.p))
             if key[0] == "y":
                 out = _series(out, pl, ql, n * n + 2)
             _TWISTS[var_key] = out
@@ -578,11 +541,9 @@ def _pair_elements(p_root: Root, q_root: Root, den_on_p: bool
     """The elements (p, q) of one ``canonical_pairs`` triple, checked
     {p, q} = 1.  They depend on the roots alone, so every diagram shares
     them; a failed check is not stored, so it raises again."""
-    cross = root_sum(p_root, q_root)
+    sign, cross = root_bracket(p_root, q_root)
     y_cross = y_var(cross.row, cross.col)
-    q_side = y_var(q_root.row, q_root.col)
-    if q_root.row == cross.row:  # q is the delta root
-        q_side = -q_side
+    q_side = y_var(q_root.row, q_root.col) * sign
     pair = (loc(y_var(p_root.row, p_root.col), y_cross if den_on_p else None),
             loc(q_side, None if den_on_p else y_cross))
     if not (_as_loc(bracket(*pair)) - 1).num.is_zero():
@@ -604,14 +565,14 @@ class ReductionContext:
         self.pairs = canonical_pairs(s)
 
 
+def pick_values(s, c=None) -> Dict[Root, Polynomial]:
+    """The value of each pick: its constant c_i_j when ``c is None``,
+    else c's value for it (0 when absent)."""
+    return {r: c_var(r) if c is None else const(c.get(r, 0)) for r in s.xi}
+
+
 def initial_context(s, c=None) -> ReductionContext:
-    cmap: Dict[Root, Polynomial] = {}
-    for r in s.xi:
-        if c is None:
-            cmap[r] = c_var(r)
-        else:
-            cmap[r] = const(c.get(r, 0))
-    return ReductionContext(s, cmap)
+    return ReductionContext(s, pick_values(s, c))
 
 
 def reduce_column(ctx: ReductionContext, t: int):

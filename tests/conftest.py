@@ -144,6 +144,18 @@ B_CHAIN_521 = {
     5: set(),
 }
 
+
+def b_chain(s):
+    """B_1..B_n of a diagram: B_t is the ``a_chain`` stage after the last
+    pick in a column < t, restricted to the columns >= t."""
+    out = []
+    for t in range(1, s.n + 1):
+        stage = max((j for j, xi in enumerate(s.xi, start=1) if xi.col < t),
+                    default=0)
+        out.append({r for r in s.a_chain[stage] if r.col >= t})
+    return out
+
+
 # Expected per-dimension orbit counts for small finite-field censuses.
 CENSUS_EXPECT = {
     (3, 2): {2: 1, 0: 4},

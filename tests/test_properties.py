@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from artifact.root_system import (
     Root,
     c_split,
-    columns_and_chain,
     lex_greater,
     positive_roots,
     root_from_text,
@@ -27,7 +26,7 @@ from artifact.orbit_engine import (
 )
 from artifact.char_matrix import w_eta
 
-from conftest import R
+from conftest import R, b_chain
 
 
 def roots_strategy(n):
@@ -77,8 +76,7 @@ class TestSplitBalance:
     @given(st.integers(3, 6))
     def test_b_chain_additive(self, n):
         for s in enumerate_maximal(n):
-            for b_t in columns_and_chain(s)[1]:
-                members = set(b_t)
+            for members in b_chain(s):
                 for a in members:
                     for b in members:
                         total = root_sum(a, b)

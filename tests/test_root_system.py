@@ -8,20 +8,21 @@ from artifact.root_system import (
     Root,
     RootSet,
     c_split,
-    columns_and_chain,
     is_additive,
     is_normal,
     lex_greater,
     lex_sort_key,
     positive_roots,
     restrict,
+    root_bracket,
     root_from_text,
     root_sum,
     root_to_json,
     root_to_text,
+    structure_constants,
 )
 
-from conftest import B_CHAIN_521, CATALOG5, R
+from conftest import B_CHAIN_521, CATALOG5, R, b_chain
 
 
 class TestPositiveRoots:
@@ -116,6 +117,37 @@ class TestRootSum:
             for b in roots:
                 s = tuple(x + y for x, y in zip(vec(a), vec(b)))
                 assert root_sum(a, b) == table.get(s)
+
+
+class TestRootBracket:
+    def test_antisymmetric_and_on_root_sum(self):
+        # {y_ij, y_kl} = [j=k] y_il - [l=i] y_kj, for every pair, n <= 7.
+        for n in range(2, 8):
+            for a in positive_roots(n):
+                for b in positive_roots(n):
+                    got = root_bracket(a, b)
+                    if a.col == b.row:
+                        want = (1, Root(a.row, b.col))
+                    elif b.col == a.row:
+                        want = (-1, Root(b.row, a.col))
+                    else:
+                        want = None
+                    assert got == want, (a, b)
+                    assert (got and got[1]) == root_sum(a, b)
+                    back = root_bracket(b, a)
+                    assert (got is None) == (back is None)
+                    if got is not None:
+                        assert back == (-got[0], got[1])
+
+    def test_structure_constants_index_the_roots(self):
+        for n in range(2, 8):
+            roots = list(positive_roots(n))
+            table = {(i, j): (sign, c)
+                     for i, j, sign, c in structure_constants(n)}
+            for i, a in enumerate(roots):
+                for j, b in enumerate(roots):
+                    assert table.get((i, j)) == root_bracket(a, b)
+            assert structure_constants(n) is structure_constants(n)
 
 
 class TestIsAdditive:
@@ -226,19 +258,16 @@ class TestColumnsAndChain:
         from artifact.admissible import build_admissible
 
         s = build_admissible(5, CATALOG5[(5, 2, 1)]["seq"])
-        deltas, bs = columns_and_chain(s)
+        bs = b_chain(s)
         assert len(bs) == 5
         for t, expected in B_CHAIN_521.items():
-            assert set(bs[t - 1]) == expected
-        assert [set(d) for d in deltas] == [
-            {R(i, t) for i in range(t + 1, 6)} for t in range(1, 5)
-        ]
+            assert bs[t - 1] == expected
 
     def test_empty_subset(self):
         from artifact.admissible import build_admissible
 
         s = build_admissible(5, [])
-        _, bs = columns_and_chain(s)
+        bs = b_chain(s)
         for t in range(1, 6):
             assert set(bs[t - 1]) == {r for r in positive_roots(5)
                                       if r.col >= t}
@@ -248,7 +277,7 @@ class TestColumnsAndChain:
 
         for entry in CATALOG5.values():
             s = build_admissible(5, entry["seq"])
-            _, bs = columns_and_chain(s)
+            bs = b_chain(s)
             for a, b in zip(bs, bs[1:]):
                 assert set(b) <= set(a)
             assert len(bs[-1]) == 0
@@ -257,7 +286,7 @@ class TestColumnsAndChain:
         from artifact.admissible import build_admissible
 
         s = build_admissible(3, [R(3, 1)])
-        _, bs = columns_and_chain(s)
+        bs = b_chain(s)
         assert set(bs[1]) == set()
 
 

@@ -26,6 +26,7 @@ from artifact.symbolic import (
     is_casimir_mod,
     is_poisson_ideal,
     loc,
+    pick_values,
     poly_text,
     reduce_column,
     tilde_map,
@@ -33,7 +34,7 @@ from artifact.symbolic import (
 )
 from artifact.symbolic import _solve_for
 
-from conftest import ANCHOR_634, CATALOG3, CATALOG5, R
+from conftest import ANCHOR_634, CATALOG3, CATALOG5, R, b_chain
 
 
 def y(i, j, p=None):
@@ -147,6 +148,91 @@ class TestBracket:
         q = loc(y(2, 1), y(3, 1))
         out = bracket(y(3, 2), q)
         assert out == loc(const(1), const(1))
+
+
+def _bracket_reference(f, g):
+    """The former bracket: polynomial brackets from the structure
+    constants written out, combined by the 4-term quotient expansion
+    {a/b, c/d} = ({a,c}bd - {a,d}bc - {b,c}ad + {b,d}ac) / (b^2 d^2)."""
+    from artifact.symbolic import _as_loc, _partial
+
+    def poly_bracket(f, g):
+        out = Polynomial.zero(f.p)
+        for x in f.variables():
+            for z in g.variables():
+                if x[0] != "y" or z[0] != "y":
+                    continue
+                (_, i, j), (_, k, l) = x, z
+                base = Polynomial.zero(f.p)
+                if j == k:
+                    base = base + y(i, l, f.p)
+                if l == i:
+                    base = base - y(k, j, f.p)
+                out = out + _partial(f, x) * _partial(g, z) * base
+        return out
+
+    if isinstance(f, Polynomial) and isinstance(g, Polynomial):
+        return poly_bracket(f, g)
+    a, b = _as_loc(f).num, _as_loc(f).den
+    c, d = _as_loc(g).num, _as_loc(g).den
+    num = (poly_bracket(a, c) * b * d - poly_bracket(a, d) * b * c
+           - poly_bracket(b, c) * a * d + poly_bracket(b, d) * a * c)
+    return LocalizedPolynomial(num, b * b * d * d)
+
+
+@st.composite
+def _bracket_operand(draw, p):
+    roots = sorted(positive_roots(4))
+
+    def poly(max_terms):
+        out = Polynomial.zero(p)
+        for _ in range(draw(st.integers(1, max_terms))):
+            term = const(draw(st.integers(-2, 2)), p)
+            if draw(st.integers(0, 3)) == 0:
+                term = term * c_var(draw(st.sampled_from(roots)), p)
+            for r in draw(st.lists(st.sampled_from(roots), max_size=2)):
+                term = term * y(r.row, r.col, p)
+            out = out + term
+        return out
+
+    num = poly(3)
+    kind = draw(st.sampled_from(["poly", "monomial", "sum", "drawn"]))
+    if kind == "poly":
+        return num
+    den = {"monomial": y(3, 1, p) * y(4, 3, p),
+           "sum": y(3, 2, p) + y(2, 1, p),
+           "drawn": poly(2)}[kind]
+    return loc(num, den if not den.is_zero() else y(4, 2, p))
+
+
+class TestBracketQuotientSum:
+    @settings(max_examples=80)
+    @given(st.sampled_from([None, 3]).flatmap(
+        lambda p: st.tuples(_bracket_operand(p), _bracket_operand(p))))
+    def test_matches_four_term_expansion(self, operands):
+        f, g = operands
+        got, want = bracket(f, g), _bracket_reference(f, g)
+        assert type(got) is type(want)
+        if isinstance(want, Polynomial):
+            assert got.terms == want.terms and got.p == want.p
+        else:
+            assert (got.num, got.den) == (want.num, want.den)
+            assert poly_text(got) == poly_text(want)
+
+    def test_non_monomial_denominators(self):
+        den = y(3, 2) + y(2, 1)
+        for f, g in [(loc(y(4, 3), den), y(3, 1)),
+                     (y(4, 3), loc(y(2, 1), den)),
+                     (loc(y(4, 3) * y(2, 1), den), loc(y(3, 2), den)),
+                     (loc(y(3, 2), y(3, 1)), loc(y(4, 2), den * y(4, 1)))]:
+            got, want = bracket(f, g), _bracket_reference(f, g)
+            assert (got.num, got.den) == (want.num, want.den)
+
+    def test_mixed_fields_rejected(self):
+        with pytest.raises(FieldMismatch):
+            bracket(y(2, 1), y(3, 2, 3))
+        with pytest.raises(FieldMismatch):
+            bracket(loc(y(2, 1, 3)), y(3, 2))
 
 
 class TestEvaluate:
@@ -331,8 +417,42 @@ class TestTildeMap:
         with pytest.raises(NotCanonicalPair):
             tilde_map(y(3, 2), y(2, 1), loc(y(4, 2), y(4, 1)), i)
 
+    def test_finite_field_pair(self):
+        # The n=3 pair over F_3: the image of y21 is zero over F_3, and a
+        # constant passes through over F_3.
+        i = IdealHandle.from_generators(
+            3, [y(3, 1, 3) - c_var(R(3, 1), 3)], invertible=[R(3, 1)])
+        p, q = y(3, 2, 3), loc(y(2, 1, 3), y(3, 1, 3))
+        out = tilde_map(y(2, 1, 3), p, q, i)
+        assert out.is_zero() and out.p == 3
+        out = tilde_map(c_var(R(3, 1), 3) * y(3, 1, 3), p, q, i)
+        assert out == loc(c_var(R(3, 1), 3) * y(3, 1, 3)) and out.p == 3
+        # The same constant over Q, after the F_3 one, stays over Q.
+        iq = IdealHandle.from_generators(
+            3, [y(3, 1) - c_var(R(3, 1))], invertible=[R(3, 1)])
+        out = tilde_map(c_var(R(3, 1)) * y(3, 1), y(3, 2),
+                        loc(y(2, 1), y(3, 1)), iq)
+        assert out == loc(c_var(R(3, 1)) * y(3, 1)) and out.p is None
+        # x over another field than the pair is refused, even when x holds
+        # constants only, whatever the twist memo holds.
+        from artifact import symbolic
+
+        for x in (c_var(R(3, 1), 3), y(2, 1, 3)):
+            symbolic._TWISTS.clear()
+            with pytest.raises(FieldMismatch):
+                tilde_map(x, y(3, 2), loc(y(2, 1), y(3, 1)), iq)
+
 
 class TestReduceColumn:
+    def test_pick_values(self, by_label):
+        s = by_label((7, 3, 4))
+        assert pick_values(s) == {r: c_var(r) for r in s.xi}
+        first = s.xi[0]
+        assert pick_values(s, {first: 5}) == {
+            r: const(5 if r == first else 0) for r in s.xi}
+        assert initial_context(s, {first: 5}).cmap == \
+            pick_values(s, {first: 5})
+
     def test_n3_regular(self):
         s = build_admissible(3, CATALOG3[(3, 0, 1)]["seq"])
         ctx = initial_context(s, None)
@@ -374,10 +494,7 @@ class TestReduceColumn:
         assert pairs == [(loc(y(7, 6), y(7, 4)), loc(y(6, 4), const(1)))]
         assert set(images) == {R(7, 4), R(5, 4)}
         # Remaining chain is empty: columns 5 and 6 contribute nothing.
-        from artifact.root_system import columns_and_chain
-
-        _, bs = columns_and_chain(s)
-        assert set(bs[4]) == set()
+        assert b_chain(s)[4] == set()
 
     def test_d4_second_kind(self, by_label):
         s = by_label((7, 3, 8))
@@ -387,10 +504,7 @@ class TestReduceColumn:
         pairs, images, i4 = reduce_column(ctx, 4)
         assert pairs == [(loc(y(5, 4), const(1)), loc(-y(7, 5), y(7, 4)))]
         assert set(images) == {R(7, 4), R(6, 4)}
-        from artifact.root_system import columns_and_chain
-
-        _, bs = columns_and_chain(s)
-        assert set(bs[4]) == {R(6, 5)}
+        assert b_chain(s)[4] == {R(6, 5)}
 
     def test_column_case_detection(self, by_label):
         # Each column's pairs as (p, q, den_on_p) roots, in peel order.
@@ -609,6 +723,11 @@ class TestSkippedSubstitutions:
             probes += [y(r.row, r.col) * y(r2.row, r2.col)
                        for r in positive_roots(s.n)
                        for r2 in positive_roots(s.n)]
+            # The variable of a rule in the numerator, the denominator
+            # or both.
+            probes += [loc(y(r.row, r.col), y(r2.row, r2.col) + y(2, 1))
+                       for r in positive_roots(s.n)
+                       for r2 in positive_roots(s.n)]
             for x in probes:
                 got = handle.normal_form(x)
                 want = _normal_form_every_rule(handle, x)
@@ -627,6 +746,30 @@ class TestSkippedSubstitutions:
             assert handle.normal_form(x) == want
             ref = _normal_form_every_rule(handle, x)
             assert poly_text(handle.normal_form(x)) == poly_text(ref)
+
+
+    def test_only_the_side_holding_the_variable_is_substituted(
+            self, monkeypatch):
+        from artifact import symbolic
+
+        handle = IdealHandle.from_generators(
+            3, [y(3, 2) - const(1), y(3, 1) - const(2)])
+        split = []
+        real = symbolic._subst_poly
+
+        def recording(poly, key, rep):
+            split.append((poly_text(poly), key))
+            return real(poly, key, rep)
+
+        monkeypatch.setattr(symbolic, "_subst_poly", recording)
+        assert handle.normal_form(loc(y(3, 2), y(2, 1))) == \
+            loc(const(1), y(2, 1))
+        assert split == [("1*y_3_2", ("y", 3, 2))]
+        split.clear()
+        assert handle.normal_form(loc(y(2, 1), y(3, 1) * y(3, 2))) == \
+            loc(y(2, 1), const(2))
+        assert split == [("1*y_3_1*y_3_2", ("y", 3, 2)),
+                         ("1*y_3_1", ("y", 3, 1))]
 
 
 class TestSharedConstants:
@@ -729,13 +872,11 @@ class TestChainRuleClosure:
         # that its normal form keeps nonzero, and its generators have no
         # denominator, so is_poisson_ideal never falls back to bracketing
         # then contains on the catalog.
-        from artifact.symbolic import _ChainRule
-
         handles = [build_ideal(s, None) for s in _every_diagram(7)]
         assert len(handles) == 168
         for h in handles:
             assert h.rules is not None
-            assert _ChainRule(h.rules, None).exact
+            assert h.is_exact(None)
 
     def test_coordinate_image_computed_once(self, monkeypatch):
         from artifact import symbolic
@@ -761,6 +902,16 @@ class TestChainRuleClosure:
         seen = len(built)
         assert is_poisson_ideal(build_ideal(s, None))
         assert len(built) > seen
+
+    def test_images_are_kept_per_field(self):
+        # One handle checked over Q and then over F_3: each field gets its
+        # own coordinate images, and the outcomes are the reference's.
+        for handle in (IdealHandle.zero(4),
+                       IdealHandle.from_generators(4, [y(4, 1) - const(2)])):
+            for p in (None, 3, None):
+                for z in (y(2, 1, p), y(4, 1, p), y(4, 3, p) * y(3, 1, p)):
+                    assert _outcome(is_casimir_mod, z, handle) == \
+                        _outcome(_casimir_reference, z, handle), (p, z)
 
     def test_quotient_rule(self):
         # y31 written over a denominator that brackets nontrivially is
