@@ -2,12 +2,14 @@
 
 Linear forms on the strictly lower triangle are acted on by the lower
 unitriangular group through conjugation of the corresponding upper
-triangular value matrix.  Orbits are enumerated by breadth-first search
-over the generator set I + e_alpha, which is linear on value vectors and
-changes only a few values of each, so one search step is a small product
-on those values.  The search runs on packed codes only: each state is one
-int64 holding its base-p digits, and an orbit is the sorted array of its
-codes, so the field size is limited to p^(n(n-1)/2) <= 2^63.
+triangular value matrix.  The group is the product of its root subgroups
+X_alpha = {(I + e_alpha)^t : t < p} taken in any fixed order, so an orbit
+is enumerated by closing one point under each X_alpha in turn.  A generator
+I + e_alpha is linear on value vectors and changes only a few values of
+each, so one step reads and rewrites only those base-p digits.  The search
+runs on packed codes only: each state is one int64 holding its base-p
+digits, and an orbit is the sorted array of its codes, so the field size is
+limited to p^(n(n-1)/2) <= 2^63.
 """
 from __future__ import annotations
 
@@ -42,8 +44,8 @@ class InvalidC(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Orbit enumeration visited, or a whole-space scan would visit, more
-    states than the budget allows."""
+    """An orbit has, or a whole-space scan would visit, more states than
+    the budget allows."""
 
 
 class ClassificationMismatch(RuntimeError):
@@ -239,14 +241,15 @@ def _root_order(n: int) -> List[Root]:
 
 
 def _generator_moves(n: int, p: int
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The generators I + e_alpha as sparse moves on states.
 
-    A generator changes only a few values of a form.  Column t of
-    ``columns`` gives the new value at root ``coords[t]`` as a linear
-    function of the old values; the columns of one generator are adjacent,
-    and ``starts`` indexes the first column of each generator that moves
-    anything."""
+    A generator changes only a few values of a form, each a linear function
+    of a few old values.  There is one triple (reads, columns, writes) for
+    each generator that moves anything, in root order: the new value at
+    root ``writes[t]`` is the old values at roots ``reads`` times column t
+    of ``columns``.  The action is unipotent, so a written value reads
+    itself with coefficient 1 and ``writes`` is a subset of ``reads``."""
     roots = _root_order(n)
     size = len(roots)
     index = {r: k for k, r in enumerate(roots)}
@@ -259,11 +262,11 @@ def _generator_moves(n: int, p: int
             image = coadjoint_act(g, form)
             for root, v in image.values.items():
                 full[g_at, k, index[root]] = v
-    gens, coords = np.nonzero(
-        (full != np.eye(size, dtype=np.int64)).any(axis=1))
-    columns = full[gens, :, coords].T.astype(np.float64)
-    starts = np.flatnonzero(np.diff(gens, prepend=-1))
-    return columns, coords, starts
+    writes = (full != np.eye(size, dtype=np.int64)).any(axis=1)
+    reads = ((full != 0) & writes[:, None, :]).any(axis=2)
+    return [(np.flatnonzero(reads[g]), full[g][reads[g]][:, writes[g]],
+             np.flatnonzero(writes[g]))
+            for g in np.flatnonzero(writes.any(axis=1))]
 
 
 # Rows of codes handled at once when a state array would otherwise grow
@@ -363,52 +366,66 @@ def _check_space_budget(stage: str, n: int, p: int,
             f"the limit of {limit}")
 
 
+def _check_orbit_budget(n: int, p: int, states: int, limit: int) -> None:
+    if states > limit:
+        raise BudgetExceeded(
+            f"orbit_bfs at n={n}, p={p} reached {states} states, over the "
+            f"limit of {limit}")
+
+
+def _sweep(codes: np.ndarray, p: int, reads: np.ndarray,
+           columns: np.ndarray, writes: np.ndarray) -> np.ndarray:
+    """The closure of a sorted code array under one generator g: the sorted
+    union of g^t applied to it for t < p.  Only the digits g reads are
+    taken from the codes, and g^t follows from g^(t-1) by rewriting the
+    digits g writes."""
+    read_scale = p ** reads
+    write_scale = p ** writes
+    at = np.searchsorted(reads, writes)
+    rows = max(1, _BLOCK_CELLS // max(len(reads), len(writes)))
+    images = [codes]
+    for first in range(0, len(codes), rows):
+        image = codes[first:first + rows]
+        digits = image[:, None] // read_scale % p
+        for _t in range(1, p):
+            new = digits @ columns % p
+            image = image + (new - digits[:, at]) @ write_scale
+            digits[:, at] = new
+            images.append(image)
+    # Sort and drop repeats instead of np.unique: for int64 its hash path
+    # is an order of magnitude slower than a sort.
+    images = np.sort(np.concatenate(images))
+    keep = np.ones(len(images), dtype=bool)
+    keep[1:] = images[1:] != images[:-1]
+    return images[keep]
+
+
 def orbit_bfs(f: LinearForm, budget: Optional[int] = None) -> Orbit:
-    """Breadth-first closure of f under the generator actions, run level by
-    level on sorted arrays of packed codes."""
+    """The orbit of f as a product of root subgroups.
+
+    The group is X_a1 X_a2 ... X_aN for the root subgroups X_a taken in any
+    fixed order, and X_a = {(I + e_a)^t : t < p} since e_a^2 = 0, so the
+    orbit is reached by closing {f} under one generator after another.
+    Every set on the way lies inside the orbit, so the budget, a cap on
+    the orbit size, is checked after each closure."""
     if f.p is None:
         raise ValueError("orbit enumeration needs a finite field")
     n, p = f.n, f.p
+    _check_prime(p)
     _check_codes_fit(n, p)
     limit = _budget_value(budget)
-    roots = _root_order(n)
-    width = len(roots)
-    columns, coords, starts = _generator_moves(n, p)
-    scale = np.array([p ** k for k in range(width)], dtype=np.int64)[coords]
-    rows = max(1, _BLOCK_CELLS // max(width, len(coords)))
-    visited = np.array([_encode(f, roots)], dtype=np.int64)
-    frontier = visited
-    while True:
-        if len(visited) > limit:
-            raise BudgetExceeded(
-                f"orbit_bfs at n={n}, p={p} reached {len(visited)} states, "
-                f"over the limit of {limit}")
-        if not frontier.size:
-            break
-        images = []
-        for first in range(0, len(frontier), rows):
-            block = frontier[first:first + rows]
-            digits = _digits(block, p, width)
-            # Exact in float64: a new value is below width * p^2 <= 2^47,
-            # since p^width <= 2^63 and width >= 3 whenever anything moves.
-            new = (digits @ columns % p).astype(np.int64)
-            moved = (new - digits[:, coords]) * scale
-            images.append((block[:, None] + np.add.reduceat(
-                moved, starts, axis=1)).ravel())
-        # Sort and drop repeats instead of np.unique/np.union1d: for int64
-        # their hash path is an order of magnitude slower than a sort.
-        images = np.sort(np.concatenate(images))
-        keep = np.ones(len(images), dtype=bool)
-        keep[1:] = images[1:] != images[:-1]
-        images = images[keep]
-        frontier = images[~np.isin(images, visited, assume_unique=True)]
-        visited = np.sort(np.concatenate((visited, frontier)))
-    return Orbit(n, p, f, visited)
+    codes = np.array([_encode(f, _root_order(n))], dtype=np.int64)
+    _check_orbit_budget(n, p, len(codes), limit)
+    for move in _generator_moves(n, p):
+        codes = _sweep(codes, p, *move)
+        _check_orbit_budget(n, p, len(codes), limit)
+    return Orbit(n, p, f, codes)
 
 
 def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
     """Partition the whole dual space into orbits, in order of the least
     packed state."""
+    _check_prime(p)
     _check_space_budget("all_orbits", n, p, budget)
     roots = _root_order(n)
     free = np.ones(p ** len(roots), dtype=bool)
@@ -435,6 +452,8 @@ def kirillov_rank(f: LinearForm) -> int:
     leaves the rank unchanged.
     """
     p = f.p
+    if p is not None:
+        _check_prime(p)
     vals = f.values
     if p is None:
         scale = math.lcm(*(v.denominator for v in vals.values()))
@@ -528,17 +547,24 @@ def _classify_orbit(orbit: Orbit, stage: str
     n, p = orbit.n, orbit.p
     roots = _root_order(n)
     index = {r: k for k, r in enumerate(roots)}
-    members = orbit.member_array()
-    # Bit k of a member's support is set when its value at root k is nonzero.
-    support = (members != 0) @ (1 << np.arange(len(roots), dtype=np.int64))
+    catalog = enumerate_maximal(n)
+    # Bit k of a support or a pick mask stands for root k.
+    picks = np.array([sum(1 << index[r] for r in s.xi) for s in catalog],
+                     dtype=np.int64)
+    marked = np.array([sum(1 << index[r] for r, m in zip(s.xi, s.otimes_mask)
+                           if m) for s in catalog], dtype=np.int64)
+    weights = 1 << np.arange(len(roots), dtype=np.int64)
+    rows = max(1, _BLOCK_CELLS // max(len(roots), len(catalog)))
     matches: List[Tuple[AdmissibleSubset, Dict[Root, int]]] = []
-    for s in enumerate_maximal(n):
-        picks = sum(1 << index[r] for r in s.xi)
-        marked = sum(1 << index[r] for r, m in zip(s.xi, s.otimes_mask) if m)
-        mask = ((support & ~picks) == 0) & ((support & marked) == marked)
-        for row in members[mask]:
-            values = {r: int(row[index[r]]) for r in s.xi}
-            matches.append((s, values))
+    for first in range(0, len(orbit), rows):
+        members = _digits(orbit.codes[first:first + rows], p, len(roots))
+        support = ((members != 0) @ weights)[:, None]
+        # hit[i, j]: member i is zero off the picks of diagram j and
+        # nonzero on its marked picks.
+        hit = ((support & ~picks) == 0) & ((support & marked) == marked)
+        for i, j in zip(*np.nonzero(hit)):
+            s = catalog[j]
+            matches.append((s, {r: int(members[i, index[r]]) for r in s.xi}))
     if len(matches) != 1:
         raise ClassificationMismatch(
             f"{stage} at n={n}, p={p}: an orbit of {len(orbit)} states has "
@@ -563,7 +589,6 @@ def census(n: int, p: int, budget: Optional[int] = None) -> Dict:
     """Classify every orbit and tally counts per diagram label, together
     with the two counting identities."""
     check_dimension(n)
-    _check_prime(p)
     tally: Dict[Tuple[int, int, int], Dict[str, int]] = {}
     for orbit in all_orbits(n, p, budget=budget):
         s, _values = _classify_orbit(orbit, "census")

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact.root_system import Root, positive_roots
 from artifact.admissible import build_admissible, dimension
@@ -143,10 +144,13 @@ class TestOrbitBfs:
     def test_budget_message_names_stage_and_counts(self):
         s = build_admissible(5, CATALOG5[(5, 0, 1)]["seq"])
         f = canonical_form(s, {R(5, 1): 1, R(4, 2): 1}, p=3)
-        # The first level reaches 50 states; a budget of 0 refuses the
-        # starting state itself.
+        # The root subgroups are swept in root order, past the central
+        # X_(5,1).  X_(4,1), X_(3,1) and X_(2,1) each add t * f(y_5,1) = t
+        # to one value that was fixed before, at (5,4), (5,3) and (5,2), so
+        # the set grows from 1 to 3, 9 and 27 states: 27 is the first count
+        # over 10.  A budget of 0 refuses the starting state itself.
         with pytest.raises(BudgetExceeded, match=r"^orbit_bfs at n=5, p=3 "
-                           r"reached 50 states, over the limit of 10$"):
+                           r"reached 27 states, over the limit of 10$"):
             orbit_bfs(f, budget=10)
         with pytest.raises(BudgetExceeded, match=r"^orbit_bfs at n=5, p=3 "
                            r"reached 1 states, over the limit of 0$"):
@@ -171,18 +175,29 @@ class TestOrbitBfs:
         assert all(isinstance(m, LinearForm) for m in members)
 
 
+def form_of_code(n, p, code):
+    """The form whose values are the base-p digits of code, in
+    positive_roots order, least significant first."""
+    return form(n, p, {r: code // p ** k % p
+                       for k, r in enumerate(positive_roots(n))})
+
+
+def code_of_form(f):
+    return sum(int(f.value(r)) * f.p ** k
+               for k, r in enumerate(positive_roots(f.n)))
+
+
 def all_forms(n, p):
-    roots = list(positive_roots(n))
-    for code in range(p ** len(roots)):
-        yield form(n, p, {r: (code // p ** k) % p
-                          for k, r in enumerate(roots)})
+    for code in range(p ** (n * (n - 1) // 2)):
+        yield form_of_code(n, p, code)
 
 
-def reference_closure(f):
+def reference_closure(f, roots=None):
     """The orbit of f as a set, by breadth-first search through
-    coadjoint_act with every generator I + e_alpha."""
+    coadjoint_act with the generators I + e_alpha for alpha in roots, by
+    default every positive root."""
     gens = [GroupElement(f.n, f.p, {(r.row, r.col): 1})
-            for r in positive_roots(f.n)]
+            for r in roots or positive_roots(f.n)]
     seen, frontier = {f}, {f}
     while frontier:
         frontier = {coadjoint_act(g, x) for x in frontier for g in gens}
@@ -224,6 +239,82 @@ class TestSearchAgainstReference:
             assert_orbit_is(orbit, closure)
             outside = next(x for x in points if x not in closure)
             assert outside not in orbit
+
+
+# Sorted codes of each reference closure met so far, by member, so a drawn
+# point in a known orbit does not close it again.
+_REFERENCE_CODES = {}
+
+
+def reference_codes(f):
+    """The sorted codes of the closure of f under the simple root elements
+    I + e_(i+1,i).  They generate the group (commutators of them give every
+    other I + e_alpha), so the closure is the orbit, reached with n - 1
+    generators instead of n(n-1)/2."""
+    if f not in _REFERENCE_CODES:
+        closure = reference_closure(
+            f, [R(i + 1, i) for i in range(1, f.n)])
+        _REFERENCE_CODES.update(
+            dict.fromkeys(closure, sorted(map(code_of_form, closure))))
+    return _REFERENCE_CODES[f]
+
+
+class TestSweepAgainstReference:
+    """orbit_bfs against the plain set closure, code for code."""
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (3, 5), (4, 2)])
+    def test_every_point(self, n, p):
+        for f in all_forms(n, p):
+            orbit = orbit_bfs(f)
+            assert orbit.codes.tolist() == reference_codes(f), f
+            assert len(orbit) == p ** kirillov_rank(f), f
+
+    @given(st.sampled_from([(4, 3), (5, 2), (5, 3)]), st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_drawn_points(self, field, data):
+        n, p = field
+        f = form_of_code(n, p, data.draw(
+            st.integers(0, p ** (n * (n - 1) // 2) - 1), label="code"))
+        orbit = orbit_bfs(f)
+        assert orbit.codes.tolist() == reference_codes(f)
+        assert len(orbit) == p ** kirillov_rank(f)
+
+
+class TestBudgetIsOrbitSizeCap:
+    def test_budget_of_orbit_size_passes_and_one_less_refuses(self):
+        rng = random.Random("budget-cap")
+        for n, p in [(3, 5), (4, 3), (5, 2), (5, 3), (6, 2)]:
+            for _ in range(4):
+                f = form_of_code(n, p, rng.randrange(p ** (n * (n - 1) // 2)))
+                size = len(orbit_bfs(f))
+                assert orbit_bfs(f, budget=size).codes.size == size
+                with pytest.raises(BudgetExceeded, match=(
+                        rf"^orbit_bfs at n={n}, p={p} reached \d+ states, "
+                        rf"over the limit of {size - 1}$")):
+                    orbit_bfs(f, budget=size - 1)
+
+
+class TestNonPrimeField:
+    """Z/4 is not a field: every entry point refuses it."""
+
+    def test_orbit_bfs(self):
+        with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
+            orbit_bfs(form(3, 4, {R(3, 1): 2}))
+
+    def test_all_orbits(self):
+        with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
+            all_orbits(3, 4)
+        # The field is checked before the size of its space.
+        with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
+            all_orbits(3, 4, budget=0)
+
+    def test_stratum_max_dims(self):
+        with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
+            stratum_max_dims(3, 4)
+
+    def test_kirillov_rank(self):
+        with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
+            kirillov_rank(form(3, 4, {R(3, 1): 2}))
 
 
 class TestCodeRange:
