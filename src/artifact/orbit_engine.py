@@ -10,6 +10,9 @@ each, so one step reads and rewrites only those base-p digits.  The search
 runs on packed codes only: each state is one int64 holding its base-p
 digits, and an orbit is the sorted array of its codes, so the field size is
 limited to p^(n(n-1)/2) <= 2^63.
+
+``coadjoint_act`` skips the validating ``LinearForm`` constructor: its result
+roots lie in the triangle by construction, and it reduces values itself.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,9 +90,21 @@ class LinearForm:
             v = coerce_scalar(raw, p)
             if v != 0:
                 vals[root] = v
+        self._fill(n, p, vals)
+
+    @classmethod
+    def _reduced(cls, n: int, p: Optional[int],
+                 values: Dict[Root, object]) -> "LinearForm":
+        """Trusted: ``values`` is kept as is, so its roots must lie in the
+        triangle and its values be nonzero and reduced (ints 1..p-1 or Q)."""
+        self = object.__new__(cls)
+        self._fill(n, p, values)
+        return self
+
+    def _fill(self, n, p, values) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -141,36 +157,12 @@ class GroupElement:
             m[i - 1][j - 1] = coerce_scalar(raw, p)
         self.matrix = m
 
-    def _mul(self, a, b):
-        n, p = self.n, self.p
-        zero = coerce_scalar(0, p)
-        out = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                if a[i][k] == 0:
-                    continue
-                for j in range(n):
-                    if b[k][j] == 0:
-                        continue
-                    v = out[i][j] + a[i][k] * b[k][j]
-                    out[i][j] = v % p if p is not None else v
-        return out
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        if (self.n, self.p) != (other.n, other.p):
-            raise ValueError("cannot compose over different fields")
-        return GroupElement(self.n, self.p,
-                            _matrix=self._mul(self.matrix, other.matrix))
-
     def inverse(self) -> "GroupElement":
         """The inverse, solved once by forward substitution and cached:
         row i of the inverse is -sum_{k<i} m[i][k] * (row k), plus e_i."""
         if self._inverse is None:
             n, p, m = self.n, self.p, self.matrix
-            one = coerce_scalar(1, p)
-            zero = coerce_scalar(0, p)
-            inv = [[one if i == j else zero for j in range(n)]
-                   for i in range(n)]
+            inv = GroupElement(n, p).matrix
             for i in range(1, n):
                 row = inv[i]
                 for k in range(i):
@@ -179,10 +171,24 @@ class GroupElement:
                     src = inv[k]
                     for j in range(k + 1):
                         row[j] = row[j] - m[i][k] * src[j]
-                if p is not None:
+                if p is not None and any(m[i][:i]):
                     inv[i] = [v % p for v in row]
             self._inverse = GroupElement(n, p, _matrix=inv)
         return self._inverse
+
+
+@lru_cache(maxsize=None)
+def _root_order(n: int) -> Tuple[Root, ...]:
+    """The roots in decreasing order; state digit k is the value at root k."""
+    return tuple(positive_roots(n))
+
+
+@lru_cache(maxsize=None)
+def _root_grid(n: int) -> Tuple[Tuple[Root, ...], ...]:
+    """grid[b][a] is the root (b + 1, a + 1) of ``_root_order(n)``, for the
+    0-based a < b < n."""
+    at = {(r.row, r.col): r for r in _root_order(n)}
+    return tuple(tuple(at[b + 1, a + 1] for a in range(b)) for b in range(n))
 
 
 def coadjoint_act(g: GroupElement, f: LinearForm) -> LinearForm:
@@ -192,7 +198,9 @@ def coadjoint_act(g: GroupElement, f: LinearForm) -> LinearForm:
     V[k][l] is the value of f at root (l + 1, k + 1).  Each nonzero entry v
     adds v * g[a][k] * g^-1[l][b] to entry (a, b) of g V g^-1, and only
     k <= a < b <= l can be nonzero and strictly upper, so the dense products
-    are never formed."""
+    are never formed.  So every result root (b + 1, a + 1) lies in the
+    triangle, and the result is returned through the trusted
+    ``LinearForm._reduced`` after reducing each value and dropping zeros."""
     if (g.n, g.p) != (f.n, f.p):
         raise ValueError("group element and form live over different fields")
     n, p = f.n, f.p
@@ -200,17 +208,24 @@ def coadjoint_act(g: GroupElement, f: LinearForm) -> LinearForm:
     acc: Dict[Tuple[int, int], object] = {}
     for root, v in f.values.items():
         k, l = root.col - 1, root.row - 1
-        rights = [(b, hm[l][b]) for b in range(k + 1, l + 1)
-                  if hm[l][b] != 0]
+        row = hm[l]
+        rights = [(b, row[b]) for b in range(k + 1, l + 1) if row[b]]
         for a in range(k, l):
-            if gm[a][k] == 0:
-                continue
-            left = v * gm[a][k]
-            for b, h in rights:
-                if b > a:
-                    acc[a, b] = acc.get((a, b), 0) + left * h
-    return LinearForm(n, p, {Root(b + 1, a + 1): acc[a, b]
-                             for a, b in sorted(acc)})
+            left = gm[a][k]
+            if left:
+                left *= v
+                for b, h in rights:
+                    if b > a:
+                        key = a, b
+                        acc[key] = acc.get(key, 0) + left * h
+    grid = _root_grid(n)
+    values: Dict[Root, object] = {}
+    for (a, b), v in sorted(acc.items()):
+        if p is not None:
+            v %= p
+        if v:
+            values[grid[b][a]] = v
+    return LinearForm._reduced(n, p, values)
 
 
 # --- canonical forms ------------------------------------------------------
@@ -236,10 +251,6 @@ def canonical_form(s: AdmissibleSubset, c: Dict[Root, object],
 
 # --- orbit enumeration ----------------------------------------------------
 
-def _root_order(n: int) -> List[Root]:
-    return list(positive_roots(n))
-
-
 def _generator_moves(n: int, p: int
                      ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The generators I + e_alpha as sparse moves on states.
@@ -253,15 +264,18 @@ def _generator_moves(n: int, p: int
     roots = _root_order(n)
     size = len(roots)
     index = {r: k for k, r in enumerate(roots)}
-    # full[g, k, i]: value at root i of basis form k moved by generator g.
-    full = np.zeros((size, size, size), dtype=np.int64)
-    basis = [LinearForm(n, p, {r: 1}) for r in roots]
+    # full[g, k, i]: value at root i of basis form k moved by generator g,
+    # written at once from its nonzero entries keyed by flat position.
+    flat: Dict[int, int] = {}
+    basis = [LinearForm._reduced(n, p, {r: 1}) for r in roots]
     for g_at, gen_root in enumerate(roots):
         g = GroupElement(n, p, {(gen_root.row, gen_root.col): 1})
         for k, form in enumerate(basis):
-            image = coadjoint_act(g, form)
-            for root, v in image.values.items():
-                full[g_at, k, index[root]] = v
+            base = (g_at * size + k) * size
+            for root, v in coadjoint_act(g, form).values.items():
+                flat[base + index[root]] = v
+    full = np.zeros((size, size, size), dtype=np.int64)
+    np.put(full, list(flat), list(flat.values()))
     writes = (full != np.eye(size, dtype=np.int64)).any(axis=1)
     reads = ((full != 0) & writes[:, None, :]).any(axis=2)
     return [(np.flatnonzero(reads[g]), full[g][reads[g]][:, writes[g]],
@@ -294,16 +308,16 @@ def _digits(codes: np.ndarray, p: int, width: int) -> np.ndarray:
     return out
 
 
-def _encode(f: LinearForm, roots: List[Root]) -> int:
+def _encode(f: LinearForm) -> int:
     code = 0
-    for root in reversed(roots):
+    for root in reversed(_root_order(f.n)):
         code = code * f.p + int(f.value(root))
     return code
 
 
-def _row_form(n: int, p: int, roots: List[Root], row: List[int]
-              ) -> LinearForm:
-    return LinearForm(n, p, {r: d for r, d in zip(roots, row) if d})
+def _row_form(n: int, p: int, row: List[int]) -> LinearForm:
+    return LinearForm._reduced(
+        n, p, {r: d for r, d in zip(_root_order(n), row) if d})
 
 
 class Orbit:
@@ -316,7 +330,6 @@ class Orbit:
         self.p = p
         self.representative = representative
         self.codes = codes
-        self._roots = _root_order(n)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -324,16 +337,16 @@ class Orbit:
     def __contains__(self, f) -> bool:
         if not isinstance(f, LinearForm) or (f.n, f.p) != (self.n, self.p):
             return False
-        code = _encode(f, self._roots)
+        code = _encode(f)
         at = int(np.searchsorted(self.codes, code))
         return at < len(self.codes) and int(self.codes[at]) == code
 
     def __iter__(self):
         for row in self.member_array().tolist():
-            yield _row_form(self.n, self.p, self._roots, row)
+            yield _row_form(self.n, self.p, row)
 
     def member_array(self) -> np.ndarray:
-        return _digits(self.codes, self.p, len(self._roots))
+        return _digits(self.codes, self.p, len(_root_order(self.n)))
 
 
 def _budget_value(budget: Optional[int]) -> int:
@@ -414,7 +427,7 @@ def orbit_bfs(f: LinearForm, budget: Optional[int] = None) -> Orbit:
     _check_prime(p)
     _check_codes_fit(n, p)
     limit = _budget_value(budget)
-    codes = np.array([_encode(f, _root_order(n))], dtype=np.int64)
+    codes = np.array([_encode(f)], dtype=np.int64)
     _check_orbit_budget(n, p, len(codes), limit)
     for move in _generator_moves(n, p):
         codes = _sweep(codes, p, *move)
@@ -433,7 +446,7 @@ def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
     code = 0
     while code < len(free):
         row = _digits(np.array([code]), p, len(roots))[0].tolist()
-        orbit = orbit_bfs(_row_form(n, p, roots, row), budget=budget)
+        orbit = orbit_bfs(_row_form(n, p, row), budget=budget)
         free[orbit.codes] = False
         orbits.append(orbit)
         code += int(np.argmax(free[code:]))
@@ -542,17 +555,26 @@ def verify_polarization(pol: Iterable[Root], f: LinearForm) -> bool:
 
 # --- classification -------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _catalog_masks(n: int, catalog: Tuple[AdmissibleSubset, ...]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Each diagram's pick and marked masks, bit k for root k.  Subsets
+    compare by identity, so the masks are reused only for a catalog that
+    holds the very same subsets."""
+    index = {r: k for k, r in enumerate(_root_order(n))}
+    return (np.array([sum(1 << index[r] for r in s.xi) for s in catalog],
+                     dtype=np.int64),
+            np.array([sum(1 << index[r] for r, m in zip(s.xi, s.otimes_mask)
+                          if m) for s in catalog], dtype=np.int64))
+
+
 def _classify_orbit(orbit: Orbit, stage: str
                     ) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     n, p = orbit.n, orbit.p
     roots = _root_order(n)
     index = {r: k for k, r in enumerate(roots)}
     catalog = enumerate_maximal(n)
-    # Bit k of a support or a pick mask stands for root k.
-    picks = np.array([sum(1 << index[r] for r in s.xi) for s in catalog],
-                     dtype=np.int64)
-    marked = np.array([sum(1 << index[r] for r, m in zip(s.xi, s.otimes_mask)
-                           if m) for s in catalog], dtype=np.int64)
+    picks, marked = _catalog_masks(n, tuple(catalog))
     weights = 1 << np.arange(len(roots), dtype=np.int64)
     rows = max(1, _BLOCK_CELLS // max(len(roots), len(catalog)))
     matches: List[Tuple[AdmissibleSubset, Dict[Root, int]]] = []

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.root_system import Root, positive_roots
-from artifact.admissible import build_admissible, dimension
+from artifact.admissible import build_admissible, dimension, \
+    enumerate_maximal
 from artifact.orbit_engine import (
     BudgetExceeded,
     ClassificationMismatch,
@@ -31,6 +32,7 @@ from artifact.orbit_engine import (
 )
 
 from conftest import CATALOG3, CATALOG4, CATALOG5, CENSUS_EXPECT, R
+from test_properties import _dense_mul
 
 
 def form(n, p, vals):
@@ -95,7 +97,8 @@ class TestCoadjointAction:
         g = GroupElement(4, 5, {(2, 1): 2, (4, 3): 1})
         h = GroupElement(4, 5, {(3, 2): 3, (4, 1): 4})
         lhs = coadjoint_act(g, coadjoint_act(h, f))
-        rhs = coadjoint_act(g.compose(h), f)
+        gh = GroupElement(4, 5, _matrix=_dense_mul(g.matrix, h.matrix, 5))
+        rhs = coadjoint_act(gh, f)
         assert lhs == rhs
 
     def test_inverse_round_trip(self):
@@ -601,6 +604,55 @@ class TestCensus:
             (5, 3, 2): 8, (5, 3, 3): 4, (5, 3, 4): 16,
         }
         assert sum(counts.values()) == 61
+
+
+def _reference_masks(catalog):
+    index = {r: k for k, r in enumerate(positive_roots(catalog[0].n))}
+    picks = [sum(1 << index[r] for r in s.xi) for s in catalog]
+    marked = [sum(1 << index[r] for r, m in zip(s.xi, s.otimes_mask) if m)
+              for s in catalog]
+    return [picks, marked]
+
+
+class TestCatalogMasks:
+    """The pick and marked masks are reused only for a catalog that holds
+    the same subsets, by identity."""
+
+    def test_same_subsets_reuse_the_masks(self):
+        from artifact import orbit_engine
+
+        first = orbit_engine._catalog_masks(5, tuple(enumerate_maximal(5)))
+        again = orbit_engine._catalog_masks(5, tuple(enumerate_maximal(5)))
+        assert again is first
+        assert [m.tolist() for m in first] == \
+            _reference_masks(enumerate_maximal(5))
+
+    def test_other_subsets_rebuild_the_masks(self):
+        from artifact import orbit_engine
+
+        catalog = enumerate_maximal(5)
+        equal_copies = [build_admissible(5, s.xi) for s in catalog]
+        first = orbit_engine._catalog_masks(5, tuple(catalog))
+        for other in (catalog[::-1], catalog[:-1], catalog + catalog,
+                      equal_copies):
+            masks = orbit_engine._catalog_masks(5, tuple(other))
+            assert masks is not first
+            assert [m.tolist() for m in masks] == _reference_masks(other)
+
+    @pytest.mark.parametrize("n,p", [(5, 3), (6, 2)])
+    def test_answers_match_fresh_masks(self, n, p):
+        from artifact import orbit_engine
+
+        orbits = all_orbits(n, p)
+        reused = [orbit_engine._classify_orbit(o, "census") for o in orbits]
+        fresh = []
+        for orbit in orbits:
+            orbit_engine._catalog_masks.cache_clear()
+            fresh.append(orbit_engine._classify_orbit(orbit, "census"))
+        assert [(s.label, c) for s, c in reused] == \
+            [(s.label, c) for s, c in fresh]
+        for orbit, (s, c) in zip(orbits, reused):
+            assert canonical_form(s, c, p) in orbit
 
 
 class TestRegularIdeal:

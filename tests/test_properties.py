@@ -23,6 +23,7 @@ from artifact.orbit_engine import (
     coadjoint_act,
     kirillov_rank,
     orbit_bfs,
+    _generator_moves,
 )
 from artifact.char_matrix import w_eta
 
@@ -179,8 +180,8 @@ def _dense_coadjoint(g, f):
 
 
 @st.composite
-def group_and_form(draw):
-    n = draw(st.integers(2, 6))
+def group_and_form(draw, max_n=6):
+    n = draw(st.integers(2, max_n))
     p = draw(st.sampled_from([2, 3, 5, 7, None]))
     scalar = (st.fractions(-4, 4, max_denominator=5) if p is None
               else st.integers(0, p - 1))
@@ -204,10 +205,64 @@ class TestGroupArithmetic:
     def test_inverse(self, gf):
         g, _f = gf
         n, p = g.n, g.p
-        assert g.compose(g.inverse()).matrix == GroupElement(n, p).matrix
-        assert g.inverse().compose(g).matrix == GroupElement(n, p).matrix
+        ident = GroupElement(n, p).matrix
+        assert _dense_mul(g.matrix, g.inverse().matrix, p) == ident
+        assert _dense_mul(g.inverse().matrix, g.matrix, p) == ident
         assert g.inverse().inverse().matrix == g.matrix
         assert g.inverse().matrix == _dense_inverse(g.matrix, p)
+
+
+class TestTrustedActResult:
+    """coadjoint_act builds its result without the validating constructor;
+    the result must be the form that constructor would build."""
+
+    @given(group_and_form(max_n=7))
+    @settings(max_examples=150)
+    def test_result_equals_validated_form(self, gf):
+        g, f = gf
+        for out in (coadjoint_act(g, f), coadjoint_act(g.inverse(),
+                                                       coadjoint_act(g, f))):
+            ref = LinearForm(out.n, out.p, out.values)
+            assert out == ref and hash(out) == hash(ref)
+            for root, v in out.values.items():
+                assert 1 <= root.col < root.row <= out.n
+                if out.p is None:
+                    assert isinstance(v, Fraction) and v != 0
+                else:
+                    assert type(v) is int and 1 <= v < out.p
+
+
+def _reference_moves(n, p):
+    """The sparse generator moves, read off the dense conjugation of each
+    basis form by each generator I + e_alpha, in root order."""
+    roots = list(positive_roots(n))
+    moves = []
+    for gen in roots:
+        g = GroupElement(n, p, {(gen.row, gen.col): 1})
+        # image[k][i]: value at root i of basis form k moved by g.
+        image = []
+        for basis in roots:
+            moved = _dense_coadjoint(g, LinearForm(n, p, {basis: 1}))
+            image.append([moved.value(r) for r in roots])
+        writes = [i for i in range(len(roots))
+                  if any(image[k][i] != int(k == i)
+                         for k in range(len(roots)))]
+        if not writes:
+            continue
+        reads = [k for k in range(len(roots))
+                 if any(image[k][i] != 0 for i in writes)]
+        columns = [[image[k][i] for i in writes] for k in reads]
+        moves.append((reads, columns, writes))
+    return moves
+
+
+class TestGeneratorMoves:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_matches_dense_reference(self, n, p):
+        got = [(reads.tolist(), columns.tolist(), writes.tolist())
+               for reads, columns, writes in _generator_moves(n, p)]
+        assert got == _reference_moves(n, p)
 
 
 class TestWEtaInvariants:
