@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._poly import LocalizedPolynomial, Polynomial, substitute
+from ._poly import LocalizedPolynomial, Polynomial
 from .root_system import Root, lex_greater, lex_sort_key
 from .symbolic import _solve_for, _substitute_rules, const, loc, \
     pick_values, y_var
@@ -214,19 +214,12 @@ def triangular_system(s, c=None) -> TriangularSystem:
     with a constants-only leading coefficient (``symbolic._solve_for``
     with nothing invertible); otherwise LemmaFailure.
     """
-    point = pick_values(s, c)
-
-    def value(key):
-        # y off the picks is zero at the canonical point; c stays symbolic.
-        if key[0] != "y":
-            return Polynomial.variable(key)
-        return point.get(Root(key[1], key[2]), 0)
-
+    point = {("y", r.row, r.col): v for r, v in pick_values(s, c).items()}
     rules: Dict[Root, LocalizedPolynomial] = {}
     coeffs: Dict[Root, LocalizedPolynomial] = {}
     for eta in sorted(s.a_set, key=lex_sort_key):  # lex-greatest first
         invariant = p_h_eta(s, eta)
-        red = _substitute_rules(loc(invariant - substitute(invariant, value)),
+        red = _substitute_rules(loc(invariant - _at_point(invariant, point)),
                                 rules.items())
         rule = _solve_for(red.num, eta, ())
         if rule is None:
@@ -235,6 +228,24 @@ def triangular_system(s, c=None) -> TriangularSystem:
         rules[eta] = rule.value
         coeffs[eta] = loc(rule.den, red.den)
     return TriangularSystem(rules, coeffs)
+
+
+def _at_point(poly: Polynomial, point: Dict) -> Polynomial:
+    """poly at the canonical point, in one pass over its terms: a term
+    survives only when each of its y is a pick, each such y becomes the
+    pick's value in ``point`` (keyed by variable), and c stays symbolic."""
+    acc: Dict = {}
+    for mono, coef in poly.terms.items():
+        # y off the picks is zero at the canonical point.
+        if any(key[0] == "y" and key not in point for key, _e in mono):
+            continue
+        term = const(coef)
+        for key, exp in mono:
+            x = point[key] if key[0] == "y" else Polynomial.variable(key)
+            term = term * x ** exp
+        for m, v in term.terms.items():
+            acc[m] = acc.get(m, 0) + v
+    return Polynomial(acc)
 
 
 # --- fixed minor families ------------------------------------------------

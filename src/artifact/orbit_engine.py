@@ -78,7 +78,7 @@ class LinearForm:
     """A linear form on the strictly lower triangle; zero values are not
     stored, and finite-field values are reduced immediately."""
 
-    __slots__ = ("n", "p", "values", "_hash")
+    __slots__ = ("n", "p", "values", "_hash", "_rank")
 
     def __init__(self, n: int, p: Optional[int],
                  values: Optional[Dict[Root, object]] = None):
@@ -106,6 +106,8 @@ class LinearForm:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_hash", None)
+        # _rank stays unset until kirillov_rank computes it: one more store
+        # here would cost every form the orbit searches build.
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearForm is immutable")
@@ -183,6 +185,13 @@ def _root_order(n: int) -> Tuple[Root, ...]:
     return tuple(positive_roots(n))
 
 
+def _generators(n: int, p: int) -> Tuple[GroupElement, ...]:
+    """The generators I + e_alpha in root order.  Each caches its inverse
+    on first use, so a caller that keeps them solves each inverse once."""
+    return tuple(GroupElement(n, p, {(r.row, r.col): 1})
+                 for r in _root_order(n))
+
+
 @lru_cache(maxsize=None)
 def _root_grid(n: int) -> Tuple[Tuple[Root, ...], ...]:
     """grid[b][a] is the root (b + 1, a + 1) of ``_root_order(n)``, for the
@@ -251,9 +260,11 @@ def canonical_form(s: AdmissibleSubset, c: Dict[Root, object],
 
 # --- orbit enumeration ----------------------------------------------------
 
-def _generator_moves(n: int, p: int
+def _generator_moves(n: int, p: int,
+                     generators: Optional[Tuple[GroupElement, ...]] = None
                      ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The generators I + e_alpha as sparse moves on states.
+    """The ``_generators(n, p)``, or the given ones, as sparse moves on
+    states.
 
     A generator changes only a few values of a form, each a linear function
     of a few old values.  There is one triple (reads, columns, writes) for
@@ -268,8 +279,7 @@ def _generator_moves(n: int, p: int
     # written at once from its nonzero entries keyed by flat position.
     flat: Dict[int, int] = {}
     basis = [LinearForm._reduced(n, p, {r: 1}) for r in roots]
-    for g_at, gen_root in enumerate(roots):
-        g = GroupElement(n, p, {(gen_root.row, gen_root.col): 1})
+    for g_at, g in enumerate(generators or _generators(n, p)):
         for k, form in enumerate(basis):
             base = (g_at * size + k) * size
             for root, v in coadjoint_act(g, form).values.items():
@@ -413,14 +423,18 @@ def _sweep(codes: np.ndarray, p: int, reads: np.ndarray,
     return images[keep]
 
 
-def orbit_bfs(f: LinearForm, budget: Optional[int] = None) -> Orbit:
+def orbit_bfs(f: LinearForm, budget: Optional[int] = None,
+              generators: Optional[Tuple[GroupElement, ...]] = None
+              ) -> Orbit:
     """The orbit of f as a product of root subgroups.
 
     The group is X_a1 X_a2 ... X_aN for the root subgroups X_a taken in any
     fixed order, and X_a = {(I + e_a)^t : t < p} since e_a^2 = 0, so the
     orbit is reached by closing {f} under one generator after another.
     Every set on the way lies inside the orbit, so the budget, a cap on
-    the orbit size, is checked after each closure."""
+    the orbit size, is checked after each closure.  ``generators``, the
+    ``_generators(n, p)`` of f's field, lets a caller that searches many
+    orbits build them once."""
     if f.p is None:
         raise ValueError("orbit enumeration needs a finite field")
     n, p = f.n, f.p
@@ -429,7 +443,7 @@ def orbit_bfs(f: LinearForm, budget: Optional[int] = None) -> Orbit:
     limit = _budget_value(budget)
     codes = np.array([_encode(f)], dtype=np.int64)
     _check_orbit_budget(n, p, len(codes), limit)
-    for move in _generator_moves(n, p):
+    for move in _generator_moves(n, p, generators):
         codes = _sweep(codes, p, *move)
         _check_orbit_budget(n, p, len(codes), limit)
     return Orbit(n, p, f, codes)
@@ -442,11 +456,13 @@ def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
     _check_space_budget("all_orbits", n, p, budget)
     roots = _root_order(n)
     free = np.ones(p ** len(roots), dtype=bool)
+    generators = _generators(n, p)
     orbits = []
     code = 0
     while code < len(free):
         row = _digits(np.array([code]), p, len(roots))[0].tolist()
-        orbit = orbit_bfs(_row_form(n, p, row), budget=budget)
+        orbit = orbit_bfs(_row_form(n, p, row), budget=budget,
+                          generators=generators)
         free[orbit.codes] = False
         orbits.append(orbit)
         code += int(np.argmax(free[code:]))
@@ -458,7 +474,8 @@ def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
 # --- invariants of a point ------------------------------------------------
 
 def kirillov_rank(f: LinearForm) -> int:
-    """Rank of the form's bracket matrix over the positive roots.
+    """Rank of the form's bracket matrix over the positive roots, computed
+    once per form.
 
     The matrix is built from ``f.values`` as ints: residues mod p over F_p
     and, over Q, the values times the lcm of their denominators, which
@@ -467,6 +484,9 @@ def kirillov_rank(f: LinearForm) -> int:
     p = f.p
     if p is not None:
         _check_prime(p)
+    rank = getattr(f, "_rank", None)
+    if rank is not None:
+        return rank
     vals = f.values
     if p is None:
         scale = math.lcm(*(v.denominator for v in vals.values()))
@@ -477,7 +497,9 @@ def kirillov_rank(f: LinearForm) -> int:
     for i, j, sign, c in structure_constants(f.n):
         v = sign * vals.get(c, 0)
         mat[i][j] = v if p is None else v % p
-    return _int_rank(mat, p)
+    rank = _int_rank(mat, p)
+    object.__setattr__(f, "_rank", rank)
+    return rank
 
 
 def _int_rank(mat: List[List[int]], p: Optional[int]) -> int:

@@ -30,6 +30,7 @@ from .root_system import (
     lex_sort_key,
     positive_roots,
     root_bracket,
+    structure_constants,
 )
 
 __all__ = [
@@ -411,19 +412,60 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
     """True when {g, y_r} lies in the ideal for every generator g and
     coordinate y_r.
 
-    Each bracket is tested through the handle's normal form phi, a ring
-    homomorphism, by the chain rule:
+    On an exact handle (its rules over the handle's field, no rule
+    denominator sent to zero by the normal form phi) the localized ideal
+    is generated by y_v - phi(y_v), one per rule root v, where
+    phi(y_v) = N/D holds only free coordinates.  By Leibniz, closing one
+    generating set closes the ideal, so the check is, for every rule v and
+    coordinate y_r,
 
-        phi({g, y_kl}) = sum_a phi(dg/dy_a) * phi({y_a, y_kl}),
-        {y_ij, y_kl} = [j=k] y_il - [l=i] y_kj,
+        D^2 * phi({y_v, y_r}) = sum_u (N_u D - N D_u) * phi({y_u, y_r}),
 
-    so each generator costs one normal form per variable it involves, and
-    phi(y) is computed once per coordinate.  Generators and roots are
-    visited in order; the result, and ``UnsupportedIdealShape`` for a
-    bracket that is not identically zero when the generators did not
-    triangularize, are those of bracketing then ``contains``.
+    summed over the free y_u of N/D, with phi(y) computed once per
+    coordinate: no normal form of anything but a coordinate is taken.
+
+    Any other handle tests each generator with ``is_casimir_mod`` in order,
+    so the result, and ``UnsupportedIdealShape`` for a bracket that is not
+    identically zero when the generators did not triangularize, are those
+    of bracketing then ``contains``.
     """
-    return all(is_casimir_mod(gen, handle) for gen in handle.generators)
+    field = handle.p
+    if handle.rules is None or not handle.is_exact(field):
+        return all(is_casimir_mod(gen, handle) for gen in handle.generators)
+    partners = _bracket_partners(handle.n)
+    for v in handle.rules:
+        phi_v = handle.coordinate(v, field)
+        # Both sides as one sum, y_v's term with coefficient D^2; per y_r,
+        # numerators over the same denominator phi(y_c) are added first.
+        coefs = [(v, phi_v.den ** 2)]
+        coefs += [(u, -part) for u, part in _y_partials(phi_v).items()]
+        sums: Dict[Root, Dict[Polynomial, Polynomial]] = {}
+        for x, coef in coefs:
+            for r, sign, c in partners[x]:
+                step = handle.coordinate(c, field)
+                if step.num.is_zero():
+                    continue
+                term = coef * step.num if sign > 0 else -coef * step.num
+                by_den = sums.setdefault(r, {})
+                prev = by_den.get(step.den)
+                by_den[step.den] = term if prev is None else prev + term
+        for by_den in sums.values():
+            parts = [LocalizedPolynomial(num, den)
+                     for den, num in by_den.items()]
+            if not sum(parts[1:], parts[0]).num.is_zero():
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _bracket_partners(n: int) -> Dict[Root, List[Tuple[Root, int, Root]]]:
+    """For each positive root a, every (b, sign, c) with
+    {y_a, y_b} = sign * y_c."""
+    roots = list(positive_roots(n))
+    out: Dict[Root, List[Tuple[Root, int, Root]]] = {a: [] for a in roots}
+    for i, j, sign, c in structure_constants(n):
+        out[roots[i]].append((roots[j], sign, c))
+    return out
 
 
 # --- the twist map ------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each criterion test below covers exactly one release criterion and produces
 a single pass/fail line under ``pytest -v``; the golden-text test pins the
-exact minor and triangular-solver texts of every maximal diagram.
+exact minor and triangular-solver texts of every maximal diagram, and the
+random-conjugation oracle checks the invariants, ideals and ranks of every
+diagram at a random conjugate of a canonical form.
 """
 import hashlib
 import itertools
@@ -17,12 +19,14 @@ import pytest
 from artifact._poly import substitute
 from artifact.root_system import lex_sort_key, positive_roots
 from artifact.admissible import build_admissible, dimension, enumerate_maximal, render_diagram
-from artifact.symbolic import IdealHandle, build_ideal, is_casimir_mod, is_poisson_ideal, poly_text, y_var
+from artifact.symbolic import IdealHandle, build_ideal, evaluate, is_casimir_mod, is_poisson_ideal, poly_text, y_var
 from artifact.char_matrix import LemmaFailure, p_h_eta, regular_minors, triangular_system
 from artifact.orbit_engine import (
+    GroupElement,
     LinearForm,
     all_orbits,
     canonical_form,
+    coadjoint_act,
     census,
     classify,
     kirillov_rank,
@@ -313,6 +317,40 @@ def test_golden_minor_and_triangular_texts():
         assert texts_digest(minors) == GOLDEN_P_H_ETA[n], n
         assert texts_digest(solved) == GOLDEN_TRIANGULAR[n], n
     assert unsolved == [(7, 2, 1), (7, 3, 1)]
+
+
+def test_random_conjugation_oracle():
+    # At f = g . f0 for a random g in UT(n, K), with f0 a canonical form,
+    # every invariant keeps its value at f0, every generator of the
+    # defining ideal vanishes and the rank is the diagram's dimension.
+    # The invariants fail exactly where the triangular solver has its two
+    # known gaps; closing a gap must empty the expected set on purpose.
+    rng = random.Random(13)
+    failures = set()
+    for p, scalar in ((10007, lambda: rng.randrange(10007)),
+                      (None, lambda: Fraction(rng.randint(-3, 3)))):
+        for n in range(2, 8):
+            for s in enumerate_maximal(n):
+                c = {}
+                for r, marked in zip(s.xi, s.otimes_mask):
+                    v = scalar()
+                    while marked and v == 0:
+                        v = scalar()
+                    c[r] = v
+                g = GroupElement(n, p, {(r.row, r.col): scalar()
+                                        for r in positive_roots(n)})
+                f0 = canonical_form(s, c, p)
+                f = coadjoint_act(g, f0)
+                for eta in s.a_set:
+                    inv = p_h_eta(s, eta)
+                    if evaluate(inv, f) != evaluate(inv, f0):
+                        failures.add((s.label, (eta.row, eta.col)))
+                if any(evaluate(gen, f) != 0
+                       for gen in build_ideal(s, c).generators):
+                    failures.add((s.label, "ideal"))
+                if kirillov_rank(f) != dimension(s):
+                    failures.add((s.label, "rank"))
+    assert failures == {((7, 2, 1), (7, 5)), ((7, 3, 1), (7, 4))}
 
 
 def test_criterion_09_polarizations():

@@ -177,6 +177,34 @@ class TestOrbitBfs:
         assert len(members) == 4
         assert all(isinstance(m, LinearForm) for m in members)
 
+    def test_generators_built_once_per_partition(self, monkeypatch):
+        # all_orbits builds the generators I + e_alpha and their inverses
+        # once and hands them to every search, which still moves the N
+        # basis forms by the N generators through coadjoint_act.
+        from artifact import orbit_engine
+
+        built, acts = [], []
+        real_init, real_act = GroupElement.__init__, orbit_engine.coadjoint_act
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        def counting_act(g, x):
+            acts.append(g)
+            return real_act(g, x)
+
+        monkeypatch.setattr(GroupElement, "__init__", counting_init)
+        monkeypatch.setattr(orbit_engine, "coadjoint_act", counting_act)
+        orbit_bfs(form(4, 2, {R(4, 1): 1}))
+        one_search = len(built)
+        built.clear()
+        acts.clear()
+        orbits = all_orbits(4, 2)
+        assert len(orbits) == 16
+        assert len(built) == one_search
+        assert len(acts) == len(orbits) * len(positive_roots(4)) ** 2
+
 
 def form_of_code(n, p, code):
     """The form whose values are the base-p digits of code, in
@@ -375,6 +403,28 @@ class TestKirillovRank:
     def test_finite_field(self):
         f = form(3, 101, {R(3, 1): 5})
         assert kirillov_rank(f) == 2
+
+    def test_rank_computed_once_per_form(self, monkeypatch):
+        from artifact import orbit_engine
+
+        s = build_admissible(5, CATALOG5[(5, 2, 1)]["seq"])
+        c = {r: Fraction(k + 2) for k, r in enumerate(s.xi)}
+        eliminations = []
+        real = orbit_engine._int_rank
+
+        def counting(mat, p):
+            eliminations.append(p)
+            return real(mat, p)
+
+        monkeypatch.setattr(orbit_engine, "_int_rank", counting)
+        f = canonical_form(s, c)
+        assert kirillov_rank(f) == 4
+        assert verify_polarization(polarization(s), f)
+        assert kirillov_rank(f) == 4
+        assert len(eliminations) == 1
+        # An equal form built anew computes its own rank.
+        assert kirillov_rank(canonical_form(s, c)) == 4
+        assert len(eliminations) == 2
 
     @pytest.mark.parametrize("p", [None, 2, 3, 101])
     def test_matches_field_elimination(self, p):

@@ -853,6 +853,23 @@ class TestChainRuleClosure:
                 assert _outcome(is_casimir_mod, z, handle) == \
                     _outcome(_casimir_reference, z, handle), s.label
 
+    def test_dropped_generator_matches_reference(self):
+        # Every catalog ideal is closed, so each one is also checked with
+        # one generator left out: the rule-coordinate check must then find
+        # the ideals that are not closed, and a handle that does not
+        # triangularize must raise as the reference does.
+        outcomes = set()
+        for s in _every_diagram(6):
+            gens = build_ideal(s, None).generators
+            for k in range(len(gens)):
+                h = IdealHandle.from_generators(
+                    s.n, gens[:k] + gens[k + 1:], s.s_otimes)
+                got = _outcome(is_poisson_ideal, h)
+                assert got == _outcome(_poisson_reference, h), (s.label, k)
+                outcomes.add(got[:2])
+        assert ("returns", True) in outcomes
+        assert ("returns", False) in outcomes
+
     def test_triangular_handles_bracket_nothing(self, monkeypatch):
         # On a triangular ideal the check needs no bracket and no
         # membership test.
