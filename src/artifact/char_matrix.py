@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._poly import LocalizedPolynomial, Polynomial
-from .root_system import Root, lex_greater, lex_sort_key
-from .symbolic import _solve_for, _substitute_rules, const, loc, \
-    pick_values, y_var
+from .root_system import Root, lex_greater, lex_sort_key, positive_roots
+from .symbolic import _phi, _solve_for, const, loc, pick_values, y_var
 
 __all__ = [
     "LemmaFailure", "MinorSpec", "NotInA", "TauPolynomial", "WEta",
@@ -127,30 +126,21 @@ class WEta:
     d: int
 
 
-def _w_perm(s, eta: Root) -> Dict[int, int]:
-    """The permutation: reflect in eta first, then in each marked pick
-    lex-greater than eta, least of those first."""
+def w_eta(s, eta: Root) -> WEta:
+    """The word of eta: the images of 1..col(eta) under the permutation
+    that reflects in eta first, then in each marked pick lex-greater than
+    eta, least of those first."""
+    if eta not in s.a_set:
+        raise NotInA(f"{eta!r} is not a closure root of the diagram")
     perm = {m: m for m in range(1, s.n + 1)}
-
-    def apply(root: Root) -> None:
+    betas = [b for b in s.s_otimes if lex_greater(b, eta)]
+    for root in [eta] + sorted(betas, key=lex_sort_key, reverse=True):
         for m in perm:
             if perm[m] == root.row:
                 perm[m] = root.col
             elif perm[m] == root.col:
                 perm[m] = root.row
-
-    apply(eta)
-    betas = [b for b in s.s_otimes if lex_greater(b, eta)]
-    for b in sorted(betas, key=lex_sort_key, reverse=True):  # least first
-        apply(b)
-    return perm
-
-
-def w_eta(s, eta: Root) -> WEta:
-    if eta not in s.a_set:
-        raise NotInA(f"{eta!r} is not a closure root of the diagram")
     j = eta.col
-    perm = _w_perm(s, eta)
     image = sorted(perm[m] for m in range(1, j + 1))
     q = sum(1 for m in range(1, j + 1) if m not in set(image))
     d = sum(1 for m, r in enumerate(image, start=1) if r > m)
@@ -160,23 +150,22 @@ def w_eta(s, eta: Root) -> WEta:
 def h_subset(s, eta: Root) -> Tuple[frozenset, int]:
     """The unique sub-collection of marked picks above eta whose root sum
     matches the defect of the word, plus one for eta itself."""
-    if eta not in s.a_set:
-        raise NotInA(f"{eta!r} is not a closure root of the diagram")
-    n = s.n
-    j = eta.col
-    perm = _w_perm(s, eta)
+    return _h_subset(s, eta, w_eta(s, eta).rows)
+
+
+def _h_subset(s, eta: Root, rows) -> Tuple[frozenset, int]:
     # epsilon coordinates: root (i, j) contributes +1 at j, -1 at i.
-    v = [0] * (n + 1)
-    for m in range(1, j + 1):
+    v = [0] * (s.n + 1)
+    for m, r in zip(range(1, eta.col + 1), rows):
         v[m] += 1
-        v[perm[m]] -= 1
+        v[r] -= 1
     v[eta.col] -= 1
     v[eta.row] += 1
     betas = [b for b in s.s_otimes if lex_greater(b, eta)]
     matches = []
     for size in range(len(betas) + 1):
         for combo in itertools.combinations(betas, size):
-            w = [0] * (n + 1)
+            w = [0] * (s.n + 1)
             for b in combo:
                 w[b.col] += 1
                 w[b.row] -= 1
@@ -191,8 +180,8 @@ def h_subset(s, eta: Root) -> Tuple[frozenset, int]:
 def p_h_eta(s, eta: Root) -> Polynomial:
     """The invariant attached to a closure root: one tau-coefficient of
     the minor on columns 1..col(eta) and the rows of the word."""
-    _hs, h = h_subset(s, eta)
     w = w_eta(s, eta)
+    _hs, h = _h_subset(s, eta, w.rows)
     spec = MinorSpec(cols=tuple(range(1, eta.col + 1)), rows=w.rows)
     return minor(s.n, spec).coeff(h)
 
@@ -214,38 +203,26 @@ def triangular_system(s, c=None) -> TriangularSystem:
     with a constants-only leading coefficient (``symbolic._solve_for``
     with nothing invertible); otherwise LemmaFailure.
     """
-    point = {("y", r.row, r.col): v for r, v in pick_values(s, c).items()}
+    # At the canonical point a pick is its value and any other y is zero.
+    picks = pick_values(s, c)
+    point = {("y", r.row, r.col): loc(picks.get(r, Polynomial.zero()))
+             for r in positive_roots(s.n)}
     rules: Dict[Root, LocalizedPolynomial] = {}
     coeffs: Dict[Root, LocalizedPolynomial] = {}
+    # No rule value holds a solved coordinate, so one simultaneous
+    # substitution of this table reduces an invariant.
+    solved: Dict = {}
     for eta in sorted(s.a_set, key=lex_sort_key):  # lex-greatest first
         invariant = p_h_eta(s, eta)
-        red = _substitute_rules(loc(invariant - _at_point(invariant, point)),
-                                rules.items())
+        red = _phi(loc(invariant - _phi(loc(invariant), point.get).num),
+                   solved.get)
         rule = _solve_for(red.num, eta, ())
         if rule is None:
             raise LemmaFailure(
                 f"invariant of {eta!r} does not solve for its coordinate")
-        rules[eta] = rule.value
+        rules[eta] = solved["y", eta.row, eta.col] = rule.value
         coeffs[eta] = loc(rule.den, red.den)
     return TriangularSystem(rules, coeffs)
-
-
-def _at_point(poly: Polynomial, point: Dict) -> Polynomial:
-    """poly at the canonical point, in one pass over its terms: a term
-    survives only when each of its y is a pick, each such y becomes the
-    pick's value in ``point`` (keyed by variable), and c stays symbolic."""
-    acc: Dict = {}
-    for mono, coef in poly.terms.items():
-        # y off the picks is zero at the canonical point.
-        if any(key[0] == "y" and key not in point for key, _e in mono):
-            continue
-        term = const(coef)
-        for key, exp in mono:
-            x = point[key] if key[0] == "y" else Polynomial.variable(key)
-            term = term * x ** exp
-        for m, v in term.terms.items():
-            acc[m] = acc.get(m, 0) + v
-    return Polynomial(acc)
 
 
 # --- fixed minor families ------------------------------------------------

@@ -105,8 +105,7 @@ class LinearForm:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_hash", None)
-        # _rank stays unset until kirillov_rank computes it: one more store
+        # _hash and _rank stay unset until first needed: one more store
         # here would cost every form the orbit searches build.
 
     def __setattr__(self, name, value):
@@ -122,7 +121,7 @@ class LinearForm:
             (other.n, other.p, other.values)
 
     def __hash__(self):
-        h = self._hash
+        h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.n, self.p, frozenset(self.values.items())))
             object.__setattr__(self, "_hash", h)

@@ -9,6 +9,7 @@ membership.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -186,42 +187,61 @@ class Rule:
         return LocalizedPolynomial(-self.rest, self.den)
 
 
-def _subst_poly(poly: Polynomial, key,
-                rep: LocalizedPolynomial) -> LocalizedPolynomial:
-    parts = poly.split_by(key)
-    top = max(parts, default=0)
-    if top == 0:
-        return LocalizedPolynomial(poly)
-    acc = Polynomial.zero(poly.p)
-    for exp in sorted(parts):
-        part = parts[exp]
-        if exp:
-            part = part * rep.num ** exp
-        if exp < top:
-            part = part * rep.den ** (top - exp)
-        acc = acc + part
-    return LocalizedPolynomial(acc, rep.den ** top)
+def _substituted(poly: Polynomial, value) -> Tuple[Polynomial, Polynomial]:
+    """(num, den) with num / den = poly after each variable whose value(key)
+    is not None becomes that value ((poly, 1) when none does): the terms
+    are grouped by those exponents, a term with a zero value dropped, and
+    the groups put over one denominator prod den_k^top_k."""
+    p = poly.p
+    images = {key: image for key in poly.variables()
+              if (image := value(key)) is not None}
+    if not images:
+        return poly, Polynomial.one(p)
+    for image in images.values():
+        if image.p != p:
+            raise FieldMismatch(f"mixed coefficient fields: {p} vs {image.p}")
+    groups: Dict[Tuple, Dict] = {}
+    for mono, coef in poly.terms.items():
+        free, keyed = [], []
+        for k, e in mono:
+            image = images.get(k)
+            if image is None:
+                free.append((k, e))
+            elif not image.num.terms:
+                break  # the term vanishes
+            else:
+                keyed.append((k, e))
+        else:
+            groups.setdefault(tuple(keyed), {})[tuple(free)] = coef
+    tops = {k: max((dict(keyed).get(k, 0) for keyed in groups), default=0)
+            for k, image in images.items()
+            if image.num.terms and not image.den.is_constant()}
+    acc: Dict = {}
+    for keyed, terms in groups.items():
+        exps, part = dict(keyed), Polynomial(terms, p)
+        for k, e in keyed:
+            part = part * images[k].num ** e
+        for k, top in tops.items():
+            if top > exps.get(k, 0):
+                part = part * images[k].den ** (top - exps.get(k, 0))
+        for mono, coef in part.terms.items():
+            acc[mono] = acc.get(mono, 0) + coef
+    return Polynomial(acc, p), math.prod(
+        (images[k].den ** top for k, top in tops.items()),
+        start=Polynomial.one(p))
 
 
-def _substitute_rules(val: LocalizedPolynomial, rules
-                      ) -> LocalizedPolynomial:
-    """Substitute each (root, value) pair's value for y_root, in the
-    order given, into each side of val that holds y_root.
-
-    A rule whose variable occurs in neither side is skipped: substituting
-    it would rebuild the same already reduced fraction.
-    """
-    num_vars, den_vars = val.num.variables(), val.den.variables()
-    for root, rep in rules:
-        key = ("y", root.row, root.col)
-        if key not in num_vars and key not in den_vars:
-            continue
-        top = _subst_poly(val.num, key, rep) if key in num_vars \
-            else LocalizedPolynomial(val.num)
-        val = top / _subst_poly(val.den, key, rep) if key in den_vars \
-            else LocalizedPolynomial(top.num, top.den * val.den)
-        num_vars, den_vars = val.num.variables(), val.den.variables()
-    return val
+def _phi(val: LocalizedPolynomial, value) -> LocalizedPolynomial:
+    """val with each variable whose value(key) is not None replaced by
+    that value, all at once; a side that holds none is kept as it is."""
+    num, num_den = _substituted(val.num, value)
+    den, den_den = _substituted(val.den, value)
+    if den is val.den:
+        return val if num is val.num else \
+            LocalizedPolynomial(num, num_den * den)
+    if den.is_zero():
+        raise ZeroDivisionError("division by zero")
+    return LocalizedPolynomial(num * den_den, num_den * den)
 
 
 def _y_roots(poly: Polynomial) -> List[Root]:
@@ -242,13 +262,6 @@ def _solve_for(poly: Polynomial, v: Root, invertible) -> Optional[Rule]:
     return None
 
 
-def _least_first(rules: Dict[Root, Rule]):
-    # Substituting upward eliminates each variable once, because every
-    # rule's right side only involves greater roots.
-    return [(root, rules[root].value)
-            for root in sorted(rules, key=lex_sort_key, reverse=True)]
-
-
 class IdealHandle:
     """Generators plus, when they triangularize, a substitution system."""
 
@@ -260,6 +273,9 @@ class IdealHandle:
         self.rules = rules
         self.invertible = tuple(invertible)
         self.p = p
+        self._solved = {("y", r.row, r.col): rule
+                        for r, rule in (rules or {}).items()}
+        self._values: Dict = {}  # phi(y) per rule coordinate's key
         self._images: Dict = {}  # phi(y) per (field, root)
         self._exact: Dict = {}  # is_exact per field
 
@@ -281,17 +297,18 @@ class IdealHandle:
         generators before it."""
         generators = list(generators)
         inv_set = set(self.invertible)
-        rules = None if self.rules is None else dict(self.rules)
+        out = IdealHandle(self.n, self.generators + generators,
+                          None if self.rules is None else dict(self.rules),
+                          self.invertible, self.p)
         for gen in generators:
-            if rules is None:
+            if out.rules is None:
                 break
             if gen.is_zero():
                 continue
             # Reduce by the rules extracted so far; pivots must be sought in
             # the reduced form, whose leading coefficients can simplify to
             # units even when the raw ones do not.
-            red = _substitute_rules(_as_loc(gen, gen.p),
-                                    _least_first(rules)).num
+            red = out._image(gen).num
             if red.is_zero():
                 continue
             found = None
@@ -300,24 +317,27 @@ class IdealHandle:
                 found = _solve_for(red, v, inv_set)
                 if found is not None:
                     break
-            if found is None or found.root in rules:
-                rules = None
+            if found is None:
+                out.rules = None
                 break
-            rules[found.root] = found
-        return IdealHandle(self.n, self.generators + generators, rules,
-                           self.invertible, self.p)
+            out._values.clear()  # a value may hold the new rule's coordinate
+            key = ("y", found.root.row, found.root.col)
+            out.rules[found.root] = out._solved[key] = found
+        return out
 
-    @cached_property
-    def _order(self):
-        return _least_first(self.rules)
+    def _value(self, key) -> Optional[LocalizedPolynomial]:
+        """phi(y) of a rule coordinate's key, kept from its first use (each
+        use raises if phi sends the rule's denominator to zero), or None."""
+        if key not in self._values and key in self._solved:
+            self._values[key] = _phi(self._solved[key].value, self._value)
+        return self._values.get(key)
 
     def _image(self, x) -> LocalizedPolynomial:
         """phi(x), where the ring homomorphism phi sends each y to its
         fully substituted rule value, or is the identity when the
         generators did not triangularize."""
         val = _as_loc(x, self.p)
-        return val if self.rules is None else \
-            _substitute_rules(val, self._order)
+        return val if self.rules is None else _phi(val, self._value)
 
     def normal_form(self, x) -> LocalizedPolynomial:
         if self.rules is None:
@@ -353,6 +373,8 @@ class IdealHandle:
     def coordinate(self, root: Root, field: Optional[int]
                    ) -> LocalizedPolynomial:
         """phi(y_root) over ``field``, computed once per handle."""
+        if root in (self.rules or {}) and self.rules[root].den.p == field:
+            return self._value(("y", root.row, root.col))
         if (field, root) not in self._images:
             self._images[field, root] = self._image(
                 y_var(root.row, root.col, field))
@@ -525,20 +547,19 @@ def _twist(n: int, pair, val: LocalizedPolynomial) -> LocalizedPolynomial:
         return hit
 
     def image(key):
+        if key[0] != "y":
+            return None
         var_key = base + (key,)
-        out = _TWISTS.get(var_key)
-        if out is None:
-            out = LocalizedPolynomial(Polynomial.variable(key, val.p))
-            if key[0] == "y":
-                out = _series(out, pl, ql, n * n + 2)
-            _TWISTS[var_key] = out
-        return out
+        if var_key not in _TWISTS:
+            _TWISTS[var_key] = _series(_as_loc(Polynomial.variable(
+                key, val.p)), pl, ql, n * n + 2)
+        return _TWISTS[var_key]
 
-    num = _as_loc(substitute(val.num, image), val.p)
-    den = _as_loc(substitute(val.den, image), val.p)
-    if den.num.is_zero():
-        raise UnsupportedColumn("denominator image vanished identically")
-    out = _TWISTS[val_key] = num / den
+    try:
+        out = _TWISTS[val_key] = _phi(val, image)
+    except ZeroDivisionError:
+        raise UnsupportedColumn(
+            "denominator image vanished identically") from None
     return out
 
 

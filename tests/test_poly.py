@@ -12,7 +12,7 @@ from artifact._poly import (
     coerce_scalar,
     substitute,
 )
-from artifact.symbolic import _subst_poly, y_var
+from artifact.symbolic import _phi, y_var
 
 FIELDS = (None, 3, 7)
 KEYS = (("y", 2, 1), ("y", 3, 1), ("c", 3, 1))
@@ -147,14 +147,35 @@ class TestSubstitutionSplit:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_matches_per_exponent_formula(self, p, data):
+        # Several keys at once against one key at a time, each value free
+        # of every substituted key.  The reduced fraction is canonical for
+        # one key or monomial denominators; otherwise the cascade may keep
+        # a common factor that cancellation left behind, so only the values
+        # are compared.
         poly = data.draw(polys(p))
-        rep = LocalizedPolynomial(
-            data.draw(polys(p, max_terms=3, max_exp=1)),
-            data.draw(polys(p, max_terms=2, max_exp=1, allow_zero=False)))
-        key = data.draw(st.sampled_from(KEYS))
-        got, expected = _subst_poly(poly, key, rep), _reference_subst(
-            poly, key, rep)
-        assert got.num == expected.num and got.den == expected.den
+        keys = data.draw(st.lists(st.sampled_from(KEYS), min_size=1,
+                                  max_size=len(KEYS), unique=True))
+
+        def free(q):
+            return Polynomial({m: c for m, c in q.terms.items()
+                               if not any(k in keys for k, _e in m)}, p)
+
+        images = {}
+        for key in keys:
+            num = free(data.draw(polys(p, max_terms=3, max_exp=1)))
+            den = free(data.draw(
+                polys(p, max_terms=2, max_exp=1, allow_zero=False)))
+            images[key] = LocalizedPolynomial(
+                num, Polynomial.one(p) if den.is_zero() else den)
+        got = _phi(LocalizedPolynomial(poly), images.get)
+        expected = LocalizedPolynomial(poly)
+        for key in keys:
+            expected = _reference_subst(expected.num, key, images[key]) / \
+                _reference_subst(expected.den, key, images[key])
+        assert got == expected
+        if len(keys) == 1 or all(len(images[k].den.terms) == 1
+                                 for k in keys):
+            assert got.num == expected.num and got.den == expected.den
 
 
 class TestSubstitute:

@@ -696,80 +696,146 @@ class TestIncrementalIdeal:
         assert rule.value == loc(const(2))
 
 
-def _normal_form_every_rule(handle, x):
-    """Reference normal form: substitute every rule, least root first,
-    whether or not its variable occurs."""
+def _subst_poly(poly, key, rep):
+    """poly with rep substituted for the variable key, over the
+    denominator rep.den ** top, top the greatest exponent of key."""
+    parts = poly.split_by(key)
+    top = max(parts, default=0)
+    if top == 0:
+        return LocalizedPolynomial(poly)
+    acc = Polynomial.zero(poly.p)
+    for exp in sorted(parts):
+        part = parts[exp]
+        if exp:
+            part = part * rep.num ** exp
+        if exp < top:
+            part = part * rep.den ** (top - exp)
+        acc = acc + part
+    return LocalizedPolynomial(acc, rep.den ** top)
+
+
+def _normal_form_every_rule(handle, x, skip_absent=False):
+    """Reference normal form: the least-first cascade, which substitutes
+    every rule's value as found, least root first, whether or not its
+    variable occurs, or with ``skip_absent`` only where it occurs."""
     from artifact.root_system import lex_sort_key
-    from artifact.symbolic import _subst_poly
 
     val = x if isinstance(x, LocalizedPolynomial) else loc(x)
     for root in sorted(handle.rules, key=lex_sort_key, reverse=True):
         key = ("y", root.row, root.col)
+        if skip_absent and key not in val.num.variables() \
+                and key not in val.den.variables():
+            continue
         rep = LocalizedPolynomial(-handle.rules[root].rest,
                                   handle.rules[root].den)
         val = _subst_poly(val.num, key, rep) / _subst_poly(val.den, key, rep)
     return val
 
 
+def _normal_form_probes(handle, shift=None):
+    """Brackets of the generators with coordinates, and products and
+    quotients of two coordinates: every pair, or with ``shift`` one pair
+    per root, its partner ``shift`` places on in root order."""
+    roots = list(positive_roots(handle.n))
+    if shift is None:
+        gen_roots = [(g, r) for g in handle.generators for r in roots]
+        pairs = [(r, r2) for r in roots for r2 in roots]
+    else:
+        gen_roots = [(g, roots[(k + shift) % len(roots)])
+                     for k, g in enumerate(handle.generators)]
+        pairs = [(r, roots[(k + shift) % len(roots)])
+                 for k, r in enumerate(roots)]
+    probes = [bracket(g, y(r.row, r.col)) for g, r in gen_roots]
+    probes += [y(r.row, r.col) * y(r2.row, r2.col) for r, r2 in pairs]
+    # The variable of a rule in the numerator, the denominator or both.
+    probes += [loc(y(r.row, r.col), y(r2.row, r2.col) + y(2, 1))
+               for r, r2 in pairs]
+    return probes
+
+
 class TestSkippedSubstitutions:
     def test_normal_form_matches_unconditional_reference(self):
-        from artifact.root_system import positive_roots
-
         for s in _every_diagram(5):
             handle = build_ideal(s, None)
-            probes = [bracket(g, y(r.row, r.col))
-                      for g in handle.generators
-                      for r in positive_roots(s.n)]
-            probes += [y(r.row, r.col) * y(r2.row, r2.col)
-                       for r in positive_roots(s.n)
-                       for r2 in positive_roots(s.n)]
-            # The variable of a rule in the numerator, the denominator
-            # or both.
-            probes += [loc(y(r.row, r.col), y(r2.row, r2.col) + y(2, 1))
-                       for r in positive_roots(s.n)
-                       for r2 in positive_roots(s.n)]
-            for x in probes:
+            for x in _normal_form_probes(handle):
                 got = handle.normal_form(x)
                 want = _normal_form_every_rule(handle, x)
                 assert (got.num, got.den) == (want.num, want.den), s.label
                 assert poly_text(got) == poly_text(want)
 
+    def test_catalog_matches_cascade_reference(self, catalogs67):
+        # Every catalog handle for n = 2..7: the simultaneous substitution
+        # gives the cascade's text for each coordinate and probe, because
+        # every rule denominator is a monomial.  The test above runs every
+        # probe for n <= 5; for n = 6, 7, whose full probe sets take
+        # minutes, one pair per root, the partner shifted by the handle's
+        # index.  Skipping absent rules leaves the cascade's result as it
+        # is, as the test above shows.
+        handles = [build_ideal(s, None) for s in _every_diagram(5)]
+        handles += [build_ideal(s, None) for n in (6, 7)
+                    for s in catalogs67[n]]
+        assert len(handles) == 168
+        for k, handle in enumerate(handles):
+            assert all(len(rule.den.terms) == 1
+                       for rule in handle.rules.values())
+            probes = [y(r.row, r.col) for r in positive_roots(handle.n)]
+            for x, r in zip(probes, positive_roots(handle.n)):
+                want = _normal_form_every_rule(handle, x, skip_absent=True)
+                assert poly_text(handle.coordinate(r, None)) == \
+                    poly_text(want), r
+            if handle.n > 5:
+                probes = _normal_form_probes(handle, shift=k)
+            for x in probes:
+                want = _normal_form_every_rule(handle, x, skip_absent=True)
+                assert poly_text(handle.normal_form(x)) == poly_text(want)
+
     def test_substitution_brings_in_a_later_rule(self):
         # y21 -> y31 -> 2: the first substitution introduces the variable
-        # of the next rule, in the numerator or in the denominator.
-        handle = IdealHandle.from_generators(
-            3, [y(2, 1) - y(3, 1), y(3, 1) - const(2)])
-        for x, want in [(y(2, 1), loc(const(2))),
-                        (loc(const(1), y(2, 1)), loc(const(1), const(2))),
-                        (loc(y(3, 2), y(2, 1) + y(3, 1)),
-                         loc(y(3, 2), const(4)))]:
-            assert handle.normal_form(x) == want
-            ref = _normal_form_every_rule(handle, x)
-            assert poly_text(handle.normal_form(x)) == poly_text(ref)
-
+        # of the next rule, in the numerator or in the denominator.  With
+        # y21 - 2 second, phi(y21) = y31 reduces it before the rule for y31
+        # exists, and must not be kept.
+        for second in (y(3, 1) - const(2), y(2, 1) - const(2)):
+            handle = IdealHandle.from_generators(
+                3, [y(2, 1) - y(3, 1), second])
+            for x, want in [(y(2, 1), loc(const(2))),
+                            (loc(const(1), y(2, 1)),
+                             loc(const(1), const(2))),
+                            (loc(y(3, 2), y(2, 1) + y(3, 1)),
+                             loc(y(3, 2), const(4)))]:
+                assert handle.normal_form(x) == want
+                ref = _normal_form_every_rule(handle, x)
+                assert poly_text(handle.normal_form(x)) == poly_text(ref)
 
     def test_only_the_side_holding_the_variable_is_substituted(
             self, monkeypatch):
+        # A side that holds solved coordinates is split once, for all of
+        # them together; a side without one is kept as it is.
         from artifact import symbolic
 
         handle = IdealHandle.from_generators(
             3, [y(3, 2) - const(1), y(3, 1) - const(2)])
         split = []
-        real = symbolic._subst_poly
+        real = symbolic._substituted
 
-        def recording(poly, key, rep):
-            split.append((poly_text(poly), key))
-            return real(poly, key, rep)
+        def recording(poly, value):
+            out = real(poly, value)
+            if out[0] is not poly:
+                split.append((poly_text(poly), sorted(
+                    k for k in poly.variables() if value(k) is not None)))
+            return out
 
-        monkeypatch.setattr(symbolic, "_subst_poly", recording)
+        monkeypatch.setattr(symbolic, "_substituted", recording)
         assert handle.normal_form(loc(y(3, 2), y(2, 1))) == \
             loc(const(1), y(2, 1))
-        assert split == [("1*y_3_2", ("y", 3, 2))]
+        assert split == [("1*y_3_2", [("y", 3, 2)])]
         split.clear()
         assert handle.normal_form(loc(y(2, 1), y(3, 1) * y(3, 2))) == \
             loc(y(2, 1), const(2))
-        assert split == [("1*y_3_1*y_3_2", ("y", 3, 2)),
-                         ("1*y_3_1", ("y", 3, 1))]
+        assert split == [("1*y_3_1*y_3_2", [("y", 3, 1), ("y", 3, 2)])]
+        split.clear()
+        x = loc(y(2, 1), y(2, 1) + 1)
+        assert handle.normal_form(x) is x
+        assert split == []
 
 
 class TestSharedConstants:
@@ -974,6 +1040,21 @@ class TestChainRuleClosure:
                   loc(const(1), y(3, 1))):
             assert _outcome(is_casimir_mod, z, corner) == \
                 _outcome(_casimir_reference, z, corner)
+
+    def test_vanishing_denominator_raises_in_a_product(self):
+        # phi(y32) = -y21 / phi(y31) = -y21 / 0.  The least-first cascade
+        # put y32's value in before y31's and so cancelled y31 out of
+        # y32*y31; phi raises for the product as it does for y32 alone.
+        handle = IdealHandle.from_generators(
+            3, [y(3, 1) * y(3, 2) + y(2, 1), y(3, 1)],
+            invertible=[R(3, 1)])
+        product = y(3, 2) * y(3, 1)
+        assert poly_text(_normal_form_every_rule(handle, product)) == \
+            "-1*y_2_1"
+        for x in (y(3, 2), product):
+            with pytest.raises(ZeroDivisionError):
+                handle.normal_form(x)
+        assert not handle.is_exact(None)
 
 
 def _drawn_ideals():
