@@ -292,6 +292,18 @@ def _generator_moves(n: int, p: int,
             for g in np.flatnonzero(writes.any(axis=1))]
 
 
+@lru_cache(maxsize=8)
+def _default_moves(n: int, p: int
+                   ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """``_generator_moves(n, p)`` kept for every single-orbit search at
+    (n, p), read-only because all of them share it."""
+    moves = tuple(_generator_moves(n, p))
+    for move in moves:
+        for array in move:
+            array.flags.writeable = False
+    return moves
+
+
 # Rows of codes handled at once when a state array would otherwise grow
 # with the orbit or the space; bounds the int64 scratch to this many cells.
 _BLOCK_CELLS = 1 << 20
@@ -431,9 +443,10 @@ def orbit_bfs(f: LinearForm, budget: Optional[int] = None,
     fixed order, and X_a = {(I + e_a)^t : t < p} since e_a^2 = 0, so the
     orbit is reached by closing {f} under one generator after another.
     Every set on the way lies inside the orbit, so the budget, a cap on
-    the orbit size, is checked after each closure.  ``generators``, the
-    ``_generators(n, p)`` of f's field, lets a caller that searches many
-    orbits build them once."""
+    the orbit size, is checked after each closure.  Without ``generators``
+    the search reuses the moves kept per (n, p); ``generators``, the
+    ``_generators(n, p)`` of f's field, makes it build its own moves from
+    them."""
     if f.p is None:
         raise ValueError("orbit enumeration needs a finite field")
     n, p = f.n, f.p
@@ -442,7 +455,9 @@ def orbit_bfs(f: LinearForm, budget: Optional[int] = None,
     limit = _budget_value(budget)
     codes = np.array([_encode(f)], dtype=np.int64)
     _check_orbit_budget(n, p, len(codes), limit)
-    for move in _generator_moves(n, p, generators):
+    moves = _default_moves(n, p) if generators is None else \
+        _generator_moves(n, p, generators)
+    for move in moves:
         codes = _sweep(codes, p, *move)
         _check_orbit_budget(n, p, len(codes), limit)
     return Orbit(n, p, f, codes)
@@ -455,6 +470,7 @@ def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
     _check_space_budget("all_orbits", n, p, budget)
     roots = _root_order(n)
     free = np.ones(p ** len(roots), dtype=bool)
+    # Moves rebuilt per orbit: perfbench TestTracer pins 9·orbits acts here.
     generators = _generators(n, p)
     orbits = []
     code = 0

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -178,32 +179,100 @@ class TestOrbitBfs:
         assert all(isinstance(m, LinearForm) for m in members)
 
     def test_generators_built_once_per_partition(self, monkeypatch):
-        # all_orbits builds the generators I + e_alpha and their inverses
-        # once and hands them to every search, which still moves the N
-        # basis forms by the N generators through coadjoint_act.
+        # all_orbits builds the N generators I + e_alpha once, and each
+        # inverse once (an identity to solve from, then the result), and
+        # hands them to every search, which still moves the N basis forms
+        # by the N generators through coadjoint_act.
+        built, acts = _count_group_work(monkeypatch)
+        orbits = all_orbits(4, 2)
+        size = len(positive_roots(4))
+        assert len(orbits) == 16
+        assert len(built) == 3 * size
+        assert len(acts) == len(orbits) * size ** 2
+
+    def test_single_searches_reuse_moves(self, monkeypatch):
         from artifact import orbit_engine
 
-        built, acts = [], []
-        real_init, real_act = GroupElement.__init__, orbit_engine.coadjoint_act
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            real_init(self, *args, **kwargs)
-
-        def counting_act(g, x):
-            acts.append(g)
-            return real_act(g, x)
-
-        monkeypatch.setattr(GroupElement, "__init__", counting_init)
-        monkeypatch.setattr(orbit_engine, "coadjoint_act", counting_act)
-        orbit_bfs(form(4, 2, {R(4, 1): 1}))
-        one_search = len(built)
+        orbit_engine._default_moves.cache_clear()
+        built, acts = _count_group_work(monkeypatch)
+        f53 = canonical_form(*_diagram_and_ones(5, (5, 0, 1)), p=3)
+        classify(f53)
+        size = len(positive_roots(5))
+        assert (len(built), len(acts)) == (3 * size, size ** 2)
         built.clear()
         acts.clear()
-        orbits = all_orbits(4, 2)
-        assert len(orbits) == 16
-        assert len(built) == one_search
-        assert len(acts) == len(orbits) * len(positive_roots(4)) ** 2
+        classify(f53)
+        assert (len(built), len(acts)) == (0, 0)
+        # Moves are kept per (n, p): the first search at (6, 2) builds its
+        # own, the generators and inverses included.
+        size = len(positive_roots(6))
+        classify(canonical_form(*_diagram_and_ones(6, (6, 0, 1)), p=2))
+        assert (len(built), len(acts)) == (3 * size, size ** 2)
+        built.clear()
+        acts.clear()
+        # census keeps one set of moves per orbit, as the benchmark's tracer
+        # test pins: 3 generators acting on 3 basis forms per search.
+        orbits = sum(r["count"] for r in census(3, 2)["orbits"])
+        assert len(acts) == 9 * orbits
+
+    def test_kept_moves_agree_with_given_generators(self):
+        from artifact import orbit_engine
+        from artifact.orbit_engine import _generators
+
+        rng = random.Random(1507)
+        cases = [(n, p) for n in range(2, 7) for p in (2, 3)] + [(7, 2)] * 3
+        forms = [form_of_code(n, p, rng.randrange(p ** (n * (n - 1) // 2)))
+                 for n, p in cases]
+        for f in forms:
+            own = orbit_bfs(f, generators=_generators(f.n, f.p)).codes
+            orbit_engine._default_moves.cache_clear()
+            cold = orbit_bfs(f).codes
+            warm = orbit_bfs(f).codes
+            assert orbit_engine._default_moves.cache_info().hits == 1
+            assert np.array_equal(cold, own), f
+            assert np.array_equal(warm, own), f
+
+    def test_kept_moves_are_read_only_and_checked_first(self):
+        from artifact import orbit_engine
+
+        orbit_bfs(form(4, 3, {R(4, 1): 1}))
+        reads, columns, writes = orbit_engine._default_moves(4, 3)[0]
+        for array in (reads, columns, writes):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # The checks run before the memo is read, so it sees no call.
+        info = orbit_engine._default_moves.cache_info()
+        for n, p in [(3, 4), (3, 1), (6, 19)]:
+            with pytest.raises(InvalidInput):
+                orbit_bfs(LinearForm._reduced(n, p, {}))
+        assert orbit_engine._default_moves.cache_info() == info
+
+
+def _count_group_work(monkeypatch):
+    """Lists that grow by one on each GroupElement construction and each
+    coadjoint_act call the orbit engine makes."""
+    from artifact import orbit_engine
+
+    built, acts = [], []
+    real_init, real_act = GroupElement.__init__, orbit_engine.coadjoint_act
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_act(g, x):
+        acts.append(g)
+        return real_act(g, x)
+
+    monkeypatch.setattr(GroupElement, "__init__", counting_init)
+    monkeypatch.setattr(orbit_engine, "coadjoint_act", counting_act)
+    return built, acts
+
+
+def _diagram_and_ones(n, label):
+    """The diagram of the given label with constant 1 on every pick."""
+    s = next(s for s in enumerate_maximal(n) if s.label == label)
+    return s, {r: 1 for r in s.xi}
 
 
 def form_of_code(n, p, code):
