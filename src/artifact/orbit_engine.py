@@ -82,6 +82,8 @@ class LinearForm:
 
     def __init__(self, n: int, p: Optional[int],
                  values: Optional[Dict[Root, object]] = None):
+        if p is not None:
+            _check_prime(p)
         vals: Dict[Root, object] = {}
         for root, raw in (values or {}).items():
             if not 1 <= root.col < root.row <= n:
@@ -149,6 +151,8 @@ class GroupElement:
         if _matrix is not None:
             self.matrix = _matrix
             return
+        if p is not None:
+            _check_prime(p)
         one = coerce_scalar(1, p)
         zero = coerce_scalar(0, p)
         m = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -242,6 +246,8 @@ def canonical_form(s: AdmissibleSubset, c: Dict[Root, object],
                    p: Optional[int] = None) -> LinearForm:
     """The point with value c on each pick and zero elsewhere.  Every pick
     needs a value and marked picks need a nonzero one."""
+    if p is not None:
+        _check_prime(p)
     picks = set(s.xi)
     for key in c:
         if key not in picks:

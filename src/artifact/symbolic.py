@@ -276,8 +276,8 @@ class IdealHandle:
         self._solved = {("y", r.row, r.col): rule
                         for r, rule in (rules or {}).items()}
         self._values: Dict = {}  # phi(y) per rule coordinate's key
-        self._images: Dict = {}  # phi(y) per (field, root)
-        self._exact: Dict = {}  # is_exact per field
+        self._images: Dict = {}  # phi(y) per root
+        self._exact: Optional[bool] = None
 
     @classmethod
     def zero(cls, n: int) -> "IdealHandle":
@@ -354,80 +354,39 @@ class IdealHandle:
                 "generators did not triangularize; membership undecidable")
         return self.normal_form(val).num.is_zero()
 
-    def _nonzero(self, poly: Polynomial) -> bool:
-        try:
-            return not self._image(poly).num.is_zero()
-        except ZeroDivisionError:
-            return False
-
-    def is_exact(self, field: Optional[int]) -> bool:
-        """False when a rule is over another field or has a denominator
-        that phi sends to zero: bracketing then ``contains`` can raise on
-        such a handle at a point that depends on the expression."""
-        if field not in self._exact:
+    def is_exact(self) -> bool:
+        """False when a rule is over another field than the handle's or has
+        a denominator that phi sends to zero: bracketing then ``contains``
+        can raise on such a handle at a point that depends on the
+        expression."""
+        if self._exact is None:
             dens = [rule.den for rule in (self.rules or {}).values()]
-            self._exact[field] = all(den.p == field for den in dens) \
-                and all(self._nonzero(den) for den in dens)
-        return self._exact[field]
+            try:
+                self._exact = all(den.p == self.p for den in dens) and \
+                    not any(self._image(den).num.is_zero() for den in dens)
+            except ZeroDivisionError:
+                self._exact = False
+        return self._exact
 
-    def coordinate(self, root: Root, field: Optional[int]
-                   ) -> LocalizedPolynomial:
-        """phi(y_root) over ``field``, computed once per handle."""
-        if root in (self.rules or {}) and self.rules[root].den.p == field:
+    def coordinate(self, root: Root) -> LocalizedPolynomial:
+        """phi(y_root) over the handle's field, computed once per handle."""
+        if root in (self.rules or {}) and self.rules[root].den.p == self.p:
             return self._value(("y", root.row, root.col))
-        if (field, root) not in self._images:
-            self._images[field, root] = self._image(
-                y_var(root.row, root.col, field))
-        return self._images[field, root]
+        if root not in self._images:
+            self._images[root] = self._image(
+                y_var(root.row, root.col, self.p))
+        return self._images[root]
 
 
 def is_casimir_mod(z, handle: IdealHandle) -> bool:
-    """True when z brackets into the ideal with every coordinate.
-
-    The coordinates are taken in ``positive_roots`` order.  As with
-    ``contains``, a bracket that is not identically zero raises
+    """True when z brackets into the ideal with every coordinate: each
+    bracket, taken in ``positive_roots`` order, is tested with
+    ``contains``, so one that is not identically zero raises
     ``UnsupportedIdealShape`` when the generators did not triangularize.
     """
-    val = _as_loc(z)
-    field = val.p
-    roots = positive_roots(handle.n)
-    # A denominator of z that phi sends to zero is as unsafe as one of a
-    # rule's.
-    if not handle.is_exact(field) or not (val.den.is_constant()
-                                          or handle._nonzero(val.den)):
-        return all(handle.contains(bracket(z, y_var(r.row, r.col, field)))
-                   for r in roots)
-    partials, den2 = _y_partials(val), val.den ** 2
-    images: Dict = {}
-    for r in roots:
-        terms = []
-        for y in partials:
-            rb = root_bracket(y, r)
-            if rb is None:
-                continue
-            sign, c = rb
-            step = handle.coordinate(c, field)
-            if sign < 0:
-                step = -step
-            if y not in images:
-                images[y] = handle._image(
-                    LocalizedPolynomial(partials[y], den2))
-            part = images[y]
-            if not (part.num.is_zero() or step.num.is_zero()):
-                terms.append((part, step))
-        # A lone product of nonzero factors is nonzero.
-        if len(terms) > 1:
-            total = sum((a * b for a, b in terms[1:]),
-                        terms[0][0] * terms[0][1])
-            if total.num.is_zero():
-                continue
-        elif not terms:
-            continue
-        if handle.rules is None:
-            raise UnsupportedIdealShape(
-                "generators did not triangularize; membership undecidable")
-        return False
-    return True
+    field = _as_loc(z).p
+    return all(handle.contains(bracket(z, y_var(r.row, r.col, field)))
+               for r in positive_roots(handle.n))
 
 
 def is_poisson_ideal(handle: IdealHandle) -> bool:
@@ -451,12 +410,11 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
     identically zero when the generators did not triangularize, are those
     of bracketing then ``contains``.
     """
-    field = handle.p
-    if handle.rules is None or not handle.is_exact(field):
+    if handle.rules is None or not handle.is_exact():
         return all(is_casimir_mod(gen, handle) for gen in handle.generators)
     partners = _bracket_partners(handle.n)
     for v in handle.rules:
-        phi_v = handle.coordinate(v, field)
+        phi_v = handle.coordinate(v)
         # Both sides as one sum, y_v's term with coefficient D^2; per y_r,
         # numerators over the same denominator phi(y_c) are added first.
         coefs = [(v, phi_v.den ** 2)]
@@ -464,7 +422,7 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
         sums: Dict[Root, Dict[Polynomial, Polynomial]] = {}
         for x, coef in coefs:
             for r, sign, c in partners[x]:
-                step = handle.coordinate(c, field)
+                step = handle.coordinate(c)
                 if step.num.is_zero():
                     continue
                 term = coef * step.num if sign > 0 else -coef * step.num

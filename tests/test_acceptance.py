@@ -7,6 +7,7 @@ random-conjugation oracle checks the invariants, ideals and ranks of every
 diagram at a random conjugate of a canonical form.
 """
 import hashlib
+import importlib
 import itertools
 import os
 import random
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import artifact
 from artifact._poly import substitute
 from artifact.root_system import lex_sort_key, positive_roots
 from artifact.admissible import build_admissible, dimension, enumerate_maximal, render_diagram
@@ -400,3 +402,14 @@ def test_criterion_10_regular_subregular():
                 assert rec.cuts_exactly, (n, p, s.label)
                 seen.add(s.label)
             assert seen == set(SUBREGULAR_LABELS[n]), (n, p)
+
+
+@pytest.mark.parametrize("module", ["artifact"] + [
+    f"artifact.{name}" for name in artifact.__all__])
+def test_every_export_resolves(module):
+    # A star import raises AttributeError on a name in __all__ that the
+    # module no longer defines; a package's names may be its submodules.
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    exported = getattr(importlib.import_module(module), "__all__", [])
+    assert set(exported) <= namespace.keys()

@@ -416,6 +416,20 @@ class TestNonPrimeField:
         with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
             kirillov_rank(form(3, 4, {R(3, 1): 2}))
 
+    @pytest.mark.parametrize("p", [0, 1, 4, -3])
+    def test_validating_constructors(self, p):
+        # Each raises before it reduces a value mod p, which would divide by
+        # zero at p = 0 and compute in a ring that is no field otherwise.
+        s = build_admissible(3, CATALOG3[(3, 0, 1)]["seq"])
+        builders = [lambda: LinearForm(3, p, {R(3, 1): 1}),
+                    lambda: canonical_form(s, {R(3, 1): 1}, p),
+                    lambda: GroupElement(3, p, {(3, 1): 1}),
+                    lambda: GroupElement(3, p)]
+        for build in builders:
+            with pytest.raises(InvalidInput,
+                               match=f"^p must be a prime, got {p}$"):
+                build()
+
 
 class TestCodeRange:
     """Packed states are int64 codes, so p^(n(n-1)/2) may not pass 2^63."""

@@ -781,7 +781,7 @@ class TestSkippedSubstitutions:
             probes = [y(r.row, r.col) for r in positive_roots(handle.n)]
             for x, r in zip(probes, positive_roots(handle.n)):
                 want = _normal_form_every_rule(handle, x, skip_absent=True)
-                assert poly_text(handle.coordinate(r, None)) == \
+                assert poly_text(handle.coordinate(r)) == \
                     poly_text(want), r
             if handle.n > 5:
                 probes = _normal_form_probes(handle, shift=k)
@@ -959,7 +959,7 @@ class TestChainRuleClosure:
         assert len(handles) == 168
         for h in handles:
             assert h.rules is not None
-            assert h.is_exact(None)
+            assert h.is_exact()
 
     def test_coordinate_image_computed_once(self, monkeypatch):
         from artifact import symbolic
@@ -977,8 +977,6 @@ class TestChainRuleClosure:
         monkeypatch.setattr(symbolic, "y_var", counting)
         for _ in range(2):
             assert is_poisson_ideal(handle)
-            for gen in handle.generators:
-                is_casimir_mod(gen, handle)
         assert built, "no coordinate image was computed"
         assert len(built) == len(set(built))
         # A new handle computes its own images.
@@ -986,9 +984,10 @@ class TestChainRuleClosure:
         assert is_poisson_ideal(build_ideal(s, None))
         assert len(built) > seen
 
-    def test_images_are_kept_per_field(self):
-        # One handle checked over Q and then over F_3: each field gets its
-        # own coordinate images, and the outcomes are the reference's.
+    def test_probes_over_two_fields_match_reference(self):
+        # Handles over Q probed with z over Q, then over F_3, then over Q
+        # again: the outcomes, values or what is raised, are the
+        # reference's.
         for handle in (IdealHandle.zero(4),
                        IdealHandle.from_generators(4, [y(4, 1) - const(2)])):
             for p in (None, 3, None):
@@ -1054,7 +1053,25 @@ class TestChainRuleClosure:
         for x in (y(3, 2), product):
             with pytest.raises(ZeroDivisionError):
                 handle.normal_form(x)
-        assert not handle.is_exact(None)
+        assert not handle.is_exact()
+
+    def test_mixed_field_handle_matches_reference(self):
+        # One rule over F_3 and one over Q: the handle is not exact, so
+        # both checks bracket then test membership, and a bracket over F_3
+        # meets the rule over Q as the reference does.
+        handle = IdealHandle.from_generators(
+            3, [y(2, 1, 3) - const(1, 3), y(3, 1) - const(2)])
+        assert [rule.den.p for rule in handle.rules.values()] == [3, None]
+        assert not handle.is_exact()
+        mixed = ("raises", FieldMismatch,
+                 "mixed coefficient fields: 3 vs None")
+        assert _outcome(is_poisson_ideal, handle) == \
+            _outcome(_poisson_reference, handle) == mixed
+        for z, want in [(handle.generators[0], mixed),
+                        (y(3, 2, 3), mixed),
+                        (y(3, 2), ("returns", False))]:
+            assert _outcome(is_casimir_mod, z, handle) == \
+                _outcome(_casimir_reference, z, handle) == want
 
 
 def _drawn_ideals():
