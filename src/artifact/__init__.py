@@ -2,8 +2,8 @@
 
 Modules:
   root_system   roots, lex order, column slices of diagrams
-  admissible    admissible diagrams, maximal catalogs, star expansion
-  symbolic      Poisson brackets, twist maps, defining ideals
+  admissible    admissible diagrams, maximal catalogs
+  symbolic      Poisson brackets, column reduction, defining ideals
   char_matrix   characteristic-matrix minors and invariant systems
   orbit_engine  finite-field orbits, classification, censuses
   cli           the `artifact` command line tool

@@ -13,7 +13,6 @@ import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .root_system import (
-    InvalidDimension,
     Root,
     RootSet,
     c_split,
@@ -21,8 +20,13 @@ from .root_system import (
     lex_greater,
     lex_sort_key,
     positive_roots,
-    root_to_json,
 )
+
+__all__ = [
+    "AdmissibleSubset", "Diagram", "InvalidChoice", "NotMaximal",
+    "UnverifiedRegimeWarning", "build_admissible", "dimension",
+    "enumerate_maximal", "is_maximal", "render_diagram",
+]
 
 
 class InvalidChoice(ValueError):
@@ -35,10 +39,6 @@ class InvalidChoice(ValueError):
 
 class NotMaximal(ValueError):
     """The subset admits a proper admissible extension."""
-
-
-class InvalidInner(ValueError):
-    """The inner diagram of an expansion must itself be maximal."""
 
 
 class UnverifiedRegimeWarning(UserWarning):
@@ -143,15 +143,6 @@ def render_diagram(s: AdmissibleSubset) -> Diagram:
     return Diagram(["".join(row) for row in grid])
 
 
-def diagram_to_json(s: AdmissibleSubset) -> dict:
-    return {
-        "n": s.n,
-        "grid": render_diagram(s).ascii_rows(),
-        "roots": [dict(root_to_json(r), kind="otimes" if is_x else "box")
-                  for r, is_x in zip(s.xi, s.otimes_mask)],
-    }
-
-
 def _greedy_complete(n: int, prefix: Sequence[Root]) -> AdmissibleSubset:
     """Extend a choice sequence by always taking the greatest available
     root below the last pick, until nothing is available."""
@@ -191,20 +182,14 @@ def _is_maximal(n: int, xi: Tuple[Root, ...]) -> bool:
     return True
 
 
-def sequence_successor(s: AdmissibleSubset) -> Optional[AdmissibleSubset]:
+def _successor(s: AdmissibleSubset) -> Optional[AdmissibleSubset]:
     """The next maximal subset in catalog order, or None at the end.
 
     Find the least cross pick, replace it by the greatest root available
     below it at that stage, and greedily re-complete the tail.
     """
-    if not is_maximal(s):
-        raise NotMaximal("successor is defined for maximal subsets only")
-    return _successor(s)
-
-
-def _successor(s: AdmissibleSubset) -> Optional[AdmissibleSubset]:
     # The catalog walk starts from a greedy completion and only ever
-    # greedily re-completes, so maximality holds by construction there.
+    # greedily re-completes, so maximality holds by construction.
     cross_slots = [i for i, is_x in enumerate(s.otimes_mask) if is_x]
     if not cross_slots:
         return None
@@ -247,20 +232,3 @@ def enumerate_maximal(n: int) -> List[AdmissibleSubset]:
             UnverifiedRegimeWarning, stacklevel=2)
     return list(_catalog(n))
 
-
-def star_expand(count: int, inner) -> AdmissibleSubset:
-    """Grow a maximal diagram by ``count`` extra rows: shift the inner
-    picks down-right by one, prepend the (2,1) pick, and greedily
-    complete in the enlarged algebra."""
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"expansion count must be >= 1, got {count!r}")
-    try:
-        inner_n = inner.n
-        inner_xi = tuple(inner.xi)
-        rebuilt = build_admissible(inner_n, inner_xi)
-    except (AttributeError, TypeError, InvalidChoice, InvalidDimension) as exc:
-        raise InvalidInner(f"inner diagram is not admissible: {exc}") from exc
-    if not is_maximal(rebuilt):
-        raise InvalidInner("inner diagram is not maximal")
-    seed = [Root(2, 1)] + [Root(r.row + 1, r.col + 1) for r in rebuilt.xi]
-    return _greedy_complete(rebuilt.n + count, seed)

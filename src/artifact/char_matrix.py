@@ -18,10 +18,10 @@ from .root_system import Root, lex_greater, lex_sort_key, positive_roots
 from .symbolic import _phi, _solve_for, const, loc, pick_values, y_var
 
 __all__ = [
-    "LemmaFailure", "MinorSpec", "NotInA", "TauPolynomial", "WEta",
-    "bordered_minors", "h_subset", "minor", "p_h_eta", "p_n0_prime",
-    "phi_tau", "regular_minors", "triangular_system", "w_eta",
-    "z_coefficients",
+    "LemmaFailure", "MinorSpec", "NotInA", "TauPolynomial",
+    "TriangularSystem", "WEta", "bordered_minors", "h_subset", "minor",
+    "p_h_eta", "p_n0_prime", "phi_tau", "regular_minors",
+    "triangular_system", "w_eta", "z_coefficients",
 ]
 
 _TAU = ("tau",)

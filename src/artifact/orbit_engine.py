@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,14 +29,14 @@ from ._poly import coerce_scalar, substitute
 from .admissible import AdmissibleSubset, dimension, enumerate_maximal
 from .root_system import Root, RootSet, check_dimension, positive_roots, \
     root_sum, structure_constants
-from .symbolic import canonical_pairs, evaluate, IdealHandle, Polynomial
+from .symbolic import canonical_pairs, evaluate, Polynomial
 
 __all__ = [
     "BudgetExceeded", "ClassificationMismatch", "GroupElement", "InvalidC",
-    "InvalidInput", "LinearForm", "NotSubregular", "Orbit", "all_orbits",
-    "canonical_form", "census", "classify", "coadjoint_act",
-    "kirillov_rank", "orbit_bfs", "polarization", "regular_ideal",
-    "stratum", "stratum_max_dims", "subregular_classify",
+    "InvalidInput", "LinearForm", "NotSubregular", "Orbit",
+    "SubregularRecord", "all_orbits", "canonical_form", "census",
+    "classify", "coadjoint_act", "kirillov_rank", "orbit_bfs",
+    "polarization", "stratum", "stratum_max_dims", "subregular_classify",
     "verify_polarization",
 ]
 
@@ -158,7 +158,8 @@ class GroupElement:
         m = [[one if i == j else zero for j in range(n)] for i in range(n)]
         for (i, j), raw in (entries or {}).items():
             if not 1 <= j < i <= n:
-                raise ValueError(f"entry ({i},{j}) is not strictly lower")
+                raise InvalidInput(
+                    f"entry ({i},{j}) lies outside the n={n} triangle")
             m[i - 1][j - 1] = coerce_scalar(raw, p)
         self.matrix = m
 
@@ -711,22 +712,7 @@ def stratum_max_dims(n: int, p: int, budget: Optional[int] = None
     return best
 
 
-# --- regular and subregular families --------------------------------------
-
-def regular_ideal(n: int, constants: Sequence) -> IdealHandle:
-    """The ideal cutting out a regular orbit: corner minors pinned to the
-    given constants, the first of which must be invertible."""
-    from .char_matrix import regular_minors
-
-    minors = regular_minors(n)
-    if len(constants) != len(minors):
-        raise InvalidC(
-            f"need {len(minors)} constants, got {len(constants)}")
-    if coerce_scalar(constants[0], None) == 0:
-        raise InvalidC("the first constant must be nonzero")
-    gens = [m - Polynomial({(): c}) for m, c in zip(minors, constants)]
-    return IdealHandle.from_generators(n, gens, invertible=[Root(n, 1)])
-
+# --- the subregular family ------------------------------------------------
 
 @dataclass(frozen=True)
 class SubregularRecord:

@@ -13,6 +13,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
+__all__ = [
+    "InvalidDimension", "NotMember", "Root", "RootSet", "c_split",
+    "check_dimension", "lex_greater", "lex_sort_key", "positive_roots",
+    "root_bracket", "root_from_text", "root_sum", "root_to_text",
+    "structure_constants",
+]
 
 class InvalidDimension(ValueError):
     """Matrix size must be an integer >= 2."""
@@ -22,10 +28,6 @@ def check_dimension(n) -> None:
     """Raise InvalidDimension unless n is an integer >= 2."""
     if not isinstance(n, int) or n < 2:
         raise InvalidDimension(f"matrix size must be >= 2, got {n!r}")
-
-
-class NotSubset(ValueError):
-    """First argument is required to be contained in the second."""
 
 
 class NotMember(ValueError):
@@ -144,32 +146,6 @@ def structure_constants(n: int) -> tuple:
                  if (rb := root_bracket(a, b)) is not None)
 
 
-def is_additive(rs: RootSet) -> bool:
-    """Closed under root sums."""
-    members = set(rs)
-    for a in members:
-        for b in members:
-            s = root_sum(a, b)
-            if s is not None and s not in members:
-                return False
-    return True
-
-
-def is_normal(sub: RootSet, ambient: RootSet) -> bool:
-    """sub absorbs ambient: any root sum from sub + ambient landing in
-    ambient must land in sub."""
-    sub_set = set(sub)
-    amb_set = set(ambient)
-    if not sub_set <= amb_set:
-        raise NotSubset("first set must be contained in the second")
-    for a in sub_set:
-        for b in amb_set:
-            s = root_sum(a, b)
-            if s is not None and s in amb_set and s not in sub_set:
-                return False
-    return True
-
-
 def c_split(xi: Root, rs: RootSet) -> tuple:
     """Split the two-part decompositions of xi inside rs.
 
@@ -191,15 +167,6 @@ def c_split(xi: Root, rs: RootSet) -> tuple:
     return RootSet(rs.n, plus), RootSet(rs.n, minus)
 
 
-def restrict(rs: RootSet, xi: Root) -> RootSet:
-    """xi together with the members of rs strictly inside its span."""
-    if xi not in rs:
-        raise NotMember(f"{xi!r} is not in the set")
-    inner = [r for r in rs
-             if r == xi or (r.col > xi.col and r.row < xi.row)]
-    return RootSet(rs.n, inner)
-
-
 def root_to_text(r: Root) -> str:
     return f"{r.row},{r.col}"
 
@@ -213,6 +180,3 @@ def root_from_text(text: str) -> Root:
         raise ValueError(f"not a strictly lower position: {text!r}")
     return Root(row, col)
 
-
-def root_to_json(r: Root) -> dict:
-    return {"row": r.row, "col": r.col}

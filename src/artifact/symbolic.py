@@ -35,12 +35,12 @@ from .root_system import (
 )
 
 __all__ = [
-    "FieldMismatch", "IdealHandle", "LocalizedPolynomial",
-    "NotCanonicalPair", "NotMaximal", "Polynomial", "Rule",
-    "UnsupportedColumn", "UnsupportedIdealShape", "bracket", "build_ideal",
-    "c_var", "canonical_pairs", "const", "evaluate", "initial_context",
+    "FieldMismatch", "IdealHandle", "LocalizedPolynomial", "NotMaximal",
+    "Polynomial", "ReductionContext", "Rule", "UnsupportedColumn",
+    "UnsupportedIdealShape", "bracket", "build_ideal", "c_var",
+    "canonical_pairs", "const", "evaluate", "initial_context",
     "is_casimir_mod", "is_poisson_ideal", "loc", "pick_values",
-    "poly_text", "reduce_column", "tilde_map", "y_var",
+    "poly_text", "reduce_column", "y_var",
 ]
 
 
@@ -51,10 +51,6 @@ class UnsupportedColumn(ValueError):
 class UnsupportedIdealShape(ValueError):
     """The generators do not triangularize, so membership is undecidable
     here (the zero element is always recognized)."""
-
-
-class NotCanonicalPair(ValueError):
-    """The pair's bracket is not congruent to one modulo the ideal."""
 
 
 # --- element constructors ----------------------------------------------
@@ -294,8 +290,13 @@ class IdealHandle:
     def _extended(self, generators) -> "IdealHandle":
         """A new handle with ``generators`` appended.  The rule search
         continues from the rules already found: a rule depends only on the
-        generators before it."""
+        generators before it.  Every generator must be over the handle's
+        field."""
         generators = list(generators)
+        for gen in generators:
+            if gen.p != self.p:
+                raise FieldMismatch(
+                    f"mixed coefficient fields: {self.p} vs {gen.p}")
         inv_set = set(self.invertible)
         out = IdealHandle(self.n, self.generators + generators,
                           None if self.rules is None else dict(self.rules),
@@ -355,22 +356,21 @@ class IdealHandle:
         return self.normal_form(val).num.is_zero()
 
     def is_exact(self) -> bool:
-        """False when a rule is over another field than the handle's or has
-        a denominator that phi sends to zero: bracketing then ``contains``
-        can raise on such a handle at a point that depends on the
-        expression."""
+        """False when a rule has a denominator that phi sends to zero:
+        bracketing then ``contains`` can raise on such a handle at a point
+        that depends on the expression."""
         if self._exact is None:
             dens = [rule.den for rule in (self.rules or {}).values()]
             try:
-                self._exact = all(den.p == self.p for den in dens) and \
-                    not any(self._image(den).num.is_zero() for den in dens)
+                self._exact = not any(self._image(den).num.is_zero()
+                                      for den in dens)
             except ZeroDivisionError:
                 self._exact = False
         return self._exact
 
     def coordinate(self, root: Root) -> LocalizedPolynomial:
         """phi(y_root) over the handle's field, computed once per handle."""
-        if root in (self.rules or {}) and self.rules[root].den.p == self.p:
+        if root in (self.rules or {}):
             return self._value(("y", root.row, root.col))
         if root not in self._images:
             self._images[root] = self._image(
@@ -393,12 +393,11 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
     """True when {g, y_r} lies in the ideal for every generator g and
     coordinate y_r.
 
-    On an exact handle (its rules over the handle's field, no rule
-    denominator sent to zero by the normal form phi) the localized ideal
-    is generated by y_v - phi(y_v), one per rule root v, where
-    phi(y_v) = N/D holds only free coordinates.  By Leibniz, closing one
-    generating set closes the ideal, so the check is, for every rule v and
-    coordinate y_r,
+    On an exact handle (no rule denominator sent to zero by the normal
+    form phi) the localized ideal is generated by y_v - phi(y_v), one per
+    rule root v, where phi(y_v) = N/D holds only free coordinates.  By
+    Leibniz, closing one generating set closes the ideal, so the check is,
+    for every rule v and coordinate y_r,
 
         D^2 * phi({y_v, y_r}) = sum_u (N_u D - N D_u) * phi({y_u, y_r}),
 
@@ -471,26 +470,12 @@ def _series(val: LocalizedPolynomial, p_elt: LocalizedPolynomial,
     raise UnsupportedColumn("adjoint series did not terminate")
 
 
-def tilde_map(x, p_elt, q_elt, ideal: IdealHandle):
-    """Twist x by the canonical pair (p, q), as ``reduce_column`` does and
-    through the same memo; requires {p, q} = 1 modulo the given ideal."""
-    pl = _as_loc(p_elt)
-    ql = _as_loc(q_elt)
-    if not ideal.contains(bracket(pl, ql) - 1):
-        raise NotCanonicalPair(
-            "the pair's bracket is not one modulo the ideal")
-    val = _as_loc(x, pl.p)
-    if val.p != pl.p:
-        raise FieldMismatch(f"mixed coefficient fields: {val.p} vs {pl.p}")
-    return _twist(ideal.n, (pl, ql), val)
-
-
-# The twist of one canonical pair, shared by every diagram and by
-# ``tilde_map``: the image of a variable or of a whole value depends only on
-# n (the series limit), the pair and the input.  The pairs and values of
-# ``reduce_column`` are y-polynomials over Q whatever the constants, so the
-# n <= 7 catalogs bound the memo.  Keys hold the polynomials, which carry
-# their field, not fractions, whose == cross-multiplies.
+# The twist of one canonical pair, shared by every diagram: the image of a
+# variable or of a whole value depends only on n (the series limit), the
+# pair and the input.  The pairs and values of ``reduce_column`` are
+# y-polynomials over Q whatever the constants, so the n <= 7 catalogs bound
+# the memo.  Keys hold the polynomials, which carry their field, not
+# fractions, whose == cross-multiplies.
 _TWISTS: Dict[Tuple, LocalizedPolynomial] = {}
 
 

@@ -404,6 +404,10 @@ def test_criterion_10_regular_subregular():
             assert seen == set(SUBREGULAR_LABELS[n]), (n, p)
 
 
+LIBRARY_MODULES = [f"artifact.{name}" for name in (
+    "root_system", "admissible", "symbolic", "char_matrix", "orbit_engine")]
+
+
 @pytest.mark.parametrize("module", ["artifact"] + [
     f"artifact.{name}" for name in artifact.__all__])
 def test_every_export_resolves(module):
@@ -411,5 +415,13 @@ def test_every_export_resolves(module):
     # module no longer defines; a package's names may be its submodules.
     namespace = {}
     exec(f"from {module} import *", namespace)
-    exported = getattr(importlib.import_module(module), "__all__", [])
+    mod = importlib.import_module(module)
+    exported = getattr(mod, "__all__", [])
     assert set(exported) <= namespace.keys()
+    # Conversely, every public def or class of a library module is in its
+    # __all__, so a test-only helper does not become API unnoticed.
+    if module in LIBRARY_MODULES:
+        defined = {name for name, obj in vars(mod).items()
+                   if not name.startswith("_") and callable(obj)
+                   and getattr(obj, "__module__", None) == module}
+        assert defined <= set(exported), sorted(defined - set(exported))

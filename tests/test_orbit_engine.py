@@ -25,7 +25,6 @@ from artifact.orbit_engine import (
     kirillov_rank,
     orbit_bfs,
     polarization,
-    regular_ideal,
     stratum,
     stratum_max_dims,
     subregular_classify,
@@ -112,6 +111,14 @@ class TestCoadjointAction:
         g = GroupElement(3, None, {(2, 1): Fraction(1, 2)})
         out = coadjoint_act(g, f)
         assert out.value(R(3, 2)) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("entry", [(1, 2), (2, 2), (4, 1), (3, 0)])
+    def test_entry_outside_the_triangle(self, entry):
+        # Raised as LinearForm raises a root outside the triangle.
+        with pytest.raises(InvalidInput, match=(
+                f"^entry \\({entry[0]},{entry[1]}\\) lies outside the "
+                f"n=3 triangle$")):
+            GroupElement(3, 5, {entry: 1})
 
 
 class TestOrbitBfs:
@@ -789,19 +796,26 @@ class TestCatalogMasks:
 
 
 class TestRegularIdeal:
-    def test_generators(self):
-        from artifact.symbolic import poly_text, y_var
+    def test_corner_minors_cut_out_the_catalog_ideal(self):
+        # The regular family is the catalog diagram (n,0,1): the corner
+        # minors pinned to their values at its canonical form generate the
+        # same ideal as build_ideal, each containing the other's
+        # generators.
+        from artifact.char_matrix import regular_minors
+        from artifact.symbolic import IdealHandle, Polynomial, build_ideal, \
+            evaluate
 
-        handle = regular_ideal(4, [Fraction(2), Fraction(5)])
-        texts = [poly_text(g) for g in handle.generators]
-        assert poly_text(y_var(4, 1) - 2) in texts[0]
-        assert len(handle.generators) == 2
-
-    def test_invalid_constants(self):
-        with pytest.raises(InvalidC):
-            regular_ideal(4, [0, 5])
-        with pytest.raises(InvalidC):
-            regular_ideal(4, [1])
+        for n in range(2, 8):
+            s = next(x for x in enumerate_maximal(n) if x.label == (n, 0, 1))
+            c = {r: Fraction(2 * k + 3, k + 2) for k, r in enumerate(s.xi)}
+            f = canonical_form(s, c, p=None)
+            minors = [m - Polynomial({(): evaluate(m, f)})
+                      for m in regular_minors(n)]
+            ideal = build_ideal(s, c)
+            assert all(ideal.contains(m) for m in minors), n
+            corner = IdealHandle.from_generators(n, minors,
+                                                 invertible=[Root(n, 1)])
+            assert all(corner.contains(g) for g in ideal.generators), n
 
     def test_regular_orbit_is_cut_out(self):
         # Over F_2 for n=4: the regular canonical orbit satisfies the system

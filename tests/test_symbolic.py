@@ -10,7 +10,6 @@ from artifact.symbolic import (
     FieldMismatch,
     IdealHandle,
     LocalizedPolynomial,
-    NotCanonicalPair,
     NotMaximal,
     Polynomial,
     Rule,
@@ -29,16 +28,32 @@ from artifact.symbolic import (
     pick_values,
     poly_text,
     reduce_column,
-    tilde_map,
     y_var,
 )
-from artifact.symbolic import _solve_for
+from artifact.symbolic import _as_loc, _solve_for, _twist
 
 from conftest import ANCHOR_634, CATALOG3, CATALOG5, R, b_chain
 
 
 def y(i, j, p=None):
     return y_var(i, j, p)
+
+
+class NotCanonicalPair(ValueError):
+    """The pair's bracket is not congruent to one modulo the ideal."""
+
+
+def tilde_map(x, p_elt, q_elt, ideal):
+    """Twist x by the canonical pair (p, q), as ``reduce_column`` does and
+    through the same memo; requires {p, q} = 1 modulo the given ideal."""
+    pl, ql = _as_loc(p_elt), _as_loc(q_elt)
+    if not ideal.contains(bracket(pl, ql) - 1):
+        raise NotCanonicalPair(
+            "the pair's bracket is not one modulo the ideal")
+    val = _as_loc(x, pl.p)
+    if val.p != pl.p:
+        raise FieldMismatch(f"mixed coefficient fields: {val.p} vs {pl.p}")
+    return _twist(ideal.n, (pl, ql), val)
 
 
 class TestPolynomialCore:
@@ -1056,22 +1071,22 @@ class TestChainRuleClosure:
         assert not handle.is_exact()
 
     def test_mixed_field_handle_matches_reference(self):
-        # One rule over F_3 and one over Q: the handle is not exact, so
-        # both checks bracket then test membership, and a bracket over F_3
-        # meets the rule over Q as the reference does.
-        handle = IdealHandle.from_generators(
-            3, [y(2, 1, 3) - const(1, 3), y(3, 1) - const(2)])
-        assert [rule.den.p for rule in handle.rules.values()] == [3, None]
-        assert not handle.is_exact()
-        mixed = ("raises", FieldMismatch,
-                 "mixed coefficient fields: 3 vs None")
-        assert _outcome(is_poisson_ideal, handle) == \
-            _outcome(_poisson_reference, handle) == mixed
-        for z, want in [(handle.generators[0], mixed),
-                        (y(3, 2, 3), mixed),
-                        (y(3, 2), ("returns", False))]:
-            assert _outcome(is_casimir_mod, z, handle) == \
-                _outcome(_casimir_reference, z, handle) == want
+        # Generators over F_3 and over Q: the handle is refused when it is
+        # built, so the closure checks never meet a rule over another field
+        # than the handle's.  The check comes before the rule search, and a
+        # handle extended as reduce_column extends it is checked the same.
+        for build, fields in [
+                (lambda: IdealHandle.from_generators(
+                    3, [y(2, 1, 3) - const(1, 3), y(3, 1) - const(2)]),
+                 "3 vs None"),
+                (lambda: IdealHandle.from_generators(
+                    5, [y(4, 1) * y(5, 2) - const(1), y(2, 1, 3)]),
+                 "None vs 3"),
+                (lambda: IdealHandle.zero(3)._extended([y(3, 1, 3)]),
+                 "None vs 3")]:
+            with pytest.raises(FieldMismatch) as info:
+                build()
+            assert str(info.value) == f"mixed coefficient fields: {fields}"
 
 
 def _drawn_ideals():
