@@ -1,4 +1,6 @@
 """Oracle tests for the finite-field orbit engine."""
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from artifact.root_system import Root, positive_roots
 from artifact.admissible import build_admissible, dimension, \
     enumerate_maximal
+from artifact.char_matrix import LemmaFailure
 from artifact.orbit_engine import (
     BudgetExceeded,
     ClassificationMismatch,
@@ -30,6 +33,7 @@ from artifact.orbit_engine import (
     subregular_classify,
     verify_polarization,
 )
+from artifact.symbolic import poly_text
 
 from conftest import CATALOG3, CATALOG4, CATALOG5, CENSUS_EXPECT, R
 from test_properties import _dense_mul
@@ -878,6 +882,50 @@ class TestSubregular:
         c = {R(5, 1): 1, R(4, 2): 1}
         with pytest.raises(NotSubregular):
             subregular_classify((s, c))
+
+    @staticmethod
+    def _record_text(target):
+        try:
+            rec = subregular_classify(target)
+        except (NotSubregular, LemmaFailure) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return " ; ".join([rec.case, str(rec.j0), *map(poly_text, rec.system),
+                           str(rec.cuts_exactly)])
+
+    def test_golden_systems(self):
+        """Case, j0, system texts and cut of every subregular diagram for
+        n = 3..7 over Q, every box constant zero or not, given as (s, c)
+        and as a form; every subregular orbit representative at (4, 3) and
+        (5, 3); and the error of every other diagram."""
+        lines = []
+        for n in range(3, 8):
+            target = n * (n - 1) // 2 - n // 2 - 2
+            for s in enumerate_maximal(n):
+                label = ",".join(map(str, s.label))
+                if dimension(s) != target:
+                    c = {r: 1 for r in s.xi}
+                    for given in ((s, c), canonical_form(s, c)):
+                        lines.append(f"{label}|{self._record_text(given)}")
+                    continue
+                boxes = [r for r in s.xi if r in s.s_box]
+                for zeros in itertools.product((False, True),
+                                               repeat=len(boxes)):
+                    c = {r: k + 1 for k, r in enumerate(s.xi)}
+                    c.update((r, 0) for r, z in zip(boxes, zeros) if z)
+                    values = ",".join(str(c[r]) for r in s.xi)
+                    for given in ((s, c), canonical_form(s, c)):
+                        lines.append(
+                            f"{label}|{values}|{self._record_text(given)}")
+        for n, p in ((4, 3), (5, 3)):
+            target = n * (n - 1) // 2 - n // 2 - 2
+            for orbit in all_orbits(n, p):
+                if len(orbit) == p ** target:
+                    lines.append(f"{n},{p}|{orbit.representative!r}|"
+                                 f"{self._record_text(orbit.representative)}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert len(lines) == 434
+        assert digest == ("5d9c6e59a7fb66ba0f96262e58c74f7534e40226913d98160e"
+                          "490445d2d9c6f2")
 
 
 class TestStratumMaxDims:
