@@ -668,20 +668,16 @@ def census(n: int, p: int, budget: Optional[int] = None) -> Dict:
     rows = []
     point_sum = 0
     formula_ok = True
-    for s in enumerate_maximal(n):
+    for s in sorted(enumerate_maximal(n), key=lambda s: s.label):
         row = tally.get(s.label)
         if row is None:
             formula_ok = False
             continue
-        boxes = sum(1 for m in s.otimes_mask if not m)
-        marked = len(list(s.s_otimes))
-        expected = (p - 1) ** marked * p ** boxes
-        if row["count"] != expected:
+        if row["count"] != (p - 1) ** len(s.s_otimes) * p ** len(s.s_box):
             formula_ok = False
         point_sum += row["count"] * p ** row["dim"]
         rows.append({"label": ",".join(str(x) for x in s.label),
                      "dim": row["dim"], "count": row["count"]})
-    rows.sort(key=lambda r: tuple(int(x) for x in r["label"].split(",")))
     total = p ** (n * (n - 1) // 2)
     return {
         "n": n,
@@ -729,15 +725,10 @@ def subregular_classify(target, budget: Optional[int] = None
     from .char_matrix import bordered_minors, p_n0_prime, regular_minors, \
         z_coefficients
 
-    if isinstance(target, LinearForm):
-        f = target
-        n = f.n
-        dim = kirillov_rank(f)
-    else:
-        s, c = target
-        n = s.n
-        f = canonical_form(s, c, p=None)
-        dim = dimension(s)
+    f = target if isinstance(target, LinearForm) \
+        else canonical_form(*target, p=None)
+    n = f.n
+    dim = kirillov_rank(f)
     total = n * (n - 1) // 2
     n0 = n // 2
     nx = (n - 1) // 2
@@ -745,8 +736,8 @@ def subregular_classify(target, budget: Optional[int] = None
         raise NotSubregular(
             f"dimension {dim} is not the subregular {total - n0 - 2}")
     minors = regular_minors(n)
-    values = [evaluate(m, f) for m in minors]
-    j0 = next((j for j, v in enumerate(values, start=1) if v == 0), None)
+    j0 = next((j for j, m in enumerate(minors, start=1)
+               if evaluate(m, f) == 0), None)
     if j0 is None:
         raise NotSubregular("no corner minor vanishes")
     if j0 < nx:
@@ -754,37 +745,22 @@ def subregular_classify(target, budget: Optional[int] = None
     elif n % 2 == 1 and j0 == n0:
         case = "2"
     elif n % 2 == 0 and j0 == nx:
-        prime_val = evaluate(bordered_minors(n, j0)[0], f)
-        case = "3a" if prime_val != 0 else "3b"
+        case = "3a" if evaluate(bordered_minors(n, j0)[0], f) != 0 else "3b"
     else:
         raise NotSubregular(
             f"vanishing pattern at column {j0} is not supported")
-    system: List[Polynomial] = [
-        minors[j - 1] - Polynomial({(): values[j - 1]})
-        for j in range(1, j0)]
+    # Each minor below is cut at its value at f; the corner minor j0, and
+    # the prime bordered one in case 3b, are zero there.
     prime, second = bordered_minors(n, j0)
-    if case in ("1", "3a"):
-        z = z_coefficients(n)[j0 - 1]
-        system += [
-            prime - Polynomial({(): evaluate(prime, f)}),
-            second - Polynomial({(): evaluate(second, f)}),
-            minors[j0 - 1],
-            z - Polynomial({(): evaluate(z, f)}),
-        ]
-    elif case == "2":
-        system += [
-            prime - Polynomial({(): evaluate(prime, f)}),
-            second - Polynomial({(): evaluate(second, f)}),
-            minors[j0 - 1],
-        ]
+    corner = minors[j0 - 1]
+    if case == "2":
+        tail = [prime, second, corner]
+    elif case == "3b":
+        tail = [corner, prime, p_n0_prime(n), second]
     else:
-        middle = p_n0_prime(n)
-        system += [
-            minors[j0 - 1],
-            prime,
-            middle - Polynomial({(): evaluate(middle, f)}),
-            second - Polynomial({(): evaluate(second, f)}),
-        ]
+        tail = [prime, second, corner, z_coefficients(n)[j0 - 1]]
+    system = [m - Polynomial({(): evaluate(m, f)})
+              for m in minors[:j0 - 1] + tail]
     cuts: Optional[bool] = None
     if f.p is not None:
         p = f.p

@@ -333,11 +333,19 @@ class IdealHandle:
             self._values[key] = _phi(self._solved[key].value, self._value)
         return self._values.get(key)
 
+    def _element(self, x) -> LocalizedPolynomial:
+        """x as an element over the handle's field, which it must be."""
+        val = _as_loc(x, self.p)
+        if val.p != self.p:
+            raise FieldMismatch(
+                f"mixed coefficient fields: {self.p} vs {val.p}")
+        return val
+
     def _image(self, x) -> LocalizedPolynomial:
         """phi(x), where the ring homomorphism phi sends each y to its
         fully substituted rule value, or is the identity when the
         generators did not triangularize."""
-        val = _as_loc(x, self.p)
+        val = self._element(x)
         return val if self.rules is None else _phi(val, self._value)
 
     def normal_form(self, x) -> LocalizedPolynomial:
@@ -347,7 +355,7 @@ class IdealHandle:
         return self._image(x)
 
     def contains(self, x) -> bool:
-        val = _as_loc(x, self.p)
+        val = self._element(x)
         if val.num.is_zero():
             return True
         if self.rules is None:

@@ -340,6 +340,15 @@ class TestIdealHandle:
         nf = i.normal_form(y(3, 1) * y(3, 1))
         assert nf == loc(const(4), const(1))
 
+    def test_element_over_another_field_is_refused(self):
+        # The field check comes before the zero shortcut of contains.
+        i = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
+        for x in (y(2, 1, 3), Polynomial.zero(3), y(3, 1, 3) - const(2, 3)):
+            for check in (i.contains, i.normal_form):
+                with pytest.raises(FieldMismatch) as info:
+                    check(x)
+                assert str(info.value) == "mixed coefficient fields: None vs 3"
+
 
 class TestSolveFor:
     """The one triangular solve step: den * y_v + rest = 0 with every y
