@@ -294,9 +294,7 @@ class IdealHandle:
         field."""
         generators = list(generators)
         for gen in generators:
-            if gen.p != self.p:
-                raise FieldMismatch(
-                    f"mixed coefficient fields: {self.p} vs {gen.p}")
+            self._element(gen)
         inv_set = set(self.invertible)
         out = IdealHandle(self.n, self.generators + generators,
                           None if self.rules is None else dict(self.rules),
