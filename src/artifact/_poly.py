@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 VarKey = Tuple
 Monomial = Tuple[Tuple[VarKey, int], ...]
@@ -39,18 +39,6 @@ def scalar_inverse(value, p: Optional[int]):
     if p is None:
         return Fraction(1) / value
     return pow(value, -1, p)
-
-
-def _normalize_mono(mono) -> Monomial:
-    merged: Dict[VarKey, int] = {}
-    for key, exp in mono:
-        if exp == 0:
-            continue
-        if exp < 0:
-            raise ValueError("negative exponent in monomial")
-        key = tuple(key)
-        merged[key] = merged.get(key, 0) + exp
-    return tuple(sorted(merged.items()))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -131,19 +119,10 @@ class Polynomial:
         return _shared(_ONES, {(): 1}, p)
 
     @classmethod
-    def term(cls, mono, coef=1, p: Optional[int] = None) -> "Polynomial":
-        return cls({_normalize_mono(mono): coef}, p)
-
-    @classmethod
     def variable(cls, key, p: Optional[int] = None) -> "Polynomial":
         return cls({((tuple(key), 1),): 1}, p)
 
     # --- inspection ---------------------------------------------------
-    def monomials(self) -> List[Tuple[object, Monomial]]:
-        """(coefficient, monomial) pairs in display order."""
-        return [(self.terms[mono], mono)
-                for mono in sorted(self.terms, reverse=True)]
-
     def variables(self):
         seen = set()
         for mono in self.terms:

@@ -23,7 +23,7 @@ from .root_system import (
 )
 
 __all__ = [
-    "AdmissibleSubset", "Diagram", "InvalidChoice", "NotMaximal",
+    "AdmissibleSubset", "InvalidChoice", "NotMaximal",
     "UnverifiedRegimeWarning", "build_admissible", "dimension",
     "enumerate_maximal", "is_maximal", "render_diagram",
 ]
@@ -112,21 +112,9 @@ def dimension(s: AdmissibleSubset) -> int:
     return total - len(s.a_set)
 
 
-class Diagram:
-    """ASCII rendering of a diagram as an n-by-n character grid."""
-
-    def __init__(self, rows: List[str]):
-        self._rows = rows
-
-    def ascii_rows(self) -> List[str]:
-        return list(self._rows)
-
-    def __str__(self) -> str:
-        return "\n".join(self._rows)
-
-
-def render_diagram(s: AdmissibleSubset) -> Diagram:
-    """Render crosses, boxes, the +/- pair cells, and bullets.
+def render_diagram(s: AdmissibleSubset) -> List[str]:
+    """The n rows of the diagram's ASCII grid: crosses, boxes, the +/- pair
+    cells, and bullets.
 
     A pick's pair cells leave the working set, so no later pick or pair
     touches them.
@@ -140,7 +128,7 @@ def render_diagram(s: AdmissibleSubset) -> Diagram:
                 grid[r.row - 1][r.col - 1] = mark
     for r in s.m_set:
         grid[r.row - 1][r.col - 1] = "."
-    return Diagram(["".join(row) for row in grid])
+    return ["".join(row) for row in grid]
 
 
 def _greedy_complete(n: int, prefix: Sequence[Root]) -> AdmissibleSubset:

@@ -19,7 +19,7 @@ from .symbolic import _phi, _solve_for, const, loc, pick_values, y_var
 
 __all__ = [
     "LemmaFailure", "MinorSpec", "NotInA", "TauPolynomial",
-    "TriangularSystem", "WEta", "bordered_minors", "h_subset", "minor",
+    "TriangularSystem", "WEta", "bordered_minors", "minor",
     "p_h_eta", "p_n0_prime", "phi_tau", "regular_minors",
     "triangular_system", "w_eta", "z_coefficients",
 ]
@@ -147,13 +147,9 @@ def w_eta(s, eta: Root) -> WEta:
     return WEta(tuple(image), q, d)
 
 
-def h_subset(s, eta: Root) -> Tuple[frozenset, int]:
-    """The unique sub-collection of marked picks above eta whose root sum
-    matches the defect of the word, plus one for eta itself."""
-    return _h_subset(s, eta, w_eta(s, eta).rows)
-
-
 def _h_subset(s, eta: Root, rows) -> Tuple[frozenset, int]:
+    """The unique sub-collection of marked picks above eta whose root sum
+    matches the defect of eta's word ``rows``, plus one for eta itself."""
     # epsilon coordinates: root (i, j) contributes +1 at j, -1 at i.
     v = [0] * (s.n + 1)
     for m, r in zip(range(1, eta.col + 1), rows):

@@ -93,7 +93,7 @@ def _cmd_diagrams(args) -> object:
         entries.append({
             "label": _label_text(s),
             "dim": dimension(s),
-            "rows": render_diagram(s).ascii_rows(),
+            "rows": render_diagram(s),
             "sequence": [root_to_text(r) for r in s.xi],
         })
     if args.json:

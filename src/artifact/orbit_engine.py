@@ -377,9 +377,7 @@ class Orbit:
         return _digits(self.codes, self.p, len(_root_order(self.n)))
 
 
-def _budget_value(budget: Optional[int]) -> int:
-    if budget is not None:
-        return budget
+def _budget_value() -> int:
     raw = os.environ.get("ARTIFACT_BFS_BUDGET")
     if not raw:
         return _DEFAULT_BUDGET
@@ -394,13 +392,12 @@ def _budget_value(budget: Optional[int]) -> int:
     return limit
 
 
-def _check_space_budget(stage: str, n: int, p: int,
-                        budget: Optional[int]) -> None:
+def _check_space_budget(stage: str, n: int, p: int) -> None:
     """A whole-space scan visits all p^(n(n-1)/2) states; refuse it before
     allocating anything when that is more than the budget."""
     _check_codes_fit(n, p)
     states = p ** (n * (n - 1) // 2)
-    limit = _budget_value(budget)
+    limit = _budget_value()
     if states > limit:
         raise BudgetExceeded(
             f"{stage} at n={n}, p={p} would scan {states} states, over "
@@ -441,7 +438,7 @@ def _sweep(codes: np.ndarray, p: int, reads: np.ndarray,
     return images[keep]
 
 
-def orbit_bfs(f: LinearForm, budget: Optional[int] = None,
+def orbit_bfs(f: LinearForm,
               generators: Optional[Tuple[GroupElement, ...]] = None
               ) -> Orbit:
     """The orbit of f as a product of root subgroups.
@@ -449,8 +446,9 @@ def orbit_bfs(f: LinearForm, budget: Optional[int] = None,
     The group is X_a1 X_a2 ... X_aN for the root subgroups X_a taken in any
     fixed order, and X_a = {(I + e_a)^t : t < p} since e_a^2 = 0, so the
     orbit is reached by closing {f} under one generator after another.
-    Every set on the way lies inside the orbit, so the budget, a cap on
-    the orbit size, is checked after each closure.  Without ``generators``
+    Every set on the way lies inside the orbit, so the budget
+    ``ARTIFACT_BFS_BUDGET``, a cap on the orbit size, is checked after each
+    closure.  Without ``generators``
     the search reuses the moves kept per (n, p); ``generators``, the
     ``_generators(n, p)`` of f's field, makes it build its own moves from
     them."""
@@ -459,7 +457,7 @@ def orbit_bfs(f: LinearForm, budget: Optional[int] = None,
     n, p = f.n, f.p
     _check_prime(p)
     _check_codes_fit(n, p)
-    limit = _budget_value(budget)
+    limit = _budget_value()
     codes = np.array([_encode(f)], dtype=np.int64)
     _check_orbit_budget(n, p, len(codes), limit)
     moves = _default_moves(n, p) if generators is None else \
@@ -470,11 +468,11 @@ def orbit_bfs(f: LinearForm, budget: Optional[int] = None,
     return Orbit(n, p, f, codes)
 
 
-def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
+def all_orbits(n: int, p: int) -> List[Orbit]:
     """Partition the whole dual space into orbits, in order of the least
     packed state."""
     _check_prime(p)
-    _check_space_budget("all_orbits", n, p, budget)
+    _check_space_budget("all_orbits", n, p)
     roots = _root_order(n)
     free = np.ones(p ** len(roots), dtype=bool)
     # Moves rebuilt per orbit: perfbench TestTracer pins 9·orbits acts here.
@@ -483,8 +481,7 @@ def all_orbits(n: int, p: int, budget: Optional[int] = None) -> List[Orbit]:
     code = 0
     while code < len(free):
         row = _digits(np.array([code]), p, len(roots))[0].tolist()
-        orbit = orbit_bfs(_row_form(n, p, row), budget=budget,
-                          generators=generators)
+        orbit = orbit_bfs(_row_form(n, p, row), generators=generators)
         free[orbit.codes] = False
         orbits.append(orbit)
         code += int(np.argmax(free[code:]))
@@ -643,20 +640,19 @@ def _classify_orbit(orbit: Orbit, stage: str
     return s, values
 
 
-def classify(f: LinearForm, budget: Optional[int] = None
-             ) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
+def classify(f: LinearForm) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     """Find the diagram and constants of the orbit through f."""
     check_dimension(f.n)
     _check_prime(f.p)
-    return _classify_orbit(orbit_bfs(f, budget=budget), "classify")
+    return _classify_orbit(orbit_bfs(f), "classify")
 
 
-def census(n: int, p: int, budget: Optional[int] = None) -> Dict:
+def census(n: int, p: int) -> Dict:
     """Classify every orbit and tally counts per diagram label, together
     with the two counting identities."""
     check_dimension(n)
     tally: Dict[Tuple[int, int, int], Dict[str, int]] = {}
-    for orbit in all_orbits(n, p, budget=budget):
+    for orbit in all_orbits(n, p):
         s, _values = _classify_orbit(orbit, "census")
         dim = dimension(s)
         row = tally.setdefault(s.label, {"dim": dim, "count": 0})
@@ -690,11 +686,10 @@ def census(n: int, p: int, budget: Optional[int] = None) -> Dict:
     }
 
 
-def stratum_max_dims(n: int, p: int, budget: Optional[int] = None
-                     ) -> List[int]:
+def stratum_max_dims(n: int, p: int) -> List[int]:
     """Largest orbit dimension within each first-column stratum."""
     best = [0] * n
-    for orbit in all_orbits(n, p, budget=budget):
+    for orbit in all_orbits(n, p):
         size = len(orbit)
         dim = 0
         while p ** dim < size:
@@ -718,8 +713,7 @@ class SubregularRecord:
     cuts_exactly: Optional[bool]
 
 
-def subregular_classify(target, budget: Optional[int] = None
-                        ) -> SubregularRecord:
+def subregular_classify(target) -> SubregularRecord:
     """Classify a subregular orbit given either (diagram, constants) or a
     finite-field point, and assemble its cutting system."""
     from .char_matrix import bordered_minors, p_n0_prime, regular_minors, \
@@ -764,7 +758,7 @@ def subregular_classify(target, budget: Optional[int] = None
     cuts: Optional[bool] = None
     if f.p is not None:
         p = f.p
-        _check_space_budget("subregular cut", n, p, budget)
+        _check_space_budget("subregular cut", n, p)
         roots = _root_order(n)
         index = {("y", r.row, r.col): k for k, r in enumerate(roots)}
         total = p ** len(roots)
@@ -779,6 +773,6 @@ def subregular_classify(target, budget: Optional[int] = None
                 mask &= substitute(gen, lambda key: members[:, index[key]],
                                    p) == 0
             cut.append(codes[mask])
-        orbit = orbit_bfs(f, budget=budget)
+        orbit = orbit_bfs(f)
         cuts = np.array_equal(np.concatenate(cut), orbit.codes)
     return SubregularRecord(case, j0, tuple(system), cuts)

@@ -100,9 +100,6 @@ class RootSet:
     def difference(self, other) -> "RootSet":
         return RootSet(self.n, self._roots - frozenset(other))
 
-    def union(self, other) -> "RootSet":
-        return RootSet(self.n, self._roots | frozenset(other))
-
 
 def positive_roots(n: int) -> RootSet:
     """All strictly lower positions of the n-by-n matrix: one shared

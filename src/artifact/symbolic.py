@@ -36,11 +36,10 @@ from .root_system import (
 
 __all__ = [
     "FieldMismatch", "IdealHandle", "LocalizedPolynomial", "NotMaximal",
-    "Polynomial", "ReductionContext", "Rule", "UnsupportedColumn",
-    "UnsupportedIdealShape", "bracket", "build_ideal", "c_var",
-    "canonical_pairs", "const", "evaluate", "initial_context",
-    "is_casimir_mod", "is_poisson_ideal", "loc", "pick_values",
-    "poly_text", "reduce_column", "y_var",
+    "Polynomial", "Rule", "UnsupportedColumn", "UnsupportedIdealShape",
+    "bracket", "build_ideal", "c_var", "canonical_pairs", "const",
+    "evaluate", "is_casimir_mod", "is_poisson_ideal", "loc", "pick_values",
+    "poly_text", "reduce_columns", "y_var",
 ]
 
 
@@ -276,10 +275,6 @@ class IdealHandle:
         self._exact: Optional[bool] = None
 
     @classmethod
-    def zero(cls, n: int) -> "IdealHandle":
-        return cls(n, [], {}, ())
-
-    @classmethod
     def from_generators(cls, n: int, generators, invertible=None
                         ) -> "IdealHandle":
         generators = list(generators)
@@ -478,7 +473,7 @@ def _series(val: LocalizedPolynomial, p_elt: LocalizedPolynomial,
 
 # The twist of one canonical pair, shared by every diagram: the image of a
 # variable or of a whole value depends only on n (the series limit), the
-# pair and the input.  The pairs and values of ``reduce_column`` are
+# pair and the input.  The pairs and values of ``reduce_columns`` are
 # y-polynomials over Q whatever the constants, so the n <= 7 catalogs bound
 # the memo.  Keys hold the polynomials, which carry their field, not
 # fractions, whose == cross-multiplies.
@@ -564,50 +559,35 @@ def _pair_elements(p_root: Root, q_root: Root, den_on_p: bool
     return pair
 
 
-class ReductionContext:
-    """Mutable state threaded through the per-column reduction."""
-
-    def __init__(self, s, cmap: Dict[Root, Polynomial]):
-        self.s = s
-        self.n = s.n
-        self.cmap = cmap
-        self.tmaps: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []
-        self.handle = IdealHandle(s.n, [], {}, tuple(s.s_otimes))
-        # The canonical pairs depend on the diagram alone.
-        self.pairs = canonical_pairs(s)
-
-
 def pick_values(s, c=None) -> Dict[Root, Polynomial]:
     """The value of each pick: its constant c_i_j when ``c is None``,
     else c's value for it (0 when absent)."""
     return {r: c_var(r) if c is None else const(c.get(r, 0)) for r in s.xi}
 
 
-def initial_context(s, c=None) -> ReductionContext:
-    return ReductionContext(s, pick_values(s, c))
-
-
-def reduce_column(ctx: ReductionContext, t: int):
-    """Process column t: take its canonical pairs, push the images of
-    the column's closure roots through the accumulated maps, and extend
-    the ideal by their cleared generators.
-
-    Returns (pairs, images, ideal).
-    """
-    new_pairs = [_pair_elements(*triple) for triple in ctx.pairs[t - 1]]
-    # Within a column the last peeled pair acts first.
-    ctx.tmaps.extend(reversed(new_pairs))
-    images: Dict[Root, LocalizedPolynomial] = {}
-    for eta in (r for r in ctx.s.a_set if r.col == t):
-        val = _as_loc(y_var(eta.row, eta.col))
-        # Later columns act innermost: their pairs are peeled off first.
-        for pair in reversed(ctx.tmaps):
-            val = _twist(ctx.n, pair, val)
-        images[eta] = val
-    ctx.handle = ctx.handle._extended(
-        val.num - ctx.cmap.get(eta, Polynomial.zero()) * val.den
-        for eta, val in images.items())
-    return new_pairs, images, ctx.handle
+def reduce_columns(s, c=None):
+    """Reduce the columns t = 1..n-1 in turn.  For each, take its canonical
+    pairs, push the images of the column's closure roots through the
+    accumulated maps, extend the ideal by their cleared generators, and
+    yield (pairs, images, ideal)."""
+    cmap = pick_values(s, c)
+    handle = IdealHandle(s.n, [], {}, tuple(s.s_otimes))
+    tmaps: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []
+    for t, triples in enumerate(canonical_pairs(s), start=1):
+        pairs = [_pair_elements(*triple) for triple in triples]
+        # Within a column the last peeled pair acts first.
+        tmaps.extend(reversed(pairs))
+        images: Dict[Root, LocalizedPolynomial] = {}
+        for eta in (r for r in s.a_set if r.col == t):
+            val = _as_loc(y_var(eta.row, eta.col))
+            # Later columns act innermost: their pairs are peeled off first.
+            for pair in reversed(tmaps):
+                val = _twist(s.n, pair, val)
+            images[eta] = val
+        handle = handle._extended(
+            val.num - cmap.get(eta, Polynomial.zero()) * val.den
+            for eta, val in images.items())
+        yield pairs, images, handle
 
 
 def build_ideal(s, c=None) -> IdealHandle:
@@ -618,7 +598,6 @@ def build_ideal(s, c=None) -> IdealHandle:
     """
     if not is_maximal(s):
         raise NotMaximal("the diagram admits a proper extension")
-    ctx = initial_context(s, c)
-    for t in range(1, s.n):
-        reduce_column(ctx, t)
-    return ctx.handle
+    for _pairs, _images, handle in reduce_columns(s, c):
+        pass
+    return handle

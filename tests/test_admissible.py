@@ -152,19 +152,18 @@ class TestRenderDiagram:
     def test_frozen_grids(self, n, catalog):
         for label, entry in catalog.items():
             s = build_admissible(n, entry["seq"])
-            d = render_diagram(s)
-            assert d.ascii_rows() == entry["grid"], label
+            assert render_diagram(s) == entry["grid"], label
 
     def test_anchor_grids(self):
         s6 = build_admissible(6, ANCHOR_634["seq"])
-        assert render_diagram(s6).ascii_rows() == ANCHOR_634["grid"]
+        assert render_diagram(s6) == ANCHOR_634["grid"]
         s7 = build_admissible(7, ANCHOR_727["seq"])
-        assert render_diagram(s7).ascii_rows() == ANCHOR_727["grid"]
+        assert render_diagram(s7) == ANCHOR_727["grid"]
 
     def test_plus_minus_balance(self):
         for n, catalog in ALL_FROZEN:
             for entry in catalog.values():
-                rows = render_diagram(build_admissible(n, entry["seq"])).ascii_rows()
+                rows = render_diagram(build_admissible(n, entry["seq"]))
                 joined = "".join(rows)
                 assert joined.count("+") == joined.count("-")
 
@@ -174,7 +173,7 @@ class TestRenderDiagram:
         for n, catalog in ALL_FROZEN + [(6, {0: ANCHOR_634}), (7, {0: ANCHOR_727})]:
             for entry in catalog.values():
                 s = build_admissible(n, entry["seq"])
-                rows = render_diagram(s).ascii_rows()
+                rows = render_diagram(s)
                 splits = [c_split(choice, stage)
                           for choice, stage in zip(s.xi, s.a_chain)]
                 cells = [r for split in splits for side in split for r in side]
@@ -189,10 +188,10 @@ class TestRenderDiagram:
         # Dropping trailing choices turns their cells into bullets but keeps
         # every other symbol in place.
         full = build_admissible(5, CATALOG5[(5, 2, 1)]["seq"])
-        ref = render_diagram(full).ascii_rows()
+        ref = render_diagram(full)
         for k in (2, 3):
             part = build_admissible(5, CATALOG5[(5, 2, 1)]["seq"][:k])
-            rows = render_diagram(part).ascii_rows()
+            rows = render_diagram(part)
             for r_full, r_part in zip(ref, rows):
                 for ch_full, ch_part in zip(r_full, r_part):
                     if ch_part != ch_full:

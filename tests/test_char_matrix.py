@@ -10,9 +10,9 @@ from artifact.char_matrix import (
     MinorSpec,
     NotInA,
     TauPolynomial,
+    _h_subset,
     _minor,
     bordered_minors,
-    h_subset,
     minor,
     p_h_eta,
     p_n0_prime,
@@ -37,7 +37,7 @@ def drop_vars(poly, bad_roots):
     for mono, coef in poly.terms.items():
         if any(var in bad for var, _ in mono):
             continue
-        out = out + Polynomial.term(mono, coef)
+        out = out + Polynomial({mono: coef})
     return out
 
 
@@ -147,13 +147,13 @@ class TestWEta727:
 
     def test_h_subsets(self, s727):
         for eta, (hs, h) in self.H.items():
-            assert h_subset(s727, eta) == (hs, h), eta
+            assert _h_subset(s727, eta, w_eta(s727, eta).rows) == (hs, h), eta
 
     def test_not_in_a(self, s727):
         with pytest.raises(NotInA):
             w_eta(s727, R(3, 2))
         with pytest.raises(NotInA):
-            h_subset(s727, R(4, 3))
+            _h_subset(s727, R(4, 3), w_eta(s727, R(4, 3)).rows)
 
     def test_degree_bounds(self, s727):
         # The minor attached to eta has least tau-degree q and top degree d.
@@ -390,4 +390,4 @@ class TestCasimirProperty:
 
         for n in (4, 5):
             for p in regular_minors(n):
-                assert is_casimir_mod(p, IdealHandle.zero(n))
+                assert is_casimir_mod(p, IdealHandle.from_generators(n, []))

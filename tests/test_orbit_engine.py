@@ -150,13 +150,14 @@ class TestOrbitBfs:
         f = form(3, 2, {R(2, 1): 1, R(3, 2): 1})
         assert len(orbit_bfs(f)) == 1
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         s = build_admissible(5, CATALOG5[(5, 0, 1)]["seq"])
         f = canonical_form(s, {R(5, 1): 1, R(4, 2): 1}, p=3)
+        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", "10")
         with pytest.raises(BudgetExceeded):
-            orbit_bfs(f, budget=10)
+            orbit_bfs(f)
 
-    def test_budget_message_names_stage_and_counts(self):
+    def test_budget_message_names_stage_and_counts(self, monkeypatch):
         s = build_admissible(5, CATALOG5[(5, 0, 1)]["seq"])
         f = canonical_form(s, {R(5, 1): 1, R(4, 2): 1}, p=3)
         # The root subgroups are swept in root order, past the central
@@ -164,24 +165,29 @@ class TestOrbitBfs:
         # to one value that was fixed before, at (5,4), (5,3) and (5,2), so
         # the set grows from 1 to 3, 9 and 27 states: 27 is the first count
         # over 10.  A budget of 0 refuses the starting state itself.
+        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", "10")
         with pytest.raises(BudgetExceeded, match=r"^orbit_bfs at n=5, p=3 "
                            r"reached 27 states, over the limit of 10$"):
-            orbit_bfs(f, budget=10)
+            orbit_bfs(f)
+        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", "0")
         with pytest.raises(BudgetExceeded, match=r"^orbit_bfs at n=5, p=3 "
                            r"reached 1 states, over the limit of 0$"):
-            orbit_bfs(f, budget=0)
+            orbit_bfs(f)
 
-    def test_whole_space_budget(self):
+    def test_whole_space_budget(self, monkeypatch):
         # all_orbits(3, 2) scans 2^3 states: a budget of 8 allows it, 7
         # refuses it before any search.
-        assert len(all_orbits(3, 2, budget=8)) == 5
+        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", "8")
+        assert len(all_orbits(3, 2)) == 5
+        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", "7")
         with pytest.raises(BudgetExceeded, match=r"all_orbits at n=3, p=2"
                            r" would scan 8 states, over the limit of 7"):
-            all_orbits(3, 2, budget=7)
+            all_orbits(3, 2)
         s = build_admissible(4, CATALOG4[(4, 2, 1)]["seq"])
         f = canonical_form(s, {r: 1 for r in s.xi}, p=3)
+        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", str(3 ** 6 - 1))
         with pytest.raises(BudgetExceeded, match="subregular cut"):
-            subregular_classify(f, budget=3 ** 6 - 1)
+            subregular_classify(f)
 
     def test_iteration_yields_members(self):
         f = form(3, 2, {R(3, 1): 1})
@@ -392,17 +398,21 @@ class TestSweepAgainstReference:
 
 
 class TestBudgetIsOrbitSizeCap:
-    def test_budget_of_orbit_size_passes_and_one_less_refuses(self):
+    def test_budget_of_orbit_size_passes_and_one_less_refuses(
+            self, monkeypatch):
         rng = random.Random("budget-cap")
         for n, p in [(3, 5), (4, 3), (5, 2), (5, 3), (6, 2)]:
             for _ in range(4):
                 f = form_of_code(n, p, rng.randrange(p ** (n * (n - 1) // 2)))
+                monkeypatch.delenv("ARTIFACT_BFS_BUDGET", raising=False)
                 size = len(orbit_bfs(f))
-                assert orbit_bfs(f, budget=size).codes.size == size
+                monkeypatch.setenv("ARTIFACT_BFS_BUDGET", str(size))
+                assert orbit_bfs(f).codes.size == size
+                monkeypatch.setenv("ARTIFACT_BFS_BUDGET", str(size - 1))
                 with pytest.raises(BudgetExceeded, match=(
                         rf"^orbit_bfs at n={n}, p={p} reached \d+ states, "
                         rf"over the limit of {size - 1}$")):
-                    orbit_bfs(f, budget=size - 1)
+                    orbit_bfs(f)
 
 
 class TestNonPrimeField:
@@ -412,12 +422,13 @@ class TestNonPrimeField:
         with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
             orbit_bfs(form(3, 4, {R(3, 1): 2}))
 
-    def test_all_orbits(self):
+    def test_all_orbits(self, monkeypatch):
         with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
             all_orbits(3, 4)
         # The field is checked before the size of its space.
+        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", "0")
         with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
-            all_orbits(3, 4, budget=0)
+            all_orbits(3, 4)
 
     def test_stratum_max_dims(self):
         with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
@@ -657,7 +668,7 @@ class TestPolarization:
         pol = polarization(s)
         from artifact.admissible import render_diagram
 
-        rows = render_diagram(s).ascii_rows()
+        rows = render_diagram(s)
         expected = {
             R(i, j)
             for i in range(2, 8) for j in range(1, i)
@@ -977,7 +988,7 @@ class TestClassificationMismatchMessages:
         from artifact import orbit_engine
 
         monkeypatch.setattr(orbit_engine, "all_orbits",
-                            lambda n, p, budget=None: [[None] * 3])
+                            lambda n, p: [[None] * 3])
         with pytest.raises(ClassificationMismatch, match=r"^stratum_max_dims "
                            r"at n=3, p=2: an orbit of 3 states is not a "
                            r"power of 2$"):
