@@ -744,7 +744,8 @@ def subregular_classify(target) -> SubregularRecord:
         raise NotSubregular(
             f"vanishing pattern at column {j0} is not supported")
     # Each minor below is cut at its value at f; the corner minor j0, and
-    # the prime bordered one in case 3b, are zero there.
+    # the prime bordered one in case 3b, are zero there.  Case 1 also cuts
+    # the corner minors after j0, invariants on the whole space.
     prime, second = bordered_minors(n, j0)
     corner = minors[j0 - 1]
     if case == "2":
@@ -753,6 +754,8 @@ def subregular_classify(target) -> SubregularRecord:
         tail = [corner, prime, p_n0_prime(n), second]
     else:
         tail = [prime, second, corner, z_coefficients(n)[j0 - 1]]
+    if case == "1":
+        tail += minors[j0:]
     system = [m - Polynomial({(): evaluate(m, f)})
               for m in minors[:j0 - 1] + tail]
     cuts: Optional[bool] = None

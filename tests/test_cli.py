@@ -125,6 +125,14 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", suite, *extra)
         assert code == 0, (suite, out, err)
 
+    def test_subregular_cuts_at_n6(self, capsys):
+        # Case 1 of (6, 1, 1) cuts its orbit once its system holds the
+        # corner minors after j0.
+        code, out, err = run(capsys, "verify", "--suite", "subregular",
+                             "--n", "6", "--p", "2")
+        assert (code, out, err) == (
+            0, "suite subregular: 3 checks passed\n", "")
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2

@@ -935,8 +935,8 @@ class TestSubregular:
                                  f"{self._record_text(orbit.representative)}")
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert len(lines) == 434
-        assert digest == ("5d9c6e59a7fb66ba0f96262e58c74f7534e40226913d98160e"
-                          "490445d2d9c6f2")
+        assert digest == ("87d8076e2c2eaa01c36536340b1278ab452bb2f686699911375"
+                          "379f6cdfcb3af")
 
 
 class TestStratumMaxDims:
