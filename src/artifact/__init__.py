@@ -1,7 +1,7 @@
 """Coadjoint-orbit classification for lower unitriangular groups.
 
 Modules:
-  root_system   roots, lex order, column slices of diagrams
+  root_system   roots, lex order, structure constants, pick splits
   admissible    admissible diagrams, maximal catalogs
   symbolic      Poisson brackets, column reduction, defining ideals
   char_matrix   characteristic-matrix minors and invariant systems

@@ -10,7 +10,9 @@ import hashlib
 import importlib
 import itertools
 import os
+import pathlib
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -425,3 +427,45 @@ def test_every_export_resolves(module):
                    if not name.startswith("_") and callable(obj)
                    and getattr(obj, "__module__", None) == module}
         assert defined <= set(exported), sorted(defined - set(exported))
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _resolves(module, name: str) -> bool:
+    # name is an attribute path from the row's module or, when dotted,
+    # from the package module its first part names.
+    head, *rest = name.split(".")
+    starts = [module]
+    if rest:
+        try:
+            starts.append(importlib.import_module(f"artifact.{head}"))
+        except ImportError:
+            pass
+    for obj, path in zip(starts, (name.split("."), rest)):
+        try:
+            for part in path:
+                obj = getattr(obj, part)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def test_readme_module_table_resolves():
+    # Every backticked text in a row of the README's module table names
+    # something that exists, written bare or as a call, so the table
+    # cannot cite a deleted name.
+    rows = re.findall(r"^\| `(artifact\.\w+)` \|(.*)\|$",
+                      README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert {name for name, _ in rows} == {
+        f"artifact.{name}" for name in artifact.__all__}
+    unresolved = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for text in re.findall(r"`([^`]+)`", contents):
+            name = re.sub(r"\(.*\)$", "", text)
+            if not (re.fullmatch(r"\w+(\.\w+)*", name)
+                    and _resolves(module, name)):
+                unresolved.append((module_name, text))
+    assert not unresolved, unresolved
