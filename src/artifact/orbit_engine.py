@@ -448,10 +448,9 @@ def orbit_bfs(f: LinearForm,
     orbit is reached by closing {f} under one generator after another.
     Every set on the way lies inside the orbit, so the budget
     ``ARTIFACT_BFS_BUDGET``, a cap on the orbit size, is checked after each
-    closure.  Without ``generators``
-    the search reuses the moves kept per (n, p); ``generators``, the
-    ``_generators(n, p)`` of f's field, makes it build its own moves from
-    them."""
+    closure.  Without ``generators`` the search reuses the moves kept per
+    (n, p); ``generators``, the ``_generators(n, p)`` of f's field, makes
+    it build its own moves from them."""
     if f.p is None:
         raise ValueError("orbit enumeration needs a finite field")
     n, p = f.n, f.p
