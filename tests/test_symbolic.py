@@ -474,6 +474,13 @@ class TestReduceColumn:
         first = s.xi[0]
         assert pick_values(s, {first: 5}) == {
             r: const(5 if r == first else 0) for r in s.xi}
+        # The reduction clears each closure root's image against its value.
+        values = pick_values(s, {first: 5})
+        _pairs, images, handle = next(reduce_columns(s, {first: 5}))
+        assert first in images
+        assert handle.generators == [
+            val.num - values.get(eta, Polynomial.zero()) * val.den
+            for eta, val in images.items()]
 
     def test_n3_regular(self):
         s = build_admissible(3, CATALOG3[(3, 0, 1)]["seq"])
