@@ -9,7 +9,9 @@ I + e_alpha is linear on value vectors and changes only a few values of
 each, so one step reads and rewrites only those base-p digits.  The search
 runs on packed codes only: each state is one int64 holding its base-p
 digits, and an orbit is the sorted array of its codes, so the field size is
-limited to p^(n(n-1)/2) <= 2^63.
+limited to p^(n(n-1)/2) <= 2^63.  Whether a point is a canonical form
+depends only on its support, so an orbit's canonical member is found by
+looking each member's support up in one sorted table, the same for every p.
 
 ``coadjoint_act`` skips the validating ``LinearForm`` constructor: its result
 roots lie in the triangle by construction, and it reduces values itself.
@@ -21,7 +23,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -268,16 +270,16 @@ def canonical_form(s: AdmissibleSubset, c: Dict[Root, object],
 
 def _generator_moves(n: int, p: int,
                      generators: Optional[Tuple[GroupElement, ...]] = None
-                     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                     ) -> List[Tuple[np.ndarray, ...]]:
     """The ``_generators(n, p)``, or the given ones, as sparse moves on
     states.
 
     A generator changes only a few values of a form, each a linear function
-    of a few old values.  There is one triple (reads, columns, writes) for
-    each generator that moves anything, in root order: the new value at
-    root ``writes[t]`` is the old values at roots ``reads`` times column t
-    of ``columns``.  The action is unipotent, so a written value reads
-    itself with coefficient 1 and ``writes`` is a subset of ``reads``."""
+    of a few old values.  There is one move (reads, columns, writes, p **
+    reads, p ** writes, at) for each generator that moves anything, in root
+    order: the new value at root ``writes[t]`` is the old values at roots
+    ``reads`` times column t of ``columns``.  The action is unipotent, so a
+    written value reads itself with coefficient 1 and writes = reads[at]."""
     roots = _root_order(n)
     size = len(roots)
     index = {r: k for k, r in enumerate(roots)}
@@ -294,14 +296,15 @@ def _generator_moves(n: int, p: int,
     np.put(full, list(flat), list(flat.values()))
     writes = (full != np.eye(size, dtype=np.int64)).any(axis=1)
     reads = ((full != 0) & writes[:, None, :]).any(axis=2)
-    return [(np.flatnonzero(reads[g]), full[g][reads[g]][:, writes[g]],
-             np.flatnonzero(writes[g]))
-            for g in np.flatnonzero(writes.any(axis=1))]
+    moved = np.flatnonzero(writes.any(axis=1))
+    kept = [(np.flatnonzero(reads[g]), np.flatnonzero(writes[g]))
+            for g in moved]
+    return [(r, full[g][r][:, w], w, p ** r, p ** w, np.searchsorted(r, w))
+            for g, (r, w) in zip(moved, kept)]
 
 
 @lru_cache(maxsize=8)
-def _default_moves(n: int, p: int
-                   ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+def _default_moves(n: int, p: int) -> Tuple[Tuple[np.ndarray, ...], ...]:
     """``_generator_moves(n, p)`` kept for every single-orbit search at
     (n, p), read-only because all of them share it."""
     moves = tuple(_generator_moves(n, p))
@@ -326,13 +329,14 @@ def _check_codes_fit(n: int, p: int) -> None:
             f"orbit states at n={n}")
 
 
-def _digits(codes: np.ndarray, p: int, width: int) -> np.ndarray:
-    """Rows of the base-p digits of packed state codes, least significant
-    digit (the first root) first."""
-    out = np.empty((len(codes), width), dtype=np.int64)
-    for k in range(width):
-        out[:, k] = codes % p
-        codes = codes // p
+def _digits(codes: np.ndarray, p: int, positions: Sequence[int]
+            ) -> np.ndarray:
+    """Rows of the base-p digits at ``positions`` of packed state codes;
+    digit k, of place value p^k, is the value at root k."""
+    out = np.empty((len(codes), len(positions)), dtype=np.int64)
+    for at, k in enumerate(positions):
+        # numpy divides by one scalar much faster than by an array.
+        out[:, at] = codes // p ** k % p
     return out
 
 
@@ -374,7 +378,7 @@ class Orbit:
             yield _row_form(self.n, self.p, row)
 
     def member_array(self) -> np.ndarray:
-        return _digits(self.codes, self.p, len(_root_order(self.n)))
+        return _digits(self.codes, self.p, range(len(_root_order(self.n))))
 
 
 def _budget_value() -> int:
@@ -411,25 +415,28 @@ def _check_orbit_budget(n: int, p: int, states: int, limit: int) -> None:
             f"limit of {limit}")
 
 
-def _sweep(codes: np.ndarray, p: int, reads: np.ndarray,
-           columns: np.ndarray, writes: np.ndarray) -> np.ndarray:
+def _sweep(codes: np.ndarray, p: int, move: Tuple) -> np.ndarray:
     """The closure of a sorted code array under one generator g: the sorted
     union of g^t applied to it for t < p.  Only the digits g reads are
     taken from the codes, and g^t follows from g^(t-1) by rewriting the
-    digits g writes."""
-    read_scale = p ** reads
-    write_scale = p ** writes
-    at = np.searchsorted(reads, writes)
-    rows = max(1, _BLOCK_CELLS // max(len(reads), len(writes)))
+    digits g writes.  A block of codes that g fixes is fixed by every g^t,
+    and when g fixes every code the input array itself is returned."""
+    _reads, columns, _writes, read_scale, write_scale, at = move
+    rows = max(1, _BLOCK_CELLS // len(read_scale))
     images = [codes]
     for first in range(0, len(codes), rows):
         image = codes[first:first + rows]
         digits = image[:, None] // read_scale % p
         for _t in range(1, p):
             new = digits @ columns % p
-            image = image + (new - digits[:, at]) @ write_scale
+            step = (new - digits[:, at]) @ write_scale
+            if not step.any():
+                break
+            image = image + step
             digits[:, at] = new
             images.append(image)
+    if len(images) == 1:
+        return codes
     # Sort and drop repeats instead of np.unique: for int64 its hash path
     # is an order of magnitude slower than a sort.
     images = np.sort(np.concatenate(images))
@@ -462,7 +469,7 @@ def orbit_bfs(f: LinearForm,
     moves = _default_moves(n, p) if generators is None else \
         _generator_moves(n, p, generators)
     for move in moves:
-        codes = _sweep(codes, p, *move)
+        codes = _sweep(codes, p, move)
         _check_orbit_budget(n, p, len(codes), limit)
     return Orbit(n, p, f, codes)
 
@@ -479,7 +486,7 @@ def all_orbits(n: int, p: int) -> List[Orbit]:
     orbits = []
     code = 0
     while code < len(free):
-        row = _digits(np.array([code]), p, len(roots))[0].tolist()
+        row = _digits(np.array([code]), p, range(len(roots)))[0].tolist()
         orbit = orbit_bfs(_row_form(n, p, row), generators=generators)
         free[orbit.codes] = False
         orbits.append(orbit)
@@ -596,47 +603,51 @@ def verify_polarization(pol: Iterable[Root], f: LinearForm) -> bool:
 # --- classification -------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _catalog_masks(n: int, catalog: Tuple[AdmissibleSubset, ...]
+def _support_table(n: int, catalog: Tuple[AdmissibleSubset, ...]
                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Each diagram's pick and marked masks, bit k for root k.  Subsets
-    compare by identity, so the masks are reused only for a catalog that
-    holds the very same subsets."""
+    """The sorted canonical supports, bit k for root k, with their owners:
+    diagram j owns its marked picks with each subset of its box picks.  The
+    table is reused only for a catalog of the very same subsets."""
     index = {r: k for k, r in enumerate(_root_order(n))}
-    return (np.array([sum(1 << index[r] for r in s.xi) for s in catalog],
-                     dtype=np.int64),
-            np.array([sum(1 << index[r] for r, m in zip(s.xi, s.otimes_mask)
-                          if m) for s in catalog], dtype=np.int64))
+    entries = []
+    for j, s in enumerate(catalog):
+        own = [sum(1 << index[r] for r in s.s_otimes)]
+        for r in s.s_box:
+            own += [x | 1 << index[r] for x in own]
+        entries += [(x, j) for x in own]
+    table = np.array(sorted(entries), dtype=np.int64).reshape(-1, 2)
+    return table[:, 0].copy(), table[:, 1].copy()
 
 
 def _classify_orbit(orbit: Orbit, stage: str
                     ) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     n, p = orbit.n, orbit.p
     roots = _root_order(n)
-    index = {r: k for k, r in enumerate(roots)}
     catalog = enumerate_maximal(n)
-    picks, marked = _catalog_masks(n, tuple(catalog))
+    table, owners = _support_table(n, tuple(catalog))
     weights = 1 << np.arange(len(roots), dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // max(len(roots), len(catalog)))
-    matches: List[Tuple[AdmissibleSubset, Dict[Root, int]]] = []
+    rows = max(1, _BLOCK_CELLS // len(roots))
+    matches: List[Tuple[AdmissibleSubset, np.ndarray]] = []
     for first in range(0, len(orbit), rows):
-        members = _digits(orbit.codes[first:first + rows], p, len(roots))
-        support = ((members != 0) @ weights)[:, None]
-        # hit[i, j]: member i is zero off the picks of diagram j and
-        # nonzero on its marked picks.
-        hit = ((support & ~picks) == 0) & ((support & marked) == marked)
-        for i, j in zip(*np.nonzero(hit)):
-            s = catalog[j]
-            matches.append((s, {r: int(members[i, index[r]]) for r in s.xi}))
+        members = _digits(orbit.codes[first:first + rows], p,
+                          range(len(roots)))
+        support = (members != 0) @ weights
+        # Every equal entry is a hit: a support two diagrams share is two.
+        low = np.searchsorted(table, support, "left")
+        high = np.searchsorted(table, support, "right")
+        matches += [(catalog[j], members[i])
+                    for i in np.flatnonzero(high > low)
+                    for j in owners[low[i]:high[i]]]
     if len(matches) != 1:
         raise ClassificationMismatch(
             f"{stage} at n={n}, p={p}: an orbit of {len(orbit)} states has "
             f"{len(matches)} canonical members, not 1")
-    s, values = matches[0]
+    s, member = matches[0]
     if len(orbit) != p ** dimension(s):
         raise ClassificationMismatch(
             f"{stage} at n={n}, p={p}: an orbit of label {s.label} has "
             f"{len(orbit)} states, not p^{dimension(s)}")
-    return s, values
+    return s, {r: int(member[roots.index(r)]) for r in s.xi}
 
 
 def classify(f: LinearForm) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
@@ -761,20 +772,23 @@ def subregular_classify(target) -> SubregularRecord:
     if f.p is not None:
         p = f.p
         _check_space_budget("subregular cut", n, p)
-        roots = _root_order(n)
-        index = {("y", r.row, r.col): k for k, r in enumerate(roots)}
-        total = p ** len(roots)
-        rows = max(1, _BLOCK_CELLS // len(roots))
+        # Only the digits the system reads are decoded, and each further
+        # equation is evaluated only on the codes the earlier ones kept.
+        index = {("y", r.row, r.col): k
+                 for k, r in enumerate(_root_order(n))}
+        keys = sorted(set().union(*(gen.variables() for gen in system)))
+        total = p ** len(index)
+        rows = max(1, _BLOCK_CELLS // len(index))
         cut = []
         for first in range(0, total, rows):
             codes = np.arange(first, min(first + rows, total),
                               dtype=np.int64)
-            members = _digits(codes, p, len(roots))
-            mask = np.ones(len(codes), dtype=bool)
+            members = _digits(codes, p, [index[k] for k in keys])
             for gen in system:
-                mask &= substitute(gen, lambda key: members[:, index[key]],
-                                   p) == 0
-            cut.append(codes[mask])
+                keep = substitute(
+                    gen, lambda key: members[:, keys.index(key)], p) == 0
+                codes, members = codes[keep], members[keep]
+            cut.append(codes)
         orbit = orbit_bfs(f)
         cuts = np.array_equal(np.concatenate(cut), orbit.codes)
     return SubregularRecord(case, j0, tuple(system), cuts)

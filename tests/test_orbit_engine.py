@@ -253,8 +253,9 @@ class TestOrbitBfs:
         from artifact import orbit_engine
 
         orbit_bfs(form(4, 3, {R(4, 1): 1}))
-        reads, columns, writes = orbit_engine._default_moves(4, 3)[0]
-        for array in (reads, columns, writes):
+        moves = orbit_engine._default_moves(4, 3)
+        assert {len(move) for move in moves} == {6}
+        for array in itertools.chain.from_iterable(moves):
             with pytest.raises(ValueError):
                 array[0] = 0
         # The checks run before the memo is read, so it sees no call.
@@ -376,8 +377,52 @@ def reference_codes(f):
     return _REFERENCE_CODES[f]
 
 
+def reference_sweep(codes, g, p):
+    """The sorted codes of {g^t x : x in codes, t < p}, through
+    coadjoint_act."""
+    images = set()
+    for code in codes:
+        x = form_of_code(g.n, p, code)
+        for _t in range(p):
+            images.add(code_of_form(x))
+            x = coadjoint_act(g, x)
+    return sorted(images)
+
+
 class TestSweepAgainstReference:
-    """orbit_bfs against the plain set closure, code for code."""
+    """orbit_bfs, and _sweep under one generator, against the plain set
+    closure, code for code."""
+
+    @pytest.mark.parametrize("block_cells", [1, 64, 1 << 20])
+    @pytest.mark.parametrize("n,p", [(4, 3), (5, 2)])
+    def test_one_generator_on_drawn_sets(self, n, p, block_cells,
+                                         monkeypatch):
+        # One row per block at block_cells = 1, so a drawn set mixes
+        # blocks that g fixes with blocks that it moves in one sweep.
+        from artifact import orbit_engine
+        from artifact.orbit_engine import _generator_moves, _generators, \
+            _sweep
+
+        monkeypatch.setattr(orbit_engine, "_BLOCK_CELLS", block_cells)
+        rng = random.Random(f"sweep-{n}-{p}")
+        space = range(p ** (n * (n - 1) // 2))
+        # A move for each generator that moves some code, in root order.
+        moving = []
+        for g in _generators(n, p):
+            fixed = [c for c in space if reference_sweep([c], g, p) == [c]]
+            if len(fixed) < len(space):
+                moving.append((g, fixed))
+        moves = _generator_moves(n, p)
+        assert len(moves) == len(moving)
+        for move, (g, fixed) in zip(moves, moving):
+            drawn = [rng.sample(space, 12), rng.sample(fixed, 5),
+                     rng.sample(fixed, 8) + rng.sample(space, 4)]
+            for codes in map(sorted, map(set, drawn)):
+                array = np.array(codes, dtype=np.int64)
+                got = _sweep(array, p, move)
+                assert got.tolist() == reference_sweep(codes, g, p)
+                if set(codes) <= set(fixed):
+                    assert got is array
 
     @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (3, 5), (4, 2)])
     def test_every_point(self, n, p):
@@ -482,11 +527,14 @@ class TestBlocks:
 
         s = build_admissible(4, CATALOG4[(4, 1, 1)]["seq"])
         f = canonical_form(s, {R(3, 1): 1, R(4, 2): 1, R(4, 3): 2}, p=3)
-        expected = census(4, 3), subregular_classify(f)
+        # 3^8 states: the largest orbits of (5, 3).
+        large = canonical_form(*_diagram_and_ones(5, (5, 0, 1)), p=3)
+        expected = census(4, 3), subregular_classify(f), classify(large)
         monkeypatch.setattr(orbit_engine, "_BLOCK_CELLS", 64)
-        got = census(4, 3), subregular_classify(f)
+        got = census(4, 3), subregular_classify(f), classify(large)
         assert got == expected
         assert got[1].cuts_exactly
+        assert len(orbit_bfs(large)) == 3 ** 8
 
 
 class TestKirillovRank:
@@ -766,47 +814,85 @@ def _reference_masks(catalog):
     picks = [sum(1 << index[r] for r in s.xi) for s in catalog]
     marked = [sum(1 << index[r] for r, m in zip(s.xi, s.otimes_mask) if m)
               for s in catalog]
-    return [picks, marked]
+    return np.array(picks), np.array(marked)
+
+
+def _reference_supports(catalog):
+    """Every support over the triangle, bit k for root k, that lies inside
+    a diagram's picks and holds its marked picks, with the diagram's
+    index, sorted: found by trying all 2^N supports."""
+    picks, marked = _reference_masks(catalog)
+    every = np.arange(2 ** len(positive_roots(catalog[0].n)))[:, None]
+    hit = ((every & ~picks) == 0) & ((every & marked) == marked)
+    return [(int(x), int(j)) for x, j in zip(*np.nonzero(hit))]
+
+
+def _mask_scan(orbit):
+    """The canonical members of an orbit by the member x diagram mask scan:
+    each member whose support lies inside a diagram's picks and holds its
+    marked picks, as (label, constants)."""
+    roots = list(positive_roots(orbit.n))
+    catalog = enumerate_maximal(orbit.n)
+    picks, marked = _reference_masks(catalog)
+    members = orbit.member_array()
+    support = ((members != 0) @ (1 << np.arange(len(roots))))[:, None]
+    hit = ((support & ~picks) == 0) & ((support & marked) == marked)
+    return [(catalog[j].label,
+             {r: int(members[i, roots.index(r)]) for r in catalog[j].xi})
+            for i, j in zip(*np.nonzero(hit))]
+
+
+def _table_pairs(table):
+    supports, owners = table
+    return list(zip(supports.tolist(), owners.tolist()))
 
 
 class TestCatalogMasks:
-    """The pick and marked masks are reused only for a catalog that holds
-    the same subsets, by identity."""
+    """The table of canonical supports (a bitmask each) with their owner
+    diagrams is reused only for a catalog that holds the same subsets, by
+    identity, and classifies as the member x diagram mask scan does."""
 
     def test_same_subsets_reuse_the_masks(self):
         from artifact import orbit_engine
 
-        first = orbit_engine._catalog_masks(5, tuple(enumerate_maximal(5)))
-        again = orbit_engine._catalog_masks(5, tuple(enumerate_maximal(5)))
+        first = orbit_engine._support_table(5, tuple(enumerate_maximal(5)))
+        again = orbit_engine._support_table(5, tuple(enumerate_maximal(5)))
         assert again is first
-        assert [m.tolist() for m in first] == \
-            _reference_masks(enumerate_maximal(5))
+        assert _table_pairs(first) == \
+            _reference_supports(enumerate_maximal(5))
 
     def test_other_subsets_rebuild_the_masks(self):
         from artifact import orbit_engine
 
         catalog = enumerate_maximal(5)
         equal_copies = [build_admissible(5, s.xi) for s in catalog]
-        first = orbit_engine._catalog_masks(5, tuple(catalog))
+        first = orbit_engine._support_table(5, tuple(catalog))
         for other in (catalog[::-1], catalog[:-1], catalog + catalog,
                       equal_copies):
-            masks = orbit_engine._catalog_masks(5, tuple(other))
-            assert masks is not first
-            assert [m.tolist() for m in masks] == _reference_masks(other)
+            table = orbit_engine._support_table(5, tuple(other))
+            assert table is not first
+            assert _table_pairs(table) == _reference_supports(other)
+
+    def test_table_holds_every_canonical_support(self):
+        # One entry per (diagram, subset of its box picks): sum_s 2^#B.
+        from artifact import orbit_engine
+
+        sizes = {2: 2, 3: 5, 4: 16, 5: 61, 6: 275, 7: 1430}
+        for n, size in sizes.items():
+            catalog = enumerate_maximal(n)
+            table = orbit_engine._support_table(n, tuple(catalog))
+            assert len(table[0]) == size == \
+                sum(2 ** len(s.s_box) for s in catalog)
+            if n <= 6:
+                assert _table_pairs(table) == _reference_supports(catalog)
 
     @pytest.mark.parametrize("n,p", [(5, 3), (6, 2)])
     def test_answers_match_fresh_masks(self, n, p):
         from artifact import orbit_engine
 
-        orbits = all_orbits(n, p)
-        reused = [orbit_engine._classify_orbit(o, "census") for o in orbits]
-        fresh = []
-        for orbit in orbits:
-            orbit_engine._catalog_masks.cache_clear()
-            fresh.append(orbit_engine._classify_orbit(orbit, "census"))
-        assert [(s.label, c) for s, c in reused] == \
-            [(s.label, c) for s, c in fresh]
-        for orbit, (s, c) in zip(orbits, reused):
+        for orbit in all_orbits(n, p):
+            s, c = orbit_engine._classify_orbit(orbit, "census")
+            assert _mask_scan(orbit) == [(s.label, c)]
             assert canonical_form(s, c, p) in orbit
 
 

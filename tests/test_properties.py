@@ -261,7 +261,7 @@ class TestGeneratorMoves:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_dense_reference(self, n, p):
         got = [(reads.tolist(), columns.tolist(), writes.tolist())
-               for reads, columns, writes in _generator_moves(n, p)]
+               for reads, columns, writes, *_ in _generator_moves(n, p)]
         assert got == _reference_moves(n, p)
 
 
