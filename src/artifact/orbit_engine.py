@@ -275,11 +275,11 @@ def _generator_moves(n: int, p: int,
     states.
 
     A generator changes only a few values of a form, each a linear function
-    of a few old values.  There is one move (reads, columns, writes, p **
-    reads, p ** writes, at) for each generator that moves anything, in root
-    order: the new value at root ``writes[t]`` is the old values at roots
-    ``reads`` times column t of ``columns``.  The action is unipotent, so a
-    written value reads itself with coefficient 1 and writes = reads[at]."""
+    of a few old values.  Each generator that moves anything gives, in root
+    order, one move (reads, columns, writes, p ** reads, p ** writes, at):
+    the new value at root ``writes[t]`` is the old values at roots ``reads``
+    times column t of ``columns``.  The action is unipotent, so a written
+    value reads itself with coefficient 1 and writes = reads[at]."""
     roots = _root_order(n)
     size = len(roots)
     index = {r: k for k, r in enumerate(roots)}
@@ -632,7 +632,7 @@ def _classify_orbit(orbit: Orbit, stage: str
         members = _digits(orbit.codes[first:first + rows], p,
                           range(len(roots)))
         support = (members != 0) @ weights
-        # Every equal entry is a hit: a support two diagrams share is two.
+        # Every equal entry is a hit, so a shared support counts per owner.
         low = np.searchsorted(table, support, "left")
         high = np.searchsorted(table, support, "right")
         matches += [(catalog[j], members[i])

@@ -260,9 +260,14 @@ class TestGeneratorMoves:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_dense_reference(self, n, p):
+        moves = _generator_moves(n, p)
         got = [(reads.tolist(), columns.tolist(), writes.tolist())
-               for reads, columns, writes, *_ in _generator_moves(n, p)]
+               for reads, columns, writes, *_ in moves]
         assert got == _reference_moves(n, p)
+        for reads, _columns, writes, read_scale, write_scale, at in moves:
+            assert read_scale.tolist() == [p ** k for k in reads.tolist()]
+            assert write_scale.tolist() == [p ** k for k in writes.tolist()]
+            assert reads[at].tolist() == writes.tolist()
 
 
 class TestWEtaInvariants:
