@@ -3,9 +3,9 @@
 Coefficients live either in the rationals (field marker ``p is None``,
 coefficients are ints when integral and ``fractions.Fraction`` otherwise)
 or in the prime field of size ``p`` (coefficients are ints reduced mod p).
-Variables are identified by hashable tuple keys such as ``("y", 4, 1)``,
-``("c", 4, 1)`` and ``("tau",)``; a monomial is a sorted tuple of
-``(key, exponent)`` pairs.
+Variables are identified by hashable tuple keys such as ``("y", 4, 1)``
+and ``("c", 4, 1)``; a monomial is a sorted tuple of ``(key, exponent)``
+pairs.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .root_system import (
     Root,
@@ -131,23 +131,6 @@ def render_diagram(s: AdmissibleSubset) -> List[str]:
     return ["".join(row) for row in grid]
 
 
-def _greedy_complete(n: int, prefix: Sequence[Root]) -> AdmissibleSubset:
-    """Extend a choice sequence by always taking the greatest available
-    root below the last pick, until nothing is available."""
-    seq = list(prefix)
-    s = build_admissible(n, seq)
-    while True:
-        last = seq[-1] if seq else None
-        candidates = [r for r in s.a_set
-                      if last is None or lex_greater(last, r)]
-        if not candidates:
-            return s
-        # a_set iterates in decreasing order, so the first candidate is
-        # the greatest one.
-        seq.append(candidates[0])
-        s = build_admissible(n, seq)
-
-
 def is_maximal(s: AdmissibleSubset) -> bool:
     """No proper admissible superset exists."""
     return _is_maximal(s.n, tuple(s.xi))
@@ -170,40 +153,34 @@ def _is_maximal(n: int, xi: Tuple[Root, ...]) -> bool:
     return True
 
 
-def _successor(s: AdmissibleSubset) -> Optional[AdmissibleSubset]:
-    """The next maximal subset in catalog order, or None at the end.
-
-    Find the least cross pick, replace it by the greatest root available
-    below it at that stage, and greedily re-complete the tail.
-    """
-    # The catalog walk starts from a greedy completion and only ever
-    # greedily re-completes, so maximality holds by construction.
-    cross_slots = [i for i, is_x in enumerate(s.otimes_mask) if is_x]
-    if not cross_slots:
-        return None
-    slot = cross_slots[-1]  # picks are decreasing, so last cross is least
-    stage = s.a_chain[slot]
-    pivot = s.xi[slot]
-    lower = [r for r in stage if lex_greater(pivot, r)]
-    prev = s.xi[slot - 1] if slot else None
-    lower = [r for r in lower if prev is None or lex_greater(prev, r)]
-    if not lower:
-        return None
-    replacement = lower[0]
-    return _greedy_complete(s.n, list(s.xi[:slot]) + [replacement])
+def _walk(xi: Tuple[Root, ...], mask: Tuple[bool, ...],
+          chain: Tuple[RootSet, ...]) -> Iterator[tuple]:
+    """Each maximal completion of a choice sequence, in catalog order, as
+    (picks, cross mask, chain of working sets): take the greatest available
+    root below the last pick; a box pick is forced, and a cross pick is
+    also passed over for the next one.  A branch that passes over every
+    remaining root yields nothing."""
+    current = chain[-1]
+    below = [r for r in current if not xi or lex_greater(xi[-1], r)]
+    if not below:
+        yield xi, mask, chain
+    for r in below:
+        plus, minus = c_split(r, current)
+        rest = current.difference(set(plus) | set(minus))
+        yield from _walk(xi + (r,), mask + (len(plus) > 0,), chain + (rest,))
+        if not plus:
+            break
 
 
 @functools.lru_cache(maxsize=None)
 def _catalog(n: int) -> Tuple[AdmissibleSubset, ...]:
     out = []
     k_serial: Dict[int, int] = {}
-    s = _greedy_complete(n, [])
-    while s is not None:
-        k = sum(1 for r in s.m_set if r.col == 1)
+    for xi, mask, chain in _walk((), (), (positive_roots(n),)):
+        k = sum(1 for r in chain[-1] if r.col == 1 and r not in xi)
         k_serial[k] = k_serial.get(k, 0) + 1
-        out.append(AdmissibleSubset(n, s.xi, s.otimes_mask, s.a_chain,
+        out.append(AdmissibleSubset(n, xi, mask, chain,
                                     label=(n, k, k_serial[k])))
-        s = _successor(s)
     return tuple(out)
 
 

@@ -11,20 +11,18 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ._poly import LocalizedPolynomial, Polynomial
 from .root_system import Root, lex_greater, lex_sort_key, positive_roots
-from .symbolic import _phi, _solve_for, const, loc, pick_values, y_var
+from .symbolic import _phi, _solve_for, loc, pick_values
 
 __all__ = [
     "LemmaFailure", "MinorSpec", "NotInA", "TauPolynomial",
     "TriangularSystem", "WEta", "bordered_minors", "minor",
-    "p_h_eta", "p_n0_prime", "phi_tau", "regular_minors",
+    "p_h_eta", "p_n0_prime", "regular_minors",
     "triangular_system", "w_eta", "z_coefficients",
 ]
-
-_TAU = ("tau",)
 
 
 class NotInA(KeyError):
@@ -35,22 +33,6 @@ class LemmaFailure(ArithmeticError):
     """An invariant failed to reduce to the expected linear shape."""
 
 
-def phi_tau(n: int) -> List[List[Polynomial]]:
-    """The n-by-n characteristic matrix, 0-indexed."""
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(const(1))
-            elif i > j:
-                row.append(Polynomial.variable(_TAU) * y_var(i + 1, j + 1))
-            else:
-                row.append(Polynomial.zero())
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class MinorSpec:
     cols: Tuple[int, ...]
@@ -58,38 +40,16 @@ class MinorSpec:
 
 
 class TauPolynomial:
-    """A polynomial split by tau-degree; coefficients are tau-free."""
+    """A polynomial over Q split by tau-degree; coefficients are tau-free."""
 
-    def __init__(self, parts: Dict[int, Polynomial],
-                 p: Optional[int] = None):
+    def __init__(self, parts: Dict[int, Polynomial]):
         self._parts = {k: v for k, v in parts.items() if not v.is_zero()}
-        self.p = p
-
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial) -> "TauPolynomial":
-        return cls(poly.split_by(_TAU), poly.p)
 
     def coeff(self, k: int) -> Polynomial:
-        return self._parts.get(k, Polynomial.zero(self.p))
+        return self._parts.get(k, Polynomial.zero())
 
     def degrees(self) -> List[int]:
         return sorted(self._parts)
-
-
-def _det_cofactor(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    size = len(m)
-    if size == 0:
-        return const(1)
-    if size == 1:
-        return m[0][0]
-    total = Polynomial.zero(m[0][0].p)
-    for r in range(size):
-        if m[r][0].is_zero():
-            continue
-        sub = [row[1:] for i, row in enumerate(m) if i != r]
-        term = m[r][0] * _det_cofactor(sub)
-        total = total + term if r % 2 == 0 else total - term
-    return total
 
 
 def minor(n: int, spec: MinorSpec) -> TauPolynomial:
@@ -111,10 +71,29 @@ def minor(n: int, spec: MinorSpec) -> TauPolynomial:
 def _minor(n: int, cols: Tuple[int, ...], rows: Tuple[int, ...]
            ) -> TauPolynomial:
     """The determinant behind ``minor``, computed once per selection; the
-    result is shared, so it must not be mutated."""
-    m = phi_tau(n)
-    sub = [[m[r - 1][c - 1] for c in cols] for r in rows]
-    return TauPolynomial.from_polynomial(_det_cofactor(sub))
+    result is shared, so it must not be mutated.  Rows are expanded in spec
+    order, each matched to an unused column at or left of it: 1 on the
+    diagonal, else y_row_col and one tau-degree, with sign (-1)^k for the
+    k-th unused column, counting from 0."""
+    # One key object per variable, so monomial lookups compare by identity.
+    factors = {(r, c): (("y", r, c), 1) for r in rows for c in cols if r > c}
+    parts: Dict[int, Dict] = {}
+
+    def expand(i, free, sign, picked):
+        if i == len(rows):
+            terms = parts.setdefault(len(picked), {})
+            mono = tuple(sorted(picked))
+            terms[mono] = terms.get(mono, 0) + sign
+            return
+        r = rows[i]
+        for k, c in enumerate(free):
+            if c <= r:
+                expand(i + 1, free[:k] + free[k + 1:],
+                       -sign if k % 2 else sign,
+                       picked if c == r else picked + (factors[r, c],))
+
+    expand(0, cols, 1, ())
+    return TauPolynomial({d: Polynomial(t) for d, t in parts.items()})
 
 
 # --- the word attached to a closure root --------------------------------

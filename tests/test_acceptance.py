@@ -6,6 +6,7 @@ exact minor and triangular-solver texts of every maximal diagram, and the
 random-conjugation oracle checks the invariants, ideals and ranks of every
 diagram at a random conjugate of a canonical form.
 """
+import ast
 import hashlib
 import importlib
 import itertools
@@ -427,6 +428,32 @@ def test_every_export_resolves(module):
                    if not name.startswith("_") and callable(obj)
                    and getattr(obj, "__module__", None) == module}
         assert defined <= set(exported), sorted(defined - set(exported))
+
+
+@pytest.mark.parametrize("path", sorted(
+    pathlib.Path(artifact.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # Every name a module imports is read somewhere in it, or exported
+    # through __all__, so a deletion cannot leave a dead import behind.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    unused = sorted((line, name) for name, line in imported.items()
+                    if name not in read)
+    assert not unused, unused
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

@@ -18,7 +18,7 @@ from artifact.admissible import (
     is_maximal,
     render_diagram,
 )
-from artifact.admissible import _greedy_complete
+from artifact.admissible import AdmissibleSubset, _walk
 
 from conftest import (
     ANCHOR_634,
@@ -74,7 +74,8 @@ class InvalidInner(ValueError):
 def star_expand(count, inner):
     """Grow a maximal diagram by ``count`` extra rows: shift the inner
     picks down-right by one, prepend the (2,1) pick, and greedily
-    complete in the enlarged algebra."""
+    complete in the enlarged algebra: the catalog walk's first completion
+    of the seed."""
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"expansion count must be >= 1, got {count!r}")
     try:
@@ -84,7 +85,9 @@ def star_expand(count, inner):
     if not is_maximal(rebuilt):
         raise InvalidInner("inner diagram is not maximal")
     seed = [R(2, 1)] + [R(r.row + 1, r.col + 1) for r in rebuilt.xi]
-    return _greedy_complete(rebuilt.n + count, seed)
+    start = build_admissible(rebuilt.n + count, seed)
+    xi, mask, chain = next(_walk(start.xi, start.otimes_mask, start.a_chain))
+    return AdmissibleSubset(start.n, xi, mask, chain)
 
 
 class TestBuildAdmissible:
@@ -269,7 +272,7 @@ class TestEnumerateMaximal:
                 assert acc == q ** total, (n, q)
 
     def test_full_recursion_agrees(self):
-        for n in range(2, 7):
+        for n in range(2, 8):
             a = {s.xi for s in enumerate_maximal_by_search(n)}
             b = {s.xi for s in enumerate_maximal(n)}
             assert a == b

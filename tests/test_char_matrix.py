@@ -1,22 +1,23 @@
 """Oracle tests for characteristic-matrix minors and orbit generators."""
+import itertools
+
 import pytest
 
 from artifact.root_system import Root, positive_roots
-from artifact.admissible import build_admissible
+from artifact.admissible import build_admissible, enumerate_maximal
 from artifact._poly import substitute
 from artifact.symbolic import Polynomial, c_var, const, loc, poly_text, y_var
+from artifact import char_matrix
 from artifact.char_matrix import (
     LemmaFailure,
     MinorSpec,
     NotInA,
-    TauPolynomial,
     _h_subset,
     _minor,
     bordered_minors,
     minor,
     p_h_eta,
     p_n0_prime,
-    phi_tau,
     regular_minors,
     triangular_system,
     w_eta,
@@ -41,12 +42,40 @@ def drop_vars(poly, bad_roots):
     return out
 
 
-class TestPhiTau:
-    def test_entries(self):
-        m = phi_tau(3)
-        assert m[0][0] == const(1)
-        assert m[0][1] == Polynomial.zero()
-        assert poly_text(m[2][0]) == "1*tau*y_3_1"
+TAU = ("tau",)
+
+
+def phi_tau(n):
+    """The n-by-n characteristic matrix with tau as a variable, 0-indexed:
+    ones on the diagonal, tau * y_i_j below it and zeros above."""
+    return [[const(1) if i == j
+             else Polynomial.variable(TAU) * y(i + 1, j + 1) if i > j
+             else Polynomial.zero()
+             for j in range(n)] for i in range(n)]
+
+
+def leibniz_minor(n, cols, rows):
+    """The oracle for ``minor``: the Leibniz sum over the tau-matrix,
+    split by tau-degree into {degree: coefficient}."""
+    m = phi_tau(n)
+    det = Polynomial.zero()
+    for perm in itertools.permutations(range(len(cols))):
+        entries = [m[rows[k] - 1][cols[pk] - 1] for k, pk in enumerate(perm)]
+        if any(e.is_zero() for e in entries):
+            continue
+        term = const(perm_sign(perm))
+        for e in entries:
+            term = term * e
+        det = det + term
+    return det.split_by(TAU)
+
+
+def assert_matches_leibniz(n, cols, rows):
+    want = leibniz_minor(n, cols, rows)
+    got = minor(n, MinorSpec(cols=cols, rows=rows))
+    assert got.degrees() == sorted(want), (n, cols, rows)
+    for k, part in want.items():
+        assert got.coeff(k) == part, (n, cols, rows, k)
 
 
 class TestMinor:
@@ -84,26 +113,63 @@ class TestMinor:
         assert first.degrees() == fresh.degrees() == [3]
         assert first.coeff(3) == fresh.coeff(3)
 
-    def test_minor_matches_leibniz(self):
-        import itertools
+    def test_minor_matches_leibniz(self, monkeypatch):
+        # Every selection the library passes to minor for n <= 7: the
+        # word of each closure root of each catalog diagram (p_h_eta), and
+        # the corner, z, bordered and p_n0_prime selections that
+        # subregular_classify reads.
+        seen = set()
 
-        for n, cols, rows in [
-            (5, (1, 2, 3), (3, 4, 5)),
-            (6, (1, 2, 3, 4), (3, 4, 5, 6)),
-            (7, (1, 2, 3, 4, 5), (2, 3, 4, 5, 7)),
-        ]:
-            m = phi_tau(n)
-            det = Polynomial.zero()
-            for perm in itertools.permutations(range(len(cols))):
-                term = const(perm_sign(perm))
-                for k, pk in enumerate(perm):
-                    term = term * m[rows[k] - 1][cols[pk] - 1]
-                det = det + term
-            want = TauPolynomial.from_polynomial(det)
-            got = minor(n, MinorSpec(cols=cols, rows=rows))
-            assert got.degrees() == want.degrees(), (n, cols, rows)
-            for k in want.degrees():
-                assert got.coeff(k) == want.coeff(k), (n, cols, rows, k)
+        def recording(n, spec):
+            seen.add((n, spec.cols, spec.rows))
+            return minor(n, spec)
+
+        monkeypatch.setattr(char_matrix, "minor", recording)
+        for n in range(2, 8):
+            for s in enumerate_maximal(n):
+                for eta in s.a_set:
+                    p_h_eta(s, eta)
+            regular_minors(n)
+            z_coefficients(n)
+            for j in range(1, (n - 1) // 2 + 1):
+                bordered_minors(n, j)
+            if n % 2 == 0 and n >= 4:
+                p_n0_prime(n)
+        assert len(seen) == 194  # 184 words and 10 more
+        for n, cols, rows in seen:
+            assert_matches_leibniz(n, cols, rows)
+
+    @pytest.mark.parametrize("n,cols,rows", [
+        (5, (1, 2, 3), (3, 4, 5)),
+        (6, (1, 2, 3, 4), (3, 4, 5, 6)),
+        (7, (1, 2, 3, 4, 5), (2, 3, 4, 5, 7)),
+    ])
+    def test_selection_order_is_the_matrix_order(self, n, cols, rows):
+        # Swapping two columns, or two rows, of a selection negates the
+        # minor; the sorted selection is the reference.
+        sorted_minor = minor(n, MinorSpec(cols=cols, rows=rows))
+        for i, j in itertools.combinations(range(len(cols)), 2):
+            for swap_cols in (True, False):
+                c, r = list(cols), list(rows)
+                seq = c if swap_cols else r
+                seq[i], seq[j] = seq[j], seq[i]
+                c, r = tuple(c), tuple(r)
+                assert_matches_leibniz(n, c, r)
+                got = minor(n, MinorSpec(cols=c, rows=r))
+                assert got.degrees() == sorted_minor.degrees()
+                for k in got.degrees():
+                    assert got.coeff(k) == -sorted_minor.coeff(k)
+
+    @pytest.mark.parametrize("cols,rows", [
+        ((1, 2), (3, 3)),
+        ((1, 1), (3, 4)),
+        ((1, 1), (3, 3)),
+        ((2, 1, 3), (4, 5, 4)),
+        ((1, 3, 1), (3, 5, 4)),
+    ])
+    def test_repeated_row_or_column_is_zero(self, cols, rows):
+        assert leibniz_minor(5, cols, rows) == {}
+        assert minor(5, MinorSpec(cols=cols, rows=rows)).degrees() == []
 
 
 class TestWEta727:
@@ -184,8 +250,6 @@ class TestPHEta727:
     def test_column_three(self, s727):
         det = Polynomial.zero()
         rows = (4, 5, 7)
-        import itertools
-
         for perm in itertools.permutations(range(3)):
             sign = perm_sign(perm)
             term = const(sign)
