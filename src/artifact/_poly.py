@@ -21,6 +21,12 @@ class FieldMismatch(TypeError):
     """Operands (or an evaluation point) live over different fields."""
 
 
+def check_field(p: Optional[int], q: Optional[int]) -> None:
+    """Raise FieldMismatch unless the fields p and q are the same."""
+    if p != q:
+        raise FieldMismatch(f"mixed coefficient fields: {p} vs {q}")
+
+
 def coerce_scalar(value, p: Optional[int]):
     """Convert an int or Fraction into the coefficient field."""
     if isinstance(value, Fraction):
@@ -76,7 +82,28 @@ def _mono_lex_greater(a: Monomial, b: Monomial) -> bool:
     return False
 
 
-class Polynomial:
+class _Element:
+    """The immutable base of both element classes: a - b is a + (-b)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __sub__(self, other):
+        other = self._coerce_operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce_operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+
+class Polynomial(_Element):
     """Immutable sparse polynomial.
 
     ``terms`` maps a monomial to its nonzero coefficient.
@@ -103,9 +130,6 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -153,9 +177,7 @@ class Polynomial:
     # --- arithmetic ---------------------------------------------------
     def _coerce_operand(self, other) -> Optional["Polynomial"]:
         if isinstance(other, Polynomial):
-            if other.p != self.p:
-                raise FieldMismatch(
-                    f"mixed coefficient fields: {self.p} vs {other.p}")
+            check_field(self.p, other.p)
             return other
         if isinstance(other, (int, Fraction)):
             return Polynomial({(): other}, self.p)
@@ -171,18 +193,6 @@ class Polynomial:
         return Polynomial(out, self.p)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __neg__(self):
         return Polynomial({m: -c for m, c in self.terms.items()}, self.p)
@@ -320,7 +330,7 @@ def poly_text(poly) -> str:
     return " + ".join(pieces)
 
 
-class LocalizedPolynomial:
+class LocalizedPolynomial(_Element):
     """A fraction num/den of polynomials, reduced by monomial content.
 
     Denominators produced by the reduction pipeline are single terms, so
@@ -337,9 +347,7 @@ class LocalizedPolynomial:
             den = Polynomial.one(num.p)
         if not isinstance(den, Polynomial):
             den = Polynomial({(): den}, num.p)
-        if den.p != num.p:
-            raise FieldMismatch(
-                f"mixed coefficient fields: {num.p} vs {den.p}")
+        check_field(num.p, den.p)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
@@ -349,9 +357,6 @@ class LocalizedPolynomial:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalizedPolynomial is immutable")
-
     @property
     def p(self):
         return self.num.p
@@ -360,19 +365,10 @@ class LocalizedPolynomial:
         return self.num.is_zero()
 
     def _coerce_operand(self, other) -> Optional["LocalizedPolynomial"]:
-        if isinstance(other, LocalizedPolynomial):
-            if other.p != self.p:
-                raise FieldMismatch(
-                    f"mixed coefficient fields: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, Polynomial):
-            if other.p != self.p:
-                raise FieldMismatch(
-                    f"mixed coefficient fields: {self.p} vs {other.p}")
-            return LocalizedPolynomial(other)
-        if isinstance(other, (int, Fraction)):
-            return LocalizedPolynomial(Polynomial({(): other}, self.p))
-        return None
+        other = as_fraction(other, self.p)
+        if other is not None:
+            check_field(self.p, other.p)
+        return other
 
     def __add__(self, other):
         other = self._coerce_operand(other)
@@ -383,18 +379,6 @@ class LocalizedPolynomial:
             self.den * other.den)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __neg__(self):
         return LocalizedPolynomial(-self.num, self.den)
@@ -418,8 +402,6 @@ class LocalizedPolynomial:
                                    self.den * other.num)
 
     def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a nonnegative int")
         return LocalizedPolynomial(self.num ** exp, self.den ** exp)
 
     def __eq__(self, other):
@@ -438,6 +420,18 @@ class LocalizedPolynomial:
 
     def __repr__(self):
         return f"LocalizedPolynomial({poly_text(self)})"
+
+
+def as_fraction(x, p: Optional[int] = None):
+    """x as a fraction: an int or Fraction over the field p, a polynomial
+    over its own field; None for any other type."""
+    if isinstance(x, LocalizedPolynomial):
+        return x
+    if isinstance(x, Polynomial):
+        return LocalizedPolynomial(x)
+    if isinstance(x, (int, Fraction)):
+        return LocalizedPolynomial(Polynomial({(): x}, p))
+    return None
 
 
 def _reduce_fraction(num: Polynomial, den: Polynomial):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ._poly import LocalizedPolynomial, Polynomial
+from ._poly import LocalizedPolynomial, Polynomial, substitute
 from .root_system import Root, lex_greater, lex_sort_key, positive_roots
 from .symbolic import _phi, _solve_for, loc, pick_values
 
@@ -180,8 +180,7 @@ def triangular_system(s, c=None) -> TriangularSystem:
     """
     # At the canonical point a pick is its value and any other y is zero.
     picks = pick_values(s, c)
-    point = {("y", r.row, r.col): loc(picks.get(r, Polynomial.zero()))
-             for r in positive_roots(s.n)}
+    point = {("y", r.row, r.col): picks.get(r, 0) for r in positive_roots(s.n)}
     rules: Dict[Root, LocalizedPolynomial] = {}
     coeffs: Dict[Root, LocalizedPolynomial] = {}
     # No rule value holds a solved coordinate, so one simultaneous
@@ -189,7 +188,7 @@ def triangular_system(s, c=None) -> TriangularSystem:
     solved: Dict = {}
     for eta in sorted(s.a_set, key=lex_sort_key):  # lex-greatest first
         invariant = p_h_eta(s, eta)
-        red = _phi(loc(invariant - _phi(loc(invariant), point.get).num),
+        red = _phi(loc(invariant - substitute(invariant, point.get)),
                    solved.get)
         rule = _solve_for(red.num, eta, ())
         if rule is None:
@@ -227,8 +226,8 @@ def z_coefficients(n: int) -> List[Polynomial]:
 def bordered_minors(n: int, j: int) -> Tuple[Polynomial, Polynomial]:
     """The two minors bordering the j-th corner minor: shift the row
     window up by one, or skip the j-th column."""
-    if not 1 <= j <= n // 2:
-        raise ValueError(f"bordered minors need 1 <= j <= {n // 2}")
+    if not 1 <= j <= (n - 1) // 2:
+        raise ValueError(f"bordered minors need 1 <= j <= {(n - 1) // 2}")
     rows1 = (n - j,) + tuple(range(n - j + 2, n + 1))
     spec1 = MinorSpec(cols=tuple(range(1, j + 1)), rows=rows1)
     cols2 = tuple(range(1, j)) + (j + 1,)
@@ -237,9 +236,9 @@ def bordered_minors(n: int, j: int) -> Tuple[Polynomial, Polynomial]:
 
 
 def p_n0_prime(n: int) -> Polynomial:
-    """The extra bordered minor used at the middle column; even n only."""
-    if n % 2 != 0:
-        raise ValueError("defined for even sizes only")
+    """The extra bordered minor used at the middle column; even n >= 4."""
+    if n % 2 or n < 4:
+        raise ValueError(f"defined for even sizes >= 4 only, got {n}")
     n0 = n // 2
     rows = (n0,) + tuple(range(n0 + 3, n + 1))
     spec = MinorSpec(cols=tuple(range(1, n0)), rows=rows)

@@ -30,7 +30,7 @@ import numpy as np
 from ._poly import coerce_scalar, substitute
 from .admissible import AdmissibleSubset, dimension, enumerate_maximal
 from .root_system import Root, RootSet, check_dimension, positive_roots, \
-    root_sum, structure_constants
+    structure_constants
 from .symbolic import canonical_pairs, evaluate, Polynomial
 
 __all__ = [
@@ -517,11 +517,12 @@ def kirillov_rank(f: LinearForm) -> int:
         scale = math.lcm(*(v.denominator for v in vals.values()))
         vals = {r: v.numerator * (scale // v.denominator)
                 for r, v in vals.items()}
-    size = len(positive_roots(f.n))
-    mat = [[0] * size for _ in range(size)]
-    for i, j, sign, c in structure_constants(f.n):
-        v = sign * vals.get(c, 0)
-        mat[i][j] = v if p is None else v % p
+    index = {r: k for k, r in enumerate(_root_order(f.n))}
+    mat = [[0] * len(index) for _ in index]
+    for a, entries in structure_constants(f.n).items():
+        for b, sign, c in entries:
+            v = sign * vals.get(c, 0)
+            mat[index[a]][index[b]] = v if p is None else v % p
     rank = _int_rank(mat, p)
     object.__setattr__(f, "_rank", rank)
     return rank
@@ -583,21 +584,12 @@ def polarization(s: AdmissibleSubset) -> RootSet:
 def verify_polarization(pol: Iterable[Root], f: LinearForm) -> bool:
     """Check the subalgebra, isotropy, and size conditions at the form."""
     roots = set(pol)
-    n = f.n
-    total = n * (n - 1) // 2
-    rank = kirillov_rank(f)
-    if len(roots) != total - rank // 2:
+    table = structure_constants(f.n)
+    if len(roots) != len(table) - kirillov_rank(f) // 2 \
+            or not roots.issubset(table):
         return False
-    for a in roots:
-        for b in roots:
-            summed = root_sum(a, b)
-            if summed is None:
-                continue
-            if summed not in roots:
-                return False
-            if f.value(summed) != 0:
-                return False
-    return True
+    return all(c in roots and f.value(c) == 0
+               for a in roots for b, _sign, c in table[a] if b in roots)
 
 
 # --- classification -------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Optional
 
 __all__ = [
@@ -133,14 +134,14 @@ def root_bracket(a: Root, b: Root) -> Optional[tuple]:
 
 
 @lru_cache(maxsize=None)
-def structure_constants(n: int) -> tuple:
-    """Every nonzero {y_a, y_b} = sign * y_c among the positive roots of
-    size n, as (i, j, sign, c) with a, b the i-th and j-th roots in
-    ``positive_roots`` order."""
+def structure_constants(n: int) -> MappingProxyType:
+    """The Lie-Poisson table of size n: for each positive root a, every
+    (b, sign, c) with {y_a, y_b} = sign * y_c nonzero, b in
+    ``positive_roots`` order.  One shared read-only table per n."""
     roots = list(positive_roots(n))
-    return tuple((i, j) + rb for i, a in enumerate(roots)
-                 for j, b in enumerate(roots)
-                 if (rb := root_bracket(a, b)) is not None)
+    return MappingProxyType({a: tuple((b,) + rb for b in roots
+                                      if (rb := root_bracket(a, b)))
+                             for a in roots})
 
 
 def c_split(xi: Root, rs: RootSet) -> tuple:

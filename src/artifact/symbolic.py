@@ -19,6 +19,8 @@ from ._poly import (
     FieldMismatch,
     LocalizedPolynomial,
     Polynomial,
+    as_fraction,
+    check_field,
     coerce_scalar,
     poly_text,
     substitute,
@@ -71,13 +73,10 @@ def loc(num: Polynomial, den=None) -> LocalizedPolynomial:
 
 
 def _as_loc(x, p: Optional[int] = None) -> LocalizedPolynomial:
-    if isinstance(x, LocalizedPolynomial):
-        return x
-    if isinstance(x, Polynomial):
-        return LocalizedPolynomial(x)
-    if isinstance(x, (int, Fraction)):
-        return LocalizedPolynomial(Polynomial({(): x}, p))
-    raise TypeError(f"cannot interpret {type(x).__name__} as an element")
+    val = as_fraction(x, p)
+    if val is None:
+        raise TypeError(f"cannot interpret {type(x).__name__} as an element")
+    return val
 
 
 # --- the bracket --------------------------------------------------------
@@ -120,8 +119,7 @@ def bracket(f, g):
         sum_{x, z} (a_x b - a b_x)(c_z d - c d_z) {y_x, y_z} / (b d)^2.
     """
     fl, gl = _as_loc(f), _as_loc(g)
-    if fl.p != gl.p:
-        raise FieldMismatch(f"mixed coefficient fields: {fl.p} vs {gl.p}")
+    check_field(fl.p, gl.p)
     num = Polynomial.zero(fl.p)
     g_parts = _y_partials(gl)
     for x, f_x in _y_partials(fl).items():
@@ -193,8 +191,7 @@ def _substituted(poly: Polynomial, value) -> Tuple[Polynomial, Polynomial]:
     if not images:
         return poly, Polynomial.one(p)
     for image in images.values():
-        if image.p != p:
-            raise FieldMismatch(f"mixed coefficient fields: {p} vs {image.p}")
+        check_field(p, image.p)
     groups: Dict[Tuple, Dict] = {}
     for mono, coef in poly.terms.items():
         free, keyed = [], []
@@ -270,13 +267,14 @@ class IdealHandle:
         self.p = p
         self._solved = {("y", r.row, r.col): rule
                         for r, rule in (rules or {}).items()}
-        self._values: Dict = {}  # phi(y) per rule coordinate's key
-        self._images: Dict = {}  # phi(y) per root
+        self._values: Dict = {}  # phi(y) per coordinate's key
         self._exact: Optional[bool] = None
 
     @classmethod
     def from_generators(cls, n: int, generators, invertible=None
                         ) -> "IdealHandle":
+        """The handle over the generators' field, Q for an empty list;
+        ``IdealHandle(n, [], {}, (), p)`` is the empty ideal over F_p."""
         generators = list(generators)
         p = generators[0].p if generators else None
         empty = cls(n, [], {}, tuple(invertible or ()), p)
@@ -302,7 +300,7 @@ class IdealHandle:
             # Reduce by the rules extracted so far; pivots must be sought in
             # the reduced form, whose leading coefficients can simplify to
             # units even when the raw ones do not.
-            red = out._image(gen).num
+            red = out.normal_form(gen).num
             if red.is_zero():
                 continue
             found = None
@@ -311,9 +309,9 @@ class IdealHandle:
                 found = _solve_for(red, v, inv_set)
                 if found is not None:
                     break
-            if found is None:
-                out.rules = None
-                break
+            if found is None:  # a fresh handle holds no rule and no phi
+                return IdealHandle(self.n, out.generators, None,
+                                   self.invertible, self.p)
             out._values.clear()  # a value may hold the new rule's coordinate
             key = ("y", found.root.row, found.root.col)
             out.rules[found.root] = out._solved[key] = found
@@ -321,31 +319,26 @@ class IdealHandle:
 
     def _value(self, key) -> Optional[LocalizedPolynomial]:
         """phi(y) of a rule coordinate's key, kept from its first use (each
-        use raises if phi sends the rule's denominator to zero), or None."""
-        if key not in self._values and key in self._solved:
+        use raises if phi sends the rule's denominator to zero), else None."""
+        if key not in self._solved:
+            return None
+        if key not in self._values:
             self._values[key] = _phi(self._solved[key].value, self._value)
-        return self._values.get(key)
+        return self._values[key]
 
     def _element(self, x) -> LocalizedPolynomial:
         """x as an element over the handle's field, which it must be."""
         val = _as_loc(x, self.p)
-        if val.p != self.p:
-            raise FieldMismatch(
-                f"mixed coefficient fields: {self.p} vs {val.p}")
+        check_field(self.p, val.p)
         return val
 
-    def _image(self, x) -> LocalizedPolynomial:
-        """phi(x), where the ring homomorphism phi sends each y to its
-        fully substituted rule value, or is the identity when the
-        generators did not triangularize."""
-        val = self._element(x)
-        return val if self.rules is None else _phi(val, self._value)
-
     def normal_form(self, x) -> LocalizedPolynomial:
+        """phi(x), where the ring homomorphism phi sends each y to its
+        fully substituted rule value."""
         if self.rules is None:
             raise UnsupportedIdealShape(
                 "generators did not triangularize; no normal form")
-        return self._image(x)
+        return _phi(self._element(x), self._value)
 
     def contains(self, x) -> bool:
         val = self._element(x)
@@ -361,22 +354,22 @@ class IdealHandle:
         bracketing then ``contains`` can raise on such a handle at a point
         that depends on the expression."""
         if self._exact is None:
-            dens = [rule.den for rule in (self.rules or {}).values()]
             try:
-                self._exact = not any(self._image(den).num.is_zero()
-                                      for den in dens)
+                self._exact = not any(self.normal_form(rule.den).num.is_zero()
+                                      for rule in (self.rules or {}).values())
             except ZeroDivisionError:
                 self._exact = False
         return self._exact
 
     def coordinate(self, root: Root) -> LocalizedPolynomial:
-        """phi(y_root) over the handle's field, computed once per handle."""
-        if root in (self.rules or {}):
-            return self._value(("y", root.row, root.col))
-        if root not in self._images:
-            self._images[root] = self._image(
-                y_var(root.row, root.col, self.p))
-        return self._images[root]
+        """phi(y_root) over the handle's field, computed once per handle:
+        a coordinate without a rule is its own image."""
+        key = ("y", root.row, root.col)
+        if key in self._solved:
+            return self._value(key)
+        if key not in self._values:
+            self._values[key] = loc(y_var(root.row, root.col, self.p))
+        return self._values[key]
 
 
 def is_casimir_mod(z, handle: IdealHandle) -> bool:
@@ -412,7 +405,6 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
     """
     if handle.rules is None or not handle.is_exact():
         return all(is_casimir_mod(gen, handle) for gen in handle.generators)
-    partners = _bracket_partners(handle.n)
     for v in handle.rules:
         phi_v = handle.coordinate(v)
         # Both sides as one sum, y_v's term with coefficient D^2; per y_r,
@@ -421,7 +413,7 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
         coefs += [(u, -part) for u, part in _y_partials(phi_v).items()]
         sums: Dict[Root, Dict[Polynomial, Polynomial]] = {}
         for x, coef in coefs:
-            for r, sign, c in partners[x]:
+            for r, sign, c in structure_constants(handle.n)[x]:
                 step = handle.coordinate(c)
                 if step.num.is_zero():
                     continue
@@ -435,17 +427,6 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
             if not sum(parts[1:], parts[0]).num.is_zero():
                 return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _bracket_partners(n: int) -> Dict[Root, List[Tuple[Root, int, Root]]]:
-    """For each positive root a, every (b, sign, c) with
-    {y_a, y_b} = sign * y_c."""
-    roots = list(positive_roots(n))
-    out: Dict[Root, List[Tuple[Root, int, Root]]] = {a: [] for a in roots}
-    for i, j, sign, c in structure_constants(n):
-        out[roots[i]].append((roots[j], sign, c))
-    return out
 
 
 # --- the twist map ------------------------------------------------------

@@ -456,6 +456,35 @@ def test_no_unused_imports(path):
     assert not unused, unused
 
 
+def test_private_helpers_are_used():
+    # Every module-level _name def or class of the package is read
+    # somewhere in the package outside its own definition, as a name, an
+    # attribute or an imported name, so a helper that only tests reach
+    # does not outlive its callers.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(artifact.__file__).parent.glob("*.py")}
+    reads = [(name, node) for name, tree in trees.items()
+             for node in ast.walk(tree)]
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    not node.name.startswith("_") or \
+                    node.name.startswith("__"):
+                continue
+            inside = {id(sub) for sub in ast.walk(node)}
+            if not any(
+                    (isinstance(ref, ast.Name) and ref.id == node.name
+                     and isinstance(ref.ctx, ast.Load))
+                    or (isinstance(ref, ast.Attribute)
+                        and ref.attr == node.name)
+                    or (isinstance(ref, ast.alias) and ref.name == node.name)
+                    for where, ref in reads
+                    if where != name or id(ref) not in inside):
+                orphans.append((name, node.name))
+    assert not orphans, orphans
+
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -438,14 +438,18 @@ class TestSectionThreeMinors:
         assert p2 == y(4, 1) * y(5, 3) - y(4, 3) * y(5, 1)
 
     def test_bordered_range(self):
-        with pytest.raises(ValueError):
-            bordered_minors(5, 3)
+        # 1 <= j <= (n - 1) // 2: (4, 2) and (6, 3) fail the check itself,
+        # not the lemma behind it.
+        for n, j in ((5, 3), (4, 2), (6, 3), (5, 0), (2, 1)):
+            with pytest.raises(ValueError, match="bordered minors need"):
+                bordered_minors(n, j)
 
     def test_p_n0_prime(self):
         assert p_n0_prime(4) == y(2, 1)
         assert p_n0_prime(6) == y(3, 1) * y(6, 2) - y(3, 2) * y(6, 1)
-        with pytest.raises(ValueError):
-            p_n0_prime(5)
+        for n in (5, 2, 0):
+            with pytest.raises(ValueError, match="even sizes >= 4"):
+                p_n0_prime(n)
 
 
 class TestCasimirProperty:

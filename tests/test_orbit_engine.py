@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact.root_system import Root, positive_roots
+from artifact.root_system import Root, positive_roots, root_sum
 from artifact.admissible import build_admissible, dimension, \
     enumerate_maximal
 from artifact.char_matrix import LemmaFailure
@@ -676,6 +676,22 @@ def _rank_of(mat, p):
     return rank
 
 
+def _pairwise_polarization(pol, f):
+    """verify_polarization's predicate over every pair of the set: the
+    size condition, then each root sum must lie in the set and vanish at f."""
+    roots = set(pol)
+    total = f.n * (f.n - 1) // 2
+    if len(roots) != total - kirillov_rank(f) // 2:
+        return False
+    for a in roots:
+        for b in roots:
+            summed = root_sum(a, b)
+            if summed is not None and (summed not in roots
+                                       or f.value(summed) != 0):
+                return False
+    return True
+
+
 class TestPolarization:
     def test_521(self):
         s = build_admissible(5, CATALOG5[(5, 2, 1)]["seq"])
@@ -704,6 +720,30 @@ class TestPolarization:
 
         bad = RootSet(3, [R(2, 1), R(3, 2), R(3, 1)])
         assert not verify_polarization(bad, f)
+        # Of the right size, but a root lies outside the n = 3 triangle.
+        assert verify_polarization({R(3, 1), R(2, 1)}, f)
+        assert not verify_polarization({R(3, 1), R(4, 1)}, f)
+
+    def test_matches_pairwise_root_sum_oracle(self):
+        # verify_polarization reads the Lie-Poisson table; the oracle pairs
+        # every two roots of the set through root_sum.  Removing or adding
+        # a root fails the size condition, and swapping one for an outside
+        # root keeps the size, so both False branches are compared.
+        rng = random.Random(7)
+        for n in range(2, 8):
+            for s in enumerate_maximal(n):
+                pol = set(polarization(s))
+                outside = sorted(set(positive_roots(n)) - pol)
+                first = min(pol)
+                candidates = [pol, pol - {first}] + [
+                    pol | {r} for r in outside[:1]] + [
+                    pol - {first} | {r} for r in outside]
+                for p in (None, 101):
+                    c = {r: rng.randint(1, 100) for r in s.xi}
+                    f = canonical_form(s, c, p=p)
+                    for cand in candidates:
+                        assert verify_polarization(cand, f) == \
+                            _pairwise_polarization(cand, f), (s.label, p)
 
     def test_exceptional_diagram(self, by_label):
         s = by_label((7, 3, 8))

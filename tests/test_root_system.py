@@ -163,14 +163,18 @@ class TestRootBracket:
                         assert back == (-got[0], got[1])
 
     def test_structure_constants_index_the_roots(self):
+        # One entry per root, in positive_roots order; each lists every
+        # nonzero bracket of the root, partners in positive_roots order.
         for n in range(2, 8):
             roots = list(positive_roots(n))
-            table = {(i, j): (sign, c)
-                     for i, j, sign, c in structure_constants(n)}
-            for i, a in enumerate(roots):
-                for j, b in enumerate(roots):
-                    assert table.get((i, j)) == root_bracket(a, b)
-            assert structure_constants(n) is structure_constants(n)
+            table = structure_constants(n)
+            assert list(table) == roots
+            for a in roots:
+                assert [b for b, _sign, _c in table[a]] == [
+                    b for b in roots if root_bracket(a, b) is not None]
+                for b, sign, c in table[a]:
+                    assert (sign, c) == root_bracket(a, b)
+            assert structure_constants(n) is table
 
 
 class TestIsAdditive:

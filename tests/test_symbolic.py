@@ -334,6 +334,16 @@ class TestIdealHandle:
         with pytest.raises(UnsupportedIdealShape):
             i.contains(y(4, 1))
 
+    def test_dropped_rules_leave_no_image(self):
+        # A rule for y_3_1 is found, then y_2_1^2 * y_3_1 does not
+        # triangularize: the handle keeps no rule, so each coordinate is
+        # its own image.
+        i = IdealHandle.from_generators(
+            3, [y(3, 1) - const(2), y(2, 1) ** 2 * y(3, 1)])
+        assert i.rules is None
+        for r in positive_roots(3):
+            assert i.coordinate(r) == loc(y(r.row, r.col))
+
     def test_normal_form_constant(self):
         i = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
         nf = i.normal_form(y(3, 1) * y(3, 1))
@@ -381,6 +391,13 @@ class TestCasimir:
         zero = IdealHandle.from_generators(3, [])
         assert is_casimir_mod(y(3, 1), zero)
         assert not is_casimir_mod(y(2, 1), zero)
+
+    def test_center_element_over_fp(self):
+        # from_generators takes its field from the generators, so the
+        # empty ideal over F_p is built directly.
+        zero = IdealHandle(3, [], {}, (), 3)
+        assert is_casimir_mod(y(3, 1, 3), zero)
+        assert not is_casimir_mod(y(2, 1, 3), zero)
 
     def test_z1_mod_corner(self):
         z1 = (y(5, 4) * y(4, 1) + y(5, 3) * y(3, 1) + y(5, 2) * y(2, 1))
