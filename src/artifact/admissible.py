@@ -14,7 +14,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .root_system import (
     Root,
-    RootSet,
     c_split,
     check_dimension,
     lex_greater,
@@ -46,14 +45,14 @@ class UnverifiedRegimeWarning(UserWarning):
 
 
 class AdmissibleSubset:
-    """An immutable admissible choice sequence with its derived data."""
+    """An immutable admissible choice sequence and its derived root tuples."""
 
     __slots__ = ("n", "xi", "otimes_mask", "a_chain", "a_set", "m_set",
                  "s_otimes", "s_box", "label")
 
     def __init__(self, n: int, xi: Tuple[Root, ...],
                  otimes_mask: Tuple[bool, ...],
-                 a_chain: Sequence[RootSet], label=None):
+                 a_chain: Sequence[Tuple[Root, ...]], label=None):
         a_set = a_chain[-1]
         chosen = set(xi)
         fields = {
@@ -62,11 +61,9 @@ class AdmissibleSubset:
             "otimes_mask": otimes_mask,
             "a_chain": tuple(a_chain),
             "a_set": a_set,
-            "m_set": RootSet(n, (r for r in a_set if r not in chosen)),
-            "s_otimes": RootSet(
-                n, (r for r, is_x in zip(xi, otimes_mask) if is_x)),
-            "s_box": RootSet(
-                n, (r for r, is_x in zip(xi, otimes_mask) if not is_x)),
+            "m_set": tuple(r for r in a_set if r not in chosen),
+            "s_otimes": tuple(r for r, is_x in zip(xi, otimes_mask) if is_x),
+            "s_box": tuple(r for r, is_x in zip(xi, otimes_mask) if not is_x),
             "label": label,
         }
         for name, value in fields.items():
@@ -98,7 +95,7 @@ def build_admissible(n: int, sequence: Sequence[Root]) -> AdmissibleSubset:
             raise InvalidChoice(
                 f"{choice!r} does not decrease past {prev!r}", index)
         plus, minus = c_split(choice, current)
-        current = current.difference(set(plus) | set(minus))
+        current = tuple(r for r in current if r not in plus and r not in minus)
         chain.append(current)
         xi.append(choice)
         mask.append(len(plus) > 0)
@@ -154,7 +151,7 @@ def _is_maximal(n: int, xi: Tuple[Root, ...]) -> bool:
 
 
 def _walk(xi: Tuple[Root, ...], mask: Tuple[bool, ...],
-          chain: Tuple[RootSet, ...]) -> Iterator[tuple]:
+          chain: Tuple[Tuple[Root, ...], ...]) -> Iterator[tuple]:
     """Each maximal completion of a choice sequence, in catalog order, as
     (picks, cross mask, chain of working sets): take the greatest available
     root below the last pick; a box pick is forced, and a cross pick is
@@ -166,7 +163,7 @@ def _walk(xi: Tuple[Root, ...], mask: Tuple[bool, ...],
         yield xi, mask, chain
     for r in below:
         plus, minus = c_split(r, current)
-        rest = current.difference(set(plus) | set(minus))
+        rest = tuple(q for q in current if q not in plus and q not in minus)
         yield from _walk(xi + (r,), mask + (len(plus) > 0,), chain + (rest,))
         if not plus:
             break

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ._poly import LocalizedPolynomial, Polynomial, substitute
-from .root_system import Root, lex_greater, lex_sort_key, positive_roots
+from .root_system import Root, lex_greater, positive_roots
 from .symbolic import _phi, _solve_for, loc, pick_values
 
 __all__ = [
@@ -113,7 +113,7 @@ def w_eta(s, eta: Root) -> WEta:
         raise NotInA(f"{eta!r} is not a closure root of the diagram")
     perm = {m: m for m in range(1, s.n + 1)}
     betas = [b for b in s.s_otimes if lex_greater(b, eta)]
-    for root in [eta] + sorted(betas, key=lex_sort_key, reverse=True):
+    for root in [eta] + betas[::-1]:
         for m in perm:
             if perm[m] == root.row:
                 perm[m] = root.col
@@ -186,7 +186,7 @@ def triangular_system(s, c=None) -> TriangularSystem:
     # No rule value holds a solved coordinate, so one simultaneous
     # substitution of this table reduces an invariant.
     solved: Dict = {}
-    for eta in sorted(s.a_set, key=lex_sort_key):  # lex-greatest first
+    for eta in s.a_set:  # lex-greatest first
         invariant = p_h_eta(s, eta)
         red = _phi(loc(invariant - substitute(invariant, point.get)),
                    solved.get)

@@ -29,7 +29,9 @@ import numpy as np
 
 from ._poly import coerce_scalar, substitute
 from .admissible import AdmissibleSubset, dimension, enumerate_maximal
-from .root_system import Root, RootSet, check_dimension, positive_roots, \
+from .char_matrix import bordered_minors, p_n0_prime, regular_minors, \
+    z_coefficients
+from .root_system import Root, check_dimension, positive_roots, \
     structure_constants
 from .symbolic import canonical_pairs, evaluate, Polynomial
 
@@ -185,25 +187,17 @@ class GroupElement:
         return self._inverse
 
 
-@lru_cache(maxsize=None)
-def _root_order(n: int) -> Tuple[Root, ...]:
-    """The roots in decreasing order; state digit k is the value at root k."""
-    return tuple(positive_roots(n))
-
-
 def _generators(n: int, p: int) -> Tuple[GroupElement, ...]:
     """The generators I + e_alpha in root order.  Each caches its inverse
     on first use, so a caller that keeps them solves each inverse once."""
-    return tuple(GroupElement(n, p, {(r.row, r.col): 1})
-                 for r in _root_order(n))
+    return tuple(GroupElement(n, p, {r: 1}) for r in positive_roots(n))
 
 
 @lru_cache(maxsize=None)
 def _root_grid(n: int) -> Tuple[Tuple[Root, ...], ...]:
-    """grid[b][a] is the root (b + 1, a + 1) of ``_root_order(n)``, for the
-    0-based a < b < n."""
-    at = {(r.row, r.col): r for r in _root_order(n)}
-    return tuple(tuple(at[b + 1, a + 1] for a in range(b)) for b in range(n))
+    """grid[b][a] is Root(b + 1, a + 1), for the 0-based a < b < n."""
+    return tuple(tuple(Root(b + 1, a + 1) for a in range(b))
+                 for b in range(n))
 
 
 def coadjoint_act(g: GroupElement, f: LinearForm) -> LinearForm:
@@ -280,7 +274,7 @@ def _generator_moves(n: int, p: int,
     the new value at root ``writes[t]`` is the old values at roots ``reads``
     times column t of ``columns``.  The action is unipotent, so a written
     value reads itself with coefficient 1 and writes = reads[at]."""
-    roots = _root_order(n)
+    roots = positive_roots(n)
     size = len(roots)
     index = {r: k for k, r in enumerate(roots)}
     # full[g, k, i]: value at root i of basis form k moved by generator g,
@@ -342,14 +336,14 @@ def _digits(codes: np.ndarray, p: int, positions: Sequence[int]
 
 def _encode(f: LinearForm) -> int:
     code = 0
-    for root in reversed(_root_order(f.n)):
+    for root in reversed(positive_roots(f.n)):
         code = code * f.p + int(f.value(root))
     return code
 
 
 def _row_form(n: int, p: int, row: List[int]) -> LinearForm:
     return LinearForm._reduced(
-        n, p, {r: d for r, d in zip(_root_order(n), row) if d})
+        n, p, {r: d for r, d in zip(positive_roots(n), row) if d})
 
 
 class Orbit:
@@ -378,7 +372,7 @@ class Orbit:
             yield _row_form(self.n, self.p, row)
 
     def member_array(self) -> np.ndarray:
-        return _digits(self.codes, self.p, range(len(_root_order(self.n))))
+        return _digits(self.codes, self.p, range(self.n * (self.n - 1) // 2))
 
 
 def _budget_value() -> int:
@@ -415,15 +409,28 @@ def _check_orbit_budget(n: int, p: int, states: int, limit: int) -> None:
             f"limit of {limit}")
 
 
+def _union(arrays: List[np.ndarray]) -> np.ndarray:
+    """The sorted distinct codes of the arrays, by a sort: np.unique's int64
+    hash path is an order of magnitude slower."""
+    codes = np.sort(np.concatenate(arrays))
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
 def _sweep(codes: np.ndarray, p: int, move: Tuple) -> np.ndarray:
     """The closure of a sorted code array under one generator g: the sorted
     union of g^t applied to it for t < p.  Only the digits g reads are
     taken from the codes, and g^t follows from g^(t-1) by rewriting the
     digits g writes.  A block of codes that g fixes is fixed by every g^t,
-    and when g fixes every code the input array itself is returned."""
+    and when g fixes every code the input array itself is returned.  Images
+    held past twice the budget are merged; merged past it, they are returned
+    unfinished, a part of the orbit already over the caller's budget."""
     _reads, columns, _writes, read_scale, write_scale, at = move
+    limit = _budget_value()
     rows = max(1, _BLOCK_CELLS // len(read_scale))
     images = [codes]
+    held = len(codes)
     for first in range(0, len(codes), rows):
         image = codes[first:first + rows]
         digits = image[:, None] // read_scale % p
@@ -435,14 +442,13 @@ def _sweep(codes: np.ndarray, p: int, move: Tuple) -> np.ndarray:
             image = image + step
             digits[:, at] = new
             images.append(image)
-    if len(images) == 1:
-        return codes
-    # Sort and drop repeats instead of np.unique: for int64 its hash path
-    # is an order of magnitude slower than a sort.
-    images = np.sort(np.concatenate(images))
-    keep = np.ones(len(images), dtype=bool)
-    keep[1:] = images[1:] != images[:-1]
-    return images[keep]
+            held += len(image)
+            if held > 2 * limit:
+                images = [_union(images)]
+                held = len(images[0])
+                if held > limit:
+                    return images[0]
+    return images[0] if len(images) == 1 else _union(images)
 
 
 def orbit_bfs(f: LinearForm,
@@ -455,9 +461,10 @@ def orbit_bfs(f: LinearForm,
     orbit is reached by closing {f} under one generator after another.
     Every set on the way lies inside the orbit, so the budget
     ``ARTIFACT_BFS_BUDGET``, a cap on the orbit size, is checked after each
-    closure.  Without ``generators`` the search reuses the moves kept per
-    (n, p); ``generators``, the ``_generators(n, p)`` of f's field, makes
-    it build its own moves from them."""
+    closure, and a closure stops once it holds more.  Without
+    ``generators`` the search reuses the moves kept per (n, p);
+    ``generators``, the ``_generators(n, p)`` of f's field, makes it build
+    its own moves from them."""
     if f.p is None:
         raise ValueError("orbit enumeration needs a finite field")
     n, p = f.n, f.p
@@ -479,7 +486,7 @@ def all_orbits(n: int, p: int) -> List[Orbit]:
     packed state."""
     _check_prime(p)
     _check_space_budget("all_orbits", n, p)
-    roots = _root_order(n)
+    roots = positive_roots(n)
     free = np.ones(p ** len(roots), dtype=bool)
     # Moves rebuilt per orbit: perfbench TestTracer pins 9·orbits acts here.
     generators = _generators(n, p)
@@ -517,7 +524,7 @@ def kirillov_rank(f: LinearForm) -> int:
         scale = math.lcm(*(v.denominator for v in vals.values()))
         vals = {r: v.numerator * (scale // v.denominator)
                 for r, v in vals.items()}
-    index = {r: k for k, r in enumerate(_root_order(f.n))}
+    index = {r: k for k, r in enumerate(positive_roots(f.n))}
     mat = [[0] * len(index) for _ in index]
     for a, entries in structure_constants(f.n).items():
         for b, sign, c in entries:
@@ -575,10 +582,10 @@ def stratum(f: LinearForm) -> int:
 
 # --- polarizations --------------------------------------------------------
 
-def polarization(s: AdmissibleSubset) -> RootSet:
+def polarization(s: AdmissibleSubset) -> Tuple[Root, ...]:
     """The positive roots minus the p-side of every canonical pair."""
-    return positive_roots(s.n).difference(
-        p for pairs in canonical_pairs(s) for p, _q, _d in pairs)
+    drop = {p for pairs in canonical_pairs(s) for p, _q, _d in pairs}
+    return tuple(r for r in positive_roots(s.n) if r not in drop)
 
 
 def verify_polarization(pol: Iterable[Root], f: LinearForm) -> bool:
@@ -600,7 +607,7 @@ def _support_table(n: int, catalog: Tuple[AdmissibleSubset, ...]
     """The sorted canonical supports, bit k for root k, with their owners:
     diagram j owns its marked picks with each subset of its box picks.  The
     table is reused only for a catalog of the very same subsets."""
-    index = {r: k for k, r in enumerate(_root_order(n))}
+    index = {r: k for k, r in enumerate(positive_roots(n))}
     entries = []
     for j, s in enumerate(catalog):
         own = [sum(1 << index[r] for r in s.s_otimes)]
@@ -614,7 +621,7 @@ def _support_table(n: int, catalog: Tuple[AdmissibleSubset, ...]
 def _classify_orbit(orbit: Orbit, stage: str
                     ) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     n, p = orbit.n, orbit.p
-    roots = _root_order(n)
+    roots = positive_roots(n)
     catalog = enumerate_maximal(n)
     table, owners = _support_table(n, tuple(catalog))
     weights = 1 << np.arange(len(roots), dtype=np.int64)
@@ -718,9 +725,6 @@ class SubregularRecord:
 def subregular_classify(target) -> SubregularRecord:
     """Classify a subregular orbit given either (diagram, constants) or a
     finite-field point, and assemble its cutting system."""
-    from .char_matrix import bordered_minors, p_n0_prime, regular_minors, \
-        z_coefficients
-
     f = target if isinstance(target, LinearForm) \
         else canonical_form(*target, p=None)
     n = f.n
@@ -767,7 +771,7 @@ def subregular_classify(target) -> SubregularRecord:
         # Only the digits the system reads are decoded, and each further
         # equation is evaluated only on the codes the earlier ones kept.
         index = {("y", r.row, r.col): k
-                 for k, r in enumerate(_root_order(n))}
+                 for k, r in enumerate(positive_roots(n))}
         keys = sorted(set().union(*(gen.variables() for gen in system)))
         total = p ** len(index)
         rows = max(1, _BLOCK_CELLS // len(index))

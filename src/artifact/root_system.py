@@ -9,13 +9,12 @@ algebra is (n, 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Optional
+from typing import NamedTuple, Optional, Tuple
 
 __all__ = [
-    "InvalidDimension", "NotMember", "Root", "RootSet", "c_split",
+    "InvalidDimension", "NotMember", "Root", "c_split",
     "check_dimension", "lex_greater", "lex_sort_key", "positive_roots",
     "root_bracket", "root_from_text", "root_sum", "root_to_text",
     "structure_constants",
@@ -35,14 +34,10 @@ class NotMember(ValueError):
     """The distinguished root must belong to the given set."""
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+class Root(NamedTuple):
+    """A root; it hashes, compares and unpacks as the tuple (row, col)."""
     row: int
     col: int
-
-    def __iter__(self) -> Iterator[int]:
-        yield self.row
-        yield self.col
 
     def __repr__(self) -> str:  # compact, used in assertion messages
         return f"Root({self.row},{self.col})"
@@ -60,59 +55,17 @@ def lex_sort_key(r: Root):
     return (r.col, -r.row)
 
 
-class RootSet:
-    """An immutable set of roots inside a fixed n-by-n algebra.
-
-    Iteration is in decreasing root order.
-    """
-
-    __slots__ = ("n", "_roots")
-
-    def __init__(self, n: int, roots=()):
-        check_dimension(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_roots", frozenset(roots))
-
-    def __setattr__(self, name, value):
-        # positive_roots hands one instance to every caller.
-        raise AttributeError("RootSet is immutable")
-
-    def __len__(self) -> int:
-        return len(self._roots)
-
-    def __iter__(self) -> Iterator[Root]:
-        return iter(sorted(self._roots, key=lex_sort_key))
-
-    def __contains__(self, r) -> bool:
-        return r in self._roots
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RootSet):
-            return self.n == other.n and self._roots == other._roots
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._roots))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(r) for r in self)
-        return f"RootSet({self.n}, [{inner}])"
-
-    def difference(self, other) -> "RootSet":
-        return RootSet(self.n, self._roots - frozenset(other))
-
-
-def positive_roots(n: int) -> RootSet:
-    """All strictly lower positions of the n-by-n matrix: one shared
-    immutable set per n."""
+def positive_roots(n: int) -> Tuple[Root, ...]:
+    """All strictly lower positions of the n-by-n matrix in decreasing
+    order: one shared tuple per n.  Every set of roots in this package is
+    a tuple in this order."""
     check_dimension(n)
     return _positive_roots(n)
 
 
 @lru_cache(maxsize=None)
-def _positive_roots(n: int) -> RootSet:
-    return RootSet(n, (Root(i, j) for i in range(2, n + 1)
-                       for j in range(1, i)))
+def _positive_roots(n: int) -> Tuple[Root, ...]:
+    return tuple(Root(i, j) for j in range(1, n) for i in range(n, j, -1))
 
 
 def root_sum(a: Root, b: Root) -> Optional[Root]:
@@ -138,31 +91,26 @@ def structure_constants(n: int) -> MappingProxyType:
     """The Lie-Poisson table of size n: for each positive root a, every
     (b, sign, c) with {y_a, y_b} = sign * y_c nonzero, b in
     ``positive_roots`` order.  One shared read-only table per n."""
-    roots = list(positive_roots(n))
+    roots = positive_roots(n)
     return MappingProxyType({a: tuple((b,) + rb for b in roots
                                       if (rb := root_bracket(a, b)))
                              for a in roots})
 
 
-def c_split(xi: Root, rs: RootSet) -> tuple:
-    """Split the two-part decompositions of xi inside rs.
+def c_split(xi: Root, rs) -> tuple:
+    """Split the two-part decompositions of xi inside the container rs.
 
-    Returns (plus, minus): for every intermediate index a with both parts
-    (a, xi.col) and (xi.row, a) in rs, the column part goes to plus and
-    the row part to minus.  Column parts are the greater member of each
-    pair.
+    Returns (plus, minus), each a tuple in decreasing order: for every
+    intermediate index a with both parts (a, xi.col) and (xi.row, a) in rs,
+    the column part goes to plus and the row part to minus.  Column parts
+    are the greater member of each pair.
     """
     if xi not in rs:
         raise NotMember(f"{xi!r} is not in the set")
-    plus = []
-    minus = []
-    for a in range(xi.col + 1, xi.row):
-        gamma = Root(a, xi.col)
-        delta = Root(xi.row, a)
-        if gamma in rs and delta in rs:
-            plus.append(gamma)
-            minus.append(delta)
-    return RootSet(rs.n, plus), RootSet(rs.n, minus)
+    mids = [a for a in range(xi.col + 1, xi.row)
+            if Root(a, xi.col) in rs and Root(xi.row, a) in rs]
+    return (tuple(Root(a, xi.col) for a in reversed(mids)),
+            tuple(Root(xi.row, a) for a in mids))
 
 
 def root_to_text(r: Root) -> str:

@@ -552,7 +552,7 @@ def reduce_columns(s, c=None):
     accumulated maps, extend the ideal by their cleared generators, and
     yield (pairs, images, ideal)."""
     cmap = pick_values(s, c)
-    handle = IdealHandle(s.n, [], {}, tuple(s.s_otimes))
+    handle = IdealHandle(s.n, [], {}, s.s_otimes)
     tmaps: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []
     for t, triples in enumerate(canonical_pairs(s), start=1):
         pairs = [_pair_elements(*triple) for triple in triples]

@@ -319,3 +319,23 @@ class TestStarExpand:
         inner = build_admissible(3, CATALOG3[(3, 0, 1)]["seq"])
         with pytest.raises(ValueError):
             star_expand(0, inner)
+
+
+class TestRootOrder:
+    def test_every_root_set_is_decreasing(self):
+        from artifact.orbit_engine import polarization
+
+        def decreasing(roots):
+            return tuple(roots) == tuple(sorted(roots, key=lex_sort_key))
+
+        for n in range(2, 8):
+            for s in enumerate_maximal(n):
+                sets = [s.xi, *s.a_chain, s.a_set, s.m_set, s.s_otimes,
+                        s.s_box, polarization(s)]
+                for roots in sets:
+                    assert isinstance(roots, tuple), s.label
+                    assert decreasing(roots), (s.label, roots)
+                for stage in s.a_chain:
+                    for r in stage:
+                        plus, minus = c_split(r, stage)
+                        assert decreasing(plus) and decreasing(minus)

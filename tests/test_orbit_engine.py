@@ -174,6 +174,17 @@ class TestOrbitBfs:
                            r"reached 1 states, over the limit of 0$"):
             orbit_bfs(f)
 
+    def test_sweep_holds_about_twice_the_budget(self, monkeypatch):
+        # X_(2,1) moves y_3_1 -> 1 to p states.  The sweep stops once the
+        # images it holds, merged, exceed the budget: 2,001 at 1000, not
+        # all 100,003 images of the one sweep.
+        f = LinearForm(3, 100003, {R(3, 1): 1})
+        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", "1000")
+        with pytest.raises(BudgetExceeded) as info:
+            orbit_bfs(f)
+        states = int(info.value.args[0].split(" reached ")[1].split()[0])
+        assert 1000 < states < 10_000
+
     def test_whole_space_budget(self, monkeypatch):
         # all_orbits(3, 2) scans 2^3 states: a budget of 8 allows it, 7
         # refuses it before any search.
@@ -459,6 +470,19 @@ class TestBudgetIsOrbitSizeCap:
                         rf"over the limit of {size - 1}$")):
                     orbit_bfs(f)
 
+    def test_sweep_of_a_closed_orbit_merges_and_goes_on(self, monkeypatch):
+        # A generator that moves an orbit maps it onto itself, so a sweep
+        # of it holds p copies: over twice a budget of the orbit's size,
+        # while the merged codes stay within it and the sweep goes on.
+        from artifact.orbit_engine import _default_moves, _sweep
+
+        s = build_admissible(5, CATALOG5[(5, 0, 1)]["seq"])
+        orbit = orbit_bfs(canonical_form(s, {R(5, 1): 1, R(4, 2): 1}, p=3))
+        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", str(len(orbit)))
+        for move in _default_moves(5, 3):
+            assert _sweep(orbit.codes, 3, move).tolist() == \
+                orbit.codes.tolist()
+
 
 class TestNonPrimeField:
     """Z/4 is not a field: every entry point refuses it."""
@@ -716,10 +740,7 @@ class TestPolarization:
     def test_bad_set_rejected(self):
         s = build_admissible(3, CATALOG3[(3, 0, 1)]["seq"])
         f = canonical_form(s, {R(3, 1): Fraction(1)})
-        from artifact.root_system import RootSet
-
-        bad = RootSet(3, [R(2, 1), R(3, 2), R(3, 1)])
-        assert not verify_polarization(bad, f)
+        assert not verify_polarization({R(2, 1), R(3, 2), R(3, 1)}, f)
         # Of the right size, but a root lies outside the n = 3 triangle.
         assert verify_polarization({R(3, 1), R(2, 1)}, f)
         assert not verify_polarization({R(3, 1), R(4, 1)}, f)

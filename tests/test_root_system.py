@@ -5,7 +5,6 @@ from artifact.root_system import (
     InvalidDimension,
     NotMember,
     Root,
-    RootSet,
     c_split,
     lex_greater,
     lex_sort_key,
@@ -44,8 +43,8 @@ def restrict(rs, xi):
     """xi together with the members of rs strictly inside its span."""
     if xi not in rs:
         raise NotMember(f"{xi!r} is not in the set")
-    return RootSet(rs.n, [r for r in rs if r == xi
-                          or (r.col > xi.col and r.row < xi.row)])
+    return [r for r in rs if r == xi
+            or (r.col > xi.col and r.row < xi.row)]
 
 
 class TestPositiveRoots:
@@ -86,9 +85,19 @@ class TestPositiveRoots:
             expected = [R(i, j) for j in range(1, n) for i in range(n, j, -1)]
             assert list(first) == expected
             assert list(positive_roots(n)) == expected
-        with pytest.raises(AttributeError):
-            positive_roots(5).n = 4
-        assert positive_roots(5).n == 5
+        with pytest.raises(TypeError):
+            positive_roots(5)[0] = R(2, 1)
+        assert positive_roots(5)[0] == R(5, 1)
+
+
+class TestRootTuple:
+    def test_hashes_and_compares_as_its_pair(self):
+        # The same hash as the (row, col) pair, so dict and set orders
+        # match a root type that hashed that pair.
+        for r in positive_roots(7):
+            assert r == (r.row, r.col) and hash(r) == hash((r.row, r.col))
+        assert Root(3, 1) == (3, 1) and Root(3, 1) < Root(3, 2)
+        assert repr(Root(3, 1)) == "Root(3,1)"
 
 
 class TestLexOrder:
@@ -182,27 +191,27 @@ class TestIsAdditive:
         assert is_additive(positive_roots(5))
 
     def test_broken(self):
-        assert not is_additive(RootSet(5, [R(3, 1), R(5, 3)]))
+        assert not is_additive(frozenset([R(3, 1), R(5, 3)]))
 
     def test_empty(self):
-        assert is_additive(RootSet(4, []))
+        assert is_additive(frozenset())
 
 
 class TestIsNormal:
     def test_bullet_set_is_normal(self):
-        a = RootSet(5, [R(3, 1), R(4, 1), R(5, 1), R(5, 2), R(5, 3), R(4, 3)])
-        m = RootSet(5, [R(4, 1), R(5, 1)])
+        a = frozenset([R(3, 1), R(4, 1), R(5, 1), R(5, 2), R(5, 3), R(4, 3)])
+        m = frozenset([R(4, 1), R(5, 1)])
         assert is_normal(m, a)
 
     def test_not_normal(self):
-        a = RootSet(4, [R(2, 1), R(3, 2), R(3, 1)])
-        m = RootSet(4, [R(2, 1)])
+        a = frozenset([R(2, 1), R(3, 2), R(3, 1)])
+        m = frozenset([R(2, 1)])
         # (2,1) + (3,2) = (3,1) lies in A but not in M.
         assert not is_normal(m, a)
 
     def test_not_subset(self):
-        a = RootSet(4, [R(2, 1)])
-        m = RootSet(4, [R(3, 2)])
+        a = frozenset([R(2, 1)])
+        m = frozenset([R(3, 2)])
         with pytest.raises(NotSubset):
             is_normal(m, a)
 
@@ -248,7 +257,7 @@ class TestCSplit:
                 assert lex_greater(gamma, partner)
 
     def test_not_member(self):
-        a = RootSet(4, [R(2, 1), R(3, 2)])
+        a = frozenset([R(2, 1), R(3, 2)])
         with pytest.raises(NotMember):
             c_split(R(4, 1), a)
 
@@ -277,7 +286,7 @@ class TestRestrict:
 
     def test_not_member(self):
         with pytest.raises(NotMember):
-            restrict(RootSet(5, [R(2, 1)]), R(5, 1))
+            restrict(frozenset([R(2, 1)]), R(5, 1))
 
 
 class TestColumnsAndChain:
