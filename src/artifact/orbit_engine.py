@@ -8,10 +8,11 @@ is enumerated by closing one point under each X_alpha in turn.  A generator
 I + e_alpha is linear on value vectors and changes only a few values of
 each, so one step reads and rewrites only those base-p digits.  The search
 runs on packed codes only: each state is one int64 holding its base-p
-digits, and an orbit is the sorted array of its codes, so the field size is
-limited to p^(n(n-1)/2) <= 2^63.  Whether a point is a canonical form
-depends only on its support, so an orbit's canonical member is found by
-looking each member's support up in one sorted table, the same for every p.
+digits, the greatest root (n, 1) most significant, and an orbit is the
+sorted array of its codes, so p^(n(n-1)/2) may not pass 2^63.  An orbit's
+canonical form is its least point read from the greatest root down, its
+least code, and whether that point is canonical depends only on its
+support, looked up in one table, the same for every p.
 
 ``coadjoint_act`` skips the validating ``LinearForm`` constructor: its result
 roots lie in the triangle by construction, and it reduces values itself.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,8 +81,9 @@ def _check_prime(p: int) -> None:
 # --- linear forms and the group ------------------------------------------
 
 class LinearForm:
-    """A linear form on the strictly lower triangle; zero values are not
-    stored, and finite-field values are reduced immediately."""
+    """A linear form on the strictly lower triangle, keyed by roots or
+    (row, col) pairs of ints; zero values are not stored, and finite-field
+    values are reduced immediately."""
 
     __slots__ = ("n", "p", "values", "_hash", "_rank")
 
@@ -89,7 +92,11 @@ class LinearForm:
         if p is not None:
             _check_prime(p)
         vals: Dict[Root, object] = {}
-        for root, raw in (values or {}).items():
+        for key, raw in (values or {}).items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(isinstance(x, int) for x in key)):
+                raise InvalidInput(f"{key!r} is not a root (row, col)")
+            root = Root(*key)
             if not 1 <= root.col < root.row <= n:
                 raise InvalidInput(
                     f"{root!r} lies outside the n={n} triangle")
@@ -270,7 +277,7 @@ def _generator_moves(n: int, p: int,
 
     A generator changes only a few values of a form, each a linear function
     of a few old values.  Each generator that moves anything gives, in root
-    order, one move (reads, columns, writes, p ** reads, p ** writes, at):
+    order, one move (reads, columns, writes, read places, write places, at):
     the new value at root ``writes[t]`` is the old values at roots ``reads``
     times column t of ``columns``.  The action is unipotent, so a written
     value reads itself with coefficient 1 and writes = reads[at]."""
@@ -293,8 +300,8 @@ def _generator_moves(n: int, p: int,
     moved = np.flatnonzero(writes.any(axis=1))
     kept = [(np.flatnonzero(reads[g]), np.flatnonzero(writes[g]))
             for g in moved]
-    return [(r, full[g][r][:, w], w, p ** r, p ** w, np.searchsorted(r, w))
-            for g, (r, w) in zip(moved, kept)]
+    return [(r, full[g][r][:, w], w, p ** (size - 1 - r), p ** (size - 1 - w),
+             np.searchsorted(r, w)) for g, (r, w) in zip(moved, kept)]
 
 
 @lru_cache(maxsize=8)
@@ -315,7 +322,7 @@ _BLOCK_CELLS = 1 << 20
 
 def _check_codes_fit(n: int, p: int) -> None:
     """A state is packed into one int64 code, the base-p digits of its values
-    in root order, least significant first, so all p^N codes must fit."""
+    in root order, most significant first, so all p^N codes must fit."""
     width = n * (n - 1) // 2
     if p ** width > 1 << 63:
         raise InvalidInput(
@@ -323,20 +330,21 @@ def _check_codes_fit(n: int, p: int) -> None:
             f"orbit states at n={n}")
 
 
-def _digits(codes: np.ndarray, p: int, positions: Sequence[int]
+def _digits(codes: np.ndarray, n: int, p: int, positions: Sequence[int]
             ) -> np.ndarray:
     """Rows of the base-p digits at ``positions`` of packed state codes;
-    digit k, of place value p^k, is the value at root k."""
+    digit k, of place value p^(N-1-k) for N roots, is the value at root k."""
+    top = n * (n - 1) // 2 - 1
     out = np.empty((len(codes), len(positions)), dtype=np.int64)
     for at, k in enumerate(positions):
         # numpy divides by one scalar much faster than by an array.
-        out[:, at] = codes // p ** k % p
+        out[:, at] = codes // p ** (top - k) % p
     return out
 
 
 def _encode(f: LinearForm) -> int:
     code = 0
-    for root in reversed(positive_roots(f.n)):
+    for root in positive_roots(f.n):
         code = code * f.p + int(f.value(root))
     return code
 
@@ -372,7 +380,8 @@ class Orbit:
             yield _row_form(self.n, self.p, row)
 
     def member_array(self) -> np.ndarray:
-        return _digits(self.codes, self.p, range(self.n * (self.n - 1) // 2))
+        return _digits(self.codes, self.n, self.p,
+                       range(self.n * (self.n - 1) // 2))
 
 
 def _budget_value() -> int:
@@ -483,7 +492,8 @@ def orbit_bfs(f: LinearForm,
 
 def all_orbits(n: int, p: int) -> List[Orbit]:
     """Partition the whole dual space into orbits, in order of the least
-    packed state."""
+    packed state.  Each orbit's search starts at its least code, so its
+    representative is its canonical form."""
     _check_prime(p)
     _check_space_budget("all_orbits", n, p)
     roots = positive_roots(n)
@@ -493,7 +503,7 @@ def all_orbits(n: int, p: int) -> List[Orbit]:
     orbits = []
     code = 0
     while code < len(free):
-        row = _digits(np.array([code]), p, range(len(roots)))[0].tolist()
+        row = _digits(np.array([code]), n, p, range(len(roots)))[0].tolist()
         orbit = orbit_bfs(_row_form(n, p, row), generators=generators)
         free[orbit.codes] = False
         orbits.append(orbit)
@@ -603,50 +613,40 @@ def verify_polarization(pol: Iterable[Root], f: LinearForm) -> bool:
 
 @lru_cache(maxsize=8)
 def _support_table(n: int, catalog: Tuple[AdmissibleSubset, ...]
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """The sorted canonical supports, bit k for root k, with their owners:
-    diagram j owns its marked picks with each subset of its box picks.  The
-    table is reused only for a catalog of the very same subsets."""
+                   ) -> Dict[int, Tuple[int, ...]]:
+    """The canonical supports, bit k for root k, each with its owners'
+    indices: diagram j owns its marked picks with each subset of its box
+    picks.  It is reused only for a catalog of the very same subsets."""
     index = {r: k for k, r in enumerate(positive_roots(n))}
-    entries = []
+    table: Dict[int, Tuple[int, ...]] = {}
     for j, s in enumerate(catalog):
         own = [sum(1 << index[r] for r in s.s_otimes)]
         for r in s.s_box:
             own += [x | 1 << index[r] for x in own]
-        entries += [(x, j) for x in own]
-    table = np.array(sorted(entries), dtype=np.int64).reshape(-1, 2)
-    return table[:, 0].copy(), table[:, 1].copy()
+        for x in own:
+            table[x] = table.get(x, ()) + (j,)
+    return table
 
 
 def _classify_orbit(orbit: Orbit, stage: str
                     ) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
+    """An orbit's canonical form is its least code: look its support up."""
     n, p = orbit.n, orbit.p
     roots = positive_roots(n)
     catalog = enumerate_maximal(n)
-    table, owners = _support_table(n, tuple(catalog))
-    weights = 1 << np.arange(len(roots), dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // len(roots))
-    matches: List[Tuple[AdmissibleSubset, np.ndarray]] = []
-    for first in range(0, len(orbit), rows):
-        members = _digits(orbit.codes[first:first + rows], p,
-                          range(len(roots)))
-        support = (members != 0) @ weights
-        # Every equal entry is a hit, so a shared support counts per owner.
-        low = np.searchsorted(table, support, "left")
-        high = np.searchsorted(table, support, "right")
-        matches += [(catalog[j], members[i])
-                    for i in np.flatnonzero(high > low)
-                    for j in owners[low[i]:high[i]]]
-    if len(matches) != 1:
+    member = _digits(orbit.codes[:1], n, p, range(len(roots)))[0].tolist()
+    owners = _support_table(n, tuple(catalog)).get(
+        sum(1 << k for k, v in enumerate(member) if v), ())
+    if len(owners) != 1:
         raise ClassificationMismatch(
             f"{stage} at n={n}, p={p}: an orbit of {len(orbit)} states has "
-            f"{len(matches)} canonical members, not 1")
-    s, member = matches[0]
+            f"{len(owners)} canonical members, not 1")
+    s = catalog[owners[0]]
     if len(orbit) != p ** dimension(s):
         raise ClassificationMismatch(
             f"{stage} at n={n}, p={p}: an orbit of label {s.label} has "
             f"{len(orbit)} states, not p^{dimension(s)}")
-    return s, {r: int(member[roots.index(r)]) for r in s.xi}
+    return s, {r: member[roots.index(r)] for r in s.xi}
 
 
 def classify(f: LinearForm) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
@@ -660,29 +660,22 @@ def census(n: int, p: int) -> Dict:
     """Classify every orbit and tally counts per diagram label, together
     with the two counting identities."""
     check_dimension(n)
-    tally: Dict[Tuple[int, int, int], Dict[str, int]] = {}
-    for orbit in all_orbits(n, p):
-        s, _values = _classify_orbit(orbit, "census")
-        dim = dimension(s)
-        row = tally.setdefault(s.label, {"dim": dim, "count": 0})
-        if row["dim"] != dim:
-            raise ClassificationMismatch(
-                f"census at n={n}, p={p}: label {s.label} has orbits of "
-                f"dimension {row['dim']} and {dim}")
-        row["count"] += 1
+    tally = Counter(_classify_orbit(orbit, "census")[0].label
+                    for orbit in all_orbits(n, p))
     rows = []
     point_sum = 0
     formula_ok = True
     for s in sorted(enumerate_maximal(n), key=lambda s: s.label):
-        row = tally.get(s.label)
-        if row is None:
+        count = tally[s.label]
+        if count == 0:
             formula_ok = False
             continue
-        if row["count"] != (p - 1) ** len(s.s_otimes) * p ** len(s.s_box):
+        if count != (p - 1) ** len(s.s_otimes) * p ** len(s.s_box):
             formula_ok = False
-        point_sum += row["count"] * p ** row["dim"]
+        dim = dimension(s)
+        point_sum += count * p ** dim
         rows.append({"label": ",".join(str(x) for x in s.label),
-                     "dim": row["dim"], "count": row["count"]})
+                     "dim": dim, "count": count})
     total = p ** (n * (n - 1) // 2)
     return {
         "n": n,
@@ -779,7 +772,7 @@ def subregular_classify(target) -> SubregularRecord:
         for first in range(0, total, rows):
             codes = np.arange(first, min(first + rows, total),
                               dtype=np.int64)
-            members = _digits(codes, p, [index[k] for k in keys])
+            members = _digits(codes, n, p, [index[k] for k in keys])
             for gen in system:
                 keep = substitute(
                     gen, lambda key: members[:, keys.index(key)], p) == 0

@@ -55,6 +55,17 @@ class TestLinearForm:
     def test_mod_reduction(self):
         assert form(3, 3, {R(3, 1): 5}) == form(3, 3, {R(3, 1): 2})
 
+    def test_pair_keys_become_roots(self):
+        f = LinearForm(3, 2, {(2, 1): 1, (3, 1): 3})
+        assert f == form(3, 2, {R(2, 1): 1, R(3, 1): 1})
+        assert all(type(r) is Root for r in f.values)
+
+    @pytest.mark.parametrize("key", ["x", (2, 1, 0)])
+    def test_other_keys_are_refused(self, key):
+        with pytest.raises(InvalidInput,
+                           match=r"^.+ is not a root \(row, col\)$"):
+            LinearForm(3, 2, {key: 1})
+
 
 class TestCanonicalForm:
     def test_basic(self):
@@ -306,13 +317,15 @@ def _diagram_and_ones(n, label):
 
 def form_of_code(n, p, code):
     """The form whose values are the base-p digits of code, in
-    positive_roots order, least significant first."""
-    return form(n, p, {r: code // p ** k % p
+    positive_roots order, most significant first."""
+    top = n * (n - 1) // 2 - 1
+    return form(n, p, {r: code // p ** (top - k) % p
                        for k, r in enumerate(positive_roots(n))})
 
 
 def code_of_form(f):
-    return sum(int(f.value(r)) * f.p ** k
+    top = f.n * (f.n - 1) // 2 - 1
+    return sum(int(f.value(r)) * f.p ** (top - k)
                for k, r in enumerate(positive_roots(f.n)))
 
 
@@ -846,6 +859,17 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(f)
 
+    @pytest.mark.parametrize("n,p", [(3, 5), (4, 3), (4, 5), (5, 2), (5, 3),
+                                     (6, 2)])
+    def test_canonical_form_is_least_code(self, n, p):
+        # Read from the greatest root down, the least point of an orbit is
+        # its canonical form, and all_orbits starts each orbit there.
+        for orbit in all_orbits(n, p):
+            s, c = classify(orbit.representative)
+            f = canonical_form(s, c, p)
+            assert orbit.representative == f
+            assert int(orbit.codes[0]) == code_of_form(f)
+
 
 class TestCensus:
     @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 2), (4, 3)])
@@ -904,8 +928,8 @@ def _mask_scan(orbit):
 
 
 def _table_pairs(table):
-    supports, owners = table
-    return list(zip(supports.tolist(), owners.tolist()))
+    """The (support, owner index) pairs of a support table, sorted."""
+    return sorted((x, j) for x, owners in table.items() for j in owners)
 
 
 class TestCatalogMasks:
@@ -942,12 +966,12 @@ class TestCatalogMasks:
         for n, size in sizes.items():
             catalog = enumerate_maximal(n)
             table = orbit_engine._support_table(n, tuple(catalog))
-            assert len(table[0]) == size == \
+            assert len(_table_pairs(table)) == size == \
                 sum(2 ** len(s.s_box) for s in catalog)
             if n <= 6:
                 assert _table_pairs(table) == _reference_supports(catalog)
 
-    @pytest.mark.parametrize("n,p", [(5, 3), (6, 2)])
+    @pytest.mark.parametrize("n,p", [(4, 5), (5, 3), (6, 2)])
     def test_answers_match_fresh_masks(self, n, p):
         from artifact import orbit_engine
 
@@ -1082,8 +1106,8 @@ class TestSubregular:
                                  f"{self._record_text(orbit.representative)}")
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert len(lines) == 434
-        assert digest == ("87d8076e2c2eaa01c36536340b1278ab452bb2f686699911375"
-                          "379f6cdfcb3af")
+        assert digest == ("0bb82b00e2815f16aeb6a606acd94d98a3f8c3e50a9b52cd572"
+                          "7d61afdd83ba0")
 
 
 class TestStratumMaxDims:

@@ -264,9 +264,12 @@ class TestGeneratorMoves:
         got = [(reads.tolist(), columns.tolist(), writes.tolist())
                for reads, columns, writes, *_ in moves]
         assert got == _reference_moves(n, p)
+        top = n * (n - 1) // 2 - 1
         for reads, _columns, writes, read_scale, write_scale, at in moves:
-            assert read_scale.tolist() == [p ** k for k in reads.tolist()]
-            assert write_scale.tolist() == [p ** k for k in writes.tolist()]
+            assert read_scale.tolist() == \
+                [p ** (top - k) for k in reads.tolist()]
+            assert write_scale.tolist() == \
+                [p ** (top - k) for k in writes.tolist()]
             assert reads[at].tolist() == writes.tolist()
 
 
