@@ -333,9 +333,10 @@ def poly_text(poly) -> str:
 class LocalizedPolynomial(_Element):
     """A fraction num/den of polynomials, reduced by monomial content.
 
-    Denominators produced by the reduction pipeline are single terms, so
-    cancelling the common per-variable monomial content and scaling the
-    denominator to have leading coefficient one yields a canonical form.
+    Reduction cancels common monomial content and makes the denominator's
+    leading coefficient one.  That form is canonical only over one-term
+    denominators, but ``symbolic._twist`` also makes 2-4 term ones: so
+    ``==`` cross-multiplies, and fractions are unhashable.
     """
 
     __slots__ = ("num", "den")
@@ -415,8 +416,7 @@ class LocalizedPolynomial(_Element):
             return self.num * other.den == other.num * self.den
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    __hash__ = None  # equal fractions may differ in (num, den)
 
     def __repr__(self):
         return f"LocalizedPolynomial({poly_text(self)})"

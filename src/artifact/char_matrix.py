@@ -9,7 +9,6 @@ system), and the fixed families used for regular and subregular orbits.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -103,62 +102,42 @@ class WEta:
     rows: Tuple[int, ...]
     q: int
     d: int
+    h: int
 
 
 def w_eta(s, eta: Root) -> WEta:
-    """The word of eta: the images of 1..col(eta) under the permutation
-    that reflects in eta first, then in each marked pick lex-greater than
-    eta, least of those first."""
+    """The word of eta and its tau-degree h, in one walk.
+
+    The word is the image of 1..col(eta) under the reflections in eta,
+    then in each marked pick lex-greater than eta, least of those first.
+    Each reflection leaves the image alone or trades a column index for
+    its root's row; h counts the trades, eta's own included.  A trade of
+    a row back for its column raises LemmaFailure."""
     if eta not in s.a_set:
         raise NotInA(f"{eta!r} is not a closure root of the diagram")
-    perm = {m: m for m in range(1, s.n + 1)}
+    image = set(range(1, eta.col + 1))
     betas = [b for b in s.s_otimes if lex_greater(b, eta)]
+    h = 0
     for root in [eta] + betas[::-1]:
-        for m in perm:
-            if perm[m] == root.row:
-                perm[m] = root.col
-            elif perm[m] == root.col:
-                perm[m] = root.row
-    j = eta.col
-    image = sorted(perm[m] for m in range(1, j + 1))
-    q = sum(1 for m in range(1, j + 1) if m not in set(image))
-    d = sum(1 for m, r in enumerate(image, start=1) if r > m)
-    return WEta(tuple(image), q, d)
-
-
-def _h_subset(s, eta: Root, rows) -> Tuple[frozenset, int]:
-    """The unique sub-collection of marked picks above eta whose root sum
-    matches the defect of eta's word ``rows``, plus one for eta itself."""
-    # epsilon coordinates: root (i, j) contributes +1 at j, -1 at i.
-    v = [0] * (s.n + 1)
-    for m, r in zip(range(1, eta.col + 1), rows):
-        v[m] += 1
-        v[r] -= 1
-    v[eta.col] -= 1
-    v[eta.row] += 1
-    betas = [b for b in s.s_otimes if lex_greater(b, eta)]
-    matches = []
-    for size in range(len(betas) + 1):
-        for combo in itertools.combinations(betas, size):
-            w = [0] * (s.n + 1)
-            for b in combo:
-                w[b.col] += 1
-                w[b.row] -= 1
-            if w == v:
-                matches.append(frozenset(combo))
-    if len(matches) != 1:
-        raise LemmaFailure(
-            f"defect of {eta!r} has {len(matches)} pick decompositions")
-    return matches[0], len(matches[0]) + 1
+        if (root.col in image) == (root.row in image):
+            continue
+        if root.row in image:
+            raise LemmaFailure(
+                f"pick {root!r} trades a row back in the word of {eta!r}")
+        image ^= {root.col, root.row}
+        h += 1
+    rows = tuple(sorted(image))
+    q = eta.col - sum(1 for r in rows if r <= eta.col)
+    d = sum(1 for m, r in enumerate(rows, start=1) if r > m)
+    return WEta(rows, q, d, h)
 
 
 def p_h_eta(s, eta: Root) -> Polynomial:
-    """The invariant attached to a closure root: one tau-coefficient of
+    """The invariant attached to a closure root: the tau^h coefficient of
     the minor on columns 1..col(eta) and the rows of the word."""
     w = w_eta(s, eta)
-    _hs, h = _h_subset(s, eta, w.rows)
     spec = MinorSpec(cols=tuple(range(1, eta.col + 1)), rows=w.rows)
-    return minor(s.n, spec).coeff(h)
+    return minor(s.n, spec).coeff(w.h)
 
 
 # --- the triangular system of invariants --------------------------------

@@ -1,9 +1,10 @@
 """Oracle tests for characteristic-matrix minors and orbit generators."""
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
-from artifact.root_system import Root, positive_roots
+from artifact.root_system import Root, lex_greater, positive_roots
 from artifact.admissible import build_admissible, enumerate_maximal
 from artifact._poly import substitute
 from artifact.symbolic import Polynomial, c_var, const, loc, poly_text, y_var
@@ -12,7 +13,6 @@ from artifact.char_matrix import (
     LemmaFailure,
     MinorSpec,
     NotInA,
-    _h_subset,
     _minor,
     bordered_minors,
     minor,
@@ -172,6 +172,29 @@ class TestMinor:
         assert minor(5, MinorSpec(cols=cols, rows=rows)).degrees() == []
 
 
+def pick_decompositions(s, eta, rows):
+    """Every set of marked picks lex-greater than eta whose root sum equals
+    the defect of eta's word ``rows`` less eta itself; a root (i, j) counts
+    +1 at j and -1 at i."""
+    v = [0] * (s.n + 1)
+    for m, r in zip(range(1, eta.col + 1), rows):
+        v[m] += 1
+        v[r] -= 1
+    v[eta.col] -= 1
+    v[eta.row] += 1
+    betas = [b for b in s.s_otimes if lex_greater(b, eta)]
+    matches = []
+    for size in range(len(betas) + 1):
+        for combo in itertools.combinations(betas, size):
+            w = [0] * (s.n + 1)
+            for b in combo:
+                w[b.col] += 1
+                w[b.row] -= 1
+            if w == v:
+                matches.append(frozenset(combo))
+    return matches
+
+
 class TestWEta727:
     ROWS = {
         R(7, 1): (7,), R(6, 1): (6,), R(5, 1): (5,),
@@ -213,13 +236,29 @@ class TestWEta727:
 
     def test_h_subsets(self, s727):
         for eta, (hs, h) in self.H.items():
-            assert _h_subset(s727, eta, w_eta(s727, eta).rows) == (hs, h), eta
+            w = w_eta(s727, eta)
+            assert pick_decompositions(s727, eta, w.rows) == [hs], eta
+            assert w.h == h, eta
 
     def test_not_in_a(self, s727):
         with pytest.raises(NotInA):
             w_eta(s727, R(3, 2))
         with pytest.raises(NotInA):
-            _h_subset(s727, R(4, 3), w_eta(s727, R(4, 3)).rows)
+            w_eta(s727, R(4, 3))
+
+    def test_h_is_the_pick_decomposition(self, catalogs):
+        # The walk's trade count is one more than the size of the unique
+        # set of marked picks above eta whose root sum is the word's defect.
+        checked = 0
+        for n in range(2, 8):
+            for s in catalogs(n):
+                for eta in s.a_set:
+                    w = w_eta(s, eta)
+                    found = pick_decompositions(s, eta, w.rows)
+                    assert len(found) == 1, (s.label, eta)
+                    assert w.h == len(found[0]) + 1, (s.label, eta)
+                    checked += 1
+        assert checked == 1843
 
     def test_degree_bounds(self, s727):
         # The minor attached to eta has least tau-degree q and top degree d.
@@ -230,6 +269,16 @@ class TestWEta727:
             degs = t.degrees()
             assert min(degs) == w.q, eta
             assert max(degs) == w.d, eta
+
+
+def test_w_eta_refuses_a_backward_trade():
+    # No catalog diagram for n <= 8 has one: two marked picks in column 1
+    # make (3,1) trade row 3 back after (2,1) traded column 1 away.
+    s = SimpleNamespace(n=3, a_set=(R(3, 2),), s_otimes=(R(3, 1), R(2, 1)))
+    with pytest.raises(LemmaFailure) as exc:
+        w_eta(s, R(3, 2))
+    assert str(exc.value) == (
+        "pick Root(3,1) trades a row back in the word of Root(3,2)")
 
 
 class TestPHEta727:

@@ -1,4 +1,5 @@
 """End-to-end tests for the command line interface."""
+import itertools
 import json
 
 import pytest
@@ -113,6 +114,26 @@ class TestClassifyAndCanonical:
         assert json.loads(out)["result"]["label"] == "4,1,1"
 
 
+class TestTextOutputs:
+    @pytest.mark.parametrize("argv, text", [
+        (("generators", "--n", "3", "--label", "3,1,1"),
+         "1*y_3_1\n1*y_2_1 + -1*c_2_1\n1*y_3_2 + -1*c_3_2\n"),
+        (("census", "--n", "3", "--p", "2"),
+         "census n=3 p=2\n"
+         "  3,0,1: 1 orbits of dim 2\n"
+         "  3,1,1: 4 orbits of dim 0\n"
+         "  point_sum_ok=True formula_ok=True\n"),
+        (("classify", "--n", "3", "--p", "2",
+          "--values", '{"3,1": 1, "2,1": 1}'),
+         'label 3,0,1 dim 2 c {"3,1": 1}\n'),
+        (("canonical", "--n", "3", "--label", "3,0,1",
+          "--c", '{"3,1": 1}', "--p", "2"),
+         '{"3,1": 1}\n'),
+    ])
+    def test_text(self, capsys, argv, text):
+        assert run(capsys, *argv) == (0, text, "")
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite,extra", [
         ("polarizations", ["--n", "5"]),
@@ -132,6 +153,41 @@ class TestVerify:
                              "--n", "6", "--p", "2")
         assert (code, out, err) == (
             0, "suite subregular: 3 checks passed\n", "")
+
+    def test_no_subregular_diagrams(self, capsys):
+        assert run(capsys, "verify", "--suite", "subregular",
+                   "--n", "2", "--p", "2") == (
+            1, "", "check failed: no subregular diagrams for n=2\n")
+
+    def test_census_identities_can_fail(self, capsys, monkeypatch):
+        # Every orbit labelled by one diagram breaks both identities.
+        from artifact import orbit_engine
+
+        first = orbit_engine.enumerate_maximal(3)[0]
+        monkeypatch.setattr(orbit_engine, "_classify_orbit",
+                            lambda orbit, stage: (first, {}))
+        assert orbit_engine.census(3, 2)["identities"] == {
+            "point_sum_ok": False, "formula_ok": False}
+        assert run(capsys, "verify", "--suite", "census",
+                   "--n", "3", "--p", "2") == (
+            1, "", "check failed: point-count identity fails\n")
+
+    @pytest.mark.parametrize("suite, name, fake, message", [
+        ("polarizations", "verify_polarization", lambda pol, f: False,
+         "polarization fails for (3, 0, 1)"),
+        ("ideals", "is_poisson_ideal", lambda handle: False,
+         "ideal of (3, 0, 1) is not Poisson-closed"),
+        ("strata", "stratum", lambda f, _n=itertools.count(): next(_n),
+         "stratum is not constant on an orbit"),
+    ])
+    def test_failed_suite_is_one_line(self, capsys, monkeypatch, suite,
+                                      name, fake, message):
+        from artifact import cli
+
+        monkeypatch.setattr(cli, name, fake)
+        assert run(capsys, "verify", "--suite", suite,
+                   "--n", "3", "--p", "2") == (
+            1, "", f"check failed: {message}\n")
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")

@@ -229,3 +229,26 @@ class TestWorkCounts:
             products.clear()
             expr()
             assert len(products) == count
+
+
+class TestFractionEquality:
+    def test_equal_fractions_are_unhashable(self):
+        x, y, z = y_var(2, 1), y_var(3, 1), y_var(3, 2)
+        a = LocalizedPolynomial((x + 1) * y, (x + 1) * z)
+        b = LocalizedPolynomial(y, z)
+        assert (a.num, a.den) != (b.num, b.den)
+        assert a == b
+        for f in (a, b):
+            with pytest.raises(TypeError):
+                hash(f)
+
+
+class TestReflectedSubtraction:
+    @pytest.mark.parametrize("p", [None, 3])
+    @pytest.mark.parametrize("k", [2, Fraction(1, 2)])
+    def test_scalar_minus_element(self, p, k):
+        x, y = y_var(2, 1, p), y_var(3, 1, p)
+        for a in (x * y + 1, LocalizedPolynomial(x + 1, y)):
+            diff = k - a
+            assert type(diff) is type(a)
+            assert diff == -(a - k)
