@@ -17,9 +17,8 @@ from .root_system import Root, lex_greater, positive_roots
 from .symbolic import _phi, _solve_for, loc, pick_values
 
 __all__ = [
-    "LemmaFailure", "MinorSpec", "NotInA", "TauPolynomial",
-    "TriangularSystem", "WEta", "bordered_minors", "minor",
-    "p_h_eta", "p_n0_prime", "regular_minors",
+    "LemmaFailure", "MinorSpec", "NotInA", "TriangularSystem", "WEta",
+    "bordered_minors", "minor", "p_h_eta", "p_n0_prime", "regular_minors",
     "triangular_system", "w_eta", "z_coefficients",
 ]
 
@@ -34,46 +33,38 @@ class LemmaFailure(ArithmeticError):
 
 @dataclass(frozen=True)
 class MinorSpec:
+    """One invariant: a tau-coefficient of a characteristic-matrix minor."""
     cols: Tuple[int, ...]
     rows: Tuple[int, ...]
+    degree: int
 
 
-class TauPolynomial:
-    """A polynomial over Q split by tau-degree; coefficients are tau-free."""
-
-    def __init__(self, parts: Dict[int, Polynomial]):
-        self._parts = {k: v for k, v in parts.items() if not v.is_zero()}
-
-    def coeff(self, k: int) -> Polynomial:
-        return self._parts.get(k, Polynomial.zero())
-
-    def degrees(self) -> List[int]:
-        return sorted(self._parts)
-
-
-def minor(n: int, spec: MinorSpec) -> TauPolynomial:
+def minor(n: int, spec: MinorSpec) -> Polynomial:
+    """The tau^degree coefficient of the minor on the spec's columns and
+    rows, taken in spec order; zero when the minor has no such term."""
     cols = tuple(spec.cols)
     rows = tuple(spec.rows)
-    if len(cols) != len(rows):
+    if not cols or len(cols) != len(rows):
         raise ValueError(
-            f"minor needs a square selection, got {len(rows)} rows "
-            f"and {len(cols)} columns")
-    if not cols:
-        raise ValueError("empty minor")
+            f"minor needs a nonempty square selection, got {len(rows)} "
+            f"rows and {len(cols)} columns")
     for idx in cols + rows:
-        if not 1 <= idx <= n:
-            raise ValueError(f"index {idx} outside 1..{n}")
-    return _minor(n, cols, rows)
+        if type(idx) is not int or not 1 <= idx <= n:
+            raise ValueError(f"index {idx!r} is not an int in 1..{n}")
+    if type(spec.degree) is not int or not 0 <= spec.degree <= len(cols):
+        raise ValueError(
+            f"degree {spec.degree!r} is not an int in 0..{len(cols)}")
+    return _minor(n, cols, rows).get(spec.degree, Polynomial.zero())
 
 
 @functools.lru_cache(maxsize=None)
 def _minor(n: int, cols: Tuple[int, ...], rows: Tuple[int, ...]
-           ) -> TauPolynomial:
-    """The determinant behind ``minor``, computed once per selection; the
-    result is shared, so it must not be mutated.  Rows are expanded in spec
-    order, each matched to an unused column at or left of it: 1 on the
-    diagonal, else y_row_col and one tau-degree, with sign (-1)^k for the
-    k-th unused column, counting from 0."""
+           ) -> Dict[int, Polynomial]:
+    """The minor as {tau-degree: coefficient}, computed once per selection;
+    the dict is shared, so nothing in this module may mutate it.  Rows are
+    expanded in spec order, each matched to an unused column at or left of
+    it: 1 on the diagonal, else y_row_col and one tau-degree, with sign
+    (-1)^k for the k-th unused column, counting from 0."""
     # One key object per variable, so monomial lookups compare by identity.
     factors = {(r, c): (("y", r, c), 1) for r in rows for c in cols if r > c}
     parts: Dict[int, Dict] = {}
@@ -92,7 +83,7 @@ def _minor(n: int, cols: Tuple[int, ...], rows: Tuple[int, ...]
                        picked if c == r else picked + (factors[r, c],))
 
     expand(0, cols, 1, ())
-    return TauPolynomial({d: Polynomial(t) for d, t in parts.items()})
+    return {d: Polynomial(t) for d, t in parts.items()}
 
 
 # --- the word attached to a closure root --------------------------------
@@ -100,8 +91,6 @@ def _minor(n: int, cols: Tuple[int, ...], rows: Tuple[int, ...]
 @dataclass(frozen=True)
 class WEta:
     rows: Tuple[int, ...]
-    q: int
-    d: int
     h: int
 
 
@@ -126,18 +115,14 @@ def w_eta(s, eta: Root) -> WEta:
                 f"pick {root!r} trades a row back in the word of {eta!r}")
         image ^= {root.col, root.row}
         h += 1
-    rows = tuple(sorted(image))
-    q = eta.col - sum(1 for r in rows if r <= eta.col)
-    d = sum(1 for m, r in enumerate(rows, start=1) if r > m)
-    return WEta(rows, q, d, h)
+    return WEta(tuple(sorted(image)), h)
 
 
 def p_h_eta(s, eta: Root) -> Polynomial:
     """The invariant attached to a closure root: the tau^h coefficient of
     the minor on columns 1..col(eta) and the rows of the word."""
     w = w_eta(s, eta)
-    spec = MinorSpec(cols=tuple(range(1, eta.col + 1)), rows=w.rows)
-    return minor(s.n, spec).coeff(w.h)
+    return minor(s.n, MinorSpec(tuple(range(1, eta.col + 1)), w.rows, w.h))
 
 
 # --- the triangular system of invariants --------------------------------
@@ -183,21 +168,17 @@ def triangular_system(s, c=None) -> TriangularSystem:
 def regular_minors(n: int) -> List[Polynomial]:
     """The corner minors; the j-th cuts columns 1..j against the last j
     rows and is concentrated in a single tau-degree."""
-    out = []
-    for j in range(1, n // 2 + 1):
-        spec = MinorSpec(cols=tuple(range(1, j + 1)),
-                         rows=tuple(range(n - j + 1, n + 1)))
-        out.append(minor(n, spec).coeff(j))
-    return out
+    return [minor(n, MinorSpec(tuple(range(1, j + 1)),
+                               tuple(range(n - j + 1, n + 1)), j))
+            for j in range(1, n // 2 + 1)]
 
 
 def z_coefficients(n: int) -> List[Polynomial]:
     """Near-corner coefficients, one per admissible stage."""
     out = []
     for m in range(1, (n - 1) // 2 + 1):
-        spec = MinorSpec(cols=tuple(range(1, n - m + 1)),
-                         rows=tuple(range(m + 1, n + 1)))
-        part = minor(n, spec).coeff(m + 1)
+        part = minor(n, MinorSpec(tuple(range(1, n - m + 1)),
+                                  tuple(range(m + 1, n + 1)), m + 1))
         out.append(part if (n - 1) % 2 == 0 else -part)
     return out
 
@@ -207,11 +188,10 @@ def bordered_minors(n: int, j: int) -> Tuple[Polynomial, Polynomial]:
     window up by one, or skip the j-th column."""
     if not 1 <= j <= (n - 1) // 2:
         raise ValueError(f"bordered minors need 1 <= j <= {(n - 1) // 2}")
-    rows1 = (n - j,) + tuple(range(n - j + 2, n + 1))
-    spec1 = MinorSpec(cols=tuple(range(1, j + 1)), rows=rows1)
-    cols2 = tuple(range(1, j)) + (j + 1,)
-    spec2 = MinorSpec(cols=cols2, rows=tuple(range(n - j + 1, n + 1)))
-    return _pure_coeff(n, spec1), _pure_coeff(n, spec2)
+    cols, rows = tuple(range(1, j + 1)), tuple(range(n - j + 1, n + 1))
+    shifted = MinorSpec(cols, (n - j,) + rows[1:], j)
+    skipped = MinorSpec(cols[:-1] + (j + 1,), rows, j)
+    return minor(n, shifted), minor(n, skipped)
 
 
 def p_n0_prime(n: int) -> Polynomial:
@@ -220,15 +200,4 @@ def p_n0_prime(n: int) -> Polynomial:
         raise ValueError(f"defined for even sizes >= 4 only, got {n}")
     n0 = n // 2
     rows = (n0,) + tuple(range(n0 + 3, n + 1))
-    spec = MinorSpec(cols=tuple(range(1, n0)), rows=rows)
-    return _pure_coeff(n, spec)
-
-
-def _pure_coeff(n: int, spec: MinorSpec) -> Polynomial:
-    t = minor(n, spec)
-    degs = t.degrees()
-    if not degs:
-        return Polynomial.zero()
-    if len(degs) != 1:
-        raise LemmaFailure(f"minor {spec} is not concentrated in one degree")
-    return t.coeff(degs[0])
+    return minor(n, MinorSpec(tuple(range(1, n0)), rows, n0 - 1))

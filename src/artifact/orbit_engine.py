@@ -80,6 +80,14 @@ def _check_prime(p: int) -> None:
 
 # --- linear forms and the group ------------------------------------------
 
+def _root_key(key) -> Root:
+    """A (row, col) pair of ints, not bools, as a Root; else refused."""
+    if not (isinstance(key, tuple) and len(key) == 2
+            and all(type(x) is int for x in key)):
+        raise InvalidInput(f"{key!r} is not a root (row, col)")
+    return Root(*key)
+
+
 class LinearForm:
     """A linear form on the strictly lower triangle, keyed by roots or
     (row, col) pairs of ints; zero values are not stored, and finite-field
@@ -89,14 +97,12 @@ class LinearForm:
 
     def __init__(self, n: int, p: Optional[int],
                  values: Optional[Dict[Root, object]] = None):
+        check_dimension(n)
         if p is not None:
             _check_prime(p)
         vals: Dict[Root, object] = {}
         for key, raw in (values or {}).items():
-            if not (isinstance(key, tuple) and len(key) == 2
-                    and all(isinstance(x, int) for x in key)):
-                raise InvalidInput(f"{key!r} is not a root (row, col)")
-            root = Root(*key)
+            root = _root_key(key)
             if not 1 <= root.col < root.row <= n:
                 raise InvalidInput(
                     f"{root!r} lies outside the n={n} triangle")
@@ -162,12 +168,14 @@ class GroupElement:
         if _matrix is not None:
             self.matrix = _matrix
             return
+        check_dimension(n)
         if p is not None:
             _check_prime(p)
         one = coerce_scalar(1, p)
         zero = coerce_scalar(0, p)
         m = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for (i, j), raw in (entries or {}).items():
+        for key, raw in (entries or {}).items():
+            i, j = _root_key(key)
             if not 1 <= j < i <= n:
                 raise InvalidInput(
                     f"entry ({i},{j}) lies outside the n={n} triangle")
@@ -524,8 +532,6 @@ def kirillov_rank(f: LinearForm) -> int:
     leaves the rank unchanged.
     """
     p = f.p
-    if p is not None:
-        _check_prime(p)
     rank = getattr(f, "_rank", None)
     if rank is not None:
         return rank
@@ -651,7 +657,6 @@ def _classify_orbit(orbit: Orbit, stage: str
 
 def classify(f: LinearForm) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     """Find the diagram and constants of the orbit through f."""
-    check_dimension(f.n)
     _check_prime(f.p)
     return _classify_orbit(orbit_bfs(f), "classify")
 

@@ -156,6 +156,16 @@ def b_chain(s):
     return out
 
 
+def tau_split(n, cols, rows):
+    """A minor split by tau-degree into {degree: nonzero coefficient}, read
+    through ``minor`` one degree at a time."""
+    from artifact.char_matrix import MinorSpec, minor
+
+    parts = {k: minor(n, MinorSpec(cols, rows, k))
+             for k in range(len(cols) + 1)}
+    return {k: v for k, v in parts.items() if not v.is_zero()}
+
+
 # Expected per-dimension orbit counts for small finite-field censuses.
 CENSUS_EXPECT = {
     (3, 2): {2: 1, 0: 4},

@@ -24,7 +24,7 @@ from artifact.char_matrix import (
     z_coefficients,
 )
 
-from conftest import ANCHOR_727, CATALOG5, R
+from conftest import ANCHOR_727, CATALOG5, R, tau_split
 
 
 def y(i, j):
@@ -71,57 +71,63 @@ def leibniz_minor(n, cols, rows):
 
 
 def assert_matches_leibniz(n, cols, rows):
-    want = leibniz_minor(n, cols, rows)
-    got = minor(n, MinorSpec(cols=cols, rows=rows))
-    assert got.degrees() == sorted(want), (n, cols, rows)
-    for k, part in want.items():
-        assert got.coeff(k) == part, (n, cols, rows, k)
+    assert tau_split(n, cols, rows) == leibniz_minor(n, cols, rows), \
+        (n, cols, rows)
 
 
 class TestMinor:
     def test_single_entry(self):
-        t = minor(3, MinorSpec(cols=(1,), rows=(3,)))
-        assert t.coeff(1) == y(3, 1)
-        assert t.coeff(0) == Polynomial.zero()
+        assert minor(3, MinorSpec(cols=(1,), rows=(3,), degree=1)) == y(3, 1)
+        assert minor(3, MinorSpec(cols=(1,), rows=(3,), degree=0)) == \
+            Polynomial.zero()
 
     def test_two_by_two_mixed(self):
-        t = minor(3, MinorSpec(cols=(1, 2), rows=(2, 3)))
-        assert t.coeff(2) == y(2, 1) * y(3, 2)
-        assert t.coeff(1) == -y(3, 1)
+        assert minor(3, MinorSpec((1, 2), (2, 3), 2)) == y(2, 1) * y(3, 2)
+        assert minor(3, MinorSpec((1, 2), (2, 3), 1)) == -y(3, 1)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            minor(4, MinorSpec(cols=(1, 2), rows=(4,)))
+            minor(4, MinorSpec(cols=(1, 2), rows=(4,), degree=1))
 
-    @pytest.mark.parametrize("n,cols,rows", [
-        (4, (1, 2), (4,)),
-        (4, (), ()),
-        (4, (1, 5), (3, 4)),
-        (4, (0,), (2,)),
-    ])
-    def test_bad_spec_raises_every_call(self, n, cols, rows):
+    @pytest.mark.parametrize("n,cols,rows,degree", [
+        (4, (1, 2), (4,), 1),
+        (4, (), (), 0),
+        (4, (1, 5), (3, 4), 2),
+        (4, (0,), (2,), 1),
+        (3, (1.5,), (2,), 1),
+        (3, (True,), (2,), 1),
+        (3, (1,), (2.0,), 1),
+        (4, (1, 2), (3, 4), 3),
+        (4, (1, 2), (3, 4), -1),
+        (4, (1, 2), (3, 4), 2.0),
+        (4, (1, 2), (3, 4), True),
+        (4, (1, 2), (3, 4), None),
+    ], ids=["4-cols0-rows0", "4-cols1-rows1", "4-cols2-rows2",
+            "4-cols3-rows3", "float-col", "bool-col", "float-row",
+            "degree-above", "degree-below", "float-degree", "bool-degree",
+            "no-degree"])
+    def test_bad_spec_raises_every_call(self, n, cols, rows, degree):
         for _ in range(3):
             with pytest.raises(ValueError):
-                minor(n, MinorSpec(cols=cols, rows=rows))
+                minor(n, MinorSpec(cols=cols, rows=rows, degree=degree))
 
     def test_memoised_result_is_stable(self):
-        spec = MinorSpec(cols=(1, 2, 3), rows=(4, 5, 6))
+        spec = MinorSpec(cols=(1, 2, 3), rows=(4, 5, 6), degree=3)
         first = minor(6, spec)
-        assert minor(6, MinorSpec(cols=(1, 2, 3), rows=(4, 5, 6))) is first
+        assert minor(6, MinorSpec((1, 2, 3), (4, 5, 6), 3)) is first
         assert minor(7, spec) is not first
         fresh = _minor.__wrapped__(6, spec.cols, spec.rows)
-        assert first.degrees() == fresh.degrees() == [3]
-        assert first.coeff(3) == fresh.coeff(3)
+        assert fresh == {3: first}
 
     def test_minor_matches_leibniz(self, monkeypatch):
         # Every selection the library passes to minor for n <= 7: the
         # word of each closure root of each catalog diagram (p_h_eta), and
         # the corner, z, bordered and p_n0_prime selections that
         # subregular_classify reads.
-        seen = set()
+        calls, bordered = [], []
 
         def recording(n, spec):
-            seen.add((n, spec.cols, spec.rows))
+            calls.append((n, spec))
             return minor(n, spec)
 
         monkeypatch.setattr(char_matrix, "minor", recording)
@@ -131,13 +137,22 @@ class TestMinor:
                     p_h_eta(s, eta)
             regular_minors(n)
             z_coefficients(n)
+            start = len(calls)
             for j in range(1, (n - 1) // 2 + 1):
                 bordered_minors(n, j)
             if n % 2 == 0 and n >= 4:
                 p_n0_prime(n)
+            bordered += calls[start:]
+        seen = {(n, spec.cols, spec.rows) for n, spec in calls}
         assert len(seen) == 194  # 184 words and 10 more
         for n, cols, rows in seen:
             assert_matches_leibniz(n, cols, rows)
+        # Every row of a bordered selection exceeds every column, so the
+        # minor has the one tau-degree its function reads.
+        assert bordered
+        for n, spec in bordered:
+            assert leibniz_minor(n, spec.cols, spec.rows).keys() == \
+                {spec.degree}, (n, spec)
 
     @pytest.mark.parametrize("n,cols,rows", [
         (5, (1, 2, 3), (3, 4, 5)),
@@ -147,7 +162,7 @@ class TestMinor:
     def test_selection_order_is_the_matrix_order(self, n, cols, rows):
         # Swapping two columns, or two rows, of a selection negates the
         # minor; the sorted selection is the reference.
-        sorted_minor = minor(n, MinorSpec(cols=cols, rows=rows))
+        negated = {k: -v for k, v in tau_split(n, cols, rows).items()}
         for i, j in itertools.combinations(range(len(cols)), 2):
             for swap_cols in (True, False):
                 c, r = list(cols), list(rows)
@@ -155,10 +170,7 @@ class TestMinor:
                 seq[i], seq[j] = seq[j], seq[i]
                 c, r = tuple(c), tuple(r)
                 assert_matches_leibniz(n, c, r)
-                got = minor(n, MinorSpec(cols=c, rows=r))
-                assert got.degrees() == sorted_minor.degrees()
-                for k in got.degrees():
-                    assert got.coeff(k) == -sorted_minor.coeff(k)
+                assert tau_split(n, c, r) == negated
 
     @pytest.mark.parametrize("cols,rows", [
         ((1, 2), (3, 3)),
@@ -169,7 +181,7 @@ class TestMinor:
     ])
     def test_repeated_row_or_column_is_zero(self, cols, rows):
         assert leibniz_minor(5, cols, rows) == {}
-        assert minor(5, MinorSpec(cols=cols, rows=rows)).degrees() == []
+        assert tau_split(5, cols, rows) == {}
 
 
 def pick_decompositions(s, eta, rows):
@@ -230,9 +242,11 @@ class TestWEta727:
             assert w_eta(s727, eta).rows == rows, eta
 
     def test_q_and_d(self, s727):
+        # q and d are the least and greatest tau-degree of eta's minor.
         for eta, (q, d) in self.QD.items():
-            w = w_eta(s727, eta)
-            assert (w.q, w.d) == (q, d), eta
+            split = tau_split(7, tuple(range(1, eta.col + 1)),
+                              w_eta(s727, eta).rows)
+            assert (min(split), max(split)) == (q, d), eta
 
     def test_h_subsets(self, s727):
         for eta, (hs, h) in self.H.items():
@@ -261,14 +275,15 @@ class TestWEta727:
         assert checked == 1843
 
     def test_degree_bounds(self, s727):
-        # The minor attached to eta has least tau-degree q and top degree d.
+        # The minor attached to eta has least tau-degree q, the number of
+        # columns 1..col(eta) missing from the word, and top degree d, the
+        # number of word rows below their diagonal place.
         for eta in self.ROWS:
-            w = w_eta(s727, eta)
-            t = minor(7, MinorSpec(cols=tuple(range(1, eta.col + 1)),
-                                   rows=w.rows))
-            degs = t.degrees()
-            assert min(degs) == w.q, eta
-            assert max(degs) == w.d, eta
+            rows = w_eta(s727, eta).rows
+            split = tau_split(7, tuple(range(1, eta.col + 1)), rows)
+            q = eta.col - sum(1 for r in rows if r <= eta.col)
+            d = sum(1 for m, r in enumerate(rows, start=1) if r > m)
+            assert (min(split), max(split)) == (q, d), eta
 
 
 def test_w_eta_refuses_a_backward_trade():
@@ -438,10 +453,9 @@ class TestSectionThreeMinors:
         for n in range(3, 8):
             n0 = n // 2
             for j in range(1, n0 + 1):
-                spec = MinorSpec(cols=tuple(range(1, j + 1)),
-                                 rows=tuple(range(n - j + 1, n + 1)))
-                t = minor(n, spec)
-                assert t.degrees() == [j]
+                split = tau_split(n, tuple(range(1, j + 1)),
+                                  tuple(range(n - j + 1, n + 1)))
+                assert split.keys() == {j}
 
     def test_least_term_of_large_minors(self):
         # For j > n0 the least tau-degree term of P_j(tau) is the
@@ -450,12 +464,11 @@ class TestSectionThreeMinors:
             n0 = n // 2
             regs = regular_minors(n)
             for j in range(n0 + 1, n):
-                spec = MinorSpec(cols=tuple(range(1, j + 1)),
-                                 rows=tuple(range(n - j + 1, n + 1)))
-                t = minor(n, spec)
-                low = min(t.degrees())
+                split = tau_split(n, tuple(range(1, j + 1)),
+                                  tuple(range(n - j + 1, n + 1)))
+                low = min(split)
                 assert low == n - j
-                assert t.coeff(low) in (regs[n - j - 1], -regs[n - j - 1])
+                assert split[low] in (regs[n - j - 1], -regs[n - j - 1])
 
     def test_z_n4(self):
         assert z_coefficients(4) == [y(4, 3) * y(3, 1) + y(4, 2) * y(2, 1)]

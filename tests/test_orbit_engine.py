@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact.root_system import Root, positive_roots, root_sum
+from artifact.root_system import InvalidDimension, Root, positive_roots, \
+    root_sum
 from artifact.admissible import build_admissible, dimension, \
     enumerate_maximal
 from artifact.char_matrix import LemmaFailure
@@ -60,11 +61,16 @@ class TestLinearForm:
         assert f == form(3, 2, {R(2, 1): 1, R(3, 1): 1})
         assert all(type(r) is Root for r in f.values)
 
-    @pytest.mark.parametrize("key", ["x", (2, 1, 0)])
+    @pytest.mark.parametrize("key", ["x", (2, 1, 0), (2.0, 1), (3, True)])
     def test_other_keys_are_refused(self, key):
         with pytest.raises(InvalidInput,
                            match=r"^.+ is not a root \(row, col\)$"):
             LinearForm(3, 2, {key: 1})
+
+    @pytest.mark.parametrize("n", [1, 0, "3", 2.5])
+    def test_bad_dimension_is_refused(self, n):
+        with pytest.raises(InvalidDimension):
+            LinearForm(n, 5, {})
 
 
 class TestCanonicalForm:
@@ -134,6 +140,17 @@ class TestCoadjointAction:
                 f"^entry \\({entry[0]},{entry[1]}\\) lies outside the "
                 f"n=3 triangle$")):
             GroupElement(3, 5, {entry: 1})
+
+    @pytest.mark.parametrize("key", ["ab", (2, 1, 0), (2.0, 1), (3, True)])
+    def test_other_keys_are_refused(self, key):
+        with pytest.raises(InvalidInput,
+                           match=r"^.+ is not a root \(row, col\)$"):
+            GroupElement(3, 5, {key: 1})
+
+    @pytest.mark.parametrize("n", [1, 0, "3", 2.5])
+    def test_bad_dimension_is_refused(self, n):
+        with pytest.raises(InvalidDimension):
+            GroupElement(n, 5)
 
 
 class TestOrbitBfs:

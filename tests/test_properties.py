@@ -27,7 +27,7 @@ from artifact.orbit_engine import (
 )
 from artifact.char_matrix import w_eta
 
-from conftest import R, b_chain
+from conftest import R, b_chain, tau_split
 
 
 def roots_strategy(n):
@@ -285,9 +285,11 @@ class TestWEtaInvariants:
         j = eta.col
         base = set(range(1, j + 1))
         rows = set(w.rows)
-        assert w.q == len(base - rows)
+        split = tau_split(s.n, tuple(range(1, j + 1)), w.rows)
+        assert min(split) == len(base - rows)
         moved = sorted(rows)
-        assert w.d == sum(1 for m, i in enumerate(moved, start=1) if i > m)
+        assert max(split) == sum(1 for m, i in enumerate(moved, start=1)
+                                 if i > m)
 
 
 class TestDimensionParity:

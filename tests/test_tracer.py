@@ -1,0 +1,36 @@
+"""The benchmark tracer's observer of ``minor``, run on families_n7 items.
+
+``perfbench/tracer.py`` keys ``char_matrix.minor.distinct`` on the columns
+and rows of ``minor``'s second argument, so a change to that argument shows
+here; the census that ``perfbench/test_perfbench.py`` traces calls no minor.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(BENCH_DIR))
+
+import tracer as tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("label,calls,distinct,unsolved", [
+    ("7,3,8", 22, 11, 0),
+    ("7,2,1", 13, 7, 1),
+])
+def test_traced_families_op_counts_minors(label, calls, distinct, unsolved):
+    workload = workloads.FamiliesN7({"families_n7": {}})
+    [item] = [item for item in workload.inputs(1, 0)
+              if workloads.label_text(item[0]) == label]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workload.op(item)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["char_matrix.minor.calls"] == calls
+    assert metrics["char_matrix.minor.distinct"] == distinct
+    assert metrics["char_matrix.triangular_system.unsolved"] == unsolved
