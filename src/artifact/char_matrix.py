@@ -133,17 +133,26 @@ class TriangularSystem:
     coeffs: Dict[Root, LocalizedPolynomial]
 
 
-def triangular_system(s, c=None) -> TriangularSystem:
+# The closure roots whose P_{h,eta} does not solve for eta, and the
+# invariant the solver reads there instead.
+_GAPS = {
+    ((7, 2, 1), Root(7, 5)): MinorSpec((1, 2, 3, 4, 5), (2, 3, 4, 5, 7), 2),
+    ((7, 3, 1), Root(7, 4)): MinorSpec((1, 2, 3, 4), (2, 3, 4, 7), 2),
+}
+
+
+def triangular_system(s) -> TriangularSystem:
     """Solve each closure root's invariant for its own coordinate.
 
     Processing the closure roots from the lex-greatest down, each
-    invariant minus its value at the canonical point — with all previously
-    solved coordinates substituted — must solve for its own coordinate
-    with a constants-only leading coefficient (``symbolic._solve_for``
-    with nothing invertible); otherwise LemmaFailure.
+    invariant (P_{h,eta}, or the minor ``_GAPS`` names) minus its value at
+    the canonical point — with all previously solved coordinates
+    substituted — must solve for its own coordinate with a constants-only
+    leading coefficient (``symbolic._solve_for`` with nothing invertible);
+    otherwise LemmaFailure.
     """
-    # At the canonical point a pick is its value and any other y is zero.
-    picks = pick_values(s, c)
+    # At the canonical point a pick is its constant and any other y is zero.
+    picks = pick_values(s)
     point = {("y", r.row, r.col): picks.get(r, 0) for r in positive_roots(s.n)}
     rules: Dict[Root, LocalizedPolynomial] = {}
     coeffs: Dict[Root, LocalizedPolynomial] = {}
@@ -151,7 +160,8 @@ def triangular_system(s, c=None) -> TriangularSystem:
     # substitution of this table reduces an invariant.
     solved: Dict = {}
     for eta in s.a_set:  # lex-greatest first
-        invariant = p_h_eta(s, eta)
+        spec = _GAPS.get((s.label, eta))
+        invariant = p_h_eta(s, eta) if spec is None else minor(s.n, spec)
         red = _phi(loc(invariant - substitute(invariant, point.get)),
                    solved.get)
         rule = _solve_for(red.num, eta, ())

@@ -265,41 +265,25 @@ class IdealHandle:
         self.rules = rules
         self.invertible = tuple(invertible)
         self.p = p
-        self._solved = {("y", r.row, r.col): rule
-                        for r, rule in (rules or {}).items()}
         self._values: Dict = {}  # phi(y) per coordinate's key
-        self._exact: Optional[bool] = None
 
     @classmethod
     def from_generators(cls, n: int, generators, invertible=None
                         ) -> "IdealHandle":
-        """The handle over the generators' field, Q for an empty list;
-        ``IdealHandle(n, [], {}, (), p)`` is the empty ideal over F_p."""
+        """The handle over the generators' field (all must share it), Q for
+        an empty list; ``IdealHandle(n, [], {}, (), p)`` is the empty ideal
+        over F_p.  Each generator, reduced by the rules before it, gives the
+        rule of its least solvable root; the rules are None if one has none."""
         generators = list(generators)
         p = generators[0].p if generators else None
-        empty = cls(n, [], {}, tuple(invertible or ()), p)
-        return empty._extended(generators)
-
-    def _extended(self, generators) -> "IdealHandle":
-        """A new handle with ``generators`` appended.  The rule search
-        continues from the rules already found: a rule depends only on the
-        generators before it.  Every generator must be over the handle's
-        field."""
-        generators = list(generators)
+        out = cls(n, generators, {}, tuple(invertible or ()), p)
         for gen in generators:
-            self._element(gen)
-        inv_set = set(self.invertible)
-        out = IdealHandle(self.n, self.generators + generators,
-                          None if self.rules is None else dict(self.rules),
-                          self.invertible, self.p)
+            out._element(gen)
+        inv_set = set(out.invertible)
         for gen in generators:
-            if out.rules is None:
-                break
-            if gen.is_zero():
-                continue
-            # Reduce by the rules extracted so far; pivots must be sought in
-            # the reduced form, whose leading coefficients can simplify to
-            # units even when the raw ones do not.
+            # Pivots are sought in the reduced form, whose leading
+            # coefficients can simplify to units even when the raw ones
+            # do not.
             red = out.normal_form(gen).num
             if red.is_zero():
                 continue
@@ -310,20 +294,20 @@ class IdealHandle:
                 if found is not None:
                     break
             if found is None:  # a fresh handle holds no rule and no phi
-                return IdealHandle(self.n, out.generators, None,
-                                   self.invertible, self.p)
+                return cls(n, generators, None, out.invertible, p)
             out._values.clear()  # a value may hold the new rule's coordinate
-            key = ("y", found.root.row, found.root.col)
-            out.rules[found.root] = out._solved[key] = found
+            out.rules[found.root] = found
         return out
 
     def _value(self, key) -> Optional[LocalizedPolynomial]:
         """phi(y) of a rule coordinate's key, kept from its first use (each
-        use raises if phi sends the rule's denominator to zero), else None."""
-        if key not in self._solved:
+        use raises if phi sends the rule's denominator to zero), else None.
+        A Root equals its (row, col), so a y key's tail finds its rule."""
+        rule = self.rules.get(key[1:]) if key[0] == "y" else None
+        if rule is None:
             return None
         if key not in self._values:
-            self._values[key] = _phi(self._solved[key].value, self._value)
+            self._values[key] = _phi(rule.value, self._value)
         return self._values[key]
 
     def _element(self, x) -> LocalizedPolynomial:
@@ -353,19 +337,17 @@ class IdealHandle:
         """False when a rule has a denominator that phi sends to zero:
         bracketing then ``contains`` can raise on such a handle at a point
         that depends on the expression."""
-        if self._exact is None:
-            try:
-                self._exact = not any(self.normal_form(rule.den).num.is_zero()
-                                      for rule in (self.rules or {}).values())
-            except ZeroDivisionError:
-                self._exact = False
-        return self._exact
+        try:
+            return not any(self.normal_form(rule.den).num.is_zero()
+                           for rule in (self.rules or {}).values())
+        except ZeroDivisionError:
+            return False
 
     def coordinate(self, root: Root) -> LocalizedPolynomial:
         """phi(y_root) over the handle's field, computed once per handle:
         a coordinate without a rule is its own image."""
         key = ("y", root.row, root.col)
-        if key in self._solved:
+        if root in (self.rules or {}):
             return self._value(key)
         if key not in self._values:
             self._values[key] = loc(y_var(root.row, root.col, self.p))
@@ -546,13 +528,10 @@ def pick_values(s, c=None) -> Dict[Root, Polynomial]:
     return {r: c_var(r) if c is None else const(c.get(r, 0)) for r in s.xi}
 
 
-def reduce_columns(s, c=None):
+def reduce_columns(s):
     """Reduce the columns t = 1..n-1 in turn.  For each, take its canonical
     pairs, push the images of the column's closure roots through the
-    accumulated maps, extend the ideal by their cleared generators, and
-    yield (pairs, images, ideal)."""
-    cmap = pick_values(s, c)
-    handle = IdealHandle(s.n, [], {}, s.s_otimes)
+    accumulated maps, and yield (pairs, images)."""
     tmaps: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []
     for t, triples in enumerate(canonical_pairs(s), start=1):
         pairs = [_pair_elements(*triple) for triple in triples]
@@ -565,20 +544,20 @@ def reduce_columns(s, c=None):
             for pair in reversed(tmaps):
                 val = _twist(s.n, pair, val)
             images[eta] = val
-        handle = handle._extended(
-            val.num - cmap.get(eta, Polynomial.zero()) * val.den
-            for eta, val in images.items())
-        yield pairs, images, handle
+        yield pairs, images
 
 
 def build_ideal(s, c=None) -> IdealHandle:
-    """The defining ideal of the family attached to a maximal diagram.
+    """The defining ideal of the family attached to a maximal diagram:
+    each closure root's image cleared against its pick value.
 
     With ``c is None`` the generators carry symbolic constants c_i_j;
     otherwise ``c`` maps each pick to its value.
     """
     if not is_maximal(s):
         raise NotMaximal("the diagram admits a proper extension")
-    for _pairs, _images, handle in reduce_columns(s, c):
-        pass
-    return handle
+    cmap = pick_values(s, c)
+    return IdealHandle.from_generators(s.n, [
+        val.num - cmap.get(eta, Polynomial.zero()) * val.den
+        for _pairs, images in reduce_columns(s)
+        for eta, val in images.items()], s.s_otimes)

@@ -166,6 +166,15 @@ def tau_split(n, cols, rows):
     return {k: v for k, v in parts.items() if not v.is_zero()}
 
 
+def solver_invariant(s, eta):
+    """The invariant ``triangular_system`` solves for eta: P_{h,eta},
+    unless the solver's gap table names another minor."""
+    from artifact.char_matrix import _GAPS, minor, p_h_eta
+
+    spec = _GAPS.get((s.label, eta))
+    return p_h_eta(s, eta) if spec is None else minor(s.n, spec)
+
+
 # Expected per-dimension orbit counts for small finite-field censuses.
 CENSUS_EXPECT = {
     (3, 2): {2: 1, 0: 4},

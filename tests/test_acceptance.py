@@ -50,6 +50,7 @@ from conftest import (
     MAXIMAL_COUNTS,
     R,
     SUBREGULAR_LABELS,
+    solver_invariant,
 )
 from test_char_matrix import drop_vars, perm_sign
 
@@ -74,6 +75,8 @@ def label_line(s, texts):
 
 # Digests of the exact texts for every maximal diagram, per n, taken from
 # the cofactor/Fraction implementation before the integer-coefficient core.
+# GOLDEN_TRIANGULAR[7] differs from it only on 7,2,1 and 7,3,1, which that
+# implementation could not solve.
 GOLDEN_GENERATORS = {
     2: "d4ab7772b0e530d7ecc4e38eea50d7a620e6675ceb4fa455b2a3f72864652a11",
     3: "47bcdae7040bc0dd26c6b1ef7408f4cd19e20fd52d42884cb4e0acd4642e8acd",
@@ -96,7 +99,7 @@ GOLDEN_TRIANGULAR = {
     4: "1657320fed9afacd00db5b95a44966ea12bc0097269c70f81898ca0aef40f83f",
     5: "9bea4a14d69feed479deddc60ad7bde6ff6c6cbeac94195a0fb5248f5c0aa8a1",
     6: "f1feff08236ef4aa7615a1e01b55c32747df5363e143fd09801c28f0e350851e",
-    7: "793f61f424c2cf807cda85370d56f6ab8d4e80cc5beb8e486fe48531b4efcf43",
+    7: "337174a2431d254fbff96533369626dbf97f92a27d66e373b85c7521cddc5696",
 }
 
 # Digests of the polarization sets and rendered pictures of every maximal
@@ -321,17 +324,17 @@ def test_golden_minor_and_triangular_texts():
                 f"{poly_text(system.coeffs[r])}" for r in system.rules)))
         assert texts_digest(minors) == GOLDEN_P_H_ETA[n], n
         assert texts_digest(solved) == GOLDEN_TRIANGULAR[n], n
-    assert unsolved == [(7, 2, 1), (7, 3, 1)]
+    assert unsolved == []
 
 
 def test_random_conjugation_oracle():
     # At f = g . f0 for a random g in UT(n, K), with f0 a canonical form,
     # every invariant keeps its value at f0, every generator of the
     # defining ideal vanishes and the rank is the diagram's dimension.
-    # The invariants fail exactly where the triangular solver has its two
-    # known gaps; closing a gap must empty the expected set on purpose.
+    # The P_{h,eta} fail exactly at the two roots of the triangular
+    # solver's gap table, and the invariants the solver reads fail nowhere.
     rng = random.Random(13)
-    failures = set()
+    failures, solver_failures = set(), set()
     for p, scalar in ((10007, lambda: rng.randrange(10007)),
                       (None, lambda: Fraction(rng.randint(-3, 3)))):
         for n in range(2, 8):
@@ -350,12 +353,16 @@ def test_random_conjugation_oracle():
                     inv = p_h_eta(s, eta)
                     if evaluate(inv, f) != evaluate(inv, f0):
                         failures.add((s.label, (eta.row, eta.col)))
+                    inv = solver_invariant(s, eta)
+                    if evaluate(inv, f) != evaluate(inv, f0):
+                        solver_failures.add((s.label, (eta.row, eta.col)))
                 if any(evaluate(gen, f) != 0
                        for gen in build_ideal(s, c).generators):
                     failures.add((s.label, "ideal"))
                 if kirillov_rank(f) != dimension(s):
                     failures.add((s.label, "rank"))
     assert failures == {((7, 2, 1), (7, 5)), ((7, 3, 1), (7, 4))}
+    assert solver_failures == set()
 
 
 def test_criterion_09_polarizations():
@@ -459,28 +466,36 @@ def test_no_unused_imports(path):
 def test_private_helpers_are_used():
     # Every module-level _name def or class of the package is read
     # somewhere in the package outside its own definition, as a name, an
-    # attribute or an imported name, so a helper that only tests reach
-    # does not outlive its callers.
+    # attribute or an imported name, and every _name method of a
+    # module-level class is read as an attribute outside its own body, so
+    # a helper that only tests reach does not outlive its callers.
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in pathlib.Path(artifact.__file__).parent.glob("*.py")}
     reads = [(name, node) for name, tree in trees.items()
              for node in ast.walk(tree)]
+
+    def private(node):
+        return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+            node.name.startswith("_") and not node.name.startswith("__")
+
+    def is_read(ref, node, method):
+        return (isinstance(ref, ast.Attribute) and ref.attr == node.name) \
+            or not method and (
+                (isinstance(ref, ast.Name) and ref.id == node.name
+                 and isinstance(ref.ctx, ast.Load))
+                or (isinstance(ref, ast.alias) and ref.name == node.name))
+
     orphans = []
     for name, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
-                    not node.name.startswith("_") or \
-                    node.name.startswith("__"):
-                continue
+        helpers = [(node, False) for node in tree.body if private(node)]
+        helpers += [(node, True) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef)
+                    for node in cls.body
+                    if private(node) and isinstance(node, ast.FunctionDef)]
+        for node, method in helpers:
             inside = {id(sub) for sub in ast.walk(node)}
-            if not any(
-                    (isinstance(ref, ast.Name) and ref.id == node.name
-                     and isinstance(ref.ctx, ast.Load))
-                    or (isinstance(ref, ast.Attribute)
-                        and ref.attr == node.name)
-                    or (isinstance(ref, ast.alias) and ref.name == node.name)
-                    for where, ref in reads
-                    if where != name or id(ref) not in inside):
+            if not any(is_read(ref, node, method) for where, ref in reads
+                       if where != name or id(ref) not in inside):
                 orphans.append((name, node.name))
     assert not orphans, orphans
 

@@ -24,7 +24,7 @@ from artifact.char_matrix import (
     z_coefficients,
 )
 
-from conftest import ANCHOR_727, CATALOG5, R, tau_split
+from conftest import ANCHOR_727, CATALOG5, R, solver_invariant, tau_split
 
 
 def y(i, j):
@@ -372,7 +372,7 @@ def perm_sign(perm):
 class TestTriangularSystem:
     def test_727_rules(self):
         s = build_admissible(7, ANCHOR_727["seq"])
-        sys = triangular_system(s, None)
+        sys = triangular_system(s)
         c51 = c_var(R(5, 1))
         c42 = c_var(R(4, 2))
         assert sys.coeffs[R(4, 2)] == -c51
@@ -385,21 +385,28 @@ class TestTriangularSystem:
     def test_all_n5_succeed(self):
         for entry in CATALOG5.values():
             s = build_admissible(5, entry["seq"])
-            sys = triangular_system(s, None)
+            sys = triangular_system(s)
             assert set(sys.rules) == set(s.a_set)
 
     def test_zero_form_trivial(self):
         s = build_admissible(3, [R(2, 1), R(3, 2)])
-        sys = triangular_system(s, None)
+        sys = triangular_system(s)
         assert set(sys.rules) == {R(2, 1), R(3, 1), R(3, 2)}
 
     @pytest.mark.parametrize("label, eta", [
         ((7, 2, 1), R(7, 5)),
         ((7, 3, 1), R(7, 4)),
     ])
-    def test_known_gaps_name_their_root(self, by_label, label, eta):
+    def test_known_gaps_name_their_root(self, by_label, label, eta,
+                                        monkeypatch):
+        # The gap table's minor solves where P_{h,eta} does not; without
+        # the table the solver names the root whose invariant fails.
+        s = by_label(label)
+        assert (label, eta) in char_matrix._GAPS
+        assert set(triangular_system(s).rules) == set(s.a_set)
+        monkeypatch.setattr(char_matrix, "_GAPS", {})
         with pytest.raises(LemmaFailure) as exc:
-            triangular_system(by_label(label), None)
+            triangular_system(s)
         assert str(exc.value) == (
             f"invariant of {eta!r} does not solve for its coordinate")
 
@@ -410,10 +417,7 @@ class TestTriangularSystem:
         checked = 0
         for n in range(2, 8):
             for s in catalogs(n):
-                try:
-                    system = triangular_system(s, None)
-                except LemmaFailure:
-                    continue
+                system = triangular_system(s)
                 assert set(system.rules) == set(s.a_set)
                 closure = {("y", r.row, r.col) for r in s.a_set}
                 for val in system.rules.values():
@@ -432,11 +436,11 @@ class TestTriangularSystem:
                     return loc(Polynomial.variable(key))
 
                 for eta in s.a_set:
-                    inv = p_h_eta(s, eta)
+                    inv = solver_invariant(s, eta)
                     diff = substitute(inv, solved) - substitute(inv, at_point)
                     assert diff.num.is_zero(), (s.label, eta)
                     checked += 1
-        assert checked == 1827
+        assert checked == 1843
 
 
 class TestSectionThreeMinors:

@@ -491,49 +491,51 @@ class TestReduceColumn:
         first = s.xi[0]
         assert pick_values(s, {first: 5}) == {
             r: const(5 if r == first else 0) for r in s.xi}
-        # The reduction clears each closure root's image against its value.
+        # The ideal clears each closure root's image against its value,
+        # the first column's images first.
         values = pick_values(s, {first: 5})
-        _pairs, images, handle = next(reduce_columns(s, {first: 5}))
+        _pairs, images = next(reduce_columns(s))
         assert first in images
-        assert handle.generators == [
+        handle = build_ideal(s, {first: 5})
+        assert handle.generators[:len(images)] == [
             val.num - values.get(eta, Polynomial.zero()) * val.den
             for eta, val in images.items()]
 
     def test_n3_regular(self):
         s = build_admissible(3, CATALOG3[(3, 0, 1)]["seq"])
-        pairs, images, i1 = next(reduce_columns(s))
+        pairs, images = next(reduce_columns(s))
         assert pairs == [(loc(y(3, 2), const(1)), loc(y(2, 1), y(3, 1)))]
         assert images == {R(3, 1): loc(y(3, 1), const(1))}
-        assert i1.contains(y(3, 1) - c_var(R(3, 1)))
+        assert build_ideal(s).contains(y(3, 1) - c_var(R(3, 1)))
 
     def test_521_columns(self):
         s = build_admissible(5, CATALOG5[(5, 2, 1)]["seq"])
         columns = reduce_columns(s)
 
-        pairs1, images1, _ = next(columns)
+        pairs1, images1 = next(columns)
         assert pairs1 == [(loc(y(3, 2), const(1)), loc(y(2, 1), y(3, 1)))]
         assert set(images1) == {R(3, 1), R(4, 1), R(5, 1)}
         assert images1[R(4, 1)] == loc(y(4, 1), const(1))
         assert images1[R(5, 1)] == loc(y(5, 1), const(1))
 
-        pairs2, images2, _ = next(columns)
+        pairs2, images2 = next(columns)
         assert pairs2 == [(loc(y(5, 4), const(1)), loc(y(4, 2), y(5, 2)))]
         assert images2 == {R(5, 2): loc(y(5, 2), const(1))}
 
-        pairs3, images3, i3 = next(columns)
+        pairs3, images3 = next(columns)
         assert pairs3 == []
         assert images3[R(4, 3)] == loc(
             y(4, 3) * y(5, 2) - y(5, 3) * y(4, 2), y(5, 2))
         assert images3[R(5, 3)] == loc(
             y(5, 3) * y(3, 1) + y(5, 2) * y(2, 1), y(3, 1))
 
-        pairs4, images4, i4 = next(columns)
+        pairs4, images4 = next(columns)
         assert pairs4 == [] and images4 == {}
         assert next(columns, None) is None
 
     def test_d4_first_kind(self, by_label):
         s = by_label((7, 3, 4))
-        pairs, images, i4 = list(reduce_columns(s))[3]
+        pairs, images = list(reduce_columns(s))[3]
         assert pairs == [(loc(y(7, 6), y(7, 4)), loc(y(6, 4), const(1)))]
         assert set(images) == {R(7, 4), R(5, 4)}
         # Remaining chain is empty: columns 5 and 6 contribute nothing.
@@ -541,7 +543,7 @@ class TestReduceColumn:
 
     def test_d4_second_kind(self, by_label):
         s = by_label((7, 3, 8))
-        pairs, images, i4 = list(reduce_columns(s))[3]
+        pairs, images = list(reduce_columns(s))[3]
         assert pairs == [(loc(y(5, 4), const(1)), loc(-y(7, 5), y(7, 4)))]
         assert set(images) == {R(7, 4), R(6, 4)}
         assert b_chain(s)[4] == {R(6, 5)}
@@ -710,23 +712,12 @@ def _every_diagram(max_n):
 
 
 class TestIncrementalIdeal:
-    def test_extended_handle_matches_from_generators(self):
-        # After each column the handle extended column by column has the
-        # rules of a handle built from the whole generator list at once.
-        for s in _every_diagram(6):
-            columns = reduce_columns(s)
-            for t, (_pairs, _images, handle) in enumerate(columns, start=1):
-                whole = IdealHandle.from_generators(
-                    s.n, handle.generators, invertible=s.s_otimes)
-                assert handle.rules == whole.rules, (s.label, t)
-
     def test_extension_leaves_earlier_handle(self):
-        first = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
-        second = first._extended([y(2, 1)])
-        assert set(first.rules) == {R(3, 1)}
-        assert len(first.generators) == 1
-        assert set(second.rules) == {R(3, 1), R(2, 1)}
-        assert second.contains(y(2, 1) * y(3, 2))
+        # Each generator, reduced by the rules before it, adds one rule.
+        handle = IdealHandle.from_generators(3, [y(3, 1) - const(2), y(2, 1)])
+        assert len(handle.generators) == 2
+        assert set(handle.rules) == {R(3, 1), R(2, 1)}
+        assert handle.contains(y(2, 1) * y(3, 2))
 
     def test_rule_value_computed_once(self):
         handle = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
@@ -1097,17 +1088,13 @@ class TestChainRuleClosure:
     def test_mixed_field_handle_matches_reference(self):
         # Generators over F_3 and over Q: the handle is refused when it is
         # built, so the closure checks never meet a rule over another field
-        # than the handle's.  The check comes before the rule search, and a
-        # handle extended as reduce_columns extends it is checked the same.
+        # than the handle's.  The check comes before the rule search.
         for build, fields in [
                 (lambda: IdealHandle.from_generators(
                     3, [y(2, 1, 3) - const(1, 3), y(3, 1) - const(2)]),
                  "3 vs None"),
                 (lambda: IdealHandle.from_generators(
                     5, [y(4, 1) * y(5, 2) - const(1), y(2, 1, 3)]),
-                 "None vs 3"),
-                (lambda: IdealHandle.from_generators(3, [])._extended(
-                    [y(3, 1, 3)]),
                  "None vs 3")]:
             with pytest.raises(FieldMismatch) as info:
                 build()
