@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ._poly import LocalizedPolynomial, Polynomial, substitute
-from .root_system import Root, lex_greater, positive_roots
+from .root_system import Root, check_dimension, lex_greater, positive_roots
 from .symbolic import _phi, _solve_for, loc, pick_values
 
 __all__ = [
@@ -42,6 +42,7 @@ class MinorSpec:
 def minor(n: int, spec: MinorSpec) -> Polynomial:
     """The tau^degree coefficient of the minor on the spec's columns and
     rows, taken in spec order; zero when the minor has no such term."""
+    check_dimension(n)
     cols = tuple(spec.cols)
     rows = tuple(spec.rows)
     if not cols or len(cols) != len(rows):

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,12 +80,25 @@ def _check_prime(p: int) -> None:
 
 # --- linear forms and the group ------------------------------------------
 
-def _root_key(key) -> Root:
-    """A (row, col) pair of ints, not bools, as a Root; else refused."""
-    if not (isinstance(key, tuple) and len(key) == 2
-            and all(type(x) is int for x in key)):
-        raise InvalidInput(f"{key!r} is not a root (row, col)")
-    return Root(*key)
+def _entries(n: int, p: Optional[int], raw) -> Dict[Root, object]:
+    """Check n and p, then each key of ``raw``: a (row, col) pair of ints,
+    not bools, inside the n triangle.  Returns its nonzero values reduced
+    into the field, keyed by Root."""
+    check_dimension(n)
+    if p is not None:
+        _check_prime(p)
+    out: Dict[Root, object] = {}
+    for key, value in (raw or {}).items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(type(x) is int for x in key)):
+            raise InvalidInput(f"{key!r} is not a root (row, col)")
+        root = Root(*key)
+        if not 1 <= root.col < root.row <= n:
+            raise InvalidInput(f"{root!r} lies outside the n={n} triangle")
+        v = coerce_scalar(value, p)
+        if v != 0:
+            out[root] = v
+    return out
 
 
 class LinearForm:
@@ -97,19 +110,7 @@ class LinearForm:
 
     def __init__(self, n: int, p: Optional[int],
                  values: Optional[Dict[Root, object]] = None):
-        check_dimension(n)
-        if p is not None:
-            _check_prime(p)
-        vals: Dict[Root, object] = {}
-        for key, raw in (values or {}).items():
-            root = _root_key(key)
-            if not 1 <= root.col < root.row <= n:
-                raise InvalidInput(
-                    f"{root!r} lies outside the n={n} triangle")
-            v = coerce_scalar(raw, p)
-            if v != 0:
-                vals[root] = v
-        self._fill(n, p, vals)
+        self._fill(n, p, _entries(n, p, values))
 
     @classmethod
     def _reduced(cls, n: int, p: Optional[int],
@@ -168,18 +169,11 @@ class GroupElement:
         if _matrix is not None:
             self.matrix = _matrix
             return
-        check_dimension(n)
-        if p is not None:
-            _check_prime(p)
-        one = coerce_scalar(1, p)
-        zero = coerce_scalar(0, p)
+        values = _entries(n, p, entries)
+        one, zero = coerce_scalar(1, p), coerce_scalar(0, p)
         m = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for key, raw in (entries or {}).items():
-            i, j = _root_key(key)
-            if not 1 <= j < i <= n:
-                raise InvalidInput(
-                    f"entry ({i},{j}) lies outside the n={n} triangle")
-            m[i - 1][j - 1] = coerce_scalar(raw, p)
+        for (i, j), v in values.items():
+            m[i - 1][j - 1] = v
         self.matrix = m
 
     def inverse(self) -> "GroupElement":
@@ -258,21 +252,17 @@ def canonical_form(s: AdmissibleSubset, c: Dict[Root, object],
                    p: Optional[int] = None) -> LinearForm:
     """The point with value c on each pick and zero elsewhere.  Every pick
     needs a value and marked picks need a nonzero one."""
-    if p is not None:
-        _check_prime(p)
-    picks = set(s.xi)
     for key in c:
-        if key not in picks:
+        if key not in s.xi:
             raise InvalidC(f"{key!r} is not a pick of the diagram")
-    values: Dict[Root, object] = {}
-    for root, marked in zip(s.xi, s.otimes_mask):
+    for root in s.xi:
         if root not in c:
             raise InvalidC(f"missing value for pick {root!r}")
-        v = coerce_scalar(c[root], p)
-        if marked and v == 0:
+    f = LinearForm(s.n, p, c)
+    for root in s.s_otimes:
+        if root not in f.values:
             raise InvalidC(f"marked pick {root!r} needs a nonzero value")
-        values[root] = v
-    return LinearForm(s.n, p, values)
+    return f
 
 
 # --- orbit enumeration ----------------------------------------------------
@@ -338,16 +328,11 @@ def _check_codes_fit(n: int, p: int) -> None:
             f"orbit states at n={n}")
 
 
-def _digits(codes: np.ndarray, n: int, p: int, positions: Sequence[int]
-            ) -> np.ndarray:
-    """Rows of the base-p digits at ``positions`` of packed state codes;
-    digit k, of place value p^(N-1-k) for N roots, is the value at root k."""
-    top = n * (n - 1) // 2 - 1
-    out = np.empty((len(codes), len(positions)), dtype=np.int64)
-    for at, k in enumerate(positions):
-        # numpy divides by one scalar much faster than by an array.
-        out[:, at] = codes // p ** (top - k) % p
-    return out
+def _digits(codes, n: int, p: int) -> np.ndarray:
+    """The digit rows of packed codes, one row for one code: a code is the
+    C-order index of its row in shape (p,) * N, digit k the value at root k."""
+    return np.stack(np.unravel_index(codes, (p,) * (n * (n - 1) // 2)),
+                    axis=-1)
 
 
 def _encode(f: LinearForm) -> int:
@@ -376,20 +361,9 @@ class Orbit:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __contains__(self, f) -> bool:
-        if not isinstance(f, LinearForm) or (f.n, f.p) != (self.n, self.p):
-            return False
-        code = _encode(f)
-        at = int(np.searchsorted(self.codes, code))
-        return at < len(self.codes) and int(self.codes[at]) == code
-
     def __iter__(self):
-        for row in self.member_array().tolist():
+        for row in _digits(self.codes, self.n, self.p).tolist():
             yield _row_form(self.n, self.p, row)
-
-    def member_array(self) -> np.ndarray:
-        return _digits(self.codes, self.n, self.p,
-                       range(self.n * (self.n - 1) // 2))
 
 
 def _budget_value() -> int:
@@ -419,13 +393,6 @@ def _check_space_budget(stage: str, n: int, p: int) -> None:
             f"the limit of {limit}")
 
 
-def _check_orbit_budget(n: int, p: int, states: int, limit: int) -> None:
-    if states > limit:
-        raise BudgetExceeded(
-            f"orbit_bfs at n={n}, p={p} reached {states} states, over the "
-            f"limit of {limit}")
-
-
 def _union(arrays: List[np.ndarray]) -> np.ndarray:
     """The sorted distinct codes of the arrays, by a sort: np.unique's int64
     hash path is an order of magnitude slower."""
@@ -435,16 +402,16 @@ def _union(arrays: List[np.ndarray]) -> np.ndarray:
     return codes[keep]
 
 
-def _sweep(codes: np.ndarray, p: int, move: Tuple) -> np.ndarray:
+def _sweep(codes: np.ndarray, p: int, move: Tuple, limit: int
+           ) -> np.ndarray:
     """The closure of a sorted code array under one generator g: the sorted
     union of g^t applied to it for t < p.  Only the digits g reads are
     taken from the codes, and g^t follows from g^(t-1) by rewriting the
     digits g writes.  A block of codes that g fixes is fixed by every g^t,
     and when g fixes every code the input array itself is returned.  Images
-    held past twice the budget are merged; merged past it, they are returned
+    held past twice ``limit`` are merged; merged past it, they are returned
     unfinished, a part of the orbit already over the caller's budget."""
     _reads, columns, _writes, read_scale, write_scale, at = move
-    limit = _budget_value()
     rows = max(1, _BLOCK_CELLS // len(read_scale))
     images = [codes]
     held = len(codes)
@@ -477,11 +444,11 @@ def orbit_bfs(f: LinearForm,
     fixed order, and X_a = {(I + e_a)^t : t < p} since e_a^2 = 0, so the
     orbit is reached by closing {f} under one generator after another.
     Every set on the way lies inside the orbit, so the budget
-    ``ARTIFACT_BFS_BUDGET``, a cap on the orbit size, is checked after each
-    closure, and a closure stops once it holds more.  Without
-    ``generators`` the search reuses the moves kept per (n, p);
-    ``generators``, the ``_generators(n, p)`` of f's field, makes it build
-    its own moves from them."""
+    ``ARTIFACT_BFS_BUDGET``, a cap on the orbit size read once, ends the
+    search (and a closure) once a set holds more.  Without ``generators``
+    the search reuses the moves kept per (n, p); ``generators``, the
+    ``_generators(n, p)`` of f's field, makes it build its own moves from
+    them."""
     if f.p is None:
         raise ValueError("orbit enumeration needs a finite field")
     n, p = f.n, f.p
@@ -489,12 +456,16 @@ def orbit_bfs(f: LinearForm,
     _check_codes_fit(n, p)
     limit = _budget_value()
     codes = np.array([_encode(f)], dtype=np.int64)
-    _check_orbit_budget(n, p, len(codes), limit)
     moves = _default_moves(n, p) if generators is None else \
         _generator_moves(n, p, generators)
     for move in moves:
-        codes = _sweep(codes, p, move)
-        _check_orbit_budget(n, p, len(codes), limit)
+        if len(codes) > limit:
+            break
+        codes = _sweep(codes, p, move, limit)
+    if len(codes) > limit:
+        raise BudgetExceeded(
+            f"orbit_bfs at n={n}, p={p} reached {len(codes)} states, over "
+            f"the limit of {limit}")
     return Orbit(n, p, f, codes)
 
 
@@ -502,16 +473,16 @@ def all_orbits(n: int, p: int) -> List[Orbit]:
     """Partition the whole dual space into orbits, in order of the least
     packed state.  Each orbit's search starts at its least code, so its
     representative is its canonical form."""
+    check_dimension(n)
     _check_prime(p)
     _check_space_budget("all_orbits", n, p)
-    roots = positive_roots(n)
-    free = np.ones(p ** len(roots), dtype=bool)
+    free = np.ones(p ** (n * (n - 1) // 2), dtype=bool)
     # Moves rebuilt per orbit: perfbench TestTracer pins 9·orbits acts here.
     generators = _generators(n, p)
     orbits = []
     code = 0
     while code < len(free):
-        row = _digits(np.array([code]), n, p, range(len(roots)))[0].tolist()
+        row = _digits(code, n, p).tolist()
         orbit = orbit_bfs(_row_form(n, p, row), generators=generators)
         free[orbit.codes] = False
         orbits.append(orbit)
@@ -640,7 +611,7 @@ def _classify_orbit(orbit: Orbit, stage: str
     n, p = orbit.n, orbit.p
     roots = positive_roots(n)
     catalog = enumerate_maximal(n)
-    member = _digits(orbit.codes[:1], n, p, range(len(roots)))[0].tolist()
+    member = _digits(orbit.codes[0], n, p).tolist()
     owners = _support_table(n, tuple(catalog)).get(
         sum(1 << k for k, v in enumerate(member) if v), ())
     if len(owners) != 1:
@@ -664,7 +635,6 @@ def classify(f: LinearForm) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
 def census(n: int, p: int) -> Dict:
     """Classify every orbit and tally counts per diagram label, together
     with the two counting identities."""
-    check_dimension(n)
     tally = Counter(_classify_orbit(orbit, "census")[0].label
                     for orbit in all_orbits(n, p))
     rows = []
@@ -695,8 +665,9 @@ def census(n: int, p: int) -> Dict:
 
 def stratum_max_dims(n: int, p: int) -> List[int]:
     """Largest orbit dimension within each first-column stratum."""
+    orbits = all_orbits(n, p)
     best = [0] * n
-    for orbit in all_orbits(n, p):
+    for orbit in orbits:
         size = len(orbit)
         dim = 0
         while p ** dim < size:
@@ -766,22 +737,23 @@ def subregular_classify(target) -> SubregularRecord:
     if f.p is not None:
         p = f.p
         _check_space_budget("subregular cut", n, p)
-        # Only the digits the system reads are decoded, and each further
-        # equation is evaluated only on the codes the earlier ones kept.
-        index = {("y", r.row, r.col): k
-                 for k, r in enumerate(positive_roots(n))}
-        keys = sorted(set().union(*(gen.variables() for gen in system)))
-        total = p ** len(index)
-        rows = max(1, _BLOCK_CELLS // len(index))
+        # Only the digits the system reads are decoded, by place value, and
+        # each further equation is evaluated only on the codes the earlier
+        # ones kept.
+        place = {("y", r.row, r.col): p ** k
+                 for k, r in enumerate(reversed(positive_roots(n)))}
+        keys = set().union(*(gen.variables() for gen in system))
+        total = p ** len(place)
+        rows = max(1, _BLOCK_CELLS // len(place))
         cut = []
         for first in range(0, total, rows):
             codes = np.arange(first, min(first + rows, total),
                               dtype=np.int64)
-            members = _digits(codes, n, p, [index[k] for k in keys])
+            columns = {k: codes // place[k] % p for k in keys}
             for gen in system:
-                keep = substitute(
-                    gen, lambda key: members[:, keys.index(key)], p) == 0
-                codes, members = codes[keep], members[keep]
+                keep = substitute(gen, columns.__getitem__, p) == 0
+                codes = codes[keep]
+                columns = {k: v[keep] for k, v in columns.items()}
             cut.append(codes)
         orbit = orbit_bfs(f)
         cuts = np.array_equal(np.concatenate(cut), orbit.codes)

@@ -215,6 +215,21 @@ def catalogs():
 
 
 @pytest.fixture(scope="session")
+def partitions():
+    """``all_orbits(n, p)``, searched once per (n, p) for the session."""
+    from artifact.orbit_engine import all_orbits
+
+    cache = {}
+
+    def get(n, p):
+        if (n, p) not in cache:
+            cache[n, p] = all_orbits(n, p)
+        return cache[n, p]
+
+    return get
+
+
+@pytest.fixture(scope="session")
 def by_label(catalogs):
     def get(label):
         n = label[0]

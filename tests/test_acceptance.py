@@ -6,6 +6,7 @@ exact minor and triangular-solver texts of every maximal diagram, and the
 random-conjugation oracle checks the invariants, ideals and ranks of every
 diagram at a random conjugate of a canonical form.
 """
+import argparse
 import ast
 import hashlib
 import importlib
@@ -40,6 +41,8 @@ from artifact.orbit_engine import (
     stratum_max_dims,
     subregular_classify,
     verify_polarization,
+    _classify_orbit,
+    _digits,
 )
 
 from conftest import (
@@ -191,7 +194,12 @@ def test_criterion_05_canonical_membership():
                     assert s2.label == s.label and c2 == c, (s.label, c)
 
 
-def test_criterion_06_generator_invariance():
+def _y_index(n):
+    """Column of each coordinate key in the digit rows of packed codes."""
+    return {("y", r.row, r.col): k for k, r in enumerate(positive_roots(n))}
+
+
+def test_criterion_06_generator_invariance(partitions):
     gen_cache = {}
 
     def gens_of(s):
@@ -199,12 +207,13 @@ def test_criterion_06_generator_invariance():
             gen_cache[s.label] = (s, generators_for(s))
         return gen_cache[s.label][1]
 
-    def check_orbit_constancy(orbit, p, roots, index):
-        s, _ = classify(orbit.representative)
-        states = states_of(list(orbit), roots)
+    def check_orbit_constancy(orbit):
+        s, _ = _classify_orbit(orbit, "criterion 06")
+        states = _digits(orbit.codes, orbit.n, orbit.p)
+        index = _y_index(orbit.n)
         for g in gens_of(s):
-            vals = substitute(g, lambda key: states[:, index[key]], p)
-            assert np.all(vals == vals[0]), (p, s.label)
+            vals = substitute(g, lambda key: states[:, index[key]], orbit.p)
+            assert np.all(vals == vals[0]), (orbit.p, s.label)
 
     for n in (3, 4, 5):
         roots = sorted(positive_roots(n), key=lambda r: (r.row, r.col))
@@ -212,7 +221,7 @@ def test_criterion_06_generator_invariance():
         for p in ((2, 3) if n <= 4 else (2,)):
             orbits = all_orbits(n, p)
             for orbit in orbits:
-                check_orbit_constancy(orbit, p, roots, index)
+                check_orbit_constancy(orbit)
             if n <= 4:
                 # Zero sets cut out each orbit exactly.
                 grids = np.array(
@@ -232,12 +241,29 @@ def test_criterion_06_generator_invariance():
                                for row in states_of(list(orbit), roots)}
                     assert cut == members, (n, p, s.label)
 
-    rng = random.Random(2026)
-    roots6 = sorted(positive_roots(6), key=lambda r: (r.row, r.col))
-    index6 = {("y", r.row, r.col): k for k, r in enumerate(roots6)}
-    orbits6 = all_orbits(6, 2)
-    for orbit in rng.sample(orbits6, 100):
-        check_orbit_constancy(orbit, 2, roots6, index6)
+    orbits6 = partitions(6, 2)
+    assert len(orbits6) == 275
+    for orbit in orbits6:
+        check_orbit_constancy(orbit)
+
+
+@pytest.mark.parametrize("n,p,checks", [(4, 5, 1270), (5, 3, 2666),
+                                        (6, 2, 2929)])
+def test_solver_invariants_are_constant_on_every_orbit(n, p, checks,
+                                                       partitions):
+    # The paper's theorem over F_p: on every orbit of a diagram, each
+    # invariant the triangular solver reads for a closure root is constant.
+    index = _y_index(n)
+    seen = 0
+    for orbit in partitions(n, p):
+        s, _ = _classify_orbit(orbit, "invariant check")
+        rows = _digits(orbit.codes, n, p)
+        for eta in s.a_set:
+            vals = substitute(solver_invariant(s, eta),
+                              lambda key: rows[:, index[key]], p)
+            assert np.unique(vals).size == 1, (s.label, eta)
+            seen += 1
+    assert seen == checks
 
 
 def test_criterion_07_worked_polynomials():
@@ -540,3 +566,27 @@ def test_readme_module_table_resolves():
                     and _resolves(module, name)):
                 unresolved.append((module_name, text))
     assert not unresolved, unresolved
+
+
+def test_readme_cli_section_matches_the_parser():
+    # Each `artifact <command> ...` bullet of the README's command-line
+    # section names exactly that subcommand's own options (the common
+    # --json, --seed and --out are described once above the bullets), and
+    # the verify bullet lists every suite.
+    from artifact.cli import _SUITES, _build_parser
+
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command-line interface", 1)[1].split("\n## ")[0]
+    bullets = dict(re.findall(r"^- `artifact (\w+)([^`]*)`", section,
+                              re.MULTILINE))
+    commands = next(action.choices for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(bullets) == set(commands)
+    common = {"--json", "--seed", "--out", "--help"}
+    for name, sub in commands.items():
+        options = {opt for action in sub._actions
+                   for opt in action.option_strings if opt.startswith("--")}
+        assert set(re.findall(r"--[\w-]+", bullets[name])) == \
+            options - common, name
+    suites = re.search(r"--suite \{([\w,]+)\}", bullets["verify"]).group(1)
+    assert suites.split(",") == sorted(_SUITES)

@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from artifact.root_system import Root, lex_greater, positive_roots
+from artifact.root_system import InvalidDimension, Root, lex_greater, \
+    positive_roots
 from artifact.admissible import build_admissible, enumerate_maximal
 from artifact._poly import substitute
 from artifact.symbolic import Polynomial, c_var, const, loc, poly_text, y_var
@@ -110,6 +111,12 @@ class TestMinor:
         for _ in range(3):
             with pytest.raises(ValueError):
                 minor(n, MinorSpec(cols=cols, rows=rows, degree=degree))
+
+    @pytest.mark.parametrize("n,cols,rows,degree", [
+        (3.0, (1,), (2,), 1), (1, (1,), (1,), 0)])
+    def test_bad_dimension_is_refused(self, n, cols, rows, degree):
+        with pytest.raises(InvalidDimension):
+            minor(n, MinorSpec(cols, rows, degree))
 
     def test_memoised_result_is_stable(self):
         spec = MinorSpec(cols=(1, 2, 3), rows=(4, 5, 6), degree=3)

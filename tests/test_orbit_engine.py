@@ -33,6 +33,7 @@ from artifact.orbit_engine import (
     stratum_max_dims,
     subregular_classify,
     verify_polarization,
+    _digits,
 )
 from artifact.symbolic import poly_text
 
@@ -135,11 +136,13 @@ class TestCoadjointAction:
 
     @pytest.mark.parametrize("entry", [(1, 2), (2, 2), (4, 1), (3, 0)])
     def test_entry_outside_the_triangle(self, entry):
-        # Raised as LinearForm raises a root outside the triangle.
-        with pytest.raises(InvalidInput, match=(
-                f"^entry \\({entry[0]},{entry[1]}\\) lies outside the "
-                f"n=3 triangle$")):
+        # One message for a group element's entry and a form's root.
+        message = (f"^Root\\({entry[0]},{entry[1]}\\) lies outside the "
+                   f"n=3 triangle$")
+        with pytest.raises(InvalidInput, match=message):
             GroupElement(3, 5, {entry: 1})
+        with pytest.raises(InvalidInput, match=message):
+            LinearForm(3, 5, {entry: 1})
 
     @pytest.mark.parametrize("key", ["ab", (2, 1, 0), (2.0, 1), (3, True)])
     def test_other_keys_are_refused(self, key):
@@ -371,7 +374,7 @@ def assert_orbit_is(orbit, expected):
     assert all(x in orbit for x in expected)
     codes = orbit.codes.tolist()
     assert codes == sorted(set(codes))
-    rows = orbit.member_array()
+    rows = _digits(orbit.codes, orbit.n, orbit.p)
     assert rows.shape == (len(expected), len(list(positive_roots(orbit.n))))
     assert {form(orbit.n, orbit.p, dict(zip(positive_roots(orbit.n), row)))
             for row in rows.tolist()} == expected
@@ -460,7 +463,7 @@ class TestSweepAgainstReference:
                      rng.sample(fixed, 8) + rng.sample(space, 4)]
             for codes in map(sorted, map(set, drawn)):
                 array = np.array(codes, dtype=np.int64)
-                got = _sweep(array, p, move)
+                got = _sweep(array, p, move, 1 << 26)
                 assert got.tolist() == reference_sweep(codes, g, p)
                 if set(codes) <= set(fixed):
                     assert got is array
@@ -500,18 +503,40 @@ class TestBudgetIsOrbitSizeCap:
                         rf"over the limit of {size - 1}$")):
                     orbit_bfs(f)
 
-    def test_sweep_of_a_closed_orbit_merges_and_goes_on(self, monkeypatch):
+    def test_sweep_of_a_closed_orbit_merges_and_goes_on(self):
         # A generator that moves an orbit maps it onto itself, so a sweep
-        # of it holds p copies: over twice a budget of the orbit's size,
+        # of it holds p copies: over twice a limit of the orbit's size,
         # while the merged codes stay within it and the sweep goes on.
         from artifact.orbit_engine import _default_moves, _sweep
 
         s = build_admissible(5, CATALOG5[(5, 0, 1)]["seq"])
         orbit = orbit_bfs(canonical_form(s, {R(5, 1): 1, R(4, 2): 1}, p=3))
-        monkeypatch.setenv("ARTIFACT_BFS_BUDGET", str(len(orbit)))
         for move in _default_moves(5, 3):
-            assert _sweep(orbit.codes, 3, move).tolist() == \
+            assert _sweep(orbit.codes, 3, move, len(orbit)).tolist() == \
                 orbit.codes.tolist()
+
+    def test_budget_is_read_once_per_search(self, monkeypatch):
+        # One read per orbit_bfs, however many sweeps it makes, and one
+        # more per whole-space scan: census(4, 2) has 16 orbits.
+        from artifact import orbit_engine
+
+        reads = []
+        budget = orbit_engine._budget_value
+        monkeypatch.setattr(orbit_engine, "_budget_value",
+                            lambda: reads.append(1) or budget())
+        s = enumerate_maximal(6)[0]
+        orbit_bfs(canonical_form(s, {r: 1 for r in s.xi}, p=2))
+        assert len(reads) == 1
+        reads.clear()
+        census(4, 2)
+        assert len(reads) == 17
+
+
+@pytest.mark.parametrize("search,n", [(all_orbits, "3"),
+                                      (stratum_max_dims, 2.5)])
+def test_whole_space_searches_check_the_dimension(search, n):
+    with pytest.raises(InvalidDimension):
+        search(n, 2)
 
 
 class TestNonPrimeField:
@@ -936,7 +961,7 @@ def _mask_scan(orbit):
     roots = list(positive_roots(orbit.n))
     catalog = enumerate_maximal(orbit.n)
     picks, marked = _reference_masks(catalog)
-    members = orbit.member_array()
+    members = _digits(orbit.codes, orbit.n, orbit.p)
     support = ((members != 0) @ (1 << np.arange(len(roots))))[:, None]
     hit = ((support & ~picks) == 0) & ((support & marked) == marked)
     return [(catalog[j].label,
