@@ -14,8 +14,12 @@ canonical form is its least point read from the greatest root down, its
 least code, and whether that point is canonical depends only on its
 support, looked up in one table, the same for every p.
 
-``coadjoint_act`` skips the validating ``LinearForm`` constructor: its result
-roots lie in the triangle by construction, and it reduces values itself.
+``coadjoint_act`` reads each group element through a sparse view, the
+nonzero entries of its columns and of its inverse's rows, built once with
+the cached inverse, and skips the validating ``LinearForm`` constructor: its
+result roots lie in the triangle by construction, and it reduces values
+itself.  A generator's move is read off its N images of the basis forms,
+each computed afresh, with the root places and place values shared.
 """
 from __future__ import annotations
 
@@ -122,9 +126,9 @@ class LinearForm:
         return self
 
     def _fill(self, n, p, values) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "values", values)
+        _set_n(self, n)
+        _set_p(self, p)
+        _set_values(self, values)
         # _hash and _rank stay unset until first needed: one more store
         # here would cost every form the orbit searches build.
 
@@ -155,10 +159,15 @@ class LinearForm:
         return f"LinearForm(n={self.n}, p={self.p}, {{{inner}}})"
 
 
+# The slot setters of the immutable LinearForm.
+_set_n, _set_p, _set_values = (LinearForm.__dict__[name].__set__
+                               for name in ("n", "p", "values"))
+
+
 class GroupElement:
     """A lower unitriangular matrix over the field."""
 
-    __slots__ = ("n", "p", "matrix", "_inverse")
+    __slots__ = ("n", "p", "matrix", "_inverse", "_view")
 
     def __init__(self, n: int, p: Optional[int],
                  entries: Optional[Dict[Tuple[int, int], object]] = None,
@@ -166,6 +175,7 @@ class GroupElement:
         self.n = n
         self.p = p
         self._inverse: Optional["GroupElement"] = None
+        self._view = None
         if _matrix is not None:
             self.matrix = _matrix
             return
@@ -195,6 +205,22 @@ class GroupElement:
             self._inverse = GroupElement(n, p, _matrix=inv)
         return self._inverse
 
+    def _sparse(self):
+        """The nonzero entries of each column k of the matrix, as (a, value)
+        from row k down, and of each row l of the inverse, as (b, value,
+        ``_root_grid(n)[b]``) from column l left.  Built once, next to the
+        cached inverse."""
+        if self._view is None:
+            n, m, inv = self.n, self.matrix, self.inverse().matrix
+            grid = _root_grid(n)
+            self._view = (
+                tuple(tuple((a, m[a][k]) for a in range(k, n) if m[a][k])
+                      for k in range(n)),
+                tuple(tuple((b, inv[l][b], grid[b])
+                            for b in range(l, -1, -1) if inv[l][b])
+                      for l in range(n)))
+        return self._view
+
 
 def _generators(n: int, p: int) -> Tuple[GroupElement, ...]:
     """The generators I + e_alpha in root order.  Each caches its inverse
@@ -216,34 +242,41 @@ def coadjoint_act(g: GroupElement, f: LinearForm) -> LinearForm:
     V[k][l] is the value of f at root (l + 1, k + 1).  Each nonzero entry v
     adds v * g[a][k] * g^-1[l][b] to entry (a, b) of g V g^-1, and only
     k <= a < b <= l can be nonzero and strictly upper, so the dense products
-    are never formed.  So every result root (b + 1, a + 1) lies in the
-    triangle, and the result is returned through the trusted
-    ``LinearForm._reduced`` after reducing each value and dropping zeros."""
-    if (g.n, g.p) != (f.n, f.p):
-        raise ValueError("group element and form live over different fields")
+    are never formed: the sum runs over the nonzero g[a][k] of column k and
+    g^-1[l][b] of row l, read from g's sparse view, and adds into the root
+    (b + 1, a + 1) of ``_root_grid``.  So every result root lies in the
+    triangle, and the result is built without the validating constructor
+    after reducing each value and dropping zeros in one pass."""
     n, p = f.n, f.p
-    gm, hm = g.matrix, g.inverse().matrix
-    acc: Dict[Tuple[int, int], object] = {}
+    if g.n != n or g.p != p:
+        raise ValueError("group element and form live over different fields")
+    columns, rows = g._view or g._sparse()
+    acc: Dict[Root, object] = {}
     for root, v in f.values.items():
-        k, l = root.col - 1, root.row - 1
-        row = hm[l]
-        rights = [(b, row[b]) for b in range(k + 1, l + 1) if row[b]]
-        for a in range(k, l):
-            left = gm[a][k]
-            if left:
-                left *= v
-                for b, h in rights:
-                    if b > a:
-                        key = a, b
-                        acc[key] = acc.get(key, 0) + left * h
-    grid = _root_grid(n)
-    values: Dict[Root, object] = {}
-    for (a, b), v in sorted(acc.items()):
-        if p is not None:
+        l = root.row - 1
+        right = rows[l]
+        for a, x in columns[root.col - 1]:
+            if a >= l:
+                break
+            x *= v
+            for b, y, above in right:
+                if b <= a:
+                    break
+                key = above[a]
+                acc[key] = acc.get(key, 0) + x * y
+    if p is None:
+        values = {r: v for r, v in acc.items() if v}
+    else:
+        values = {}
+        for r, v in acc.items():
             v %= p
-        if v:
-            values[grid[b][a]] = v
-    return LinearForm._reduced(n, p, values)
+            if v:
+                values[r] = v
+    out = object.__new__(LinearForm)
+    _set_n(out, n)
+    _set_p(out, p)
+    _set_values(out, values)
+    return out
 
 
 # --- canonical forms ------------------------------------------------------
@@ -267,39 +300,60 @@ def canonical_form(s: AdmissibleSubset, c: Dict[Root, object],
 
 # --- orbit enumeration ----------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _root_index(n: int) -> Dict[Root, int]:
+    """The place of each root in root order: one table per n."""
+    return {r: k for k, r in enumerate(positive_roots(n))}
+
+
 def _generator_moves(n: int, p: int,
                      generators: Optional[Tuple[GroupElement, ...]] = None
                      ) -> List[Tuple[np.ndarray, ...]]:
     """The ``_generators(n, p)``, or the given ones, as sparse moves on
-    states.
+    states; given ones must be N group elements over (n, p).
 
     A generator changes only a few values of a form, each a linear function
     of a few old values.  Each generator that moves anything gives, in root
     order, one move (reads, columns, writes, read places, write places, at):
     the new value at root ``writes[t]`` is the old values at roots ``reads``
     times column t of ``columns``.  The action is unipotent, so a written
-    value reads itself with coefficient 1 and writes = reads[at]."""
+    value reads itself with coefficient 1 and writes = reads[at].
+
+    Each move is read off the N images of the basis forms, computed afresh
+    by ``coadjoint_act``: a basis form keeps value 1 at its own root, so
+    g writes the other roots of its images, and reads the basis forms whose
+    images hold a written root.  The root places come from the per-n
+    ``_root_index`` and the place values from one powers vector."""
     roots = positive_roots(n)
     size = len(roots)
-    index = {r: k for k, r in enumerate(roots)}
-    # full[g, k, i]: value at root i of basis form k moved by generator g,
-    # written at once from its nonzero entries keyed by flat position.
-    flat: Dict[int, int] = {}
+    if generators is None:
+        generators = _generators(n, p)
+    elif not isinstance(generators, (tuple, list)) \
+            or len(generators) != size or not all(
+                isinstance(g, GroupElement) and (g.n, g.p) == (n, p)
+                for g in generators):
+        raise InvalidInput(
+            f"generators must be {size} group elements over n={n}, p={p}")
+    index = _root_index(n)
+    powers = p ** np.arange(size - 1, -1, -1, dtype=np.int64)
     basis = [LinearForm._reduced(n, p, {r: 1}) for r in roots]
-    for g_at, g in enumerate(generators or _generators(n, p)):
-        for k, form in enumerate(basis):
-            base = (g_at * size + k) * size
-            for root, v in coadjoint_act(g, form).values.items():
-                flat[base + index[root]] = v
-    full = np.zeros((size, size, size), dtype=np.int64)
-    np.put(full, list(flat), list(flat.values()))
-    writes = (full != np.eye(size, dtype=np.int64)).any(axis=1)
-    reads = ((full != 0) & writes[:, None, :]).any(axis=2)
-    moved = np.flatnonzero(writes.any(axis=1))
-    kept = [(np.flatnonzero(reads[g]), np.flatnonzero(writes[g]))
-            for g in moved]
-    return [(r, full[g][r][:, w], w, p ** (size - 1 - r), p ** (size - 1 - w),
-             np.searchsorted(r, w)) for g, (r, w) in zip(moved, kept)]
+    moves = []
+    for g in generators:
+        images = [coadjoint_act(g, form).values for form in basis]
+        written = {r for root, image in zip(roots, images) for r in image
+                   if r != root}
+        if not written:
+            continue
+        writes = sorted(index[r] for r in written)
+        reads = [k for k, image in enumerate(images)
+                 if not written.isdisjoint(image)]
+        columns = [[images[k].get(roots[i], 0) for i in writes]
+                   for k in reads]
+        r = np.array(reads, dtype=np.int64)
+        w = np.array(writes, dtype=np.int64)
+        moves.append((r, np.array(columns, dtype=np.int64), w, powers[r],
+                      powers[w], np.searchsorted(r, w)))
+    return moves
 
 
 @lru_cache(maxsize=8)
@@ -448,7 +502,7 @@ def orbit_bfs(f: LinearForm,
     search (and a closure) once a set holds more.  Without ``generators``
     the search reuses the moves kept per (n, p); ``generators``, the
     ``_generators(n, p)`` of f's field, makes it build its own moves from
-    them."""
+    them, and anything but N group elements over f's field is refused."""
     if f.p is None:
         raise ValueError("orbit enumeration needs a finite field")
     n, p = f.n, f.p
@@ -511,7 +565,7 @@ def kirillov_rank(f: LinearForm) -> int:
         scale = math.lcm(*(v.denominator for v in vals.values()))
         vals = {r: v.numerator * (scale // v.denominator)
                 for r, v in vals.items()}
-    index = {r: k for k, r in enumerate(positive_roots(f.n))}
+    index = _root_index(f.n)
     mat = [[0] * len(index) for _ in index]
     for a, entries in structure_constants(f.n).items():
         for b, sign, c in entries:
@@ -594,7 +648,7 @@ def _support_table(n: int, catalog: Tuple[AdmissibleSubset, ...]
     """The canonical supports, bit k for root k, each with its owners'
     indices: diagram j owns its marked picks with each subset of its box
     picks.  It is reused only for a catalog of the very same subsets."""
-    index = {r: k for k, r in enumerate(positive_roots(n))}
+    index = _root_index(n)
     table: Dict[int, Tuple[int, ...]] = {}
     for j, s in enumerate(catalog):
         own = [sum(1 << index[r] for r in s.s_otimes)]

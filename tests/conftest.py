@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from artifact.root_system import Root
+from artifact.root_system import Root, positive_roots
 
 
 def R(row, col):
@@ -173,6 +174,33 @@ def solver_invariant(s, eta):
 
     spec = _GAPS.get((s.label, eta))
     return p_h_eta(s, eta) if spec is None else minor(s.n, spec)
+
+
+def dense_moves(n, p):
+    """The moves of ``orbit_engine._generator_moves`` for the generators
+    I + e_alpha, assembled densely: full[g, k, i] is the value at root i of
+    basis form k moved by generator g, a generator writes the roots where
+    full differs from the identity, and reads the basis forms with a
+    nonzero value at a written root."""
+    from artifact.orbit_engine import LinearForm, _generators, coadjoint_act
+
+    roots = positive_roots(n)
+    size = len(roots)
+    index = {r: k for k, r in enumerate(roots)}
+    full = np.zeros((size, size, size), dtype=np.int64)
+    for g_at, g in enumerate(_generators(n, p)):
+        for k, r in enumerate(roots):
+            image = coadjoint_act(g, LinearForm(n, p, {r: 1}))
+            for root, v in image.values.items():
+                full[g_at, k, index[root]] = v
+    writes = (full != np.eye(size, dtype=np.int64)).any(axis=1)
+    reads = ((full != 0) & writes[:, None, :]).any(axis=2)
+    moves = []
+    for g in np.flatnonzero(writes.any(axis=1)):
+        r, w = np.flatnonzero(reads[g]), np.flatnonzero(writes[g])
+        moves.append((r, full[g][r][:, w], w, p ** (size - 1 - r),
+                      p ** (size - 1 - w), np.searchsorted(r, w)))
+    return moves
 
 
 # Expected per-dimension orbit counts for small finite-field censuses.

@@ -37,7 +37,8 @@ from artifact.orbit_engine import (
 )
 from artifact.symbolic import poly_text
 
-from conftest import CATALOG3, CATALOG4, CATALOG5, CENSUS_EXPECT, R
+from conftest import CATALOG3, CATALOG4, CATALOG5, CENSUS_EXPECT, R, \
+    dense_moves
 from test_properties import _dense_mul
 
 
@@ -154,6 +155,22 @@ class TestCoadjointAction:
     def test_bad_dimension_is_refused(self, n):
         with pytest.raises(InvalidDimension):
             GroupElement(n, 5)
+
+    @pytest.mark.parametrize("n,p", [(3, 3), (4, 2), (3, None)])
+    def test_element_over_another_field_is_refused(self, n, p):
+        f = form(3, 2, {R(3, 1): 1})
+        with pytest.raises(ValueError, match="different fields"):
+            coadjoint_act(GroupElement(n, p, {(2, 1): 1}), f)
+
+    def test_sparse_view_is_built_once_without_new_elements(
+            self, monkeypatch):
+        g = GroupElement(4, 3, {(2, 1): 2, (4, 2): 1})
+        f = form(4, 3, {R(4, 1): 1, R(3, 2): 2})
+        first = coadjoint_act(g, f)
+        view = g._view
+        built, _acts = _count_group_work(monkeypatch)
+        assert coadjoint_act(g, f) == first
+        assert g._view is view and built == []
 
 
 class TestOrbitBfs:
@@ -378,6 +395,59 @@ def assert_orbit_is(orbit, expected):
     assert rows.shape == (len(expected), len(list(positive_roots(orbit.n))))
     assert {form(orbit.n, orbit.p, dict(zip(positive_roots(orbit.n), row)))
             for row in rows.tolist()} == expected
+
+
+class TestGeneratorArgument:
+    """orbit_bfs(f, generators=...) takes the N generators of f's field,
+    and refuses anything else before it acts."""
+
+    @pytest.mark.parametrize("case", ["empty", "short", "long", "field",
+                                      "dimension", "not elements",
+                                      "iterator"])
+    def test_other_generators_are_refused(self, case, monkeypatch):
+        from artifact.orbit_engine import _generators
+
+        gens = _generators(3, 2)
+        given = {"empty": (), "short": gens[:1], "long": gens + gens[:1],
+                 "field": _generators(3, 3),
+                 "dimension": _generators(4, 2)[:3],
+                 "not elements": (1, 2, 3), "iterator": iter(gens)}[case]
+        _built, acts = _count_group_work(monkeypatch)
+        with pytest.raises(InvalidInput, match=r"^generators must be 3 "
+                           r"group elements over n=3, p=2$"):
+            orbit_bfs(form(3, 2, {R(3, 1): 1}), generators=given)
+        assert acts == []
+
+    def test_a_list_of_the_generators_is_taken(self):
+        from artifact.orbit_engine import _generators
+
+        f = form(4, 3, {R(4, 1): 1})
+        assert np.array_equal(
+            orbit_bfs(f, generators=list(_generators(4, 3))).codes,
+            orbit_bfs(f).codes)
+
+
+class TestMovesAgainstDenseAssembly:
+    """The sparse move assembly gives the dense size³ one, array for
+    array: the same six fields, dtypes and shapes, in root order."""
+
+    @pytest.mark.parametrize(
+        "n,p", [(n, p) for n in range(2, 7) for p in (2, 3)]
+        + [(4, 5), (7, 2)])
+    def test_moves_equal_the_dense_assembly(self, n, p):
+        from artifact import orbit_engine
+        from artifact.orbit_engine import _generators
+
+        expected = dense_moves(n, p)
+        for got in (orbit_engine._generator_moves(n, p, _generators(n, p)),
+                    orbit_engine._default_moves(n, p)):
+            assert len(got) == len(expected)
+            for move, want in zip(got, expected):
+                assert len(move) == 6
+                for array, ref in zip(move, want):
+                    assert array.dtype == ref.dtype == np.int64
+                    assert array.shape == ref.shape
+                    assert np.array_equal(array, ref)
 
 
 class TestSearchAgainstReference:

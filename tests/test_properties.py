@@ -180,8 +180,8 @@ def _dense_coadjoint(g, f):
 
 
 @st.composite
-def group_and_form(draw, max_n=6):
-    n = draw(st.integers(2, max_n))
+def group_and_form(draw):
+    n = draw(st.integers(2, 7))
     p = draw(st.sampled_from([2, 3, 5, 7, None]))
     scalar = (st.fractions(-4, 4, max_denominator=5) if p is None
               else st.integers(0, p - 1))
@@ -216,7 +216,7 @@ class TestTrustedActResult:
     """coadjoint_act builds its result without the validating constructor;
     the result must be the form that constructor would build."""
 
-    @given(group_and_form(max_n=7))
+    @given(group_and_form())
     @settings(max_examples=150)
     def test_result_equals_validated_form(self, gf):
         g, f = gf
