@@ -3,15 +3,19 @@
 Subcommands: diagrams, generators, census, classify, canonical, verify.
 JSON output is an envelope {"result": ..., "seed": ...} printed with
 sorted keys so reruns are byte-identical.  Exit codes: 0 success,
-1 failed check or exceeded budget, 2 usage error.
+1 failed check or exceeded budget, 2 usage error.  Each distinct warning,
+such as a catalog outside the cross-checked range, is one ``warning:`` line
+on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import warnings
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from .admissible import dimension, enumerate_maximal, render_diagram
 from .orbit_engine import (
@@ -204,6 +208,11 @@ def _verify_strata(args) -> int:
 
 def _verify_subregular(args) -> int:
     n, p = args.n, args.p
+    if n < 3:
+        # The subregular dimension N - floor(n/2) - 2 is negative.
+        raise UsageError(
+            f"suite subregular needs n >= 3: no subregular orbit exists "
+            f"for n={n}")
     total = n * (n - 1) // 2
     target = total - n // 2 - 2
     checks = 0
@@ -321,6 +330,18 @@ def _emit(args, payload: object) -> None:
         print(text)
 
 
+@contextmanager
+def _one_line_warnings() -> Iterator[None]:
+    """Print each distinct warning raised inside once, as one ``warning:``
+    line on stderr, when the block ends or fails."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            yield
+        finally:
+            for text in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {text}", file=sys.stderr)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -329,10 +350,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        check_dimension(args.n)
-        if getattr(args, "p", None) is not None:
-            _check_prime(args.p)
-        _emit(args, args.func(args))
+        with _one_line_warnings():
+            check_dimension(args.n)
+            if getattr(args, "p", None) is not None:
+                _check_prime(args.p)
+            payload = args.func(args)
+        _emit(args, payload)
     except (UsageError, InvalidDimension, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

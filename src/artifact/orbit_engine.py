@@ -12,7 +12,9 @@ digits, the greatest root (n, 1) most significant, and an orbit is the
 sorted array of its codes, so p^(n(n-1)/2) may not pass 2^63.  An orbit's
 canonical form is its least point read from the greatest root down, its
 least code, and whether that point is canonical depends only on its
-support, looked up in one table, the same for every p.
+support, looked up in one table, the same for every p.  Only the functions
+of this packed search import numpy, each where it runs, so the package and
+every command that never searches start without it.
 
 ``coadjoint_act`` reads each group element through a sparse view, the
 nonzero entries of its columns and of its inverse's rows, built once with
@@ -30,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from ._poly import coerce_scalar, substitute
 from .admissible import AdmissibleSubset, dimension, enumerate_maximal
@@ -324,6 +324,7 @@ def _generator_moves(n: int, p: int,
     g writes the other roots of its images, and reads the basis forms whose
     images hold a written root.  The root places come from the per-n
     ``_root_index`` and the place values from one powers vector."""
+    import numpy as np
     roots = positive_roots(n)
     size = len(roots)
     if generators is None:
@@ -385,6 +386,7 @@ def _check_codes_fit(n: int, p: int) -> None:
 def _digits(codes, n: int, p: int) -> np.ndarray:
     """The digit rows of packed codes, one row for one code: a code is the
     C-order index of its row in shape (p,) * N, digit k the value at root k."""
+    import numpy as np
     return np.stack(np.unravel_index(codes, (p,) * (n * (n - 1) // 2)),
                     axis=-1)
 
@@ -450,6 +452,7 @@ def _check_space_budget(stage: str, n: int, p: int) -> None:
 def _union(arrays: List[np.ndarray]) -> np.ndarray:
     """The sorted distinct codes of the arrays, by a sort: np.unique's int64
     hash path is an order of magnitude slower."""
+    import numpy as np
     codes = np.sort(np.concatenate(arrays))
     keep = np.ones(len(codes), dtype=bool)
     keep[1:] = codes[1:] != codes[:-1]
@@ -509,6 +512,7 @@ def orbit_bfs(f: LinearForm,
     _check_prime(p)
     _check_codes_fit(n, p)
     limit = _budget_value()
+    import numpy as np
     codes = np.array([_encode(f)], dtype=np.int64)
     moves = _default_moves(n, p) if generators is None else \
         _generator_moves(n, p, generators)
@@ -530,6 +534,7 @@ def all_orbits(n: int, p: int) -> List[Orbit]:
     check_dimension(n)
     _check_prime(p)
     _check_space_budget("all_orbits", n, p)
+    import numpy as np
     free = np.ones(p ** (n * (n - 1) // 2), dtype=bool)
     # Moves rebuilt per orbit: perfbench TestTracer pins 9·orbits acts here.
     generators = _generators(n, p)
@@ -791,6 +796,7 @@ def subregular_classify(target) -> SubregularRecord:
     if f.p is not None:
         p = f.p
         _check_space_budget("subregular cut", n, p)
+        import numpy as np
         # Only the digits the system reads are decoded, by place value, and
         # each further equation is evaluated only on the codes the earlier
         # ones kept.

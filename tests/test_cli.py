@@ -1,9 +1,14 @@
 """End-to-end tests for the command line interface."""
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from artifact.admissible import enumerate_maximal
 from artifact.cli import main
 
 
@@ -37,6 +42,31 @@ class TestDiagrams:
                            "--maximal-only", "--json")
         assert code == 0
         assert len(json.loads(out)["result"]) == 2
+
+    def test_unverified_catalog_is_one_warning_line(self, capsys,
+                                                    monkeypatch):
+        from artifact import cli
+
+        real = cli.dimension
+
+        # The same warning raised again from another place is shown once.
+        def dimension(s):
+            cli.enumerate_maximal(s.n)
+            return real(s)
+
+        monkeypatch.setattr(cli, "dimension", dimension)
+        code, out, err = run(capsys, "diagrams", "--n", "8")
+        assert code == 0
+        assert out.startswith("label 8,0,1  dim 24\n")
+        assert err == ("warning: catalog for n = 8 is outside the "
+                       "cross-checked range\n")
+
+    def test_warning_precedes_the_error_and_keeps_its_code(self, capsys):
+        assert run(capsys, "canonical", "--n", "8", "--label", "8,0,1",
+                   "--c", "{}") == (
+            2, "", "warning: catalog for n = 8 is outside the "
+                   "cross-checked range\n"
+                   "error: missing value for pick Root(8,1)\n")
 
 
 class TestGenerators:
@@ -155,9 +185,19 @@ class TestVerify:
             0, "suite subregular: 3 checks passed\n", "")
 
     def test_no_subregular_diagrams(self, capsys):
+        # The subregular dimension N - floor(n/2) - 2 is negative for n = 2,
+        # so the suite does not apply there: a usage error.
         assert run(capsys, "verify", "--suite", "subregular",
                    "--n", "2", "--p", "2") == (
-            1, "", "check failed: no subregular diagrams for n=2\n")
+            2, "", "error: suite subregular needs n >= 3: no subregular "
+                   "orbit exists for n=2\n")
+
+    def test_subregular_at_n3(self, capsys):
+        # (3, 1, 1), of dimension 0 = 3 - 1 - 2, is the one subregular
+        # diagram at n = 3.
+        assert run(capsys, "verify", "--suite", "subregular",
+                   "--n", "3", "--p", "2") == (
+            0, "suite subregular: 1 checks passed\n", "")
 
     def test_census_identities_can_fail(self, capsys, monkeypatch):
         # Every orbit labelled by one diagram breaks both identities.
@@ -179,6 +219,10 @@ class TestVerify:
          "ideal of (3, 0, 1) is not Poisson-closed"),
         ("strata", "stratum", lambda f, _n=itertools.count(): next(_n),
          "stratum is not constant on an orbit"),
+        # A catalog without its subregular diagram (3, 1, 1).
+        ("subregular", "enumerate_maximal",
+         lambda n: enumerate_maximal(n)[:1],
+         "no subregular diagrams for n=3"),
     ])
     def test_failed_suite_is_one_line(self, capsys, monkeypatch, suite,
                                       name, fake, message):
@@ -280,3 +324,48 @@ class TestBoundaryValidation:
         assert out == ""
         assert err == ("check failed: census at n=3, p=2: an orbit of 1 "
                        "states has 2 canonical members, not 1\n")
+
+
+class TestStartupWithoutNumpy:
+    # Only the finite-field orbit search imports numpy, so the package and
+    # every symbolic command run in a fresh interpreter without loading it.
+    SYMBOLIC = [
+        ["diagrams", "--n", "7"],
+        ["generators", "--n", "5", "--label", "5,1,1"],
+        ["canonical", "--n", "5", "--label", "5,1,1",
+         "--c", '{"4,1": 1, "5,2": 2, "5,4": 3}'],
+        ["verify", "--suite", "ideals", "--n", "5"],
+        ["verify", "--suite", "polarizations", "--n", "5"],
+    ]
+    CENSUS = ["census", "--n", "3", "--p", "2", "--json"]
+    CHILD = """
+import contextlib, io, json, sys
+steps = []
+import artifact
+steps.append(["import artifact", 0, "numpy" in sys.modules])
+import artifact.cli
+steps.append(["import artifact.cli", 0, "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]) + [json.loads(sys.argv[2])]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = artifact.cli.main(argv)
+    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(steps))
+print(out.getvalue(), end="")
+"""
+
+    def test_only_the_orbit_search_loads_numpy(self, capsys):
+        src = Path(__file__).resolve().parents[1] / "src"
+        child = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(self.SYMBOLIC),
+             json.dumps(self.CENSUS)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120, check=True)
+        steps_line, census_out = child.stdout.split("\n", 1)
+        steps = json.loads(steps_line)
+        assert steps[:-1] == [
+            [name, 0, False] for name in
+            ["import artifact", "import artifact.cli"]
+            + [" ".join(argv) for argv in self.SYMBOLIC]]
+        assert steps[-1] == [" ".join(self.CENSUS), 0, True]
+        assert census_out == run(capsys, *self.CENSUS)[1]
