@@ -1,11 +1,10 @@
 """Sparse multivariate polynomials and monomial-denominator fractions.
 
-Coefficients live either in the rationals (field marker ``p is None``,
-coefficients are ints when integral and ``fractions.Fraction`` otherwise)
-or in the prime field of size ``p`` (coefficients are ints reduced mod p).
-Variables are identified by hashable tuple keys such as ``("y", 4, 1)``
-and ``("c", 4, 1)``; a monomial is a sorted tuple of ``(key, exponent)``
-pairs.
+Coefficients are rationals: ints when integral, ``fractions.Fraction``
+otherwise.  A prime enters only at evaluation, where ``coerce_scalar`` and
+``substitute`` reduce each coefficient mod p.  Variables are identified by
+hashable tuple keys such as ``("y", 4, 1)`` and ``("c", 4, 1)``; a
+monomial is a sorted tuple of ``(key, exponent)`` pairs.
 """
 from __future__ import annotations
 
@@ -13,22 +12,22 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
+__all__ = [
+    "FieldMismatch", "LocalizedPolynomial", "Polynomial", "as_fraction",
+    "coerce_scalar", "poly_text", "substitute",
+]
+
 VarKey = Tuple
 Monomial = Tuple[Tuple[VarKey, int], ...]
 
 
 class FieldMismatch(TypeError):
-    """Operands (or an evaluation point) live over different fields."""
-
-
-def check_field(p: Optional[int], q: Optional[int]) -> None:
-    """Raise FieldMismatch unless the fields p and q are the same."""
-    if p != q:
-        raise FieldMismatch(f"mixed coefficient fields: {p} vs {q}")
+    """A rational has no residue mod p: p divides its denominator."""
 
 
 def coerce_scalar(value, p: Optional[int]):
-    """Convert an int or Fraction into the coefficient field."""
+    """An int or Fraction as a rational (``p is None``) or as its residue
+    mod the prime p."""
     if isinstance(value, Fraction):
         if p is None:
             return value
@@ -39,12 +38,6 @@ def coerce_scalar(value, p: Optional[int]):
     if isinstance(value, int):
         return Fraction(value) if p is None else value % p
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
-
-
-def scalar_inverse(value, p: Optional[int]):
-    if p is None:
-        return Fraction(1) / value
-    return pow(value, -1, p)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -109,42 +102,38 @@ class Polynomial(_Element):
     ``terms`` maps a monomial to its nonzero coefficient.
     """
 
-    __slots__ = ("terms", "p", "_hash")
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Dict[Monomial, object], p: Optional[int] = None):
-        # Over Q an integral coefficient is stored as an int: it equals,
-        # hashes and prints like the Fraction it stands for, and int
-        # arithmetic is far cheaper.
+    def __init__(self, terms: Dict[Monomial, object]):
+        # An integral coefficient is stored as an int: it equals, hashes
+        # and prints like the Fraction it stands for, and int arithmetic is
+        # far cheaper.
         clean = {}
         for mono, coef in terms.items():
-            if type(coef) is int:
-                if p is not None:
-                    coef %= p
-            else:
-                if p is not None or type(coef) is not Fraction:
-                    coef = coerce_scalar(coef, p)
+            if type(coef) is not int:
+                if type(coef) is not Fraction:
+                    coef = coerce_scalar(coef, None)
                 if coef.denominator == 1:
                     coef = coef.numerator
             if coef:
                 clean[mono] = coef
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "p", p)
         object.__setattr__(self, "_hash", None)
 
     # --- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, p: Optional[int] = None) -> "Polynomial":
-        """The zero of the field: one shared instance per p."""
-        return _shared(_ZEROS, {}, p)
+    def zero(cls) -> "Polynomial":
+        """The zero polynomial: one shared instance."""
+        return _ZERO
 
     @classmethod
-    def one(cls, p: Optional[int] = None) -> "Polynomial":
-        """The one of the field: one shared instance per p."""
-        return _shared(_ONES, {(): 1}, p)
+    def one(cls) -> "Polynomial":
+        """The constant one: one shared instance."""
+        return _ONE
 
     @classmethod
-    def variable(cls, key, p: Optional[int] = None) -> "Polynomial":
-        return cls({((tuple(key), 1),): 1}, p)
+    def variable(cls, key) -> "Polynomial":
+        return cls({((tuple(key), 1),): 1})
 
     # --- inspection ---------------------------------------------------
     def variables(self):
@@ -171,16 +160,14 @@ class Polynomial(_Element):
                     exp, rest = e, mono[:i] + mono[i + 1:]
                     break
             parts.setdefault(exp, {})[rest] = coef
-        return {exp: Polynomial(terms, self.p)
-                for exp, terms in parts.items()}
+        return {exp: Polynomial(terms) for exp, terms in parts.items()}
 
     # --- arithmetic ---------------------------------------------------
     def _coerce_operand(self, other) -> Optional["Polynomial"]:
         if isinstance(other, Polynomial):
-            check_field(self.p, other.p)
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial({(): other}, self.p)
+            return Polynomial({(): other})
         return None
 
     def __add__(self, other):
@@ -190,15 +177,15 @@ class Polynomial(_Element):
         out = dict(self.terms)
         for mono, coef in other.terms.items():
             out[mono] = out.get(mono, 0) + coef
-        return Polynomial(out, self.p)
+        return Polynomial(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()}, self.p)
+        return Polynomial({m: -c for m, c in self.terms.items()})
 
     def _scaled(self, k) -> "Polynomial":
-        return Polynomial({m: c * k for m, c in self.terms.items()}, self.p)
+        return Polynomial({m: c * k for m, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce_operand(other)
@@ -214,7 +201,7 @@ class Polynomial(_Element):
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
                 out[mono] = out.get(mono, 0) + c1 * c2
-        return Polynomial(out, self.p)
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
@@ -222,7 +209,7 @@ class Polynomial(_Element):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a nonnegative int")
         if exp == 0:
-            return Polynomial.one(self.p)
+            return Polynomial.one()
         # Start from the base and square only while bits remain.
         result, base = None, self
         while True:
@@ -232,19 +219,19 @@ class Polynomial(_Element):
             if not exp:
                 break
             base = base * base
-        return Polynomial(self.terms, self.p) if result is self else result
+        return Polynomial(self.terms) if result is self else result
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.p == other.p and self.terms == other.terms
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self == Polynomial({(): other}, self.p)
+            return self == Polynomial({(): other})
         return NotImplemented
 
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.p, frozenset(self.terms.items())))
+            h = hash(frozenset(self.terms.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -266,30 +253,27 @@ class Polynomial(_Element):
             if q is None:
                 raise ValueError("monomial does not divide every term")
             out[q] = c
-        return Polynomial(out, self.p)
+        return Polynomial(out)
 
 
-_ZEROS: Dict[Optional[int], Polynomial] = {}
-_ONES: Dict[Optional[int], Polynomial] = {}
-
-
-def _shared(table, terms, p: Optional[int]) -> Polynomial:
-    poly = table.get(p)
-    if poly is None:
-        poly = Polynomial(terms, p)
-        # A shared instance must not be changed through its term dict.
-        object.__setattr__(poly, "terms", MappingProxyType(poly.terms))
-        table[p] = poly
+def _frozen(terms) -> Polynomial:
+    poly = Polynomial(terms)
+    # A shared instance must not be changed through its term dict.
+    object.__setattr__(poly, "terms", MappingProxyType(poly.terms))
     return poly
+
+
+_ZERO, _ONE = _frozen({}), _frozen({(): 1})
 
 
 def substitute(poly: Polynomial, value, p: Optional[int] = None):
     """Sum of coef * prod value(key)**exp over the terms of ``poly``.
 
     ``value`` maps a variable key to a scalar, a numpy integer array or a
-    polynomial.  With a prime ``p`` the coefficients are taken mod p and
-    every product and sum is reduced mod p as soon as it is formed, so
-    int64 arrays of residues cannot overflow.
+    polynomial.  With a prime ``p`` the coefficients are taken mod p
+    (``FieldMismatch`` when p divides a denominator) and every product and
+    sum is reduced mod p as soon as it is formed, so int64 arrays of
+    residues cannot overflow.
     """
     total = coerce_scalar(0, p)
     for mono, coef in poly.terms.items():
@@ -312,7 +296,7 @@ def _var_text(key: VarKey) -> str:
 def poly_text(poly) -> str:
     """Canonical text form, e.g. ``1*y_2_1^2 + -1`` or ``1/2*y_2_1*y_3_1``."""
     if isinstance(poly, LocalizedPolynomial):
-        if poly.den == Polynomial.one(poly.den.p):
+        if poly.den == Polynomial.one():
             return poly_text(poly.num)
         return f"({poly_text(poly.num)}) / ({poly_text(poly.den)})"
     if poly.is_zero():
@@ -345,31 +329,23 @@ class LocalizedPolynomial(_Element):
         if not isinstance(num, Polynomial):
             raise TypeError("numerator must be a Polynomial")
         if den is None:
-            den = Polynomial.one(num.p)
+            den = Polynomial.one()
         if not isinstance(den, Polynomial):
-            den = Polynomial({(): den}, num.p)
-        check_field(num.p, den.p)
+            den = Polynomial({(): den})
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = Polynomial.one(num.p)
+            den = Polynomial.one()
         else:
             num, den = _reduce_fraction(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @property
-    def p(self):
-        return self.num.p
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def _coerce_operand(self, other) -> Optional["LocalizedPolynomial"]:
-        other = as_fraction(other, self.p)
-        if other is not None:
-            check_field(self.p, other.p)
-        return other
+        return as_fraction(other)
 
     def __add__(self, other):
         other = self._coerce_operand(other)
@@ -409,8 +385,6 @@ class LocalizedPolynomial(_Element):
         if isinstance(other, (Polynomial, int, Fraction)):
             other = self._coerce_operand(other)
         if isinstance(other, LocalizedPolynomial):
-            if self.p != other.p:
-                return False
             if self.num == other.num and self.den == other.den:
                 return True
             return self.num * other.den == other.num * self.den
@@ -422,15 +396,15 @@ class LocalizedPolynomial(_Element):
         return f"LocalizedPolynomial({poly_text(self)})"
 
 
-def as_fraction(x, p: Optional[int] = None):
-    """x as a fraction: an int or Fraction over the field p, a polynomial
-    over its own field; None for any other type."""
+def as_fraction(x):
+    """x, an int, Fraction, polynomial or fraction, as a fraction; None for
+    any other type."""
     if isinstance(x, LocalizedPolynomial):
         return x
     if isinstance(x, Polynomial):
         return LocalizedPolynomial(x)
     if isinstance(x, (int, Fraction)):
-        return LocalizedPolynomial(Polynomial({(): x}, p))
+        return LocalizedPolynomial(Polynomial({(): x}))
     return None
 
 
@@ -441,7 +415,7 @@ def _reduce_fraction(num: Polynomial, den: Polynomial):
         lead = den.terms[()]
         if lead == 1:
             return num, den
-        return num * scalar_inverse(lead, den.p), Polynomial.one(den.p)
+        return num * (Fraction(1) / lead), Polynomial.one()
 
     def content(poly: Polynomial) -> Dict[VarKey, int]:
         out: Optional[Dict[VarKey, int]] = None
@@ -465,7 +439,7 @@ def _reduce_fraction(num: Polynomial, den: Polynomial):
         den = den.div_mono(mono)
     _m, lead = den._leading()
     if lead != 1:
-        inv = scalar_inverse(lead, den.p)
+        inv = Fraction(1) / lead
         num = num * inv
         den = den * inv
     return num, den

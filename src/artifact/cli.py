@@ -3,9 +3,11 @@
 Subcommands: diagrams, generators, census, classify, canonical, verify.
 JSON output is an envelope {"result": ..., "seed": ...} printed with
 sorted keys so reruns are byte-identical.  Exit codes: 0 success,
-1 failed check or exceeded budget, 2 usage error.  Each distinct warning,
-such as a catalog outside the cross-checked range, is one ``warning:`` line
-on stderr.
+1 failed check or exceeded budget, 2 usage error, which includes a diagram
+whose column reduction is not supported (``UnsupportedColumn``: three n = 8
+diagrams, met by ``generators`` and the ideal and polarization suites).
+Each distinct warning, such as a catalog outside the cross-checked range,
+is one ``warning:`` line on stderr.
 """
 from __future__ import annotations
 
@@ -35,7 +37,8 @@ from .orbit_engine import (
 )
 from .root_system import InvalidDimension, check_dimension, \
     root_from_text, root_to_text
-from .symbolic import build_ideal, is_poisson_ideal, poly_text
+from .symbolic import UnsupportedColumn, build_ideal, is_poisson_ideal, \
+    poly_text
 
 __all__ = ["main"]
 
@@ -356,7 +359,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 _check_prime(args.p)
             payload = args.func(args)
         _emit(args, payload)
-    except (UsageError, InvalidDimension, InvalidInput) as exc:
+    except (UsageError, InvalidDimension, InvalidInput,
+            UnsupportedColumn) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

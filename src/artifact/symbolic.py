@@ -20,7 +20,6 @@ from ._poly import (
     LocalizedPolynomial,
     Polynomial,
     as_fraction,
-    check_field,
     coerce_scalar,
     poly_text,
     substitute,
@@ -56,24 +55,24 @@ class UnsupportedIdealShape(ValueError):
 
 # --- element constructors ----------------------------------------------
 
-def y_var(row: int, col: int, p: Optional[int] = None) -> Polynomial:
-    return Polynomial.variable(("y", row, col), p)
+def y_var(row: int, col: int) -> Polynomial:
+    return Polynomial.variable(("y", row, col))
 
 
-def c_var(root: Root, p: Optional[int] = None) -> Polynomial:
-    return Polynomial.variable(("c", root.row, root.col), p)
+def c_var(root: Root) -> Polynomial:
+    return Polynomial.variable(("c", root.row, root.col))
 
 
-def const(value, p: Optional[int] = None) -> Polynomial:
-    return Polynomial({(): value}, p)
+def const(value) -> Polynomial:
+    return Polynomial({(): value})
 
 
 def loc(num: Polynomial, den=None) -> LocalizedPolynomial:
     return LocalizedPolynomial(num, den)
 
 
-def _as_loc(x, p: Optional[int] = None) -> LocalizedPolynomial:
-    val = as_fraction(x, p)
+def _as_loc(x) -> LocalizedPolynomial:
+    val = as_fraction(x)
     if val is None:
         raise TypeError(f"cannot interpret {type(x).__name__} as an element")
     return val
@@ -94,7 +93,7 @@ def _partial(poly: Polynomial, key) -> Polynomial:
             d[key] = e - 1
         m2 = tuple(sorted(d.items()))
         out[m2] = out.get(m2, 0) + coef * e
-    return Polynomial(out, poly.p)
+    return Polynomial(out)
 
 
 def _quotient_partial(num: Polynomial, den: Polynomial, key) -> Polynomial:
@@ -119,15 +118,14 @@ def bracket(f, g):
         sum_{x, z} (a_x b - a b_x)(c_z d - c d_z) {y_x, y_z} / (b d)^2.
     """
     fl, gl = _as_loc(f), _as_loc(g)
-    check_field(fl.p, gl.p)
-    num = Polynomial.zero(fl.p)
+    num = Polynomial.zero()
     g_parts = _y_partials(gl)
     for x, f_x in _y_partials(fl).items():
         for z, g_z in g_parts.items():
             rb = root_bracket(x, z)
             if rb is not None:
                 sign, c = rb
-                num = num + f_x * g_z * y_var(c.row, c.col, fl.p) * sign
+                num = num + f_x * g_z * y_var(c.row, c.col) * sign
     if isinstance(f, Polynomial) and isinstance(g, Polynomial):
         return num
     return LocalizedPolynomial(num, (fl.den * gl.den) ** 2)
@@ -136,12 +134,9 @@ def bracket(f, g):
 # --- evaluation ---------------------------------------------------------
 
 def evaluate(expr, form):
-    """Evaluate at a linear form (an object with .p and .value(root)).
-
-    Rational expressions may be evaluated at finite-field forms (the
-    coefficients reduce mod p); a finite-field expression requires a form
-    over the same prime.
-    """
+    """Evaluate at a linear form (an object with .p and .value(root)): in
+    Q at a rational form, mod p at a form over F_p, where a coefficient
+    whose denominator p divides raises ``FieldMismatch``."""
     target = form.p
     if isinstance(expr, LocalizedPolynomial):
         num = evaluate(expr.num, form)
@@ -152,11 +147,7 @@ def evaluate(expr, form):
             return Fraction(num) / Fraction(den)
         return (num * pow(den, -1, target)) % target
     if not isinstance(expr, Polynomial):
-        expr = const(expr, target)
-    if expr.p is not None and expr.p != target:
-        raise FieldMismatch(
-            f"expression over p={expr.p} evaluated at a form over "
-            f"p={target}")
+        expr = const(expr)
 
     def value(key):
         if key[0] != "y":
@@ -185,13 +176,10 @@ def _substituted(poly: Polynomial, value) -> Tuple[Polynomial, Polynomial]:
     is not None becomes that value ((poly, 1) when none does): the terms
     are grouped by those exponents, a term with a zero value dropped, and
     the groups put over one denominator prod den_k^top_k."""
-    p = poly.p
     images = {key: image for key in poly.variables()
               if (image := value(key)) is not None}
     if not images:
-        return poly, Polynomial.one(p)
-    for image in images.values():
-        check_field(p, image.p)
+        return poly, Polynomial.one()
     groups: Dict[Tuple, Dict] = {}
     for mono, coef in poly.terms.items():
         free, keyed = [], []
@@ -210,7 +198,7 @@ def _substituted(poly: Polynomial, value) -> Tuple[Polynomial, Polynomial]:
             if image.num.terms and not image.den.is_constant()}
     acc: Dict = {}
     for keyed, terms in groups.items():
-        exps, part = dict(keyed), Polynomial(terms, p)
+        exps, part = dict(keyed), Polynomial(terms)
         for k, e in keyed:
             part = part * images[k].num ** e
         for k, top in tops.items():
@@ -218,9 +206,9 @@ def _substituted(poly: Polynomial, value) -> Tuple[Polynomial, Polynomial]:
                 part = part * images[k].den ** (top - exps.get(k, 0))
         for mono, coef in part.terms.items():
             acc[mono] = acc.get(mono, 0) + coef
-    return Polynomial(acc, p), math.prod(
+    return Polynomial(acc), math.prod(
         (images[k].den ** top for k, top in tops.items()),
-        start=Polynomial.one(p))
+        start=Polynomial.one())
 
 
 def _phi(val: LocalizedPolynomial, value) -> LocalizedPolynomial:
@@ -247,7 +235,7 @@ def _solve_for(poly: Polynomial, v: Root, invertible) -> Optional[Rule]:
     parts = poly.split_by(("y", v.row, v.col))
     if max(parts, default=0) != 1:
         return None
-    den, rest = parts[1], parts.get(0, Polynomial.zero(poly.p))
+    den, rest = parts[1], parts.get(0, Polynomial.zero())
     if all(r in invertible and lex_greater(r, v) for r in _y_roots(den)) \
             and all(lex_greater(r, v) for r in _y_roots(rest)):
         return Rule(v, den, rest)
@@ -259,26 +247,21 @@ class IdealHandle:
 
     def __init__(self, n: int, generators: List[Polynomial],
                  rules: Optional[Dict[Root, Rule]],
-                 invertible: Tuple[Root, ...], p: Optional[int] = None):
+                 invertible: Tuple[Root, ...]):
         self.n = n
         self.generators = list(generators)
         self.rules = rules
         self.invertible = tuple(invertible)
-        self.p = p
         self._values: Dict = {}  # phi(y) per coordinate's key
 
     @classmethod
     def from_generators(cls, n: int, generators, invertible=None
                         ) -> "IdealHandle":
-        """The handle over the generators' field (all must share it), Q for
-        an empty list; ``IdealHandle(n, [], {}, (), p)`` is the empty ideal
-        over F_p.  Each generator, reduced by the rules before it, gives the
-        rule of its least solvable root; the rules are None if one has none."""
+        """The handle of the generators: each generator, reduced by the rules
+        before it, gives the rule of its least solvable root; the rules are
+        None if one has none."""
         generators = list(generators)
-        p = generators[0].p if generators else None
-        out = cls(n, generators, {}, tuple(invertible or ()), p)
-        for gen in generators:
-            out._element(gen)
+        out = cls(n, generators, {}, tuple(invertible or ()))
         inv_set = set(out.invertible)
         for gen in generators:
             # Pivots are sought in the reduced form, whose leading
@@ -294,7 +277,7 @@ class IdealHandle:
                 if found is not None:
                     break
             if found is None:  # a fresh handle holds no rule and no phi
-                return cls(n, generators, None, out.invertible, p)
+                return cls(n, generators, None, out.invertible)
             out._values.clear()  # a value may hold the new rule's coordinate
             out.rules[found.root] = found
         return out
@@ -310,22 +293,16 @@ class IdealHandle:
             self._values[key] = _phi(rule.value, self._value)
         return self._values[key]
 
-    def _element(self, x) -> LocalizedPolynomial:
-        """x as an element over the handle's field, which it must be."""
-        val = _as_loc(x, self.p)
-        check_field(self.p, val.p)
-        return val
-
     def normal_form(self, x) -> LocalizedPolynomial:
         """phi(x), where the ring homomorphism phi sends each y to its
         fully substituted rule value."""
         if self.rules is None:
             raise UnsupportedIdealShape(
                 "generators did not triangularize; no normal form")
-        return _phi(self._element(x), self._value)
+        return _phi(_as_loc(x), self._value)
 
     def contains(self, x) -> bool:
-        val = self._element(x)
+        val = _as_loc(x)
         if val.num.is_zero():
             return True
         if self.rules is None:
@@ -344,13 +321,13 @@ class IdealHandle:
             return False
 
     def coordinate(self, root: Root) -> LocalizedPolynomial:
-        """phi(y_root) over the handle's field, computed once per handle:
-        a coordinate without a rule is its own image."""
+        """phi(y_root), computed once per handle: a coordinate without a
+        rule is its own image."""
         key = ("y", root.row, root.col)
         if root in (self.rules or {}):
             return self._value(key)
         if key not in self._values:
-            self._values[key] = loc(y_var(root.row, root.col, self.p))
+            self._values[key] = loc(y_var(root.row, root.col))
         return self._values[key]
 
 
@@ -360,8 +337,7 @@ def is_casimir_mod(z, handle: IdealHandle) -> bool:
     ``contains``, so one that is not identically zero raises
     ``UnsupportedIdealShape`` when the generators did not triangularize.
     """
-    field = _as_loc(z).p
-    return all(handle.contains(bracket(z, y_var(r.row, r.col, field)))
+    return all(handle.contains(bracket(z, y_var(r.row, r.col)))
                for r in positive_roots(handle.n))
 
 
@@ -417,7 +393,6 @@ def _series(val: LocalizedPolynomial, p_elt: LocalizedPolynomial,
             q_elt: LocalizedPolynomial, limit: int) -> LocalizedPolynomial:
     """sum_s (-1)^s/s! ad_p^s(val) q^s; the adjoint action must be
     nilpotent within ``limit`` steps."""
-    field = val.p
     acc = val
     cur = val
     factorial = 1
@@ -426,9 +401,6 @@ def _series(val: LocalizedPolynomial, p_elt: LocalizedPolynomial,
         if cur.num.is_zero():
             return acc
         factorial *= s
-        if field is not None and factorial % field == 0:
-            raise UnsupportedColumn(
-                f"series coefficient 1/{s}! undefined mod {field}")
         coef = Fraction((-1) ** s, factorial)
         acc = acc + cur * (q_elt ** s) * coef
     raise UnsupportedColumn("adjoint series did not terminate")
@@ -438,14 +410,14 @@ def _series(val: LocalizedPolynomial, p_elt: LocalizedPolynomial,
 # variable or of a whole value depends only on n (the series limit), the
 # pair and the input.  The pairs and values of ``reduce_columns`` are
 # y-polynomials over Q whatever the constants, so the n <= 7 catalogs bound
-# the memo.  Keys hold the polynomials, which carry their field, not
-# fractions, whose == cross-multiplies.
+# the memo.  Keys hold the polynomials, not fractions, whose ==
+# cross-multiplies.
 _TWISTS: Dict[Tuple, LocalizedPolynomial] = {}
 
 
 def _twist(n: int, pair, val: LocalizedPolynomial) -> LocalizedPolynomial:
-    """The image of val, over the pair's field, when each y goes to its
-    adjoint series under the canonical pair."""
+    """The image of val when each y goes to its adjoint series under the
+    canonical pair."""
     pl, ql = pair
     base = (n, pl.num, pl.den, ql.num, ql.den)
     val_key = base + (val.num, val.den)
@@ -458,8 +430,8 @@ def _twist(n: int, pair, val: LocalizedPolynomial) -> LocalizedPolynomial:
             return None
         var_key = base + (key,)
         if var_key not in _TWISTS:
-            _TWISTS[var_key] = _series(_as_loc(Polynomial.variable(
-                key, val.p)), pl, ql, n * n + 2)
+            _TWISTS[var_key] = _series(_as_loc(Polynomial.variable(key)),
+                                       pl, ql, n * n + 2)
         return _TWISTS[var_key]
 
     try:

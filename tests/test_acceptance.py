@@ -441,10 +441,11 @@ def test_criterion_10_regular_subregular():
 
 
 LIBRARY_MODULES = [f"artifact.{name}" for name in (
-    "root_system", "admissible", "symbolic", "char_matrix", "orbit_engine")]
+    "root_system", "admissible", "_poly", "symbolic", "char_matrix",
+    "orbit_engine")]
 
 
-@pytest.mark.parametrize("module", ["artifact"] + [
+@pytest.mark.parametrize("module", ["artifact", "artifact._poly"] + [
     f"artifact.{name}" for name in artifact.__all__])
 def test_every_export_resolves(module):
     # A star import raises AttributeError on a name in __all__ that the

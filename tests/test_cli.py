@@ -68,6 +68,18 @@ class TestDiagrams:
                    "cross-checked range\n"
                    "error: missing value for pick Root(8,1)\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "ideals", "--n", "8"),
+        ("verify", "--suite", "polarizations", "--n", "8"),
+        ("generators", "--n", "8", "--label", "8,4,9"),
+    ])
+    def test_unsupported_column_is_a_usage_error(self, capsys, argv):
+        # 8,4,9 has two crosses in column 4, outside the column reduction.
+        assert run(capsys, *argv) == (
+            2, "", "warning: catalog for n = 8 is outside the "
+                   "cross-checked range\n"
+                   "error: two crosses in column 4: Root(8,4), Root(6,4)\n")
+
 
 class TestGenerators:
     def test_json(self, capsys):

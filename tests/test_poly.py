@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import _poly
 from artifact._poly import (
+    FieldMismatch,
     LocalizedPolynomial,
     Polynomial,
     coerce_scalar,
@@ -14,7 +15,6 @@ from artifact._poly import (
 )
 from artifact.symbolic import _phi, y_var
 
-FIELDS = (None, 3, 7)
 KEYS = (("y", 2, 1), ("y", 3, 1), ("c", 3, 1))
 
 
@@ -23,15 +23,18 @@ def _mono(exps):
 
 
 @st.composite
-def polys(draw, p, max_terms=4, max_exp=3, allow_zero=True):
-    coef = (st.fractions(min_value=-4, max_value=4, max_denominator=3)
-            if p is None else st.integers(0, p - 1))
+def polys(draw, max_terms=4, max_exp=3, allow_zero=True, p=None):
+    """A polynomial over Q; with a prime p, one whose every coefficient has
+    a residue mod p."""
+    coef = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    if p is not None:
+        coef = coef.filter(lambda c: c.denominator % p)
     terms = draw(st.dictionaries(
         st.tuples(*[st.integers(0, max_exp)] * len(KEYS)).map(_mono), coef,
         min_size=0 if allow_zero else 1, max_size=max_terms))
-    poly = Polynomial(terms, p)
+    poly = Polynomial(terms)
     if not allow_zero and poly.is_zero():
-        poly = Polynomial.one(p) + Polynomial.variable(KEYS[0], p)
+        poly = Polynomial.one() + Polynomial.variable(KEYS[0])
     return poly
 
 
@@ -45,7 +48,7 @@ def _reference_mul(a, b):
                 merged[key] = merged.get(key, 0) + e
             mono = tuple(sorted(merged.items()))
             out[mono] = out.get(mono, 0) + c1 * c2
-    return Polynomial(out, a.p)
+    return Polynomial(out)
 
 
 def _coefficient_of(poly, key, exp):
@@ -56,7 +59,7 @@ def _coefficient_of(poly, key, exp):
         if d.get(key, 0) == exp:
             d.pop(key, None)
             out[tuple(sorted(d.items()))] = coef
-    return Polynomial(out, poly.p)
+    return Polynomial(out)
 
 
 def _reference_subst(poly, key, rep):
@@ -65,7 +68,7 @@ def _reference_subst(poly, key, rep):
               default=0)
     if top == 0:
         return LocalizedPolynomial(poly)
-    acc = Polynomial.zero(poly.p)
+    acc = Polynomial.zero()
     for exp in range(top + 1):
         part = _coefficient_of(poly, key, exp)
         if part.is_zero():
@@ -88,15 +91,13 @@ def _reference_substitute(poly, value, p=None):
 
 
 class TestPower:
-    @pytest.mark.parametrize("p", FIELDS)
     @settings(max_examples=25)
-    @given(data=st.data())
-    def test_power_is_repeated_product(self, p, data):
-        a = data.draw(polys(p, max_terms=3, max_exp=2))
-        expected = Polynomial.one(p)
+    @given(polys(max_terms=3, max_exp=2))
+    def test_power_is_repeated_product(self, a):
+        expected = Polynomial.one()
         for k in range(7):
             got = a ** k
-            assert got == expected and got.p == p, k
+            assert got == expected, k
             assert got is not a
             expected = _reference_mul(expected, a)
 
@@ -107,18 +108,14 @@ class TestPower:
 
 
 class TestConstantProduct:
-    @pytest.mark.parametrize("p", FIELDS)
     @settings(max_examples=30)
-    @given(data=st.data())
-    def test_constant_on_either_side(self, p, data):
-        a = data.draw(polys(p))
-        k = data.draw(st.integers(-5, 5) if p else
-                      st.fractions(min_value=-5, max_value=5,
-                                   max_denominator=4))
-        c = Polynomial({(): k}, p)
+    @given(polys(), st.integers(-5, 5) | st.fractions(
+        min_value=-5, max_value=5, max_denominator=4))
+    def test_constant_on_either_side(self, a, k):
+        c = Polynomial({(): k})
         expected = _reference_mul(c, a)
         for got in (c * a, a * c, k * a, a * k):
-            assert got == expected and got.p == p
+            assert got == expected
             assert got is not a and got is not c
 
     def test_constant_denominator_is_scaled_away(self):
@@ -126,47 +123,41 @@ class TestConstantProduct:
         frac = LocalizedPolynomial(num, Polynomial({(): 6}))
         assert frac.num == num * Fraction(1, 6)
         assert frac.den == Polynomial.one()
-        frac = LocalizedPolynomial(y_var(2, 1, 7) * 3, Polynomial({(): 3}, 7))
-        assert frac.num == y_var(2, 1, 7) and frac.den == Polynomial.one(7)
 
 
 class TestSubstitutionSplit:
-    @pytest.mark.parametrize("p", FIELDS)
     @settings(max_examples=25)
-    @given(data=st.data())
-    def test_split_by_matches_coefficients(self, p, data):
-        poly = data.draw(polys(p))
-        key = data.draw(st.sampled_from(KEYS))
+    @given(polys(), st.sampled_from(KEYS))
+    def test_split_by_matches_coefficients(self, poly, key):
         parts = poly.split_by(key)
         assert all(not part.is_zero() for part in parts.values())
         for exp in range(5):
-            assert parts.get(exp, Polynomial.zero(p)) == \
+            assert parts.get(exp, Polynomial.zero()) == \
                 _coefficient_of(poly, key, exp)
 
-    @pytest.mark.parametrize("p", FIELDS)
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_matches_per_exponent_formula(self, p, data):
+    def test_matches_per_exponent_formula(self, data):
         # Several keys at once against one key at a time, each value free
         # of every substituted key.  The reduced fraction is canonical for
         # one key or monomial denominators; otherwise the cascade may keep
         # a common factor that cancellation left behind, so only the values
         # are compared.
-        poly = data.draw(polys(p))
+        poly = data.draw(polys())
         keys = data.draw(st.lists(st.sampled_from(KEYS), min_size=1,
                                   max_size=len(KEYS), unique=True))
 
         def free(q):
             return Polynomial({m: c for m, c in q.terms.items()
-                               if not any(k in keys for k, _e in m)}, p)
+                               if not any(k in keys for k, _e in m)})
 
         images = {}
         for key in keys:
-            num = free(data.draw(polys(p, max_terms=3, max_exp=1)))
+            num = free(data.draw(polys(max_terms=3, max_exp=1)))
             den = free(data.draw(
-                polys(p, max_terms=2, max_exp=1, allow_zero=False)))
+                polys(max_terms=2, max_exp=1, allow_zero=False)))
             images[key] = LocalizedPolynomial(
-                num, Polynomial.one(p) if den.is_zero() else den)
+                num, Polynomial.one() if den.is_zero() else den)
         got = _phi(LocalizedPolynomial(poly), images.get)
         expected = LocalizedPolynomial(poly)
         for key in keys:
@@ -179,11 +170,12 @@ class TestSubstitutionSplit:
 
 
 class TestSubstitute:
-    @pytest.mark.parametrize("p", FIELDS)
+    # p is the prime substitute reduces mod; None keeps the sum in Q.
+    @pytest.mark.parametrize("p", (None, 3, 7))
     @settings(max_examples=30)
     @given(data=st.data())
     def test_int_zero_values_match_full_sum(self, p, data):
-        poly = data.draw(polys(p))
+        poly = data.draw(polys(p=p))
         # y_2_1 goes to the int 0, as triangular_system sends every y off
         # the picks; y_3_1 to an int; c_3_1 stays symbolic over Q, as
         # there, and goes to an int mod p.
@@ -193,9 +185,14 @@ class TestSubstitute:
                  else data.draw(ints)}
         got = substitute(poly, point.__getitem__, p)
         assert got == _reference_substitute(poly, point.__getitem__, p)
+        if p is not None:
+            # Every coefficient has a residue mod p and every value is an
+            # int, so the value mod p is the rational value reduced mod p.
+            assert got == coerce_scalar(
+                substitute(poly, point.__getitem__), p)
 
     @settings(max_examples=20)
-    @given(polys(7))
+    @given(polys(p=7))
     def test_numpy_values_unchanged(self, poly):
         columns = np.array([[0, 1, 2, 0], [3, 0, 6, 0], [0, 0, 5, 1]],
                            dtype=np.int64)
@@ -207,6 +204,14 @@ class TestSubstitute:
         expected = _reference_substitute(poly, value, 7)
         assert np.array_equal(np.broadcast_to(got, (4,)),
                               np.broadcast_to(expected, (4,)))
+
+    def test_coefficient_without_residue_is_refused(self):
+        # 1/2 has no residue mod 2, whatever the point; mod 3 it is 2.
+        half = Polynomial({(): Fraction(1, 2)}) * y_var(2, 1) + 1
+        for x in (0, 1):
+            with pytest.raises(FieldMismatch):
+                substitute(half, lambda key: x, 2)
+        assert substitute(half, lambda key: 1, 3) == 0
 
 
 class TestWorkCounts:
@@ -244,10 +249,9 @@ class TestFractionEquality:
 
 
 class TestReflectedSubtraction:
-    @pytest.mark.parametrize("p", [None, 3])
     @pytest.mark.parametrize("k", [2, Fraction(1, 2)])
-    def test_scalar_minus_element(self, p, k):
-        x, y = y_var(2, 1, p), y_var(3, 1, p)
+    def test_scalar_minus_element(self, k):
+        x, y = y_var(2, 1), y_var(3, 1)
         for a in (x * y + 1, LocalizedPolynomial(x + 1, y)):
             diff = k - a
             assert type(diff) is type(a)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from artifact._poly import coerce_scalar
 from artifact.root_system import Root, positive_roots
 from artifact.admissible import AdmissibleSubset, build_admissible
 from artifact.symbolic import (
@@ -34,8 +35,8 @@ from artifact.symbolic import _as_loc, _solve_for, _twist
 from conftest import ANCHOR_634, CATALOG3, CATALOG5, R, b_chain
 
 
-def y(i, j, p=None):
-    return y_var(i, j, p)
+def y(i, j):
+    return y_var(i, j)
 
 
 class NotCanonicalPair(ValueError):
@@ -49,10 +50,7 @@ def tilde_map(x, p_elt, q_elt, ideal):
     if not ideal.contains(bracket(pl, ql) - 1):
         raise NotCanonicalPair(
             "the pair's bracket is not one modulo the ideal")
-    val = _as_loc(x, pl.p)
-    if val.p != pl.p:
-        raise FieldMismatch(f"mixed coefficient fields: {val.p} vs {pl.p}")
-    return _twist(ideal.n, (pl, ql), val)
+    return _twist(ideal.n, (pl, ql), _as_loc(x))
 
 
 class TestPolynomialCore:
@@ -68,14 +66,6 @@ class TestPolynomialCore:
         assert poly_text(y(3, 1) * y(2, 1) * const(Fraction(1, 2))) == \
             "1/2*y_2_1*y_3_1"
         assert poly_text(Polynomial.zero()) == "0"
-
-    def test_finite_field_reduction(self):
-        a = y(2, 1, p=3)
-        assert a + a + a == Polynomial.zero(p=3)
-
-    def test_field_mismatch(self):
-        with pytest.raises(FieldMismatch):
-            y(2, 1, p=3) + y(2, 1)
 
     def test_localized_reduction(self):
         l = loc(y(2, 1) * y(3, 1), y(3, 1))
@@ -97,18 +87,22 @@ class TestCoefficientRepresentation:
         assert type((half * 2).terms[()]) is int
         assert poly_text(half * 2) == "1"
 
+    # p is the prime of coerce_scalar, which takes a form's values into
+    # an evaluation; None keeps them in Q, as a polynomial does.
     @pytest.mark.parametrize("p", [None, 7])
     def test_other_types_rejected(self, p):
         import numpy as np
 
         for bad in (1.5, 2.0, np.int64(3)):
             with pytest.raises(TypeError):
-                Polynomial({(): bad}, p)
+                coerce_scalar(bad, p)
+            with pytest.raises(TypeError):
+                Polynomial({(): bad})
 
     def test_denominator_vanishing_mod_p(self):
         with pytest.raises(FieldMismatch):
-            Polynomial({(): Fraction(1, 7)}, 7)
-        assert Polynomial({(): Fraction(1, 2)}, 7).terms[()] == 4
+            coerce_scalar(Fraction(1, 7), 7)
+        assert coerce_scalar(Fraction(1, 2), 7) == 4
 
 
 class TestBracket:
@@ -171,17 +165,17 @@ def _bracket_reference(f, g):
     from artifact.symbolic import _as_loc, _partial
 
     def poly_bracket(f, g):
-        out = Polynomial.zero(f.p)
+        out = Polynomial.zero()
         for x in f.variables():
             for z in g.variables():
                 if x[0] != "y" or z[0] != "y":
                     continue
                 (_, i, j), (_, k, l) = x, z
-                base = Polynomial.zero(f.p)
+                base = Polynomial.zero()
                 if j == k:
-                    base = base + y(i, l, f.p)
+                    base = base + y(i, l)
                 if l == i:
-                    base = base - y(k, j, f.p)
+                    base = base - y(k, j)
                 out = out + _partial(f, x) * _partial(g, z) * base
         return out
 
@@ -195,17 +189,17 @@ def _bracket_reference(f, g):
 
 
 @st.composite
-def _bracket_operand(draw, p):
+def _bracket_operand(draw):
     roots = sorted(positive_roots(4))
 
     def poly(max_terms):
-        out = Polynomial.zero(p)
+        out = Polynomial.zero()
         for _ in range(draw(st.integers(1, max_terms))):
-            term = const(draw(st.integers(-2, 2)), p)
+            term = const(draw(st.integers(-2, 2)))
             if draw(st.integers(0, 3)) == 0:
-                term = term * c_var(draw(st.sampled_from(roots)), p)
+                term = term * c_var(draw(st.sampled_from(roots)))
             for r in draw(st.lists(st.sampled_from(roots), max_size=2)):
-                term = term * y(r.row, r.col, p)
+                term = term * y(r.row, r.col)
             out = out + term
         return out
 
@@ -213,22 +207,20 @@ def _bracket_operand(draw, p):
     kind = draw(st.sampled_from(["poly", "monomial", "sum", "drawn"]))
     if kind == "poly":
         return num
-    den = {"monomial": y(3, 1, p) * y(4, 3, p),
-           "sum": y(3, 2, p) + y(2, 1, p),
+    den = {"monomial": y(3, 1) * y(4, 3),
+           "sum": y(3, 2) + y(2, 1),
            "drawn": poly(2)}[kind]
-    return loc(num, den if not den.is_zero() else y(4, 2, p))
+    return loc(num, den if not den.is_zero() else y(4, 2))
 
 
 class TestBracketQuotientSum:
     @settings(max_examples=80)
-    @given(st.sampled_from([None, 3]).flatmap(
-        lambda p: st.tuples(_bracket_operand(p), _bracket_operand(p))))
-    def test_matches_four_term_expansion(self, operands):
-        f, g = operands
+    @given(_bracket_operand(), _bracket_operand())
+    def test_matches_four_term_expansion(self, f, g):
         got, want = bracket(f, g), _bracket_reference(f, g)
         assert type(got) is type(want)
         if isinstance(want, Polynomial):
-            assert got.terms == want.terms and got.p == want.p
+            assert got.terms == want.terms
         else:
             assert (got.num, got.den) == (want.num, want.den)
             assert poly_text(got) == poly_text(want)
@@ -241,12 +233,6 @@ class TestBracketQuotientSum:
                      (loc(y(3, 2), y(3, 1)), loc(y(4, 2), den * y(4, 1)))]:
             got, want = bracket(f, g), _bracket_reference(f, g)
             assert (got.num, got.den) == (want.num, want.den)
-
-    def test_mixed_fields_rejected(self):
-        with pytest.raises(FieldMismatch):
-            bracket(y(2, 1), y(3, 2, 3))
-        with pytest.raises(FieldMismatch):
-            bracket(loc(y(2, 1, 3)), y(3, 2))
 
 
 class TestEvaluate:
@@ -261,7 +247,7 @@ class TestEvaluate:
         from artifact.orbit_engine import LinearForm
 
         f = LinearForm(3, 3, {R(3, 1): 2, R(2, 1): 2})
-        p = y(3, 1, p=3) * y(2, 1, p=3)
+        p = y(3, 1) * y(2, 1)
         assert evaluate(p, f) == 1
 
     def test_rational_poly_at_finite_form(self):
@@ -271,11 +257,14 @@ class TestEvaluate:
         assert evaluate(y(3, 1), f) == 2
 
     def test_field_mismatch(self):
+        # 1/5 has no residue mod 5, so the value at an F_5 form is refused;
+        # at an F_3 form 1/5 is 2.
         from artifact.orbit_engine import LinearForm
 
-        f = LinearForm(3, 5, {R(3, 1): 2})
+        expr = const(Fraction(1, 5)) * y(3, 1)
         with pytest.raises(FieldMismatch):
-            evaluate(y(3, 1, p=3), f)
+            evaluate(expr, LinearForm(3, 5, {R(3, 1): 2}))
+        assert evaluate(expr, LinearForm(3, 3, {R(3, 1): 2})) == 1
 
     def test_localized(self):
         from artifact.orbit_engine import LinearForm
@@ -288,7 +277,7 @@ class TestEvaluate:
     def test_one_evaluator_agrees(self, kind):
         import numpy as np
 
-        from artifact._poly import coerce_scalar, substitute
+        from artifact._poly import substitute
         from artifact.orbit_engine import LinearForm
 
         # 1/2*y21*y31^2 + 3*y32 - 1 is 37/2 at this point; a coefficient
@@ -349,15 +338,6 @@ class TestIdealHandle:
         nf = i.normal_form(y(3, 1) * y(3, 1))
         assert nf == loc(const(4), const(1))
 
-    def test_element_over_another_field_is_refused(self):
-        # The field check comes before the zero shortcut of contains.
-        i = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
-        for x in (y(2, 1, 3), Polynomial.zero(3), y(3, 1, 3) - const(2, 3)):
-            for check in (i.contains, i.normal_form):
-                with pytest.raises(FieldMismatch) as info:
-                    check(x)
-                assert str(info.value) == "mixed coefficient fields: None vs 3"
-
 
 class TestSolveFor:
     """The one triangular solve step: den * y_v + rest = 0 with every y
@@ -391,13 +371,6 @@ class TestCasimir:
         zero = IdealHandle.from_generators(3, [])
         assert is_casimir_mod(y(3, 1), zero)
         assert not is_casimir_mod(y(2, 1), zero)
-
-    def test_center_element_over_fp(self):
-        # from_generators takes its field from the generators, so the
-        # empty ideal over F_p is built directly.
-        zero = IdealHandle(3, [], {}, (), 3)
-        assert is_casimir_mod(y(3, 1, 3), zero)
-        assert not is_casimir_mod(y(2, 1, 3), zero)
 
     def test_z1_mod_corner(self):
         z1 = (y(5, 4) * y(4, 1) + y(5, 3) * y(3, 1) + y(5, 2) * y(2, 1))
@@ -457,31 +430,6 @@ class TestTildeMap:
         i = IdealHandle.from_generators(4, [])
         with pytest.raises(NotCanonicalPair):
             tilde_map(y(3, 2), y(2, 1), loc(y(4, 2), y(4, 1)), i)
-
-    def test_finite_field_pair(self):
-        # The n=3 pair over F_3: the image of y21 is zero over F_3, and a
-        # constant passes through over F_3.
-        i = IdealHandle.from_generators(
-            3, [y(3, 1, 3) - c_var(R(3, 1), 3)], invertible=[R(3, 1)])
-        p, q = y(3, 2, 3), loc(y(2, 1, 3), y(3, 1, 3))
-        out = tilde_map(y(2, 1, 3), p, q, i)
-        assert out.is_zero() and out.p == 3
-        out = tilde_map(c_var(R(3, 1), 3) * y(3, 1, 3), p, q, i)
-        assert out == loc(c_var(R(3, 1), 3) * y(3, 1, 3)) and out.p == 3
-        # The same constant over Q, after the F_3 one, stays over Q.
-        iq = IdealHandle.from_generators(
-            3, [y(3, 1) - c_var(R(3, 1))], invertible=[R(3, 1)])
-        out = tilde_map(c_var(R(3, 1)) * y(3, 1), y(3, 2),
-                        loc(y(2, 1), y(3, 1)), iq)
-        assert out == loc(c_var(R(3, 1)) * y(3, 1)) and out.p is None
-        # x over another field than the pair is refused, even when x holds
-        # constants only, whatever the twist memo holds.
-        from artifact import symbolic
-
-        for x in (c_var(R(3, 1), 3), y(2, 1, 3)):
-            symbolic._TWISTS.clear()
-            with pytest.raises(FieldMismatch):
-                tilde_map(x, y(3, 2), loc(y(2, 1), y(3, 1)), iq)
 
 
 class TestReduceColumn:
@@ -733,7 +681,7 @@ def _subst_poly(poly, key, rep):
     top = max(parts, default=0)
     if top == 0:
         return LocalizedPolynomial(poly)
-    acc = Polynomial.zero(poly.p)
+    acc = Polynomial.zero()
     for exp in sorted(parts):
         part = parts[exp]
         if exp:
@@ -869,20 +817,15 @@ class TestSkippedSubstitutions:
 
 
 class TestSharedConstants:
-    @pytest.mark.parametrize("p", [None, 3, 7])
-    def test_one_instance_per_field(self, p):
-        assert Polynomial.zero(p) is Polynomial.zero(p)
-        assert Polynomial.one(p) is Polynomial.one(p)
-        assert Polynomial.zero(p).p == Polynomial.one(p).p == p
-        assert Polynomial.zero(p) == Polynomial({}, p)
-        assert Polynomial.one(p) == Polynomial({(): 1}, p)
-        assert hash(Polynomial.one(p)) == hash(Polynomial({(): 1}, p))
-        assert Polynomial.zero(p) is not Polynomial.zero(
-            None if p else 5)
+    def test_one_shared_instance(self):
+        assert Polynomial.zero() is Polynomial.zero()
+        assert Polynomial.one() is Polynomial.one()
+        assert Polynomial.zero() == Polynomial({})
+        assert Polynomial.one() == Polynomial({(): 1})
+        assert hash(Polynomial.one()) == hash(Polynomial({(): 1}))
 
     def test_shared_instances_cannot_be_mutated(self):
-        for shared in (Polynomial.zero(), Polynomial.one(),
-                       Polynomial.one(3)):
+        for shared in (Polynomial.zero(), Polynomial.one()):
             with pytest.raises(AttributeError):
                 shared.terms = {}
             with pytest.raises(TypeError):
@@ -909,7 +852,7 @@ def _poisson_reference(handle):
 
     for gen in handle.generators:
         for r in positive_roots(handle.n):
-            if not handle.contains(bracket(gen, y_var(r.row, r.col, gen.p))):
+            if not handle.contains(bracket(gen, y_var(r.row, r.col))):
                 return False
     return True
 
@@ -917,9 +860,8 @@ def _poisson_reference(handle):
 def _casimir_reference(z, handle):
     from artifact.root_system import positive_roots
 
-    p = z.p if isinstance(z, Polynomial) else z.num.p
     for r in positive_roots(handle.n):
-        if not handle.contains(bracket(z, y_var(r.row, r.col, p))):
+        if not handle.contains(bracket(z, y_var(r.row, r.col))):
             return False
     return True
 
@@ -998,9 +940,9 @@ class TestChainRuleClosure:
         built = []
         real = symbolic.y_var
 
-        def counting(row, col, p=None):
-            built.append((row, col, p))
-            return real(row, col, p)
+        def counting(row, col):
+            built.append((row, col))
+            return real(row, col)
 
         s = next(x for x in enumerate_maximal(6) if x.label == (6, 3, 4))
         handle = build_ideal(s, None)
@@ -1013,17 +955,6 @@ class TestChainRuleClosure:
         seen = len(built)
         assert is_poisson_ideal(build_ideal(s, None))
         assert len(built) > seen
-
-    def test_probes_over_two_fields_match_reference(self):
-        # Handles over Q probed with z over Q, then over F_3, then over Q
-        # again: the outcomes, values or what is raised, are the
-        # reference's.
-        for handle in (IdealHandle.from_generators(4, []),
-                       IdealHandle.from_generators(4, [y(4, 1) - const(2)])):
-            for p in (None, 3, None):
-                for z in (y(2, 1, p), y(4, 1, p), y(4, 3, p) * y(3, 1, p)):
-                    assert _outcome(is_casimir_mod, z, handle) == \
-                        _outcome(_casimir_reference, z, handle), (p, z)
 
     def test_quotient_rule(self):
         # y31 written over a denominator that brackets nontrivially is
@@ -1085,21 +1016,6 @@ class TestChainRuleClosure:
                 handle.normal_form(x)
         assert not handle.is_exact()
 
-    def test_mixed_field_handle_matches_reference(self):
-        # Generators over F_3 and over Q: the handle is refused when it is
-        # built, so the closure checks never meet a rule over another field
-        # than the handle's.  The check comes before the rule search.
-        for build, fields in [
-                (lambda: IdealHandle.from_generators(
-                    3, [y(2, 1, 3) - const(1, 3), y(3, 1) - const(2)]),
-                 "3 vs None"),
-                (lambda: IdealHandle.from_generators(
-                    5, [y(4, 1) * y(5, 2) - const(1), y(2, 1, 3)]),
-                 "None vs 3")]:
-            with pytest.raises(FieldMismatch) as info:
-                build()
-            assert str(info.value) == f"mixed coefficient fields: {fields}"
-
 
 def _drawn_ideals():
     from artifact.admissible import enumerate_maximal
@@ -1108,23 +1024,22 @@ def _drawn_ideals():
     @st.composite
     def draw_ideal(draw):
         n = draw(st.integers(3, 5))
-        p = draw(st.sampled_from([None, None, 3]))
         roots = sorted(positive_roots(n), key=lambda r: (r.row, r.col))
         root = st.sampled_from(roots)
 
         def poly(max_terms):
-            out = Polynomial.zero(p)
+            out = Polynomial.zero()
             for _ in range(draw(st.integers(1, max_terms))):
-                term = const(draw(st.integers(-2, 2)), p)
+                term = const(draw(st.integers(-2, 2)))
                 if draw(st.integers(0, 3)) == 0:
-                    term = term * c_var(draw(root), p)
+                    term = term * c_var(draw(root))
                 for r in draw(st.lists(root, max_size=2)):
-                    term = term * y(r.row, r.col, p)
+                    term = term * y(r.row, r.col)
                 out = out + term
             return out
 
         gens = []
-        if p is None and draw(st.booleans()):
+        if draw(st.booleans()):
             # A diagram's ideal, Poisson-closed, maybe with one more
             # generator.
             s = draw(st.sampled_from(enumerate_maximal(n)))
@@ -1136,7 +1051,7 @@ def _drawn_ideals():
         if invertible and draw(st.booleans()):
             # Put a root said to be invertible into the ideal, so that a
             # rule's denominator can vanish modulo the ideal.
-            gens.append(y(invertible[0].row, invertible[0].col, p))
+            gens.append(y(invertible[0].row, invertible[0].col))
         try:
             handle = IdealHandle.from_generators(n, gens,
                                                  invertible=invertible)
