@@ -19,7 +19,7 @@ from .symbolic import _phi, _solve_for, loc, pick_values
 __all__ = [
     "LemmaFailure", "MinorSpec", "NotInA", "TriangularSystem", "WEta",
     "bordered_minors", "minor", "p_h_eta", "p_n0_prime", "regular_minors",
-    "triangular_system", "w_eta", "z_coefficients",
+    "solver_invariant", "triangular_system", "w_eta", "z_coefficients",
 ]
 
 
@@ -142,15 +142,22 @@ _GAPS = {
 }
 
 
+def solver_invariant(s, eta: Root) -> Polynomial:
+    """The invariant ``triangular_system`` solves for eta: the minor
+    ``_GAPS`` names, else P_{h,eta}."""
+    spec = _GAPS.get((s.label, eta))
+    return p_h_eta(s, eta) if spec is None else minor(s.n, spec)
+
+
 def triangular_system(s) -> TriangularSystem:
     """Solve each closure root's invariant for its own coordinate.
 
     Processing the closure roots from the lex-greatest down, each
-    invariant (P_{h,eta}, or the minor ``_GAPS`` names) minus its value at
-    the canonical point — with all previously solved coordinates
-    substituted — must solve for its own coordinate with a constants-only
-    leading coefficient (``symbolic._solve_for`` with nothing invertible);
-    otherwise LemmaFailure.
+    ``solver_invariant`` minus its value at the canonical point — with all
+    previously solved coordinates substituted — must solve for its own
+    coordinate with a constants-only leading coefficient
+    (``symbolic._solve_for`` with nothing invertible); otherwise
+    LemmaFailure.
     """
     # At the canonical point a pick is its constant and any other y is zero.
     picks = pick_values(s)
@@ -161,8 +168,7 @@ def triangular_system(s) -> TriangularSystem:
     # substitution of this table reduces an invariant.
     solved: Dict = {}
     for eta in s.a_set:  # lex-greatest first
-        spec = _GAPS.get((s.label, eta))
-        invariant = p_h_eta(s, eta) if spec is None else minor(s.n, spec)
+        invariant = solver_invariant(s, eta)
         red = _phi(loc(invariant - substitute(invariant, point.get)),
                    solved.get)
         rule = _solve_for(red.num, eta, ())

@@ -245,7 +245,7 @@ def coadjoint_act(g: GroupElement, f: LinearForm) -> LinearForm:
     are never formed: the sum runs over the nonzero g[a][k] of column k and
     g^-1[l][b] of row l, read from g's sparse view, and adds into the root
     (b + 1, a + 1) of ``_root_grid``.  So every result root lies in the
-    triangle, and the result is built without the validating constructor
+    triangle, and the result is built by the trusted ``LinearForm._reduced``
     after reducing each value and dropping zeros in one pass."""
     n, p = f.n, f.p
     if g.n != n or g.p != p:
@@ -272,11 +272,7 @@ def coadjoint_act(g: GroupElement, f: LinearForm) -> LinearForm:
             v %= p
             if v:
                 values[r] = v
-    out = object.__new__(LinearForm)
-    _set_n(out, n)
-    _set_p(out, p)
-    _set_values(out, values)
-    return out
+    return LinearForm._reduced(n, p, values)
 
 
 # --- canonical forms ------------------------------------------------------
@@ -506,10 +502,8 @@ def orbit_bfs(f: LinearForm,
     the search reuses the moves kept per (n, p); ``generators``, the
     ``_generators(n, p)`` of f's field, makes it build its own moves from
     them, and anything but N group elements over f's field is refused."""
-    if f.p is None:
-        raise ValueError("orbit enumeration needs a finite field")
     n, p = f.n, f.p
-    _check_prime(p)
+    _check_prime(p)  # also refuses a form over Q
     _check_codes_fit(n, p)
     limit = _budget_value()
     import numpy as np
@@ -610,8 +604,6 @@ def _int_rank(mat: List[List[int]], p: Optional[int]) -> int:
                     row[cc] = (lead * row[cc] - m * top[cc]) // prev
         prev = lead
         rank += 1
-        if rank == size:
-            break
     return rank
 
 
@@ -668,7 +660,6 @@ def _classify_orbit(orbit: Orbit, stage: str
                     ) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     """An orbit's canonical form is its least code: look its support up."""
     n, p = orbit.n, orbit.p
-    roots = positive_roots(n)
     catalog = enumerate_maximal(n)
     member = _digits(orbit.codes[0], n, p).tolist()
     owners = _support_table(n, tuple(catalog)).get(
@@ -682,12 +673,12 @@ def _classify_orbit(orbit: Orbit, stage: str
         raise ClassificationMismatch(
             f"{stage} at n={n}, p={p}: an orbit of label {s.label} has "
             f"{len(orbit)} states, not p^{dimension(s)}")
-    return s, {r: member[roots.index(r)] for r in s.xi}
+    index = _root_index(n)
+    return s, {r: member[index[r]] for r in s.xi}
 
 
 def classify(f: LinearForm) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     """Find the diagram and constants of the orbit through f."""
-    _check_prime(f.p)
     return _classify_orbit(orbit_bfs(f), "classify")
 
 
@@ -723,18 +714,12 @@ def census(n: int, p: int) -> Dict:
 
 
 def stratum_max_dims(n: int, p: int) -> List[int]:
-    """Largest orbit dimension within each first-column stratum."""
+    """Largest orbit dimension within each first-column stratum: each
+    orbit's dimension is that of its diagram, whose size check it passed."""
     orbits = all_orbits(n, p)
     best = [0] * n
     for orbit in orbits:
-        size = len(orbit)
-        dim = 0
-        while p ** dim < size:
-            dim += 1
-        if p ** dim != size:
-            raise ClassificationMismatch(
-                f"stratum_max_dims at n={n}, p={p}: an orbit of {size} "
-                f"states is not a power of {p}")
+        dim = dimension(_classify_orbit(orbit, "stratum_max_dims")[0])
         st = stratum(orbit.representative)
         best[st] = max(best[st], dim)
     return best
@@ -750,11 +735,12 @@ class SubregularRecord:
     cuts_exactly: Optional[bool]
 
 
-def subregular_classify(target) -> SubregularRecord:
-    """Classify a subregular orbit given either (diagram, constants) or a
-    finite-field point, and assemble its cutting system."""
-    f = target if isinstance(target, LinearForm) \
-        else canonical_form(*target, p=None)
+def subregular_classify(f: LinearForm) -> SubregularRecord:
+    """Classify the subregular orbit through a point, and assemble its
+    cutting system; over F_p, check that the system cuts out the orbit."""
+    if not isinstance(f, LinearForm):
+        raise TypeError(
+            f"subregular_classify needs a LinearForm, got {type(f).__name__}")
     n = f.n
     dim = kirillov_rank(f)
     total = n * (n - 1) // 2

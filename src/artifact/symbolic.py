@@ -133,28 +133,22 @@ def bracket(f, g):
 
 # --- evaluation ---------------------------------------------------------
 
-def evaluate(expr, form):
-    """Evaluate at a linear form (an object with .p and .value(root)): in
-    Q at a rational form, mod p at a form over F_p, where a coefficient
-    whose denominator p divides raises ``FieldMismatch``."""
+def evaluate(poly: Polynomial, form):
+    """Evaluate a polynomial at a linear form (an object with .p and
+    .value(root)): in Q at a rational form, mod p at a form over F_p, where
+    a coefficient whose denominator p divides raises ``FieldMismatch``.
+    Anything but a ``Polynomial`` raises TypeError."""
+    if not isinstance(poly, Polynomial):
+        raise TypeError(
+            f"evaluate needs a Polynomial, got {type(poly).__name__}")
     target = form.p
-    if isinstance(expr, LocalizedPolynomial):
-        num = evaluate(expr.num, form)
-        den = evaluate(expr.den, form)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the form")
-        if target is None:
-            return Fraction(num) / Fraction(den)
-        return (num * pow(den, -1, target)) % target
-    if not isinstance(expr, Polynomial):
-        expr = const(expr)
 
     def value(key):
         if key[0] != "y":
             raise ValueError(f"unbound variable {key} in evaluation")
         return coerce_scalar(form.value(Root(key[1], key[2])), target)
 
-    return substitute(expr, value, target)
+    return substitute(poly, value, target)
 
 
 # --- triangular ideal handles ------------------------------------------
@@ -446,7 +440,8 @@ def _twist(n: int, pair, val: LocalizedPolynomial) -> LocalizedPolynomial:
 
 def canonical_pairs(s) -> List[List[Tuple[Root, Root, bool]]]:
     """The canonical pairs of every column t = 1..n-1, as (p, q, den_on_p)
-    roots in peel order (greatest first).
+    roots in peel order (greatest first).  A column with two crosses raises
+    ``UnsupportedColumn``, naming the diagram's label when it has one.
 
     A column's lone cross splits into pairs over the working set it was
     picked from; the cross is the root sum of p and q, and its coordinate
@@ -458,8 +453,9 @@ def canonical_pairs(s) -> List[List[Tuple[Root, Root, bool]]]:
                  in zip(s.xi, s.otimes_mask, s.a_chain) if r.col == t]
         crosses = [(r, stage) for r, is_x, stage in picks if is_x]
         if len(crosses) >= 2:
+            where = f" of {','.join(map(str, s.label))}" if s.label else ""
             raise UnsupportedColumn(
-                f"two crosses in column {t}: {crosses[0][0]!r}, "
+                f"two crosses in column {t}{where}: {crosses[0][0]!r}, "
                 f"{crosses[1][0]!r}")
         boxes = [r for r, is_x, _ in picks if not is_x]
         pairs = []

@@ -167,15 +167,6 @@ def tau_split(n, cols, rows):
     return {k: v for k, v in parts.items() if not v.is_zero()}
 
 
-def solver_invariant(s, eta):
-    """The invariant ``triangular_system`` solves for eta: P_{h,eta},
-    unless the solver's gap table names another minor."""
-    from artifact.char_matrix import _GAPS, minor, p_h_eta
-
-    spec = _GAPS.get((s.label, eta))
-    return p_h_eta(s, eta) if spec is None else minor(s.n, spec)
-
-
 def dense_moves(n, p):
     """The moves of ``orbit_engine._generator_moves`` for the generators
     I + e_alpha, assembled densely: full[g, k, i] is the value at root i of

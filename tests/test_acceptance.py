@@ -26,7 +26,7 @@ from artifact._poly import substitute
 from artifact.root_system import lex_sort_key, positive_roots
 from artifact.admissible import build_admissible, dimension, enumerate_maximal, render_diagram
 from artifact.symbolic import IdealHandle, build_ideal, evaluate, is_casimir_mod, is_poisson_ideal, poly_text, y_var
-from artifact.char_matrix import LemmaFailure, p_h_eta, regular_minors, triangular_system
+from artifact.char_matrix import LemmaFailure, p_h_eta, regular_minors, solver_invariant, triangular_system
 from artifact.orbit_engine import (
     GroupElement,
     LinearForm,
@@ -53,7 +53,6 @@ from conftest import (
     MAXIMAL_COUNTS,
     R,
     SUBREGULAR_LABELS,
-    solver_invariant,
 )
 from test_char_matrix import drop_vars, perm_sign
 

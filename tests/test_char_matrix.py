@@ -20,12 +20,13 @@ from artifact.char_matrix import (
     p_h_eta,
     p_n0_prime,
     regular_minors,
+    solver_invariant,
     triangular_system,
     w_eta,
     z_coefficients,
 )
 
-from conftest import ANCHOR_727, CATALOG5, R, solver_invariant, tau_split
+from conftest import ANCHOR_727, CATALOG5, R, tau_split
 
 
 def y(i, j):
@@ -416,6 +417,20 @@ class TestTriangularSystem:
             triangular_system(s)
         assert str(exc.value) == (
             f"invariant of {eta!r} does not solve for its coordinate")
+
+    def test_solver_invariant_is_p_h_eta_off_the_gaps(self, catalogs,
+                                                      by_label):
+        # The solver reads P_{h,eta} at every closure root for n <= 7 but
+        # the two gap roots, where it reads the minor the table names.
+        gaps = set()
+        for n in range(2, 8):
+            for s in catalogs(n):
+                for eta in s.a_set:
+                    if solver_invariant(s, eta) != p_h_eta(s, eta):
+                        gaps.add((s.label, eta))
+        assert gaps == set(char_matrix._GAPS)
+        for (label, eta), spec in char_matrix._GAPS.items():
+            assert solver_invariant(by_label(label), eta) == minor(7, spec)
 
     def test_invariants_vanish_on_their_rules(self, catalogs):
         # Each rule value involves only coordinates off the closure, so one

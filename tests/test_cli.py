@@ -78,7 +78,8 @@ class TestDiagrams:
         assert run(capsys, *argv) == (
             2, "", "warning: catalog for n = 8 is outside the "
                    "cross-checked range\n"
-                   "error: two crosses in column 4: Root(8,4), Root(6,4)\n")
+                   "error: two crosses in column 4 of 8,4,9: Root(8,4), "
+                   "Root(6,4)\n")
 
 
 class TestGenerators:

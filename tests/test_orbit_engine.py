@@ -615,6 +615,11 @@ class TestNonPrimeField:
     def test_orbit_bfs(self):
         with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
             orbit_bfs(form(3, 4, {R(3, 1): 2}))
+        # A form over Q has no finite orbit; classify relies on this check.
+        for search in (orbit_bfs, classify):
+            with pytest.raises(InvalidInput,
+                               match="^p must be a prime, got None$"):
+                search(form(3, None, {R(3, 1): 2}))
 
     def test_all_orbits(self, monkeypatch):
         with pytest.raises(InvalidInput, match="p must be a prime, got 4"):
@@ -1142,26 +1147,26 @@ class TestSubregular:
     def test_511_case1(self):
         s = build_admissible(5, CATALOG5[(5, 1, 1)]["seq"])
         c = {R(4, 1): 1, R(5, 2): 2, R(5, 4): 3}
-        rec = subregular_classify((s, c))
+        rec = subregular_classify(canonical_form(s, c))
         assert rec.case == "1"
         assert rec.j0 == 1
 
     def test_502_case2(self):
         s = build_admissible(5, CATALOG5[(5, 0, 2)]["seq"])
         c = {R(5, 1): 1, R(3, 2): 1, R(4, 3): 0}
-        rec = subregular_classify((s, c))
+        rec = subregular_classify(canonical_form(s, c))
         assert rec.case == "2"
 
     def test_411_case3a(self):
         s = build_admissible(4, CATALOG4[(4, 1, 1)]["seq"])
         c = {R(3, 1): 1, R(4, 2): 1, R(4, 3): 1}
-        rec = subregular_classify((s, c))
+        rec = subregular_classify(canonical_form(s, c))
         assert rec.case == "3a"
 
     def test_421_case3b(self):
         s = build_admissible(4, CATALOG4[(4, 2, 1)]["seq"])
         c = {R(2, 1): 1, R(4, 2): 1}
-        rec = subregular_classify((s, c))
+        rec = subregular_classify(canonical_form(s, c))
         assert rec.case == "3b"
 
     def test_finite_field_form_input(self):
@@ -1175,11 +1180,16 @@ class TestSubregular:
         s = build_admissible(5, CATALOG5[(5, 0, 1)]["seq"])
         c = {R(5, 1): 1, R(4, 2): 1}
         with pytest.raises(NotSubregular):
+            subregular_classify(canonical_form(s, c))
+        # A (diagram, constants) pair is not a form.
+        with pytest.raises(TypeError, match="needs a LinearForm, got tuple"):
             subregular_classify((s, c))
 
     @staticmethod
     def _record_text(target):
         try:
+            if isinstance(target, tuple):
+                target = canonical_form(*target)
             rec = subregular_classify(target)
         except (NotSubregular, LemmaFailure) as exc:
             return f"{type(exc).__name__}: {exc}"
@@ -1270,9 +1280,8 @@ class TestClassificationMismatchMessages:
     def test_stratum_orbit_size(self, monkeypatch):
         from artifact import orbit_engine
 
-        monkeypatch.setattr(orbit_engine, "all_orbits",
-                            lambda n, p: [[None] * 3])
+        monkeypatch.setattr(orbit_engine, "dimension", lambda s: 5)
         with pytest.raises(ClassificationMismatch, match=r"^stratum_max_dims "
-                           r"at n=3, p=2: an orbit of 3 states is not a "
-                           r"power of 2$"):
+                           r"at n=3, p=2: an orbit of label \(3, 1, 1\) has 1 "
+                           r"states, not p\^5$"):
             stratum_max_dims(3, 2)

@@ -183,6 +183,9 @@ class TestRootBracket:
                     b for b in roots if root_bracket(a, b) is not None]
                 for b, sign, c in table[a]:
                     assert (sign, c) == root_bracket(a, b)
+            # The central root (n, 1) brackets to zero with every root, so
+            # its Kirillov-matrix row is zero and the rank stays below N.
+            assert table[Root(n, 1)] == ()
             assert structure_constants(n) is table
 
 

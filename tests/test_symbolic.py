@@ -267,10 +267,15 @@ class TestEvaluate:
         assert evaluate(expr, LinearForm(3, 3, {R(3, 1): 2})) == 1
 
     def test_localized(self):
+        # Only polynomials are evaluated: a fraction or a scalar is refused.
         from artifact.orbit_engine import LinearForm
 
         f = LinearForm(3, None, {R(3, 1): Fraction(2)})
-        assert evaluate(loc(y(2, 1) + const(4), y(3, 1)), f) == Fraction(2)
+        with pytest.raises(TypeError, match="got LocalizedPolynomial"):
+            evaluate(loc(y(2, 1) + const(4), y(3, 1)), f)
+        for scalar in (3, Fraction(1, 2)):
+            with pytest.raises(TypeError, match="needs a Polynomial"):
+                evaluate(scalar, f)
 
     @pytest.mark.parametrize("kind", [
         "rational form", "F_p form", "numpy rows", "polynomial values"])
