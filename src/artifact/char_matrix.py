@@ -12,9 +12,9 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ._poly import LocalizedPolynomial, Polynomial, substitute
-from .root_system import Root, check_dimension, lex_greater, positive_roots
-from .symbolic import _phi, _solve_for, loc, pick_values
+from ._poly import LocalizedPolynomial, Polynomial
+from .root_system import Root, check_dimension, lex_greater
+from .symbolic import _phi, _solve_for, loc
 
 __all__ = [
     "LemmaFailure", "MinorSpec", "NotInA", "TriangularSystem", "WEta",
@@ -119,9 +119,11 @@ def w_eta(s, eta: Root) -> WEta:
     return WEta(tuple(sorted(image)), h)
 
 
+@functools.lru_cache(maxsize=None)
 def p_h_eta(s, eta: Root) -> Polynomial:
     """The invariant attached to a closure root: the tau^h coefficient of
-    the minor on columns 1..col(eta) and the rows of the word."""
+    the minor on columns 1..col(eta) and the rows of the word.  Computed
+    once per (diagram, root); the result is shared, as ``_minor``'s are."""
     w = w_eta(s, eta)
     return minor(s.n, MinorSpec(tuple(range(1, eta.col + 1)), w.rows, w.h))
 
@@ -159,9 +161,10 @@ def triangular_system(s) -> TriangularSystem:
     (``symbolic._solve_for`` with nothing invertible); otherwise
     LemmaFailure.
     """
-    # At the canonical point a pick is its constant and any other y is zero.
-    picks = pick_values(s)
-    point = {("y", r.row, r.col): picks.get(r, 0) for r in positive_roots(s.n)}
+    # At the canonical point a pick is its constant and any other y is
+    # zero, so an invariant's value there is its terms on picks alone, each
+    # y_i_j renamed c_i_j; the renaming keeps every monomial sorted.
+    picks = {("y", r.row, r.col): ("c", r.row, r.col) for r in s.xi}
     rules: Dict[Root, LocalizedPolynomial] = {}
     coeffs: Dict[Root, LocalizedPolynomial] = {}
     # No rule value holds a solved coordinate, so one simultaneous
@@ -169,8 +172,11 @@ def triangular_system(s) -> TriangularSystem:
     solved: Dict = {}
     for eta in s.a_set:  # lex-greatest first
         invariant = solver_invariant(s, eta)
-        red = _phi(loc(invariant - substitute(invariant, point.get)),
-                   solved.get)
+        value = Polynomial({
+            tuple((picks[key], exp) for key, exp in mono): coef
+            for mono, coef in invariant.terms.items()
+            if all(key in picks for key, _exp in mono)})
+        red = _phi(loc(invariant - value), solved.get)
         rule = _solve_for(red.num, eta, ())
         if rule is None:
             raise LemmaFailure(

@@ -5,7 +5,8 @@ JSON output is an envelope {"result": ..., "seed": ...} printed with
 sorted keys so reruns are byte-identical.  Exit codes: 0 success,
 1 failed check or exceeded budget, 2 usage error, which includes a diagram
 whose column reduction is not supported (``UnsupportedColumn``: three n = 8
-diagrams, met by ``generators`` and the ideal and polarization suites).
+diagrams, met by ``generators`` and by the ideal and polarization suites,
+which name all three on one line).
 Each distinct warning, such as a catalog outside the cross-checked range,
 is one ``warning:`` line on stderr.
 """
@@ -37,8 +38,8 @@ from .orbit_engine import (
 )
 from .root_system import InvalidDimension, check_dimension, \
     root_from_text, root_to_text
-from .symbolic import UnsupportedColumn, build_ideal, is_poisson_ideal, \
-    poly_text
+from .symbolic import UnsupportedColumn, build_ideal, canonical_pairs, \
+    is_poisson_ideal, poly_text
 
 __all__ = ["main"]
 
@@ -169,25 +170,39 @@ def _generic_constants(s):
     return {r: Fraction(k + 1) for k, r in enumerate(s.xi)}
 
 
+def _supported_catalog(n: int):
+    """The catalog for n, once no diagram of it is unsupported; those that
+    are, whose columns do not reduce, are refused together as one
+    ``UnsupportedColumn`` before any diagram is checked."""
+    diagrams = enumerate_maximal(n)
+    unsupported = []
+    for s in diagrams:
+        try:
+            canonical_pairs(s)
+        except UnsupportedColumn as exc:
+            unsupported.append(str(exc))
+    if unsupported:
+        raise UnsupportedColumn("; ".join(unsupported))
+    return diagrams
+
+
 def _verify_polarizations(args) -> int:
-    checks = 0
-    for s in enumerate_maximal(args.n):
+    diagrams = _supported_catalog(args.n)
+    for s in diagrams:
         pol = polarization(s)
         f = canonical_form(s, _generic_constants(s), p=None)
         if not verify_polarization(pol, f):
             raise CheckFailure(f"polarization fails for {s.label}")
-        checks += 1
-    return checks
+    return len(diagrams)
 
 
 def _verify_ideals(args) -> int:
-    checks = 0
-    for s in enumerate_maximal(args.n):
+    diagrams = _supported_catalog(args.n)
+    for s in diagrams:
         handle = build_ideal(s, None)
         if not is_poisson_ideal(handle):
             raise CheckFailure(f"ideal of {s.label} is not Poisson-closed")
-        checks += 1
-    return checks
+    return len(diagrams)
 
 
 def _verify_census(args) -> int:

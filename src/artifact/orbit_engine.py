@@ -112,9 +112,14 @@ class LinearForm:
 
     __slots__ = ("n", "p", "values", "_hash", "_rank")
 
+    # _hash and _rank stay unset until first needed: one more store in the
+    # constructors would cost every form the orbit searches build.
+
     def __init__(self, n: int, p: Optional[int],
                  values: Optional[Dict[Root, object]] = None):
-        self._fill(n, p, _entries(n, p, values))
+        _set_n(self, n)
+        _set_p(self, p)
+        _set_values(self, _entries(n, p, values))
 
     @classmethod
     def _reduced(cls, n: int, p: Optional[int],
@@ -122,15 +127,10 @@ class LinearForm:
         """Trusted: ``values`` is kept as is, so its roots must lie in the
         triangle and its values be nonzero and reduced (ints 1..p-1 or Q)."""
         self = object.__new__(cls)
-        self._fill(n, p, values)
-        return self
-
-    def _fill(self, n, p, values) -> None:
         _set_n(self, n)
         _set_p(self, p)
         _set_values(self, values)
-        # _hash and _rank stay unset until first needed: one more store
-        # here would cost every form the orbit searches build.
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearForm is immutable")
@@ -577,12 +577,13 @@ def kirillov_rank(f: LinearForm) -> int:
 
 def _int_rank(mat: List[List[int]], p: Optional[int]) -> int:
     """Rank of an int matrix over F_p (entries reduced mod p), or over Q
-    by fraction-free (Bareiss) elimination, whose divisions are exact.
+    by fraction-free elimination: a row with a nonzero entry m under the
+    pivot lead becomes lead * row - m * pivot row, divided by its gcd so
+    its entries stay small, and a row with a zero entry is left alone.
     Rows are changed in place."""
     size = len(mat)
     width = len(mat[0]) if mat else 0
     rank = 0
-    prev = 1
     for col in range(width):
         pivot = next((r for r in range(rank, size) if mat[r][col]), None)
         if pivot is None:
@@ -591,18 +592,20 @@ def _int_rank(mat: List[List[int]], p: Optional[int]) -> int:
         top = mat[rank]
         lead = top[col]
         inv = None if p is None else pow(lead, -1, p)
+        tail = top[col:]
         for r in range(rank + 1, size):
             row = mat[r]
             m = row[col]
+            if not m:
+                continue
             if p is not None:
-                if m:
-                    m = m * inv % p
-                    for cc in range(col, width):
-                        row[cc] = (row[cc] - m * top[cc]) % p
-            else:
+                m = m * inv % p
                 for cc in range(col, width):
-                    row[cc] = (lead * row[cc] - m * top[cc]) // prev
-        prev = lead
+                    row[cc] = (row[cc] - m * top[cc]) % p
+            else:
+                new = [lead * x - m * y for x, y in zip(row[col:], tail)]
+                g = math.gcd(*new)
+                row[col:] = [x // g for x in new] if g > 1 else new
         rank += 1
     return rank
 

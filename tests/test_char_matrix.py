@@ -133,6 +133,8 @@ class TestMinor:
         # the corner, z, bordered and p_n0_prime selections that
         # subregular_classify reads.
         calls, bordered = [], []
+        # P_{h,eta} is memoised, so a warm memo would hide its minor calls.
+        p_h_eta.cache_clear()
 
         def recording(n, spec):
             calls.append((n, spec))

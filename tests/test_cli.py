@@ -12,6 +12,14 @@ from artifact.admissible import enumerate_maximal
 from artifact.cli import main
 
 
+# The n = 8 diagrams whose column reduction is unsupported, in catalog order.
+UNSUPPORTED_N8 = [
+    "two crosses in column 4 of 8,4,9: Root(8,4), Root(6,4)",
+    "two crosses in column 4 of 8,4,19: Root(8,4), Root(7,4)",
+    "two crosses in column 4 of 8,4,32: Root(8,4), Root(7,4)",
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -74,12 +82,32 @@ class TestDiagrams:
         ("generators", "--n", "8", "--label", "8,4,9"),
     ])
     def test_unsupported_column_is_a_usage_error(self, capsys, argv):
-        # 8,4,9 has two crosses in column 4, outside the column reduction.
+        # 8,4,9, 8,4,19 and 8,4,32 have two crosses in column 4, outside
+        # the column reduction: a suite names all three on one line, and
+        # generators the one it was asked for.
+        unsupported = UNSUPPORTED_N8 if argv[0] == "verify" \
+            else UNSUPPORTED_N8[:1]
         assert run(capsys, *argv) == (
             2, "", "warning: catalog for n = 8 is outside the "
                    "cross-checked range\n"
-                   "error: two crosses in column 4 of 8,4,9: Root(8,4), "
-                   "Root(6,4)\n")
+                   f"error: {'; '.join(unsupported)}\n")
+
+    @pytest.mark.parametrize("suite, checked", [
+        ("ideals", "build_ideal"),
+        ("polarizations", "polarization"),
+    ])
+    def test_suite_refuses_before_any_check(self, capsys, monkeypatch,
+                                            suite, checked):
+        from artifact import cli
+
+        def refused(s, *_args):
+            raise AssertionError(f"{s.label} was checked")
+
+        monkeypatch.setattr(cli, checked, refused)
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--n", "8", "--json")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[1:] == [f"error: {'; '.join(UNSUPPORTED_N8)}"]
 
 
 class TestGenerators:

@@ -699,13 +699,20 @@ class TestKirillovRank:
     def test_zero_form(self):
         assert kirillov_rank(form(4, None, {})) == 0
 
-    def test_matches_dimension_on_canonicals(self):
+    def test_matches_dimension_on_canonicals(self, catalogs):
         for n, catalog in [(4, CATALOG4), (5, CATALOG5)]:
             for label, entry in catalog.items():
                 s = build_admissible(n, entry["seq"])
                 c = {r: Fraction(k + 1) for k, r in enumerate(s.xi)}
                 f = canonical_form(s, c)
                 assert kirillov_rank(f) == entry["dim"], label
+        # Generic rational constants, every diagram for n <= 7.
+        for n in range(2, 8):
+            for s in catalogs(n):
+                c = {r: Fraction((-1) ** k * (2 * k + 3), k + 2)
+                     for k, r in enumerate(s.xi)}
+                assert kirillov_rank(canonical_form(s, c)) == dimension(s), \
+                    s.label
 
     def test_finite_field(self):
         f = form(3, 101, {R(3, 1): 5})
@@ -768,6 +775,32 @@ class TestKirillovRank:
                 mat = [[v % p for v in row] for row in mat]
             want = _rank_of(mat, p)
             assert _int_rank([row[:] for row in mat], p) == want, mat
+
+    def test_rational_rank_matches_fraction_elimination(self):
+        # Over Q, square and oblong int matrices up to 21 x 21, sparse and
+        # dense, built as B * C through k inner columns so the rank is at
+        # most k, with some rows zeroed: each updated row is divided by
+        # its gcd, so the rank must still be the exact Fraction one.
+        from artifact.orbit_engine import _int_rank
+
+        rng = random.Random("int-rank/rational")
+        for _ in range(150):
+            rows, cols = rng.randint(1, 21), rng.randint(1, 21)
+            k = rng.randint(0, min(rows, cols))
+            density = rng.choice((0.1, 0.3, 1.0))
+
+            def draw(m, n):
+                return [[rng.randint(-9, 9) if rng.random() < density else 0
+                         for _ in range(n)] for _ in range(m)]
+
+            left, right = draw(rows, k), draw(k, cols)
+            mat = [[sum(left[i][t] * right[t][j] for t in range(k))
+                    for j in range(cols)] for i in range(rows)]
+            for r in rng.sample(range(rows), rng.randint(0, rows // 3)):
+                mat[r] = [0] * cols
+            want = _rank_of(mat, None)
+            assert want <= k
+            assert _int_rank([row[:] for row in mat], None) == want, mat
 
     def test_bareiss_rank_deficient_columns(self):
         from artifact.orbit_engine import _int_rank
