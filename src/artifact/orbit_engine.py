@@ -3,18 +3,21 @@
 Linear forms on the strictly lower triangle are acted on by the lower
 unitriangular group through conjugation of the corresponding upper
 triangular value matrix.  The group is the product of its root subgroups
-X_alpha = {(I + e_alpha)^t : t < p} taken in any fixed order, so an orbit
-is enumerated by closing one point under each X_alpha in turn.  A generator
-I + e_alpha is linear on value vectors and changes only a few values of
-each, so one step reads and rewrites only those base-p digits.  The search
-runs on packed codes only: each state is one int64 holding its base-p
-digits, the greatest root (n, 1) most significant, and an orbit is the
-sorted array of its codes, so p^(n(n-1)/2) may not pass 2^63.  An orbit's
-canonical form is its least point read from the greatest root down, its
-least code, and whether that point is canonical depends only on its
-support, looked up in one table, the same for every p.  Only the functions
-of this packed search import numpy, each where it runs, so the package and
-every command that never searches start without it.
+X_alpha = {(I + e_alpha)^t : t < p} taken in any fixed order, so an orbit is
+enumerated by closing one point under each X_alpha in turn.  A generator
+I + e_alpha is linear on value vectors and changes only a few values of each,
+so one step reads and rewrites only those base-p digits, decoded one row
+per digit so that numpy runs along the codes.  It moves a form only through
+the values at its drivers, the basis forms it moves, so a search that keeps
+a mask of the roots its states may be nonzero at skips every generator
+whose drivers miss the mask.  The search runs on packed codes only: each
+state is one int64 holding its base-p digits, the greatest root (n, 1) most
+significant, and an orbit is the sorted array of its codes, so p^(n(n-1)/2)
+may not pass 2^63.  An orbit's canonical form is its least point read from
+the greatest root down, its least code, and whether that point is canonical
+depends only on its support, looked up in one table, the same for every p.
+Only the functions of this packed search import numpy, each where it runs,
+so the package and every command that never searches start without it.
 
 ``coadjoint_act`` reads each group element through a sparse view, the
 nonzero entries of its columns and of its inverse's rows, built once with
@@ -46,8 +49,7 @@ __all__ = [
     "InvalidInput", "LinearForm", "NotSubregular", "Orbit",
     "SubregularRecord", "all_orbits", "canonical_form", "census",
     "classify", "coadjoint_act", "kirillov_rank", "orbit_bfs",
-    "polarization", "stratum", "stratum_max_dims", "subregular_classify",
-    "verify_polarization",
+    "polarization", "stratum", "subregular_classify", "verify_polarization",
 ]
 
 _DEFAULT_BUDGET = 1 << 26
@@ -76,10 +78,46 @@ class InvalidInput(ValueError):
     states."""
 
 
+# Miller-Rabin with the 13 prime bases 2..41 decides primality exactly below
+# _PRIME_BOUND, the least number that is a strong probable prime to all of
+# them (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(p: int) -> bool:
+    """p > 1 passes the strong test to every base of ``_PRIME_BASES``."""
+    if p in _PRIME_BASES:
+        return True
+    if any(p % a == 0 for a in _PRIME_BASES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_prime(p: int) -> None:
-    if not isinstance(p, int) or p < 2 or \
-            any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    """Refuse a p that is not a prime, in time bounded by its bit length;
+    a p at or past ``_PRIME_BOUND`` is refused, since the test is exact only
+    below it."""
+    if not isinstance(p, int) or p < 2 or not _strong_probable_prime(p):
         raise InvalidInput(f"p must be a prime, got {p!r}")
+    if p >= _PRIME_BOUND:
+        raise InvalidInput(
+            f"p must be below {_PRIME_BOUND}, where primality is decided "
+            f"exactly, got {p!r}")
 
 
 # --- linear forms and the group ------------------------------------------
@@ -304,22 +342,27 @@ def _root_index(n: int) -> Dict[Root, int]:
 
 def _generator_moves(n: int, p: int,
                      generators: Optional[Tuple[GroupElement, ...]] = None
-                     ) -> List[Tuple[np.ndarray, ...]]:
+                     ) -> List[Tuple]:
     """The ``_generators(n, p)``, or the given ones, as sparse moves on
     states; given ones must be N group elements over (n, p).
 
     A generator changes only a few values of a form, each a linear function
     of a few old values.  Each generator that moves anything gives, in root
-    order, one move (reads, columns, writes, read places, write places, at):
-    the new value at root ``writes[t]`` is the old values at roots ``reads``
-    times column t of ``columns``.  The action is unipotent, so a written
-    value reads itself with coefficient 1 and writes = reads[at].
+    order, one move (reads, columns, writes, read places, write places, at,
+    drivers, written): the new value at root ``writes[t]`` is row t of
+    ``columns`` times the old values at roots ``reads``, whose place values
+    form a column.  The action is unipotent, so a written value reads
+    itself with coefficient 1 and writes = reads[at].
 
     Each move is read off the N images of the basis forms, computed afresh
-    by ``coadjoint_act``: a basis form keeps value 1 at its own root, so
-    g writes the other roots of its images, and reads the basis forms whose
-    images hold a written root.  The root places come from the per-n
-    ``_root_index`` and the place values from one powers vector."""
+    by ``coadjoint_act``.  A basis form keeps value 1 at its own root, so
+    g drives the basis forms whose images hold another root, writes those
+    other roots, and reads its drivers and the roots it writes.  Since
+    g.f - f is the sum of f_k (g.e_k - e_k) over the drivers k, g fixes
+    every form that is zero at all of its drivers.  ``drivers`` and
+    ``written`` are the two root sets as int bitmasks, bit k for the root
+    at place k.  The root places come from the per-n ``_root_index`` and
+    the place values from one powers vector."""
     import numpy as np
     roots = positive_roots(n)
     size = len(roots)
@@ -337,29 +380,30 @@ def _generator_moves(n: int, p: int,
     moves = []
     for g in generators:
         images = [coadjoint_act(g, form).values for form in basis]
-        written = {r for root, image in zip(roots, images) for r in image
-                   if r != root}
-        if not written:
+        drivers = [k for k, image in enumerate(images) if len(image) > 1]
+        if not drivers:
             continue
-        writes = sorted(index[r] for r in written)
-        reads = [k for k, image in enumerate(images)
-                 if not written.isdisjoint(image)]
-        columns = [[images[k].get(roots[i], 0) for i in writes]
-                   for k in reads]
+        writes = sorted({index[r] for k in drivers for r in images[k]
+                         if r != roots[k]})
+        reads = sorted(set(drivers).union(writes))
+        columns = [[images[k].get(roots[i], 0) for k in reads]
+                   for i in writes]
         r = np.array(reads, dtype=np.int64)
         w = np.array(writes, dtype=np.int64)
-        moves.append((r, np.array(columns, dtype=np.int64), w, powers[r],
-                      powers[w], np.searchsorted(r, w)))
+        moves.append((r, np.array(columns, dtype=np.int64), w,
+                      powers[r][:, None], powers[w], np.searchsorted(r, w),
+                      sum(1 << k for k in drivers),
+                      sum(1 << i for i in writes)))
     return moves
 
 
 @lru_cache(maxsize=8)
-def _default_moves(n: int, p: int) -> Tuple[Tuple[np.ndarray, ...], ...]:
+def _default_moves(n: int, p: int) -> Tuple[Tuple, ...]:
     """``_generator_moves(n, p)`` kept for every single-orbit search at
     (n, p), read-only because all of them share it."""
     moves = tuple(_generator_moves(n, p))
     for move in moves:
-        for array in move:
+        for array in move[:6]:
             array.flags.writeable = False
     return moves
 
@@ -459,25 +503,27 @@ def _sweep(codes: np.ndarray, p: int, move: Tuple, limit: int
            ) -> np.ndarray:
     """The closure of a sorted code array under one generator g: the sorted
     union of g^t applied to it for t < p.  Only the digits g reads are
-    taken from the codes, and g^t follows from g^(t-1) by rewriting the
-    digits g writes.  A block of codes that g fixes is fixed by every g^t,
-    and when g fixes every code the input array itself is returned.  Images
-    held past twice ``limit`` are merged; merged past it, they are returned
-    unfinished, a part of the orbit already over the caller's budget."""
-    _reads, columns, _writes, read_scale, write_scale, at = move
+    taken from the codes, one row per read root and one column per code,
+    so each numpy call runs along the codes; g^t follows from g^(t-1) by
+    rewriting the rows of the digits g writes.  A block of codes that g
+    fixes is fixed by every g^t, and when g fixes every code the input
+    array itself is returned.  Images held past twice ``limit`` are merged;
+    merged past it, they are returned unfinished, a part of the orbit
+    already over the caller's budget."""
+    _reads, columns, _writes, read_scale, write_scale, at, *_masks = move
     rows = max(1, _BLOCK_CELLS // len(read_scale))
     images = [codes]
     held = len(codes)
     for first in range(0, len(codes), rows):
         image = codes[first:first + rows]
-        digits = image[:, None] // read_scale % p
+        digits = image // read_scale % p
         for _t in range(1, p):
-            new = digits @ columns % p
-            step = (new - digits[:, at]) @ write_scale
+            new = columns @ digits % p
+            step = write_scale @ (new - digits[at])
             if not step.any():
                 break
             image = image + step
-            digits[:, at] = new
+            digits[at] = new
             images.append(image)
             held += len(image)
             if held > 2 * limit:
@@ -496,7 +542,11 @@ def orbit_bfs(f: LinearForm,
     The group is X_a1 X_a2 ... X_aN for the root subgroups X_a taken in any
     fixed order, and X_a = {(I + e_a)^t : t < p} since e_a^2 = 0, so the
     orbit is reached by closing {f} under one generator after another.
-    Every set on the way lies inside the orbit, so the budget
+    The search keeps a support mask, a superset of the roots where some
+    state of its set is nonzero: f's support, widened by a move's written
+    roots after each sweep that grows the set.  A generator whose drivers
+    miss the mask fixes every state, so its sweep is skipped.  Every set
+    on the way lies inside the orbit, so the budget
     ``ARTIFACT_BFS_BUDGET``, a cap on the orbit size read once, ends the
     search (and a closure) once a set holds more.  Without ``generators``
     the search reuses the moves kept per (n, p); ``generators``, the
@@ -510,10 +560,18 @@ def orbit_bfs(f: LinearForm,
     codes = np.array([_encode(f)], dtype=np.int64)
     moves = _default_moves(n, p) if generators is None else \
         _generator_moves(n, p, generators)
+    index = _root_index(n)
+    support = sum(1 << index[r] for r in f.values)
     for move in moves:
         if len(codes) > limit:
             break
-        codes = _sweep(codes, p, move, limit)
+        drivers, written = move[6:]
+        if not drivers & support:
+            continue
+        grown = _sweep(codes, p, move, limit)
+        if len(grown) > len(codes):
+            support |= written
+        codes = grown
     if len(codes) > limit:
         raise BudgetExceeded(
             f"orbit_bfs at n={n}, p={p} reached {len(codes)} states, over "
@@ -714,18 +772,6 @@ def census(n: int, p: int) -> Dict:
             "formula_ok": formula_ok,
         },
     }
-
-
-def stratum_max_dims(n: int, p: int) -> List[int]:
-    """Largest orbit dimension within each first-column stratum: each
-    orbit's dimension is that of its diagram, whose size check it passed."""
-    orbits = all_orbits(n, p)
-    best = [0] * n
-    for orbit in orbits:
-        dim = dimension(_classify_orbit(orbit, "stratum_max_dims")[0])
-        st = stratum(orbit.representative)
-        best[st] = max(best[st], dim)
-    return best
 
 
 # --- the subregular family ------------------------------------------------

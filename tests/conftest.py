@@ -170,9 +170,11 @@ def tau_split(n, cols, rows):
 def dense_moves(n, p):
     """The moves of ``orbit_engine._generator_moves`` for the generators
     I + e_alpha, assembled densely: full[g, k, i] is the value at root i of
-    basis form k moved by generator g, a generator writes the roots where
-    full differs from the identity, and reads the basis forms with a
-    nonzero value at a written root."""
+    basis form k moved by generator g, a generator drives the basis forms
+    whose image differs from the identity, writes the roots where full
+    differs from the identity, and reads the basis forms with a nonzero
+    value at a written root.  Columns are stored writes x reads, the read
+    place values as a column, and drivers and writes as bitmasks."""
     from artifact.orbit_engine import LinearForm, _generators, coadjoint_act
 
     roots = positive_roots(n)
@@ -184,14 +186,33 @@ def dense_moves(n, p):
             image = coadjoint_act(g, LinearForm(n, p, {r: 1}))
             for root, v in image.values.items():
                 full[g_at, k, index[root]] = v
-    writes = (full != np.eye(size, dtype=np.int64)).any(axis=1)
+    moved = full != np.eye(size, dtype=np.int64)
+    drives = moved.any(axis=2)
+    writes = moved.any(axis=1)
     reads = ((full != 0) & writes[:, None, :]).any(axis=2)
     moves = []
     for g in np.flatnonzero(writes.any(axis=1)):
         r, w = np.flatnonzero(reads[g]), np.flatnonzero(writes[g])
-        moves.append((r, full[g][r][:, w], w, p ** (size - 1 - r),
-                      p ** (size - 1 - w), np.searchsorted(r, w)))
+        moves.append((r, full[g][r][:, w].T, w, p ** (size - 1 - r)[:, None],
+                      p ** (size - 1 - w), np.searchsorted(r, w),
+                      sum(1 << int(k) for k in np.flatnonzero(drives[g])),
+                      sum(1 << int(i) for i in w)))
     return moves
+
+
+def stratum_max_dims(n, p):
+    """Largest orbit dimension within each first-column stratum: each
+    orbit's dimension is that of its diagram, whose size check it passed."""
+    from artifact.admissible import dimension
+    from artifact.orbit_engine import _classify_orbit, all_orbits, stratum
+
+    orbits = all_orbits(n, p)
+    best = [0] * n
+    for orbit in orbits:
+        dim = dimension(_classify_orbit(orbit, "stratum_max_dims")[0])
+        st = stratum(orbit.representative)
+        best[st] = max(best[st], dim)
+    return best
 
 
 # Expected per-dimension orbit counts for small finite-field censuses.

@@ -38,7 +38,6 @@ from artifact.orbit_engine import (
     kirillov_rank,
     orbit_bfs,
     polarization,
-    stratum_max_dims,
     subregular_classify,
     verify_polarization,
     _classify_orbit,
@@ -53,6 +52,7 @@ from conftest import (
     MAXIMAL_COUNTS,
     R,
     SUBREGULAR_LABELS,
+    stratum_max_dims,
 )
 from test_char_matrix import drop_vars, perm_sign
 

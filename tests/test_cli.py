@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,17 @@ class TestBoundaryValidation:
         assert code == 2
         assert out == ""
         assert err == f"error: value for '{key}' must be an integer\n"
+
+    def test_large_prime_is_decided_quickly(self, capsys):
+        # Trial division up to the square root of this p takes 10^8 steps;
+        # the field is then refused for its state count.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "census", "--n", "7", "--p",
+                             "10000000000000061")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: p^21 = 10000000000000061^21 exceeds 2^63, "
+                       "the limit of packed orbit states at n=7\n")
 
     def test_unwritable_out(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"

@@ -1,6 +1,7 @@
 """Oracle tests for the finite-field orbit engine."""
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from artifact.orbit_engine import (
     orbit_bfs,
     polarization,
     stratum,
-    stratum_max_dims,
     subregular_classify,
     verify_polarization,
     _digits,
@@ -38,7 +38,7 @@ from artifact.orbit_engine import (
 from artifact.symbolic import poly_text
 
 from conftest import CATALOG3, CATALOG4, CATALOG5, CENSUS_EXPECT, R, \
-    dense_moves
+    dense_moves, stratum_max_dims
 from test_properties import _dense_mul
 
 
@@ -313,8 +313,8 @@ class TestOrbitBfs:
 
         orbit_bfs(form(4, 3, {R(4, 1): 1}))
         moves = orbit_engine._default_moves(4, 3)
-        assert {len(move) for move in moves} == {6}
-        for array in itertools.chain.from_iterable(moves):
+        assert {len(move) for move in moves} == {8}
+        for array in itertools.chain.from_iterable(m[:6] for m in moves):
             with pytest.raises(ValueError):
                 array[0] = 0
         # The checks run before the memo is read, so it sees no call.
@@ -428,8 +428,9 @@ class TestGeneratorArgument:
 
 
 class TestMovesAgainstDenseAssembly:
-    """The sparse move assembly gives the dense size³ one, array for
-    array: the same six fields, dtypes and shapes, in root order."""
+    """The sparse move assembly gives the dense size³ one, field for
+    field, in root order: the same six arrays, dtypes and shapes, and the
+    same two int bitmasks of drivers and writes."""
 
     @pytest.mark.parametrize(
         "n,p", [(n, p) for n in range(2, 7) for p in (2, 3)]
@@ -443,11 +444,13 @@ class TestMovesAgainstDenseAssembly:
                     orbit_engine._default_moves(n, p)):
             assert len(got) == len(expected)
             for move, want in zip(got, expected):
-                assert len(move) == 6
-                for array, ref in zip(move, want):
+                assert len(move) == 8
+                for array, ref in zip(move[:6], want):
                     assert array.dtype == ref.dtype == np.int64
                     assert array.shape == ref.shape
                     assert np.array_equal(array, ref)
+                assert move[6:] == want[6:]
+                assert all(type(mask) is int for mask in move[6:])
 
 
 class TestSearchAgainstReference:
@@ -556,6 +559,50 @@ class TestSweepAgainstReference:
         assert len(orbit) == p ** kirillov_rank(f)
 
 
+class TestSkippedSweeps:
+    """A generator fixes every state that is zero at its drivers, so
+    orbit_bfs skips a sweep whose drivers miss the support mask."""
+
+    @pytest.mark.parametrize("n,p", [(4, 3), (5, 2)])
+    def test_sets_zero_at_the_drivers_are_fixed(self, n, p):
+        from artifact.orbit_engine import _generator_moves, _generators, \
+            _sweep
+
+        rng = random.Random(f"drivers-{n}-{p}")
+        size = n * (n - 1) // 2
+        basis = [LinearForm(n, p, {r: 1}) for r in positive_roots(n)]
+        # The moves, in root order, of the generators that move a basis form.
+        moving = [g for g in _generators(n, p)
+                  if any(coadjoint_act(g, e) != e for e in basis)]
+        moves = _generator_moves(n, p)
+        assert len(moves) == len(moving)
+        for g, move in zip(moving, moves):
+            drivers = move[6]
+            codes = sorted({sum(rng.randrange(p) * p ** (size - 1 - k)
+                                for k in range(size) if not drivers >> k & 1)
+                            for _ in range(16)})
+            array = np.array(codes, dtype=np.int64)
+            assert _sweep(array, p, move, 1 << 26) is array
+            assert reference_sweep(codes, g, p) == codes
+
+    def test_sweep_counts(self, monkeypatch):
+        # Pinned so that dropping the skip fails: without it census(6, 2)
+        # makes 3,850 sweeps, and each canonical classify below 9.
+        from artifact import orbit_engine
+
+        calls = []
+        sweep = orbit_engine._sweep
+        monkeypatch.setattr(orbit_engine, "_sweep",
+                            lambda *args: calls.append(1) or sweep(*args))
+        census(6, 2)
+        assert len(calls) == 2206
+        for label, count in [((5, 0, 1), 9), ((5, 2, 2), 6), ((5, 3, 2), 3),
+                             ((5, 3, 4), 0)]:
+            calls.clear()
+            classify(canonical_form(*_diagram_and_ones(5, label), p=3))
+            assert len(calls) == count, label
+
+
 class TestBudgetIsOrbitSizeCap:
     def test_budget_of_orbit_size_passes_and_one_less_refuses(
             self, monkeypatch):
@@ -650,6 +697,55 @@ class TestNonPrimeField:
             with pytest.raises(InvalidInput,
                                match=f"^p must be a prime, got {p}$"):
                 build()
+
+
+class TestPrimeCheck:
+    """Primality is decided by Miller-Rabin over the prime bases 2..41,
+    exact below a bound past which a p is refused."""
+
+    def test_agrees_with_trial_division_below_ten_to_the_five(self):
+        from artifact.orbit_engine import _check_prime
+
+        limit = 10 ** 5
+        sieve = [False, False] + [True] * (limit - 2)
+        for d in range(2, math.isqrt(limit) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = [False] * len(sieve[d * d::d])
+        refused = []
+        for p in range(-2, limit):
+            try:
+                _check_prime(p)
+            except InvalidInput:
+                refused.append(p)
+        assert refused == [p for p in range(-2, limit)
+                           if p < 2 or not sieve[p]]
+
+    @pytest.mark.parametrize("p", [3_825_123_056_546_413_051,
+                                   318_665_857_834_031_151_167_461])
+    def test_strong_pseudoprimes_are_refused(self, p):
+        # Strong probable primes to the bases 2..23 and 2..37 respectively.
+        from artifact.orbit_engine import _check_prime
+
+        with pytest.raises(InvalidInput, match=f"^p must be a prime, got {p}$"):
+            _check_prime(p)
+
+    @pytest.mark.parametrize("p", [3_317_044_064_679_887_385_961_981,
+                                   2 ** 89 - 1])
+    def test_past_the_bound_is_refused(self, p):
+        # The bound itself is composite and passes every base; 2^89 - 1 is
+        # a prime past it.
+        from artifact.orbit_engine import _check_prime
+
+        with pytest.raises(InvalidInput, match=(
+                f"^p must be below 3317044064679887385961981, where "
+                f"primality is decided exactly, got {p}$")):
+            _check_prime(p)
+
+    def test_large_primes_below_the_bound_pass(self):
+        from artifact.orbit_engine import _check_prime
+
+        for p in (2 ** 61 - 1, 10_000_000_000_000_061, 2 ** 31 - 1):
+            _check_prime(p)
 
 
 class TestCodeRange:
