@@ -6,7 +6,8 @@ sorted keys so reruns are byte-identical.  Exit codes: 0 success,
 1 failed check or exceeded budget, 2 usage error, which includes a diagram
 whose column reduction is not supported (``UnsupportedColumn``: three n = 8
 diagrams, met by ``generators`` and by the ideal and polarization suites,
-which name all three on one line).
+which name all three on one line) and a diagram whose ideal ``build_ideal``
+refuses (``NotMaximal``, ``UnsupportedIdealShape``), named by its label.
 Each distinct warning, such as a catalog outside the cross-checked range,
 is one ``warning:`` line on stderr.
 """
@@ -38,8 +39,9 @@ from .orbit_engine import (
 )
 from .root_system import InvalidDimension, check_dimension, \
     root_from_text, root_to_text
-from .symbolic import UnsupportedColumn, build_ideal, canonical_pairs, \
-    is_poisson_ideal, poly_text
+from .symbolic import NotMaximal, UnsupportedColumn, \
+    UnsupportedIdealShape, build_ideal, canonical_pairs, is_poisson_ideal, \
+    poly_text
 
 __all__ = ["main"]
 
@@ -65,6 +67,15 @@ def _diagram_by_label(n: int, label_text: str):
 
 def _label_text(s) -> str:
     return ",".join(str(x) for x in s.label)
+
+
+def _ideal(s):
+    """``build_ideal(s)``, a refusal raised as a usage error that names the
+    diagram's label."""
+    try:
+        return build_ideal(s, None)
+    except (NotMaximal, UnsupportedIdealShape) as exc:
+        raise UsageError(f"diagram {_label_text(s)}: {exc}") from exc
 
 
 def _parse_values(raw: str) -> Dict:
@@ -116,7 +127,7 @@ def _cmd_diagrams(args) -> object:
 
 def _cmd_generators(args) -> object:
     s = _diagram_by_label(args.n, args.label)
-    handle = build_ideal(s, None)
+    handle = _ideal(s)
     texts = [poly_text(g) for g in handle.generators]
     if args.json:
         return {"label": _label_text(s), "generators": texts}
@@ -199,8 +210,7 @@ def _verify_polarizations(args) -> int:
 def _verify_ideals(args) -> int:
     diagrams = _supported_catalog(args.n)
     for s in diagrams:
-        handle = build_ideal(s, None)
-        if not is_poisson_ideal(handle):
+        if not is_poisson_ideal(_ideal(s)):
             raise CheckFailure(f"ideal of {s.label} is not Poisson-closed")
     return len(diagrams)
 

@@ -348,11 +348,11 @@ def _generator_moves(n: int, p: int,
 
     A generator changes only a few values of a form, each a linear function
     of a few old values.  Each generator that moves anything gives, in root
-    order, one move (reads, columns, writes, read places, write places, at,
-    drivers, written): the new value at root ``writes[t]`` is row t of
-    ``columns`` times the old values at roots ``reads``, whose place values
-    form a column.  The action is unipotent, so a written value reads
-    itself with coefficient 1 and writes = reads[at].
+    order, one move (columns, read places, write places, at, drivers,
+    written): the new value at the t-th root it writes is row t of
+    ``columns`` times the old values at the roots it reads, whose place
+    values form a column.  The action is unipotent, so the t-th written
+    value reads itself, at place ``at[t]`` of the reads, with coefficient 1.
 
     Each move is read off the N images of the basis forms, computed afresh
     by ``coadjoint_act``.  A basis form keeps value 1 at its own root, so
@@ -390,8 +390,8 @@ def _generator_moves(n: int, p: int,
                    for i in writes]
         r = np.array(reads, dtype=np.int64)
         w = np.array(writes, dtype=np.int64)
-        moves.append((r, np.array(columns, dtype=np.int64), w,
-                      powers[r][:, None], powers[w], np.searchsorted(r, w),
+        moves.append((np.array(columns, dtype=np.int64), powers[r][:, None],
+                      powers[w], np.searchsorted(r, w),
                       sum(1 << k for k in drivers),
                       sum(1 << i for i in writes)))
     return moves
@@ -403,7 +403,7 @@ def _default_moves(n: int, p: int) -> Tuple[Tuple, ...]:
     (n, p), read-only because all of them share it."""
     moves = tuple(_generator_moves(n, p))
     for move in moves:
-        for array in move[:6]:
+        for array in move[:4]:
             array.flags.writeable = False
     return moves
 
@@ -510,7 +510,7 @@ def _sweep(codes: np.ndarray, p: int, move: Tuple, limit: int
     array itself is returned.  Images held past twice ``limit`` are merged;
     merged past it, they are returned unfinished, a part of the orbit
     already over the caller's budget."""
-    _reads, columns, _writes, read_scale, write_scale, at, *_masks = move
+    columns, read_scale, write_scale, at = move[:4]
     rows = max(1, _BLOCK_CELLS // len(read_scale))
     images = [codes]
     held = len(codes)
@@ -565,7 +565,7 @@ def orbit_bfs(f: LinearForm,
     for move in moves:
         if len(codes) > limit:
             break
-        drivers, written = move[6:]
+        drivers, written = move[4:]
         if not drivers & support:
             continue
         grown = _sweep(codes, p, move, limit)

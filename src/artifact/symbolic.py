@@ -4,7 +4,7 @@ Coordinates ``y_i_j`` (strictly lower positions) carry the Lie-Poisson
 bracket {y_ij, y_kl} = [j==k] y_il - [l==i] y_kj.  Constants ``c_i_j``
 are central parameters.  The column reduction peels canonical pairs off
 each column of a maximal diagram and accumulates one generator per
-closure root; the result is a triangular ideal handle with decidable
+closure root; the result is an ideal handle whose triangular rules decide
 membership.
 """
 from __future__ import annotations
@@ -49,8 +49,8 @@ class UnsupportedColumn(ValueError):
 
 
 class UnsupportedIdealShape(ValueError):
-    """The generators do not triangularize, so membership is undecidable
-    here (the zero element is always recognized)."""
+    """The generators do not give an exact triangular system: one has no
+    solvable root, or the normal form sends a rule denominator to zero."""
 
 
 # --- element constructors ----------------------------------------------
@@ -237,49 +237,57 @@ def _solve_for(poly: Polynomial, v: Root, invertible) -> Optional[Rule]:
 
 
 class IdealHandle:
-    """Generators plus, when they triangularize, a substitution system."""
+    """Generators and their triangular substitution system, whose normal
+    form phi keeps every rule denominator nonzero."""
 
-    def __init__(self, n: int, generators: List[Polynomial],
-                 rules: Optional[Dict[Root, Rule]],
-                 invertible: Tuple[Root, ...]):
+    def __init__(self, n: int, generators: List[Polynomial]):
         self.n = n
         self.generators = list(generators)
-        self.rules = rules
-        self.invertible = tuple(invertible)
+        self.rules: Dict[Root, Rule] = {}
         self._values: Dict = {}  # phi(y) per coordinate's key
 
     @classmethod
-    def from_generators(cls, n: int, generators, invertible=None
+    def from_generators(cls, n: int, generators, invertible=()
                         ) -> "IdealHandle":
         """The handle of the generators: each generator, reduced by the rules
-        before it, gives the rule of its least solvable root; the rules are
-        None if one has none."""
-        generators = list(generators)
-        out = cls(n, generators, {}, tuple(invertible or ()))
-        inv_set = set(out.invertible)
-        for gen in generators:
-            # Pivots are sought in the reduced form, whose leading
-            # coefficients can simplify to units even when the raw ones
-            # do not.
-            red = out.normal_form(gen).num
-            if red.is_zero():
-                continue
-            found = None
-            # least root first
-            for v in sorted(_y_roots(red), key=lex_sort_key, reverse=True):
-                found = _solve_for(red, v, inv_set)
-                if found is not None:
-                    break
-            if found is None:  # a fresh handle holds no rule and no phi
-                return cls(n, generators, None, out.invertible)
-            out._values.clear()  # a value may hold the new rule's coordinate
-            out.rules[found.root] = found
-        return out
+        before it, gives the rule of its least solvable root.  Raises
+        ``UnsupportedIdealShape`` when a generator has no solvable root or
+        phi sends a rule denominator to zero, during the search or after."""
+        out = cls(n, generators)
+        invertible = set(invertible)
+        try:
+            for gen in out.generators:
+                # Pivots are sought in the reduced form, whose leading
+                # coefficients can simplify to units even when the raw ones
+                # do not.
+                red = out.normal_form(gen).num
+                if red.is_zero():
+                    continue
+                found = None
+                # least root first
+                for v in sorted(_y_roots(red), key=lex_sort_key,
+                                reverse=True):
+                    found = _solve_for(red, v, invertible)
+                    if found is not None:
+                        break
+                if found is None:
+                    raise UnsupportedIdealShape(
+                        f"generator {poly_text(gen)} has no solvable root")
+                out._values.clear()  # a value may hold the new coordinate
+                out.rules[found.root] = found
+            # The check fills the memo of phi that the closure check reads.
+            if not any(out.normal_form(rule.den).num.is_zero()
+                       for rule in out.rules.values()):
+                return out
+        except ZeroDivisionError:
+            pass
+        raise UnsupportedIdealShape(
+            "the normal form sends a rule denominator to zero")
 
     def _value(self, key) -> Optional[LocalizedPolynomial]:
-        """phi(y) of a rule coordinate's key, kept from its first use (each
-        use raises if phi sends the rule's denominator to zero), else None.
-        A Root equals its (row, col), so a y key's tail finds its rule."""
+        """phi(y) of a rule coordinate's key, kept from its first use, else
+        None.  A Root equals its (row, col), so a y key's tail finds its
+        rule."""
         rule = self.rules.get(key[1:]) if key[0] == "y" else None
         if rule is None:
             return None
@@ -290,35 +298,16 @@ class IdealHandle:
     def normal_form(self, x) -> LocalizedPolynomial:
         """phi(x), where the ring homomorphism phi sends each y to its
         fully substituted rule value."""
-        if self.rules is None:
-            raise UnsupportedIdealShape(
-                "generators did not triangularize; no normal form")
         return _phi(_as_loc(x), self._value)
 
     def contains(self, x) -> bool:
-        val = _as_loc(x)
-        if val.num.is_zero():
-            return True
-        if self.rules is None:
-            raise UnsupportedIdealShape(
-                "generators did not triangularize; membership undecidable")
-        return self.normal_form(val).num.is_zero()
-
-    def is_exact(self) -> bool:
-        """False when a rule has a denominator that phi sends to zero:
-        bracketing then ``contains`` can raise on such a handle at a point
-        that depends on the expression."""
-        try:
-            return not any(self.normal_form(rule.den).num.is_zero()
-                           for rule in (self.rules or {}).values())
-        except ZeroDivisionError:
-            return False
+        return self.normal_form(x).num.is_zero()
 
     def coordinate(self, root: Root) -> LocalizedPolynomial:
         """phi(y_root), computed once per handle: a coordinate without a
         rule is its own image."""
         key = ("y", root.row, root.col)
-        if root in (self.rules or {}):
+        if root in self.rules:
             return self._value(key)
         if key not in self._values:
             self._values[key] = loc(y_var(root.row, root.col))
@@ -326,11 +315,8 @@ class IdealHandle:
 
 
 def is_casimir_mod(z, handle: IdealHandle) -> bool:
-    """True when z brackets into the ideal with every coordinate: each
-    bracket, taken in ``positive_roots`` order, is tested with
-    ``contains``, so one that is not identically zero raises
-    ``UnsupportedIdealShape`` when the generators did not triangularize.
-    """
+    """True when z brackets into the ideal with every coordinate, each
+    bracket, taken in ``positive_roots`` order, tested with ``contains``."""
     return all(handle.contains(bracket(z, y_var(r.row, r.col)))
                for r in positive_roots(handle.n))
 
@@ -339,9 +325,9 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
     """True when {g, y_r} lies in the ideal for every generator g and
     coordinate y_r.
 
-    On an exact handle (no rule denominator sent to zero by the normal
-    form phi) the localized ideal is generated by y_v - phi(y_v), one per
-    rule root v, where phi(y_v) = N/D holds only free coordinates.  By
+    The normal form phi sends no rule denominator to zero, so the localized
+    ideal is generated by y_v - phi(y_v), one per rule root v, where
+    phi(y_v) = N/D holds only free coordinates.  By
     Leibniz, closing one generating set closes the ideal, so the check is,
     for every rule v and coordinate y_r,
 
@@ -349,14 +335,7 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
 
     summed over the free y_u of N/D, with phi(y) computed once per
     coordinate: no normal form of anything but a coordinate is taken.
-
-    Any other handle tests each generator with ``is_casimir_mod`` in order,
-    so the result, and ``UnsupportedIdealShape`` for a bracket that is not
-    identically zero when the generators did not triangularize, are those
-    of bracketing then ``contains``.
     """
-    if handle.rules is None or not handle.is_exact():
-        return all(is_casimir_mod(gen, handle) for gen in handle.generators)
     for v in handle.rules:
         phi_v = handle.coordinate(v)
         # Both sides as one sum, y_v's term with coefficient D^2; per y_r,

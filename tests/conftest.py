@@ -193,7 +193,7 @@ def dense_moves(n, p):
     moves = []
     for g in np.flatnonzero(writes.any(axis=1)):
         r, w = np.flatnonzero(reads[g]), np.flatnonzero(writes[g])
-        moves.append((r, full[g][r][:, w].T, w, p ** (size - 1 - r)[:, None],
+        moves.append((full[g][r][:, w].T, p ** (size - 1 - r)[:, None],
                       p ** (size - 1 - w), np.searchsorted(r, w),
                       sum(1 << int(k) for k in np.flatnonzero(drives[g])),
                       sum(1 << int(i) for i in w)))

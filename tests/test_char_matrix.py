@@ -8,7 +8,8 @@ from artifact.root_system import InvalidDimension, Root, lex_greater, \
     positive_roots
 from artifact.admissible import build_admissible, enumerate_maximal
 from artifact._poly import substitute
-from artifact.symbolic import Polynomial, c_var, const, loc, poly_text, y_var
+from artifact.symbolic import Polynomial, build_ideal, c_var, const, loc, \
+    poly_text, y_var
 from artifact import char_matrix
 from artifact.char_matrix import (
     LemmaFailure,
@@ -463,6 +464,21 @@ class TestTriangularSystem:
                     inv = solver_invariant(s, eta)
                     diff = substitute(inv, solved) - substitute(inv, at_point)
                     assert diff.num.is_zero(), (s.label, eta)
+                    checked += 1
+        assert checked == 1843
+
+    def test_rules_are_the_ideal_coordinates(self, catalogs):
+        # Two derivations of one system: the rule the solver reads off each
+        # closure root's minor invariant is the image of its coordinate
+        # under the normal form of the column-reduction ideal.
+        checked = 0
+        for n in range(2, 8):
+            for s in catalogs(n):
+                system = triangular_system(s)
+                handle = build_ideal(s)
+                assert list(system.rules) == list(s.a_set)
+                for eta, rule in system.rules.items():
+                    assert rule == handle.coordinate(eta), (s.label, eta)
                     checked += 1
         assert checked == 1843
 

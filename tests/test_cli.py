@@ -126,6 +126,34 @@ class TestGenerators:
                            "--label", "9,9,9")
         assert code == 2
 
+    def test_non_maximal_diagram_is_a_usage_error(self, capsys):
+        # The n = 9 catalog walk lists 9,3,89, which admits a proper
+        # extension: build_ideal refuses it, and the error names the label.
+        assert run(capsys, "generators", "--n", "9", "--label",
+                   "9,3,89") == (
+            2, "", "warning: catalog for n = 9 is outside the "
+                   "cross-checked range\n"
+                   "error: diagram 9,3,89: the diagram admits a proper "
+                   "extension\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("generators", "--n", "4", "--label", "4,0,1"),
+        ("verify", "--suite", "ideals", "--n", "4"),
+    ])
+    def test_refused_ideal_is_a_usage_error(self, capsys, monkeypatch,
+                                            argv):
+        # No catalog diagram gives generators that fail to triangularize,
+        # so the refusal is raised by hand to check its exit code and line.
+        from artifact import cli
+        from artifact.symbolic import UnsupportedIdealShape
+
+        def refuse(s, c):
+            raise UnsupportedIdealShape("no solvable root")
+
+        monkeypatch.setattr(cli, "build_ideal", refuse)
+        assert run(capsys, *argv) == (
+            2, "", "error: diagram 4,0,1: no solvable root\n")
+
 
 class TestCensus:
     def test_n3_p2(self, capsys):

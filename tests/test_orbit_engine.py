@@ -313,8 +313,8 @@ class TestOrbitBfs:
 
         orbit_bfs(form(4, 3, {R(4, 1): 1}))
         moves = orbit_engine._default_moves(4, 3)
-        assert {len(move) for move in moves} == {8}
-        for array in itertools.chain.from_iterable(m[:6] for m in moves):
+        assert {len(move) for move in moves} == {6}
+        for array in itertools.chain.from_iterable(m[:4] for m in moves):
             with pytest.raises(ValueError):
                 array[0] = 0
         # The checks run before the memo is read, so it sees no call.
@@ -429,7 +429,7 @@ class TestGeneratorArgument:
 
 class TestMovesAgainstDenseAssembly:
     """The sparse move assembly gives the dense size³ one, field for
-    field, in root order: the same six arrays, dtypes and shapes, and the
+    field, in root order: the same four arrays, dtypes and shapes, and the
     same two int bitmasks of drivers and writes."""
 
     @pytest.mark.parametrize(
@@ -444,13 +444,13 @@ class TestMovesAgainstDenseAssembly:
                     orbit_engine._default_moves(n, p)):
             assert len(got) == len(expected)
             for move, want in zip(got, expected):
-                assert len(move) == 8
-                for array, ref in zip(move[:6], want):
+                assert len(move) == 6
+                for array, ref in zip(move[:4], want):
                     assert array.dtype == ref.dtype == np.int64
                     assert array.shape == ref.shape
                     assert np.array_equal(array, ref)
-                assert move[6:] == want[6:]
-                assert all(type(mask) is int for mask in move[6:])
+                assert move[4:] == want[4:]
+                assert all(type(mask) is int for mask in move[4:])
 
 
 class TestSearchAgainstReference:
@@ -577,7 +577,7 @@ class TestSkippedSweeps:
         moves = _generator_moves(n, p)
         assert len(moves) == len(moving)
         for g, move in zip(moving, moves):
-            drivers = move[6]
+            drivers = move[4]
             codes = sorted({sum(rng.randrange(p) * p ** (size - 1 - k)
                                 for k in range(size) if not drivers >> k & 1)
                             for _ in range(16)})

@@ -260,21 +260,20 @@ class TestGeneratorMoves:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_dense_reference(self, n, p):
-        moves = _generator_moves(n, p)
-        got = [(reads.tolist(), columns.T.tolist(), writes.tolist())
-               for reads, columns, writes, *_ in moves]
-        assert got == _reference_moves(n, p)
-        top = n * (n - 1) // 2 - 1
-        for reads, _columns, writes, read_scale, write_scale, at, drivers, \
-                written in moves:
-            assert read_scale.tolist() == \
-                [[p ** (top - k)] for k in reads.tolist()]
-            assert write_scale.tolist() == \
-                [p ** (top - k) for k in writes.tolist()]
-            assert reads[at].tolist() == writes.tolist()
-            assert written == sum(1 << k for k in writes.tolist())
+        size = n * (n - 1) // 2
+        got = []
+        for columns, read_scale, write_scale, at, drivers, written in \
+                _generator_moves(n, p):
             # The read roots are the drivers and the written roots.
-            assert sum(1 << k for k in reads.tolist()) == drivers | written
+            reads = [k for k in range(size) if (drivers | written) >> k & 1]
+            writes = [k for k in range(size) if written >> k & 1]
+            got.append((reads, columns.T.tolist(), writes))
+            assert read_scale.tolist() == \
+                [[p ** (size - 1 - k)] for k in reads]
+            assert write_scale.tolist() == \
+                [p ** (size - 1 - k) for k in writes]
+            assert [reads[a] for a in at.tolist()] == writes
+        assert got == _reference_moves(n, p)
 
 
 class TestWEtaInvariants:

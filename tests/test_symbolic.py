@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from artifact._poly import coerce_scalar
 from artifact.root_system import Root, positive_roots
@@ -323,20 +323,25 @@ class TestIdealHandle:
         assert not i.contains(y(3, 2))
 
     def test_unsupported_shape(self):
-        i = IdealHandle.from_generators(
-            5, [y(4, 1) * y(5, 2) - const(1)])
-        with pytest.raises(UnsupportedIdealShape):
-            i.contains(y(4, 1))
+        # y41*y52 - 1 has no admissible linear lead: the generators do not
+        # triangularize, and are refused at construction.
+        with pytest.raises(UnsupportedIdealShape,
+                           match="has no solvable root"):
+            IdealHandle.from_generators(
+                5, [y(4, 1) * y(5, 2) - const(1)])
 
     def test_dropped_rules_leave_no_image(self):
-        # A rule for y_3_1 is found, then y_2_1^2 * y_3_1 does not
-        # triangularize: the handle keeps no rule, so each coordinate is
-        # its own image.
-        i = IdealHandle.from_generators(
-            3, [y(3, 1) - const(2), y(2, 1) ** 2 * y(3, 1)])
-        assert i.rules is None
-        for r in positive_roots(3):
-            assert i.coordinate(r) == loc(y(r.row, r.col))
+        # A rule for y_3_1 is found, then y_2_1^2 * y_3_1 reduces to
+        # 2 y_2_1^2, which is quadratic in its one root.  The list is
+        # refused, so no handle keeps the rule found first.
+        with pytest.raises(UnsupportedIdealShape,
+                           match="has no solvable root"):
+            IdealHandle.from_generators(
+                3, [y(3, 1) - const(2), y(2, 1) ** 2 * y(3, 1)])
+        # Without the second generator the rule stands.
+        handle = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
+        assert handle.coordinate(R(3, 1)) == loc(const(2))
+        assert handle.coordinate(R(2, 1)) == loc(y(2, 1))
 
     def test_normal_form_constant(self):
         i = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
@@ -899,19 +904,23 @@ class TestChainRuleClosure:
     def test_dropped_generator_matches_reference(self):
         # Every catalog ideal is closed, so each one is also checked with
         # one generator left out: the rule-coordinate check must then find
-        # the ideals that are not closed, and a handle that does not
-        # triangularize must raise as the reference does.
+        # the ideals that are not closed.  A list that does not give an
+        # exact triangular system is refused at construction.
         outcomes = set()
         for s in _every_diagram(6):
             gens = build_ideal(s, None).generators
             for k in range(len(gens)):
-                h = IdealHandle.from_generators(
-                    s.n, gens[:k] + gens[k + 1:], s.s_otimes)
+                try:
+                    h = IdealHandle.from_generators(
+                        s.n, gens[:k] + gens[k + 1:], s.s_otimes)
+                except UnsupportedIdealShape:
+                    outcomes.add(("refused",))
+                    continue
                 got = _outcome(is_poisson_ideal, h)
                 assert got == _outcome(_poisson_reference, h), (s.label, k)
                 outcomes.add(got[:2])
-        assert ("returns", True) in outcomes
-        assert ("returns", False) in outcomes
+        assert outcomes == {("returns", True), ("returns", False),
+                            ("refused",)}
 
     def test_triangular_handles_bracket_nothing(self, monkeypatch):
         # On a triangular ideal the check needs no bracket and no
@@ -929,14 +938,13 @@ class TestChainRuleClosure:
 
     def test_catalog_chain_rules_are_exact(self):
         # Every catalog ideal for n <= 7 triangularizes with denominators
-        # that its normal form keeps nonzero, and its generators have no
-        # denominator, so is_poisson_ideal never falls back to bracketing
-        # then contains on the catalog.
+        # that its normal form, and the least-first cascade, keep nonzero.
         handles = [build_ideal(s, None) for s in _every_diagram(7)]
         assert len(handles) == 168
         for h in handles:
-            assert h.rules is not None
-            assert h.is_exact()
+            for rule in h.rules.values():
+                assert not h.normal_form(rule.den).num.is_zero()
+                assert not _normal_form_every_rule(h, rule.den).num.is_zero()
 
     def test_coordinate_image_computed_once(self, monkeypatch):
         from artifact import symbolic
@@ -975,31 +983,29 @@ class TestChainRuleClosure:
                 _outcome(_casimir_reference, z, zero)
 
     def test_undecidable_raises_like_contains(self):
-        # y51 is central and y41*y52 - 1 has no admissible linear lead:
-        # the first bracket that is not identically zero raises.
-        handle = IdealHandle.from_generators(
-            5, [y(5, 1), y(4, 1) * y(5, 2) - const(1)])
-        assert handle.rules is None
-        for check, args in [(is_poisson_ideal, (handle,)),
-                            (is_casimir_mod, (y(3, 2), handle))]:
-            with pytest.raises(UnsupportedIdealShape):
-                check(*args)
+        # y51 is central and gives a rule; y41*y52 - 1 has no admissible
+        # linear lead.  Membership would be undecidable, so the list is
+        # refused at construction, before any check can run on it.
+        with pytest.raises(UnsupportedIdealShape,
+                           match="has no solvable root"):
+            IdealHandle.from_generators(
+                5, [y(5, 1), y(4, 1) * y(5, 2) - const(1)])
+        # The central generator alone is decided by its rule.
+        handle = IdealHandle.from_generators(5, [y(5, 1)])
         assert is_casimir_mod(y(5, 1), handle)
+        assert _outcome(is_casimir_mod, y(3, 2), handle) == \
+            _outcome(_casimir_reference, y(3, 2), handle)
 
     def test_vanishing_denominator_matches_reference(self):
-        # y32 = -y21/y31 with y31 in the ideal: a normal form can divide
-        # by zero, and the checks return or raise what the reference
-        # does.
-        handle = IdealHandle.from_generators(
-            3, [y(3, 1) * y(3, 2) + y(2, 1), y(3, 1)],
-            invertible=[R(3, 1)])
-        assert set(handle.rules) == {R(3, 2), R(3, 1)}
-        assert _outcome(is_poisson_ideal, handle) == \
-            _outcome(_poisson_reference, handle)
-        for z in (y(3, 2), y(2, 1), y(3, 2) ** 2, loc(y(2, 1), y(3, 1))):
-            assert _outcome(is_casimir_mod, z, handle) == \
-                _outcome(_casimir_reference, z, handle)
-        # Rules without denominators, but z's denominator is in the ideal.
+        # y32 = -y21/y31 with y31 in the ideal: the normal form sends the
+        # rule denominator y31 to zero, so the handle is refused.
+        with pytest.raises(UnsupportedIdealShape,
+                           match="sends a rule denominator to zero"):
+            IdealHandle.from_generators(
+                3, [y(3, 1) * y(3, 2) + y(2, 1), y(3, 1)],
+                invertible=[R(3, 1)])
+        # Rules without denominators, but z's denominator is in the ideal:
+        # the checks return or raise what the reference does.
         corner = IdealHandle.from_generators(3, [y(3, 1)])
         for z in (loc(y(2, 1), y(3, 1)), loc(y(3, 2), y(3, 1)),
                   loc(const(1), y(3, 1))):
@@ -1007,19 +1013,21 @@ class TestChainRuleClosure:
                 _outcome(_casimir_reference, z, corner)
 
     def test_vanishing_denominator_raises_in_a_product(self):
-        # phi(y32) = -y21 / phi(y31) = -y21 / 0.  The least-first cascade
-        # put y32's value in before y31's and so cancelled y31 out of
-        # y32*y31; phi raises for the product as it does for y32 alone.
+        # phi(y32) = -y21 / phi(y31) = -y21 / 0.  A least-first cascade
+        # would put y32's value in before y31's and so cancel y31 out of
+        # y32*y31; reducing a later generator divides by zero for the
+        # product as it does for y32 alone, and the handle is refused.
+        gens = [y(3, 1) * y(3, 2) + y(2, 1), y(3, 1)]
+        for later in (y(3, 2), y(3, 2) * y(3, 1)):
+            with pytest.raises(UnsupportedIdealShape,
+                               match="sends a rule denominator to zero"):
+                IdealHandle.from_generators(3, gens + [later],
+                                            invertible=[R(3, 1)])
+        # With y31 first, y32's generator reduces to y21: no denominator.
         handle = IdealHandle.from_generators(
-            3, [y(3, 1) * y(3, 2) + y(2, 1), y(3, 1)],
-            invertible=[R(3, 1)])
-        product = y(3, 2) * y(3, 1)
-        assert poly_text(_normal_form_every_rule(handle, product)) == \
-            "-1*y_2_1"
-        for x in (y(3, 2), product):
-            with pytest.raises(ZeroDivisionError):
-                handle.normal_form(x)
-        assert not handle.is_exact()
+            3, gens[::-1] + [y(3, 2) * y(3, 1)], invertible=[R(3, 1)])
+        assert set(handle.rules) == {R(3, 1), R(2, 1)}
+        assert handle.contains(y(3, 2) * y(3, 1))
 
 
 def _drawn_ideals():
@@ -1057,18 +1065,12 @@ def _drawn_ideals():
             # Put a root said to be invertible into the ideal, so that a
             # rule's denominator can vanish modulo the ideal.
             gens.append(y(invertible[0].row, invertible[0].col))
-        try:
-            handle = IdealHandle.from_generators(n, gens,
-                                                 invertible=invertible)
-        except ZeroDivisionError:
-            # The rule search itself divided by a vanishing denominator.
-            assume(False)
         probes = [poly(4)]
         if not draw(st.integers(0, 2)):
             den = poly(1)
             if not den.is_zero():
                 probes.append(loc(poly(3), den))
-        return handle, probes
+        return n, gens, invertible, probes
 
     return draw_ideal()
 
@@ -1077,7 +1079,16 @@ class TestChainRuleProperties:
     @settings(max_examples=150)
     @given(_drawn_ideals())
     def test_matches_reference(self, drawn):
-        handle, probes = drawn
+        # A drawn list either is refused at construction or gives a handle
+        # whose checks return or raise what the reference does.
+        n, gens, invertible, probes = drawn
+        try:
+            handle = IdealHandle.from_generators(n, gens,
+                                                 invertible=invertible)
+        except UnsupportedIdealShape:
+            event("refused")
+            return
+        event("accepted")
         assert _outcome(is_poisson_ideal, handle) == \
             _outcome(_poisson_reference, handle)
         for z in probes:
