@@ -27,7 +27,7 @@ class FieldMismatch(TypeError):
 
 def coerce_scalar(value, p: Optional[int]):
     """An int or Fraction as a rational (``p is None``) or as its residue
-    mod the prime p."""
+    mod the prime p; a bool, like a float, raises TypeError."""
     if isinstance(value, Fraction):
         if p is None:
             return value
@@ -35,7 +35,7 @@ def coerce_scalar(value, p: Optional[int]):
             raise FieldMismatch(
                 f"denominator of {value} vanishes mod {p}")
         return (value.numerator * pow(value.denominator, -1, p)) % p
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value) if p is None else value % p
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 

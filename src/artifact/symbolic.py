@@ -49,8 +49,9 @@ class UnsupportedColumn(ValueError):
 
 
 class UnsupportedIdealShape(ValueError):
-    """The generators do not give an exact triangular system: one has no
-    solvable root, or the normal form sends a rule denominator to zero."""
+    """The generators do not give triangular rules in root order: a
+    reduced generator has no rule at its least coordinate below the root
+    of the rule before it."""
 
 
 # --- element constructors ----------------------------------------------
@@ -236,82 +237,67 @@ def _solve_for(poly: Polynomial, v: Root, invertible) -> Optional[Rule]:
     return None
 
 
+@lru_cache(maxsize=None)
+def _free_coordinate(root: Root) -> LocalizedPolynomial:
+    """The image of a coordinate without a rule: itself, one per root."""
+    return loc(y_var(root.row, root.col))
+
+
 class IdealHandle:
-    """Generators and their triangular substitution system, whose normal
-    form phi keeps every rule denominator nonzero."""
+    """Generators and their triangular rules in root order: each rule's
+    value holds only coordinates greater than its root, none of them
+    ruled, so phi(y_v) is the value of v's rule."""
 
     def __init__(self, n: int, generators: List[Polynomial]):
         self.n = n
         self.generators = list(generators)
         self.rules: Dict[Root, Rule] = {}
-        self._values: Dict = {}  # phi(y) per coordinate's key
 
     @classmethod
     def from_generators(cls, n: int, generators, invertible=()
                         ) -> "IdealHandle":
         """The handle of the generators: each generator, reduced by the rules
-        before it, gives the rule of its least solvable root.  Raises
-        ``UnsupportedIdealShape`` when a generator has no solvable root or
-        phi sends a rule denominator to zero, during the search or after."""
+        before it, gives the rule of its least coordinate, which must lie
+        below the root of the rule before it.  Raises
+        ``UnsupportedIdealShape`` when a generator gives no such rule, and
+        ValueError for a coordinate outside the n-by-n triangle."""
         out = cls(n, generators)
-        invertible = set(invertible)
-        try:
-            for gen in out.generators:
-                # Pivots are sought in the reduced form, whose leading
-                # coefficients can simplify to units even when the raw ones
-                # do not.
-                red = out.normal_form(gen).num
-                if red.is_zero():
-                    continue
-                found = None
-                # least root first
-                for v in sorted(_y_roots(red), key=lex_sort_key,
-                                reverse=True):
-                    found = _solve_for(red, v, invertible)
-                    if found is not None:
-                        break
-                if found is None:
-                    raise UnsupportedIdealShape(
-                        f"generator {poly_text(gen)} has no solvable root")
-                out._values.clear()  # a value may hold the new coordinate
-                out.rules[found.root] = found
-            # The check fills the memo of phi that the closure check reads.
-            if not any(out.normal_form(rule.den).num.is_zero()
-                       for rule in out.rules.values()):
-                return out
-        except ZeroDivisionError:
-            pass
-        raise UnsupportedIdealShape(
-            "the normal form sends a rule denominator to zero")
-
-    def _value(self, key) -> Optional[LocalizedPolynomial]:
-        """phi(y) of a rule coordinate's key, kept from its first use, else
-        None.  A Root equals its (row, col), so a y key's tail finds its
-        rule."""
-        rule = self.rules.get(key[1:]) if key[0] == "y" else None
-        if rule is None:
-            return None
-        if key not in self._values:
-            self._values[key] = _phi(rule.value, self._value)
-        return self._values[key]
+        for gen in out.generators:
+            red = out.normal_form(gen).num
+            if red.is_zero():
+                continue
+            roots = sorted(_y_roots(red), key=lex_sort_key)
+            for r in roots:
+                if not 1 <= r.col < r.row <= n:
+                    raise ValueError(f"{r!r} lies outside the n={n} triangle")
+            rule = _solve_for(red, roots[-1], invertible) if roots else None
+            if rule is None:
+                raise UnsupportedIdealShape(
+                    f"generator {poly_text(gen)} has no solvable root")
+            last = next(reversed(out.rules), None)
+            if last is not None and not lex_greater(last, rule.root):
+                raise UnsupportedIdealShape(
+                    f"generator {poly_text(gen)} solves for {rule.root!r}, "
+                    f"which is not below the previous rule root {last!r}")
+            out.rules[rule.root] = rule
+        return out
 
     def normal_form(self, x) -> LocalizedPolynomial:
-        """phi(x), where the ring homomorphism phi sends each y to its
-        fully substituted rule value."""
-        return _phi(_as_loc(x), self._value)
+        """phi(x), where the ring homomorphism phi sends each ruled y to its
+        rule's value.  A Root equals its (row, col), so a y key's tail finds
+        its rule."""
+        def value(key):
+            rule = self.rules.get(key[1:]) if key[0] == "y" else None
+            return None if rule is None else rule.value
+        return _phi(_as_loc(x), value)
 
     def contains(self, x) -> bool:
         return self.normal_form(x).num.is_zero()
 
     def coordinate(self, root: Root) -> LocalizedPolynomial:
-        """phi(y_root), computed once per handle: a coordinate without a
-        rule is its own image."""
-        key = ("y", root.row, root.col)
-        if root in self.rules:
-            return self._value(key)
-        if key not in self._values:
-            self._values[key] = loc(y_var(root.row, root.col))
-        return self._values[key]
+        """phi(y_root): its rule's value, or itself without a rule."""
+        rule = self.rules.get(root)
+        return _free_coordinate(root) if rule is None else rule.value
 
 
 def is_casimir_mod(z, handle: IdealHandle) -> bool:
@@ -325,16 +311,16 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
     """True when {g, y_r} lies in the ideal for every generator g and
     coordinate y_r.
 
-    The normal form phi sends no rule denominator to zero, so the localized
-    ideal is generated by y_v - phi(y_v), one per rule root v, where
-    phi(y_v) = N/D holds only free coordinates.  By
-    Leibniz, closing one generating set closes the ideal, so the check is,
-    for every rule v and coordinate y_r,
+    The rules are in root order, so the localized ideal is generated by
+    y_v - phi(y_v), one per rule root v, where phi(y_v) = N/D is the rule's
+    value and holds only free coordinates.  By Leibniz, closing one
+    generating set closes the ideal, so the check is, for every rule v and
+    coordinate y_r,
 
         D^2 * phi({y_v, y_r}) = sum_u (N_u D - N D_u) * phi({y_u, y_r}),
 
-    summed over the free y_u of N/D, with phi(y) computed once per
-    coordinate: no normal form of anything but a coordinate is taken.
+    summed over the free y_u of N/D, with each phi(y) read from the rules:
+    no normal form is taken.
     """
     for v in handle.rules:
         phi_v = handle.coordinate(v)

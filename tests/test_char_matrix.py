@@ -565,3 +565,24 @@ class TestCasimirProperty:
         for n in (4, 5):
             for p in regular_minors(n):
                 assert is_casimir_mod(p, IdealHandle.from_generators(n, []))
+
+    def test_solver_invariants_are_casimirs_mod_the_ideal(self, catalogs,
+                                                          by_label):
+        # The paper's theorem in Casimir form: the invariant of each
+        # closure root brackets every coordinate into the family's defining
+        # ideal.  P_{h,eta} at the two gap roots, not an orbit invariant
+        # there, does not.
+        from artifact.symbolic import is_casimir_mod
+
+        checked = 0
+        for n in range(2, 8):
+            for s in catalogs(n):
+                handle = build_ideal(s)
+                for eta in s.a_set:
+                    assert is_casimir_mod(solver_invariant(s, eta), handle), \
+                        (s.label, eta)
+                    checked += 1
+        assert checked == 1843
+        for label, eta in char_matrix._GAPS:
+            s = by_label(label)
+            assert not is_casimir_mod(p_h_eta(s, eta), build_ideal(s))

@@ -88,16 +88,23 @@ class TestCoefficientRepresentation:
         assert poly_text(half * 2) == "1"
 
     # p is the prime of coerce_scalar, which takes a form's values into
-    # an evaluation; None keeps them in Q, as a polynomial does.
+    # an evaluation; None keeps them in Q, as a polynomial does.  A bool is
+    # refused as a float is: True is not taken as 1, by a polynomial, a
+    # form or a group element.
     @pytest.mark.parametrize("p", [None, 7])
     def test_other_types_rejected(self, p):
         import numpy as np
+        from artifact.orbit_engine import GroupElement, LinearForm
 
-        for bad in (1.5, 2.0, np.int64(3)):
+        for bad in (1.5, 2.0, np.int64(3), True, False):
             with pytest.raises(TypeError):
                 coerce_scalar(bad, p)
             with pytest.raises(TypeError):
                 Polynomial({(): bad})
+            with pytest.raises(TypeError):
+                LinearForm(3, p, {(2, 1): bad})
+            with pytest.raises(TypeError):
+                GroupElement(3, p, {(2, 1): bad})
 
     def test_denominator_vanishing_mod_p(self):
         with pytest.raises(FieldMismatch):
@@ -342,6 +349,16 @@ class TestIdealHandle:
         handle = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
         assert handle.coordinate(R(3, 1)) == loc(const(2))
         assert handle.coordinate(R(2, 1)) == loc(y(2, 1))
+
+    def test_coordinate_outside_the_triangle(self):
+        # y_5_1 has no place in UT(3): the list is refused, with the wording
+        # of a form's entries, before any check could look it up.
+        with pytest.raises(ValueError,
+                           match=r"^Root\(5,1\) lies outside the n=3 "
+                                 r"triangle$"):
+            IdealHandle.from_generators(3, [y(5, 1)])
+        with pytest.raises(ValueError, match=r"Root\(4,2\) lies outside"):
+            IdealHandle.from_generators(3, [y(3, 1) - y(4, 2)])
 
     def test_normal_form_constant(self):
         i = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
@@ -778,21 +795,26 @@ class TestSkippedSubstitutions:
                 assert poly_text(handle.normal_form(x)) == poly_text(want)
 
     def test_substitution_brings_in_a_later_rule(self):
-        # y21 -> y31 -> 2: the first substitution introduces the variable
-        # of the next rule, in the numerator or in the denominator.  With
-        # y21 - 2 second, phi(y21) = y31 reduces it before the rule for y31
-        # exists, and must not be kept.
+        # y21 -> y31 -> 2 would have phi(y21) = y31 bring in the rule of a
+        # greater root found later.  Rules come in root order, so both
+        # lists that ask for it are refused, naming both roots; the list in
+        # root order gives the normal forms, in the numerator or in the
+        # denominator.
         for second in (y(3, 1) - const(2), y(2, 1) - const(2)):
-            handle = IdealHandle.from_generators(
-                3, [y(2, 1) - y(3, 1), second])
-            for x, want in [(y(2, 1), loc(const(2))),
-                            (loc(const(1), y(2, 1)),
-                             loc(const(1), const(2))),
-                            (loc(y(3, 2), y(2, 1) + y(3, 1)),
-                             loc(y(3, 2), const(4)))]:
-                assert handle.normal_form(x) == want
-                ref = _normal_form_every_rule(handle, x)
-                assert poly_text(handle.normal_form(x)) == poly_text(ref)
+            with pytest.raises(UnsupportedIdealShape,
+                               match=r"solves for Root\(3,1\), which is not "
+                                     r"below the previous rule root "
+                                     r"Root\(2,1\)"):
+                IdealHandle.from_generators(3, [y(2, 1) - y(3, 1), second])
+        handle = IdealHandle.from_generators(
+            3, [y(3, 1) - const(2), y(2, 1) - y(3, 1)])
+        for x, want in [(y(2, 1), loc(const(2))),
+                        (loc(const(1), y(2, 1)), loc(const(1), const(2))),
+                        (loc(y(3, 2), y(2, 1) + y(3, 1)),
+                         loc(y(3, 2), const(4)))]:
+            assert handle.normal_form(x) == want
+            ref = _normal_form_every_rule(handle, x)
+            assert poly_text(handle.normal_form(x)) == poly_text(ref)
 
     def test_only_the_side_holding_the_variable_is_substituted(
             self, monkeypatch):
@@ -801,7 +823,7 @@ class TestSkippedSubstitutions:
         from artifact import symbolic
 
         handle = IdealHandle.from_generators(
-            3, [y(3, 2) - const(1), y(3, 1) - const(2)])
+            3, [y(3, 1) - const(2), y(3, 2) - const(1)])
         split = []
         real = symbolic._substituted
 
@@ -947,6 +969,8 @@ class TestChainRuleClosure:
                 assert not _normal_form_every_rule(h, rule.den).num.is_zero()
 
     def test_coordinate_image_computed_once(self, monkeypatch):
+        # A ruled coordinate's image is its rule's value; a free one is
+        # built once per root and shared by every handle.
         from artifact import symbolic
         from artifact.admissible import enumerate_maximal
 
@@ -958,16 +982,20 @@ class TestChainRuleClosure:
             return real(row, col)
 
         s = next(x for x in enumerate_maximal(6) if x.label == (6, 3, 4))
-        handle = build_ideal(s, None)
+        handle, other = build_ideal(s, None), build_ideal(s, None)
+        assert all(handle.coordinate(v) is rule.value
+                   for v, rule in handle.rules.items())
+        symbolic._free_coordinate.cache_clear()
         monkeypatch.setattr(symbolic, "y_var", counting)
         for _ in range(2):
             assert is_poisson_ideal(handle)
         assert built, "no coordinate image was computed"
         assert len(built) == len(set(built))
-        # A new handle computes its own images.
+        assert not set(built) & set(handle.rules)
+        # A new handle reads the same free images.
         seen = len(built)
-        assert is_poisson_ideal(build_ideal(s, None))
-        assert len(built) > seen
+        assert is_poisson_ideal(other)
+        assert len(built) == seen
 
     def test_quotient_rule(self):
         # y31 written over a denominator that brackets nontrivially is
@@ -997,10 +1025,13 @@ class TestChainRuleClosure:
             _outcome(_casimir_reference, y(3, 2), handle)
 
     def test_vanishing_denominator_matches_reference(self):
-        # y32 = -y21/y31 with y31 in the ideal: the normal form sends the
-        # rule denominator y31 to zero, so the handle is refused.
+        # y32 = -y21/y31 with y31 in the ideal: y31's generator comes after
+        # the rule of the lesser root y32, so the list is refused there,
+        # before y31 can enter a rule denominator's image.
         with pytest.raises(UnsupportedIdealShape,
-                           match="sends a rule denominator to zero"):
+                           match=r"generator 1\*y_3_1 solves for Root\(3,1\), "
+                                 r"which is not below the previous rule root "
+                                 r"Root\(3,2\)"):
             IdealHandle.from_generators(
                 3, [y(3, 1) * y(3, 2) + y(2, 1), y(3, 1)],
                 invertible=[R(3, 1)])
@@ -1013,14 +1044,15 @@ class TestChainRuleClosure:
                 _outcome(_casimir_reference, z, corner)
 
     def test_vanishing_denominator_raises_in_a_product(self):
-        # phi(y32) = -y21 / phi(y31) = -y21 / 0.  A least-first cascade
-        # would put y32's value in before y31's and so cancel y31 out of
-        # y32*y31; reducing a later generator divides by zero for the
-        # product as it does for y32 alone, and the handle is refused.
+        # phi(y32) = -y21 / phi(y31) would be -y21 / 0.  Rules come in root
+        # order, so the list is refused at y31's generator, which follows
+        # the rule of the lesser y32, whether y32 or y32*y31 comes later:
+        # no later generator is reduced over the vanishing denominator.
         gens = [y(3, 1) * y(3, 2) + y(2, 1), y(3, 1)]
         for later in (y(3, 2), y(3, 2) * y(3, 1)):
             with pytest.raises(UnsupportedIdealShape,
-                               match="sends a rule denominator to zero"):
+                               match=r"generator 1\*y_3_1 solves for "
+                                     r"Root\(3,1\), which is not below"):
                 IdealHandle.from_generators(3, gens + [later],
                                             invertible=[R(3, 1)])
         # With y31 first, y32's generator reduces to y21: no denominator.
@@ -1062,8 +1094,8 @@ def _drawn_ideals():
             gens = [poly(3)]
         invertible = draw(st.lists(root, max_size=2))
         if invertible and draw(st.booleans()):
-            # Put a root said to be invertible into the ideal, so that a
-            # rule's denominator can vanish modulo the ideal.
+            # Put a root said to be invertible into the ideal: a list whose
+            # earlier rule divides by it is refused by root order.
             gens.append(y(invertible[0].row, invertible[0].col))
         probes = [poly(4)]
         if not draw(st.integers(0, 2)):
