@@ -328,16 +328,18 @@ class LocalizedPolynomial(_Element):
     def __init__(self, num: Polynomial, den=None):
         if not isinstance(num, Polynomial):
             raise TypeError("numerator must be a Polynomial")
-        if den is None:
-            den = Polynomial.one()
-        if not isinstance(den, Polynomial):
-            den = Polynomial({(): den})
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Polynomial.one()
+        # A unit denominator, None or the shared one, needs no reduction.
+        if den is None or den is _ONE:
+            den = _ONE
         else:
-            num, den = _reduce_fraction(num, den)
+            if not isinstance(den, Polynomial):
+                den = Polynomial({(): den})
+            if den.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            if num.is_zero():
+                den = _ONE
+            else:
+                num, den = _reduce_fraction(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -28,6 +28,7 @@ from .admissible import NotMaximal, is_maximal
 from .root_system import (
     Root,
     c_split,
+    check_dimension,
     lex_greater,
     lex_sort_key,
     positive_roots,
@@ -170,7 +171,8 @@ def _substituted(poly: Polynomial, value) -> Tuple[Polynomial, Polynomial]:
     """(num, den) with num / den = poly after each variable whose value(key)
     is not None becomes that value ((poly, 1) when none does): the terms
     are grouped by those exponents, a term with a zero value dropped, and
-    the groups put over one denominator prod den_k^top_k."""
+    the groups put over one denominator prod den_k^top_k.  Each group's
+    factor of image powers is built once, and each power once per call."""
     images = {key: image for key in poly.variables()
               if (image := value(key)) is not None}
     if not images:
@@ -191,18 +193,30 @@ def _substituted(poly: Polynomial, value) -> Tuple[Polynomial, Polynomial]:
     tops = {k: max((dict(keyed).get(k, 0) for keyed in groups), default=0)
             for k, image in images.items()
             if image.num.terms and not image.den.is_constant()}
+    powers: Dict[Tuple, Polynomial] = {}
+
+    def power(k, e: int, of_den: bool) -> Polynomial:
+        # The side itself at e == 1, where ** would copy it.
+        base = images[k].den if of_den else images[k].num
+        if e == 1:
+            return base
+        hit = powers.get((k, e, of_den))
+        if hit is None:
+            hit = powers[k, e, of_den] = base ** e
+        return hit
+
     acc: Dict = {}
     for keyed, terms in groups.items():
         exps, part = dict(keyed), Polynomial(terms)
-        for k, e in keyed:
-            part = part * images[k].num ** e
-        for k, top in tops.items():
-            if top > exps.get(k, 0):
-                part = part * images[k].den ** (top - exps.get(k, 0))
+        factors = [power(k, e, False) for k, e in keyed]
+        factors += [power(k, top - exps.get(k, 0), True)
+                    for k, top in tops.items() if top > exps.get(k, 0)]
+        if factors:
+            part = math.prod(factors[1:], start=factors[0]) * part
         for mono, coef in part.terms.items():
             acc[mono] = acc.get(mono, 0) + coef
     return Polynomial(acc), math.prod(
-        (images[k].den ** top for k, top in tops.items()),
+        (power(k, top, True) for k, top in tops.items()),
         start=Polynomial.one())
 
 
@@ -259,9 +273,16 @@ class IdealHandle:
         """The handle of the generators: each generator, reduced by the rules
         before it, gives the rule of its least coordinate, which must lie
         below the root of the rule before it.  Raises
-        ``UnsupportedIdealShape`` when a generator gives no such rule, and
-        ValueError for a coordinate outside the n-by-n triangle."""
+        ``UnsupportedIdealShape`` when a generator gives no such rule,
+        ValueError for a coordinate outside the n-by-n triangle, and, before
+        any reduction, ``InvalidDimension`` for an n that is not an int
+        >= 2 and TypeError for a generator that is not a ``Polynomial``."""
+        check_dimension(n)
         out = cls(n, generators)
+        for gen in out.generators:
+            if not isinstance(gen, Polynomial):
+                raise TypeError(f"generator {gen!r} is not a Polynomial: "
+                                f"got {type(gen).__name__}")
         for gen in out.generators:
             red = out.normal_form(gen).num
             if red.is_zero():
@@ -308,20 +329,26 @@ def is_casimir_mod(z, handle: IdealHandle) -> bool:
 
 
 def is_poisson_ideal(handle: IdealHandle) -> bool:
-    """True when {g, y_r} lies in the ideal for every generator g and
+    """True when {g, y_r} lies in the ideal I for every generator g and
     coordinate y_r.
+
+    Only the n - 1 simple coordinates y_{i+1,i} are checked.  Suppose
+    {I, y_a} lies in I for every simple a, and let L = {x : {I, x} in I}.
+    By Leibniz L is a subalgebra, and by Jacobi a Lie subalgebra; the
+    simple root vectors generate the nilradical, so L holds every y_r.
 
     The rules are in root order, so the localized ideal is generated by
     y_v - phi(y_v), one per rule root v, where phi(y_v) = N/D is the rule's
     value and holds only free coordinates.  By Leibniz, closing one
     generating set closes the ideal, so the check is, for every rule v and
-    coordinate y_r,
+    simple coordinate y_r,
 
         D^2 * phi({y_v, y_r}) = sum_u (N_u D - N D_u) * phi({y_u, y_r}),
 
     summed over the free y_u of N/D, with each phi(y) read from the rules:
     no normal form is taken.
     """
+    table = structure_constants(handle.n)
     for v in handle.rules:
         phi_v = handle.coordinate(v)
         # Both sides as one sum, y_v's term with coefficient D^2; per y_r,
@@ -330,7 +357,9 @@ def is_poisson_ideal(handle: IdealHandle) -> bool:
         coefs += [(u, -part) for u, part in _y_partials(phi_v).items()]
         sums: Dict[Root, Dict[Polynomial, Polynomial]] = {}
         for x, coef in coefs:
-            for r, sign, c in structure_constants(handle.n)[x]:
+            for r, sign, c in table[x]:
+                if r.row != r.col + 1:
+                    continue  # not a simple coordinate
                 step = handle.coordinate(c)
                 if step.num.is_zero():
                     continue
@@ -365,13 +394,15 @@ def _series(val: LocalizedPolynomial, p_elt: LocalizedPolynomial,
     raise UnsupportedColumn("adjoint series did not terminate")
 
 
-# The twist of one canonical pair, shared by every diagram: the image of a
-# variable or of a whole value depends only on n (the series limit), the
-# pair and the input.  The pairs and values of ``reduce_columns`` are
-# y-polynomials over Q whatever the constants, so the n <= 7 catalogs bound
-# the memo.  Keys hold the polynomials, not fractions, whose ==
-# cross-multiplies.
-_TWISTS: Dict[Tuple, LocalizedPolynomial] = {}
+# The twist memo, shared by every diagram.  A variable's adjoint series
+# under a canonical pair depends only on n (the series limit), the pair and
+# the variable, keyed by their polynomials (fractions cross-multiply on ==).
+# A closure root's image under the maps of ``reduce_columns`` depends only
+# on n, the root and the chain of ``canonical_pairs`` triples, keyed by
+# those roots and bools.  A variable the pair fixes maps to None.  The
+# pairs are y-polynomials over Q whatever the constants, so the n <= 7
+# catalogs bound the memo.
+_TWISTS: Dict[Tuple, Optional[LocalizedPolynomial]] = {}
 
 
 def _twist(n: int, pair, val: LocalizedPolynomial) -> LocalizedPolynomial:
@@ -379,26 +410,22 @@ def _twist(n: int, pair, val: LocalizedPolynomial) -> LocalizedPolynomial:
     canonical pair."""
     pl, ql = pair
     base = (n, pl.num, pl.den, ql.num, ql.den)
-    val_key = base + (val.num, val.den)
-    hit = _TWISTS.get(val_key)
-    if hit is not None:
-        return hit
 
     def image(key):
         if key[0] != "y":
             return None
         var_key = base + (key,)
         if var_key not in _TWISTS:
-            _TWISTS[var_key] = _series(_as_loc(Polynomial.variable(key)),
-                                       pl, ql, n * n + 2)
+            var = _as_loc(Polynomial.variable(key))
+            series = _series(var, pl, ql, n * n + 2)
+            _TWISTS[var_key] = None if series is var else series
         return _TWISTS[var_key]
 
     try:
-        out = _TWISTS[val_key] = _phi(val, image)
+        return _phi(val, image)
     except ZeroDivisionError:
         raise UnsupportedColumn(
             "denominator image vanished identically") from None
-    return out
 
 
 # --- column reduction ---------------------------------------------------
@@ -464,18 +491,25 @@ def pick_values(s, c=None) -> Dict[Root, Polynomial]:
 def reduce_columns(s):
     """Reduce the columns t = 1..n-1 in turn.  For each, take its canonical
     pairs, push the images of the column's closure roots through the
-    accumulated maps, and yield (pairs, images)."""
-    tmaps: List[Tuple[LocalizedPolynomial, LocalizedPolynomial]] = []
+    accumulated maps, and yield (pairs, images).  Each closure root's image
+    is one lookup in the twist memo once computed."""
+    chain: List[Tuple[Root, Root, bool]] = []
     for t, triples in enumerate(canonical_pairs(s), start=1):
         pairs = [_pair_elements(*triple) for triple in triples]
         # Within a column the last peeled pair acts first.
-        tmaps.extend(reversed(pairs))
+        chain.extend(reversed(triples))
+        chain_key = tuple(chain)
         images: Dict[Root, LocalizedPolynomial] = {}
         for eta in (r for r in s.a_set if r.col == t):
-            val = _as_loc(y_var(eta.row, eta.col))
-            # Later columns act innermost: their pairs are peeled off first.
-            for pair in reversed(tmaps):
-                val = _twist(s.n, pair, val)
+            key = (s.n, eta, chain_key)
+            val = _TWISTS.get(key)
+            if val is None:
+                val = _free_coordinate(eta)
+                # Later columns act innermost: their pairs are peeled off
+                # first.
+                for triple in reversed(chain):
+                    val = _twist(s.n, _pair_elements(*triple), val)
+                _TWISTS[key] = val
             images[eta] = val
         yield pairs, images
 

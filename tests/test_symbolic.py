@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from artifact._poly import coerce_scalar
-from artifact.root_system import Root, positive_roots
+from artifact.root_system import InvalidDimension, Root, positive_roots
 from artifact.admissible import AdmissibleSubset, build_admissible
 from artifact.symbolic import (
     FieldMismatch,
@@ -359,6 +359,27 @@ class TestIdealHandle:
             IdealHandle.from_generators(3, [y(5, 1)])
         with pytest.raises(ValueError, match=r"Root\(4,2\) lies outside"):
             IdealHandle.from_generators(3, [y(3, 1) - y(4, 2)])
+
+    def test_size_zero_refused(self):
+        # n is checked before anything is reduced: the empty list at n = 0
+        # used to build a handle that every closure check passed.
+        with pytest.raises(InvalidDimension, match="got 0"):
+            IdealHandle.from_generators(0, [])
+
+    def test_float_size_refused(self):
+        # 3.0 used to build, then fail inside is_poisson_ideal.
+        with pytest.raises(InvalidDimension, match=r"got 3\.0"):
+            IdealHandle.from_generators(3.0, [y(2, 1)])
+
+    def test_generator_must_be_a_polynomial(self):
+        # An int used to die with an AttributeError from the text of its
+        # own error message.
+        with pytest.raises(TypeError,
+                           match="^generator 3 is not a Polynomial: got "
+                                 "int$"):
+            IdealHandle.from_generators(3, [3])
+        with pytest.raises(TypeError, match="got LocalizedPolynomial$"):
+            IdealHandle.from_generators(3, [y(2, 1), loc(y(3, 1))])
 
     def test_normal_form_constant(self):
         i = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
@@ -923,6 +944,36 @@ class TestChainRuleClosure:
                 assert _outcome(is_casimir_mod, z, handle) == \
                     _outcome(_casimir_reference, z, handle), s.label
 
+    def test_catalog_closure_matches_reference(self):
+        # The closure check brackets with the simple coordinates only; the
+        # reference brackets every generator with every coordinate.  Every
+        # catalog ideal for n <= 7 is closed, and 8,4,40, the one n = 8
+        # ideal that is not, is the negative control.
+        from artifact.admissible import UnverifiedRegimeWarning, \
+            enumerate_maximal
+
+        with pytest.warns(UnverifiedRegimeWarning):
+            s840 = next(s for s in enumerate_maximal(8)
+                        if s.label == (8, 4, 40))
+        verdicts = {}
+        for s in [*_every_diagram(7), s840]:
+            handle = build_ideal(s, None)
+            verdicts[s.label] = is_poisson_ideal(handle)
+            assert verdicts[s.label] is _poisson_reference(handle), s.label
+        assert len(verdicts) == 169
+        assert [k for k, v in verdicts.items() if not v] == [(8, 4, 40)]
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_each_simple_coordinate_is_read(self, n):
+        # {y_n2, y_kl} is nonzero only at y_21 among the simple coordinates,
+        # and {y_j1, y_kl} only at y_{j+1,j}: each single-generator ideal
+        # below is not closed, and only one simple coordinate shows it.
+        for j in range(1, n):
+            gen = y(n, 2) if j == 1 else y(j, 1)
+            handle = IdealHandle.from_generators(n, [gen])
+            assert is_poisson_ideal(handle) is False, (n, j)
+            assert _poisson_reference(handle) is False, (n, j)
+
     def test_dropped_generator_matches_reference(self):
         # Every catalog ideal is closed, so each one is also checked with
         # one generator left out: the rule-coordinate check must then find
@@ -1064,7 +1115,7 @@ class TestChainRuleClosure:
 
 def _drawn_ideals():
     from artifact.admissible import enumerate_maximal
-    from artifact.root_system import positive_roots
+    from artifact.root_system import lex_greater, lex_sort_key, positive_roots
 
     @st.composite
     def draw_ideal(draw):
@@ -1072,28 +1123,46 @@ def _drawn_ideals():
         roots = sorted(positive_roots(n), key=lambda r: (r.row, r.col))
         root = st.sampled_from(roots)
 
-        def poly(max_terms):
+        def poly(max_terms, over=roots):
             out = Polynomial.zero()
             for _ in range(draw(st.integers(1, max_terms))):
                 term = const(draw(st.integers(-2, 2)))
                 if draw(st.integers(0, 3)) == 0:
                     term = term * c_var(draw(root))
-                for r in draw(st.lists(root, max_size=2)):
+                for r in draw(st.lists(st.sampled_from(over), max_size=2)):
                     term = term * y(r.row, r.col)
                 out = out + term
             return out
 
-        gens = []
+        invertible = draw(st.lists(root, max_size=2))
+        gens, pivots = [], list(positive_roots(n))
         if draw(st.booleans()):
-            # A diagram's ideal, Poisson-closed, maybe with one more
-            # generator.
+            # A diagram's ideal, Poisson-closed, maybe with more generators
+            # below its least closure root.
             s = draw(st.sampled_from(enumerate_maximal(n)))
             gens = list(build_ideal(s, None).generators)
-        gens += [poly(3) for _ in range(draw(st.integers(0, 3)))]
-        if not gens:
-            gens = [poly(3)]
-        invertible = draw(st.lists(root, max_size=2))
-        if invertible and draw(st.booleans()):
+            pivots = [r for r in pivots if lex_greater(s.a_set[-1], r)]
+        # More generators in root order: each is linear in a coordinate
+        # below the one before, its other coordinates greater, and its
+        # leading coefficient a constant, maybe times an invertible greater
+        # root, so that root order accepts most lists.
+        drawn = draw(st.lists(st.sampled_from(pivots), unique=True,
+                              min_size=0 if gens else 1, max_size=3)) \
+            if pivots else []
+        for v in sorted(drawn, key=lex_sort_key):
+            greater = [r for r in roots if lex_greater(r, v)]
+            lead = const(draw(st.sampled_from([-2, -1, 1, 2])))
+            dens = [r for r in invertible if r in greater]
+            if dens and draw(st.booleans()):
+                lead = lead * y(dens[0].row, dens[0].col)
+            gen = lead * y(v.row, v.col)
+            if greater:
+                gen = gen + poly(2, greater)
+            gens.append(gen)
+        if not gens or not draw(st.integers(0, 3)):
+            # A generator drawn freely, which root order often refuses.
+            gens.append(poly(3))
+        if invertible and not draw(st.integers(0, 3)):
             # Put a root said to be invertible into the ideal: a list whose
             # earlier rule divides by it is refused by root order.
             gens.append(y(invertible[0].row, invertible[0].col))
@@ -1235,16 +1304,25 @@ class TestTwistMemo:
         symbolic._TWISTS.clear()
         self._check(order, cold_texts)
         size = len(symbolic._TWISTS)
-        assert size > 0
-        # A warm pass computes no adjoint series and adds no entry.
+        # One entry per closure-root image: (n, root, chain of triples).
+        images = {(s.n, eta) for s in order for eta in s.a_set}
+        chains = [k for k in symbolic._TWISTS if len(k) == 3]
+        assert {k[:2] for k in chains} == images
+        assert len(chains) < size
+        # A warm pass twists nothing: one memo lookup per closure root, no
+        # adjoint series and no new entry.
         calls = []
-        real = symbolic._series
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(name):
+            real = getattr(symbolic, name)
 
-        monkeypatch.setattr(symbolic, "_series", counting)
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("_series", "_twist"):
+            monkeypatch.setattr(symbolic, name, counting(name))
         self._check(order, cold_texts)
         assert calls == []
         assert len(symbolic._TWISTS) == size
