@@ -457,10 +457,6 @@ class Orbit:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __iter__(self):
-        for row in _digits(self.codes, self.n, self.p).tolist():
-            yield _row_form(self.n, self.p, row)
-
 
 def _budget_value() -> int:
     raw = os.environ.get("ARTIFACT_BFS_BUDGET")
@@ -832,23 +828,19 @@ def subregular_classify(f: LinearForm) -> SubregularRecord:
         p = f.p
         _check_space_budget("subregular cut", n, p)
         import numpy as np
-        # Only the digits the system reads are decoded, by place value, and
-        # each further equation is evaluated only on the codes the earlier
-        # ones kept.
+        # Each equation decodes the digits it reads, by place value, from
+        # the codes the equations before it kept.
         place = {("y", r.row, r.col): p ** k
                  for k, r in enumerate(reversed(positive_roots(n)))}
-        keys = set().union(*(gen.variables() for gen in system))
         total = p ** len(place)
         rows = max(1, _BLOCK_CELLS // len(place))
         cut = []
         for first in range(0, total, rows):
             codes = np.arange(first, min(first + rows, total),
                               dtype=np.int64)
-            columns = {k: codes // place[k] % p for k in keys}
             for gen in system:
-                keep = substitute(gen, columns.__getitem__, p) == 0
-                codes = codes[keep]
-                columns = {k: v[keep] for k, v in columns.items()}
+                columns = {k: codes // place[k] % p for k in gen.variables()}
+                codes = codes[substitute(gen, columns.__getitem__, p) == 0]
             cut.append(codes)
         orbit = orbit_bfs(f)
         cuts = np.array_equal(np.concatenate(cut), orbit.codes)

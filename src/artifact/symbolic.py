@@ -262,10 +262,9 @@ class IdealHandle:
     value holds only coordinates greater than its root, none of them
     ruled, so phi(y_v) is the value of v's rule."""
 
-    def __init__(self, n: int, generators: List[Polynomial]):
-        self.n = n
-        self.generators = list(generators)
-        self.rules: Dict[Root, Rule] = {}
+    def __init__(self, *args, **kwargs):
+        raise TypeError("an IdealHandle is built by "
+                        "IdealHandle.from_generators")
 
     @classmethod
     def from_generators(cls, n: int, generators, invertible=()
@@ -278,7 +277,8 @@ class IdealHandle:
         any reduction, ``InvalidDimension`` for an n that is not an int
         >= 2 and TypeError for a generator that is not a ``Polynomial``."""
         check_dimension(n)
-        out = cls(n, generators)
+        out = object.__new__(cls)
+        out.n, out.generators, out.rules = n, list(generators), {}
         for gen in out.generators:
             if not isinstance(gen, Polynomial):
                 raise TypeError(f"generator {gen!r} is not a Polynomial: "

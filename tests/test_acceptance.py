@@ -41,6 +41,7 @@ from artifact.orbit_engine import (
     verify_polarization,
     _classify_orbit,
     _digits,
+    _encode,
 )
 
 from conftest import (
@@ -230,10 +231,10 @@ def test_criterion_06_generator_invariance(partitions):
                             g, lambda key: rep_state[:, index[key]], p)[0]
                         mask &= substitute(
                             g, lambda key: grids[:, index[key]], p) == target
-                    cut = {tuple(row) for row in grids[mask]}
-                    members = {tuple(row)
-                               for row in states_of(list(orbit), roots)}
-                    assert cut == members, (n, p, s.label)
+                    cut = sorted(
+                        _encode(LinearForm(n, p, dict(zip(roots, row))))
+                        for row in grids[mask].tolist())
+                    assert cut == orbit.codes.tolist(), (n, p, s.label)
 
     orbits6 = partitions(6, 2)
     assert len(orbits6) == 275

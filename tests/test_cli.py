@@ -254,6 +254,14 @@ class TestVerify:
         assert (code, out, err) == (
             0, "suite subregular: 3 checks passed\n", "")
 
+    def test_subregular_cuts_at_n7(self, capsys):
+        # Each of the three n = 7 subregular systems cuts its orbit out of
+        # all 2^21 states over F_2.
+        code, out, err = run(capsys, "verify", "--suite", "subregular",
+                             "--n", "7", "--p", "2")
+        assert (code, out, err) == (
+            0, "suite subregular: 3 checks passed\n", "")
+
     def test_no_subregular_diagrams(self, capsys):
         # The subregular dimension N - floor(n/2) - 2 is negative for n = 2,
         # so the suite does not apply there: a usage error.

@@ -34,6 +34,8 @@ from artifact.orbit_engine import (
     subregular_classify,
     verify_polarization,
     _digits,
+    _encode,
+    _row_form,
 )
 from artifact.symbolic import poly_text
 
@@ -178,9 +180,10 @@ class TestOrbitBfs:
         f = form(3, 2, {R(3, 1): 1})
         orbit = orbit_bfs(f)
         assert len(orbit) == 4
-        assert f in orbit
-        assert form(3, 2, {R(3, 1): 1, R(2, 1): 1}) in orbit
-        assert form(3, 2, {R(2, 1): 1}) not in orbit
+        codes = orbit.codes.tolist()
+        assert _encode(f) in codes
+        assert _encode(form(3, 2, {R(3, 1): 1, R(2, 1): 1})) in codes
+        assert _encode(form(3, 2, {R(2, 1): 1})) not in codes
 
     def test_401_orbit(self):
         s = build_admissible(4, CATALOG4[(4, 0, 1)]["seq"])
@@ -247,12 +250,6 @@ class TestOrbitBfs:
         monkeypatch.setenv("ARTIFACT_BFS_BUDGET", str(3 ** 6 - 1))
         with pytest.raises(BudgetExceeded, match="subregular cut"):
             subregular_classify(f)
-
-    def test_iteration_yields_members(self):
-        f = form(3, 2, {R(3, 1): 1})
-        members = list(orbit_bfs(f))
-        assert len(members) == 4
-        assert all(isinstance(m, LinearForm) for m in members)
 
     def test_generators_built_once_per_partition(self, monkeypatch):
         # all_orbits builds the N generators I + e_alpha once, and each
@@ -387,9 +384,8 @@ def reference_closure(f, roots=None):
 
 def assert_orbit_is(orbit, expected):
     assert len(orbit) == len(expected)
-    assert set(orbit) == expected
-    assert all(x in orbit for x in expected)
     codes = orbit.codes.tolist()
+    assert codes == sorted(_encode(x) for x in expected)
     assert codes == sorted(set(codes))
     rows = _digits(orbit.codes, orbit.n, orbit.p)
     assert rows.shape == (len(expected), len(list(positive_roots(orbit.n))))
@@ -460,10 +456,11 @@ class TestSearchAgainstReference:
         assert sum(len(o) for o in orbits) == p ** (n * (n - 1) // 2)
         for f in all_forms(n, p):
             closure = reference_closure(f)
-            owners = [o for o in orbits if f in o]
+            owners = [o for o in orbits if _encode(f) in o.codes.tolist()]
             assert len(owners) == 1
             assert_orbit_is(owners[0], closure)
-            assert all(x not in owners[0] for x in all_forms(n, p)
+            members = set(owners[0].codes.tolist())
+            assert all(_encode(x) not in members for x in all_forms(n, p)
                        if x not in closure)
 
     def test_orbit_bfs_on_sampled_points_n5(self):
@@ -473,7 +470,7 @@ class TestSearchAgainstReference:
             orbit = orbit_bfs(f)
             assert_orbit_is(orbit, closure)
             outside = next(x for x in points if x not in closure)
-            assert outside not in orbit
+            assert _encode(outside) not in orbit.codes.tolist()
 
 
 # Sorted codes of each reference closure met so far, by member, so a drawn
@@ -1061,6 +1058,18 @@ class TestStratum:
     def test_intermediate(self):
         assert stratum(form(5, 2, {R(4, 1): 1})) == 1
 
+    @pytest.mark.parametrize("n,p", [(5, 3), (6, 2)])
+    def test_orbit_ends_give_every_state_stratum(self, n, p, partitions):
+        # The strata suite reads each orbit's two end codes only: here the
+        # stratum of every state, the leading zeros of its first-column
+        # digits, equals the stratum at both ends.
+        for orbit in partitions(n, p):
+            rows = _digits(orbit.codes, n, p)
+            first = rows[:, :n - 1] != 0
+            strata = np.where(first.any(axis=1), first.argmax(axis=1), n - 1)
+            for end in rows[[0, -1]].tolist():
+                assert np.all(strata == stratum(_row_form(n, p, end)))
+
 
 class TestClassify:
     def test_round_trip_n4(self):
@@ -1224,7 +1233,7 @@ class TestCatalogMasks:
         for orbit in all_orbits(n, p):
             s, c = orbit_engine._classify_orbit(orbit, "census")
             assert _mask_scan(orbit) == [(s.label, c)]
-            assert canonical_form(s, c, p) in orbit
+            assert _encode(canonical_form(s, c, p)) in orbit.codes.tolist()
 
 
 class TestRegularIdeal:
@@ -1269,7 +1278,7 @@ class TestRegularIdeal:
             g = form(4, 2, vals)
             if evaluate(p1, g) == c1 and evaluate(p2, g) == c2:
                 matches.add(g)
-        assert matches == set(orbit)
+        assert sorted(_encode(g) for g in matches) == orbit.codes.tolist()
 
 
 class TestSubregular:

@@ -89,6 +89,13 @@ class TestPositiveRoots:
             positive_roots(5)[0] = R(2, 1)
         assert positive_roots(5)[0] == R(5, 1)
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_first_column_leads(self, n):
+        # A packed code's n - 1 leading digits are the first column, from
+        # the bottom row up: the strata suite reads a code's stratum there.
+        assert positive_roots(n)[:n - 1] == tuple(
+            Root(row, 1) for row in range(n, 1, -1))
+
 
 class TestRootTuple:
     def test_hashes_and_compares_as_its_pair(self):

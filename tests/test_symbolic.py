@@ -381,6 +381,16 @@ class TestIdealHandle:
         with pytest.raises(TypeError, match="got LocalizedPolynomial$"):
             IdealHandle.from_generators(3, [y(2, 1), loc(y(3, 1))])
 
+    def test_direct_construction_refused(self):
+        # The constructor used to keep the generators without their rules:
+        # (y_2_1) then held no y_2_1 and passed the closure check.
+        for args in ((3, [y(2, 1)]), ()):
+            with pytest.raises(TypeError, match="from_generators"):
+                IdealHandle(*args)
+        handle = IdealHandle.from_generators(3, [y(2, 1)])
+        assert handle.contains(y(2, 1))
+        assert not is_poisson_ideal(handle)
+
     def test_normal_form_constant(self):
         i = IdealHandle.from_generators(3, [y(3, 1) - const(2)])
         nf = i.normal_form(y(3, 1) * y(3, 1))
