@@ -24,7 +24,8 @@ nonzero entries of its columns and of its inverse's rows, built once with
 the cached inverse, and skips the validating ``LinearForm`` constructor: its
 result roots lie in the triangle by construction, and it reduces values
 itself.  A generator's move is read off its N images of the basis forms,
-each computed afresh, with the root places and place values shared.
+each computed afresh, and its numpy arrays are looked up by that content,
+so every search that meets the same content shares one read-only move.
 """
 from __future__ import annotations
 
@@ -348,22 +349,22 @@ def _generator_moves(n: int, p: int,
 
     A generator changes only a few values of a form, each a linear function
     of a few old values.  Each generator that moves anything gives, in root
-    order, one move (columns, read places, write places, at, drivers,
-    written): the new value at the t-th root it writes is row t of
-    ``columns`` times the old values at the roots it reads, whose place
-    values form a column.  The action is unipotent, so the t-th written
-    value reads itself, at place ``at[t]`` of the reads, with coefficient 1.
+    order, one move (columns, read places, write places, at, drivers, fed):
+    the new value at the t-th root it writes is row t of ``columns`` times
+    the old values at the roots it reads, whose place values form a column.
+    The action is unipotent, so the t-th written value reads itself, at
+    place ``at[t]`` of the reads, with coefficient 1.
 
-    Each move is read off the N images of the basis forms, computed afresh
-    by ``coadjoint_act``.  A basis form keeps value 1 at its own root, so
-    g drives the basis forms whose images hold another root, writes those
-    other roots, and reads its drivers and the roots it writes.  Since
-    g.f - f is the sum of f_k (g.e_k - e_k) over the drivers k, g fixes
-    every form that is zero at all of its drivers.  ``drivers`` and
-    ``written`` are the two root sets as int bitmasks, bit k for the root
-    at place k.  The root places come from the per-n ``_root_index`` and
-    the place values from one powers vector."""
-    import numpy as np
+    Each move's content is read off the N images of the basis forms,
+    computed afresh by ``coadjoint_act``.  A basis form keeps value 1 at
+    its own root, so g drives the basis forms whose images hold another
+    root, writes those other roots, and reads its drivers and the roots it
+    writes.  Since g.f - f is the sum of f_k (g.e_k - e_k) over the drivers
+    k, g fixes every form that is zero at all of its drivers.  ``drivers``
+    is an int bitmask, bit k for the root at place k, and ``fed`` holds a
+    pair (bit of the root, bitmask of the drivers that feed it) for each
+    written root.  The numpy arrays of a move are looked up by its content
+    in ``_move``, so equal generators share them."""
     roots = positive_roots(n)
     size = len(roots)
     if generators is None:
@@ -375,37 +376,49 @@ def _generator_moves(n: int, p: int,
         raise InvalidInput(
             f"generators must be {size} group elements over n={n}, p={p}")
     index = _root_index(n)
-    powers = p ** np.arange(size - 1, -1, -1, dtype=np.int64)
     basis = [LinearForm._reduced(n, p, {r: 1}) for r in roots]
     moves = []
     for g in generators:
         images = [coadjoint_act(g, form).values for form in basis]
-        drivers = [k for k, image in enumerate(images) if len(image) > 1]
+        drivers = tuple(k for k, image in enumerate(images) if len(image) > 1)
         if not drivers:
             continue
-        writes = sorted({index[r] for k in drivers for r in images[k]
-                         if r != roots[k]})
-        reads = sorted(set(drivers).union(writes))
-        columns = [[images[k].get(roots[i], 0) for k in reads]
-                   for i in writes]
-        r = np.array(reads, dtype=np.int64)
-        w = np.array(writes, dtype=np.int64)
-        moves.append((np.array(columns, dtype=np.int64), powers[r][:, None],
-                      powers[w], np.searchsorted(r, w),
-                      sum(1 << k for k in drivers),
-                      sum(1 << i for i in writes)))
+        writes = tuple(sorted({index[r] for k in drivers for r in images[k]
+                               if r != roots[k]}))
+        reads = tuple(sorted(set(drivers).union(writes)))
+        columns = tuple(tuple(images[k].get(roots[i], 0) for k in reads)
+                        for i in writes)
+        moves.append(_move(n, p, drivers, reads, writes, columns))
     return moves
+
+
+@lru_cache(maxsize=1024)
+def _move(n: int, p: int, drivers: Tuple[int, ...], reads: Tuple[int, ...],
+          writes: Tuple[int, ...], columns: Tuple[Tuple[int, ...], ...]
+          ) -> Tuple:
+    """The move of ``_generator_moves`` with this content, built once and
+    read-only, since every search that meets the content shares it.  The
+    driver k feeds the written root i when the image of e_k is nonzero at
+    i, its coefficient in the row of ``columns`` for i."""
+    import numpy as np
+    powers = p ** np.arange(n * (n - 1) // 2 - 1, -1, -1, dtype=np.int64)
+    r = np.array(reads, dtype=np.int64)
+    w = np.array(writes, dtype=np.int64)
+    arrays = (np.array(columns, dtype=np.int64), powers[r][:, None],
+              powers[w], np.searchsorted(r, w))
+    for array in arrays:
+        array.flags.writeable = False
+    fed = tuple((1 << i, sum(1 << k for k, c in zip(reads, row)
+                             if c and k != i))
+                for i, row in zip(writes, columns))
+    return arrays + (sum(1 << k for k in drivers), fed)
 
 
 @lru_cache(maxsize=8)
 def _default_moves(n: int, p: int) -> Tuple[Tuple, ...]:
     """``_generator_moves(n, p)`` kept for every single-orbit search at
-    (n, p), read-only because all of them share it."""
-    moves = tuple(_generator_moves(n, p))
-    for move in moves:
-        for array in move[:4]:
-            array.flags.writeable = False
-    return moves
+    (n, p)."""
+    return tuple(_generator_moves(n, p))
 
 
 # Rows of codes handled at once when a state array would otherwise grow
@@ -427,8 +440,7 @@ def _digits(codes, n: int, p: int) -> np.ndarray:
     """The digit rows of packed codes, one row for one code: a code is the
     C-order index of its row in shape (p,) * N, digit k the value at root k."""
     import numpy as np
-    return np.stack(np.unravel_index(codes, (p,) * (n * (n - 1) // 2)),
-                    axis=-1)
+    return np.array(np.unravel_index(codes, (p,) * (n * (n - 1) // 2))).T
 
 
 def _encode(f: LinearForm) -> int:
@@ -539,9 +551,15 @@ def orbit_bfs(f: LinearForm,
     fixed order, and X_a = {(I + e_a)^t : t < p} since e_a^2 = 0, so the
     orbit is reached by closing {f} under one generator after another.
     The search keeps a support mask, a superset of the roots where some
-    state of its set is nonzero: f's support, widened by a move's written
-    roots after each sweep that grows the set.  A generator whose drivers
-    miss the mask fixes every state, so its sweep is skipped.  Every set
+    state of its set is nonzero, and skips the sweep of every generator
+    whose drivers miss it, since that generator fixes every state.  The mask
+    starts as f's support, and after a sweep that grows the set it widens by
+    the written roots that have a feeder inside it.  For g = I + e_a acting
+    on a basis form, the EV, VE and EVE terms of g V g^-1 land on distinct
+    roots, so each coefficient of an image is +-1 and none cancels; g^t =
+    I + t e_a has the coefficients +-t, nonzero for 0 < t < p, so g^t has
+    the feeders of g.  A written root therefore stays zero on the set when
+    its own value and all its feeders are zero there.  Every set
     on the way lies inside the orbit, so the budget
     ``ARTIFACT_BFS_BUDGET``, a cap on the orbit size read once, ends the
     search (and a closure) once a set holds more.  Without ``generators``
@@ -561,12 +579,12 @@ def orbit_bfs(f: LinearForm,
     for move in moves:
         if len(codes) > limit:
             break
-        drivers, written = move[4:]
+        drivers, fed = move[4:]
         if not drivers & support:
             continue
         grown = _sweep(codes, p, move, limit)
         if len(grown) > len(codes):
-            support |= written
+            support |= sum(bit for bit, feeders in fed if feeders & support)
         codes = grown
     if len(codes) > limit:
         raise BudgetExceeded(
@@ -584,7 +602,8 @@ def all_orbits(n: int, p: int) -> List[Orbit]:
     _check_space_budget("all_orbits", n, p)
     import numpy as np
     free = np.ones(p ** (n * (n - 1) // 2), dtype=bool)
-    # Moves rebuilt per orbit: perfbench TestTracer pins 9·orbits acts here.
+    # Each orbit still acts N² times, as perfbench TestTracer pins (9·orbits
+    # acts at n = 3); the arrays of its moves come from the memo of _move.
     generators = _generators(n, p)
     orbits = []
     code = 0

@@ -174,7 +174,9 @@ def dense_moves(n, p):
     whose image differs from the identity, writes the roots where full
     differs from the identity, and reads the basis forms with a nonzero
     value at a written root.  Columns are stored writes x reads, the read
-    place values as a column, and drivers and writes as bitmasks."""
+    place values as a column, and drivers as a bitmask.  Each written root
+    comes with its feeders, the basis forms other than its own whose image
+    is nonzero there, as a pair (bit of the root, bitmask of the feeders)."""
     from artifact.orbit_engine import LinearForm, _generators, coadjoint_act
 
     roots = positive_roots(n)
@@ -196,7 +198,9 @@ def dense_moves(n, p):
         moves.append((full[g][r][:, w].T, p ** (size - 1 - r)[:, None],
                       p ** (size - 1 - w), np.searchsorted(r, w),
                       sum(1 << int(k) for k in np.flatnonzero(drives[g])),
-                      sum(1 << int(i) for i in w)))
+                      tuple((1 << int(i), sum(
+                          1 << int(k) for k in np.flatnonzero(full[g, :, i])
+                          if k != i)) for i in w)))
     return moves
 
 

@@ -162,6 +162,26 @@ def test_criterion_03_census_identities():
     assert totals[(4, 2)] == 16
 
 
+# sha256 over every orbit of all_orbits(n, p) in order: its number of
+# codes as 8 little-endian bytes, then its sorted codes as little-endian
+# int64.  Taken before the support mask widened only by fed roots.
+GOLDEN_PARTITIONS = {
+    (4, 5): "a3f144776a566f649e3a9f938a86664181e383ea4feeae32fc27fc978d703d05",
+    (5, 3): "3def6f4f23ab788c65d257b88dc8273593936c1c8451528c81fccd65db5e113a",
+    (6, 2): "e1b3037528a04009a7d82581aad387f457ec86ce8488548a2cbecdce8dbfd063",
+}
+
+
+@pytest.mark.parametrize("n,p", sorted(GOLDEN_PARTITIONS))
+def test_criterion_03_partition_is_byte_identical(n, p, partitions):
+    digest = hashlib.sha256()
+    for orbit in partitions(n, p):
+        codes = np.ascontiguousarray(orbit.codes, dtype="<i8")
+        digest.update(len(codes).to_bytes(8, "little"))
+        digest.update(codes.tobytes())
+    assert digest.hexdigest() == GOLDEN_PARTITIONS[n, p]
+
+
 def test_criterion_04_dimension_theorem():
     rng = random.Random(101)
     for n in range(2, 8):

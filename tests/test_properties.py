@@ -262,12 +262,19 @@ class TestGeneratorMoves:
     def test_matches_dense_reference(self, n, p):
         size = n * (n - 1) // 2
         got = []
-        for columns, read_scale, write_scale, at, drivers, written in \
+        for columns, read_scale, write_scale, at, drivers, fed in \
                 _generator_moves(n, p):
             # The read roots are the drivers and the written roots.
+            written = sum(bit for bit, _feeders in fed)
             reads = [k for k in range(size) if (drivers | written) >> k & 1]
             writes = [k for k in range(size) if written >> k & 1]
             got.append((reads, columns.T.tolist(), writes))
+            # A written root is fed by each other read root that has a
+            # nonzero coefficient in its row.
+            assert fed == tuple(
+                (1 << i, sum(1 << k for k, c in zip(reads, row)
+                             if c and k != i))
+                for i, row in zip(writes, columns.tolist()))
             assert read_scale.tolist() == \
                 [[p ** (size - 1 - k)] for k in reads]
             assert write_scale.tolist() == \
