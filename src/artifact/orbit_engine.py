@@ -23,9 +23,11 @@ so the package and every command that never searches start without it.
 nonzero entries of its columns and of its inverse's rows, built once with
 the cached inverse, and skips the validating ``LinearForm`` constructor: its
 result roots lie in the triangle by construction, and it reduces values
-itself.  A generator's move is read off its N images of the basis forms,
-each computed afresh, and its numpy arrays are looked up by that content,
-so every search that meets the same content shares one read-only move.
+itself.  A generator's N images of the basis forms are computed afresh
+for each search, and its move is looked up by the images of its drivers:
+the move is derived from them, and its numpy arrays built, once per
+content, so every search that meets the same content shares one read-only
+move.
 """
 from __future__ import annotations
 
@@ -355,16 +357,18 @@ def _generator_moves(n: int, p: int,
     The action is unipotent, so the t-th written value reads itself, at
     place ``at[t]`` of the reads, with coefficient 1.
 
-    Each move's content is read off the N images of the basis forms,
-    computed afresh by ``coadjoint_act``.  A basis form keeps value 1 at
-    its own root, so g drives the basis forms whose images hold another
-    root, writes those other roots, and reads its drivers and the roots it
-    writes.  Since g.f - f is the sum of f_k (g.e_k - e_k) over the drivers
-    k, g fixes every form that is zero at all of its drivers.  ``drivers``
-    is an int bitmask, bit k for the root at place k, and ``fed`` holds a
-    pair (bit of the root, bitmask of the drivers that feed it) for each
-    written root.  The numpy arrays of a move are looked up by its content
-    in ``_move``, so equal generators share them."""
+    The N images of the basis forms are computed afresh by
+    ``coadjoint_act``.  A basis form keeps value 1 at its own root, so g
+    drives the basis forms whose images hold another root, writes those
+    other roots, and reads its drivers and the roots it writes.  Since
+    g.f - f is the sum of f_k (g.e_k - e_k) over the drivers k, g fixes
+    every form that is zero at all of its drivers.  ``drivers`` is an int
+    bitmask, bit k for the root at place k, and ``fed`` holds a pair (bit
+    of the root, bitmask of the drivers that feed it) for each written
+    root.  The images of a generator's drivers determine its move, so they
+    are its key in ``_move``, which derives the move only on a miss: equal
+    generators share one move, and a search pays only for its acts and
+    one lookup per moving generator."""
     roots = positive_roots(n)
     size = len(roots)
     if generators is None:
@@ -375,33 +379,37 @@ def _generator_moves(n: int, p: int,
                 for g in generators):
         raise InvalidInput(
             f"generators must be {size} group elements over n={n}, p={p}")
-    index = _root_index(n)
     basis = [LinearForm._reduced(n, p, {r: 1}) for r in roots]
     moves = []
     for g in generators:
-        images = [coadjoint_act(g, form).values for form in basis]
-        drivers = tuple(k for k, image in enumerate(images) if len(image) > 1)
-        if not drivers:
-            continue
-        writes = tuple(sorted({index[r] for k in drivers for r in images[k]
-                               if r != roots[k]}))
-        reads = tuple(sorted(set(drivers).union(writes)))
-        columns = tuple(tuple(images[k].get(roots[i], 0) for k in reads)
-                        for i in writes)
-        moves.append(_move(n, p, drivers, reads, writes, columns))
+        moved = tuple((k, *image.items()) for k, image in enumerate(
+            coadjoint_act(g, form).values for form in basis) if len(image) > 1)
+        if moved:
+            moves.append(_move(n, p, moved))
     return moves
 
 
 @lru_cache(maxsize=1024)
-def _move(n: int, p: int, drivers: Tuple[int, ...], reads: Tuple[int, ...],
-          writes: Tuple[int, ...], columns: Tuple[Tuple[int, ...], ...]
-          ) -> Tuple:
-    """The move of ``_generator_moves`` with this content, built once and
-    read-only, since every search that meets the content shares it.  The
-    driver k feeds the written root i when the image of e_k is nonzero at
-    i, its coefficient in the row of ``columns`` for i."""
+def _move(n: int, p: int, moved: Tuple[Tuple, ...]) -> Tuple:
+    """The move of ``_generator_moves`` whose drivers k move the basis form
+    e_k to the (root, value) pairs of (k, *pairs) in ``moved``, built once
+    and read-only, since every search that meets the content shares it.
+    The action is unipotent, so a basis form that drives nothing is fixed:
+    a read root that is not a driver reads the unit column at its own
+    root.  The driver k feeds the written root i when the image of e_k is
+    nonzero at i, its coefficient in the row of ``columns`` for i."""
     import numpy as np
-    powers = p ** np.arange(n * (n - 1) // 2 - 1, -1, -1, dtype=np.int64)
+    roots = positive_roots(n)
+    index = _root_index(n)
+    images = {k: dict(pairs) for k, *pairs in moved}
+    drivers = sum(1 << k for k in images)
+    writes = sorted({index[r] for k, image in images.items() for r in image
+                     if index[r] != k})
+    reads = sorted({*images, *writes})
+    for k in reads:
+        images.setdefault(k, {roots[k]: 1})
+    columns = [[images[k].get(roots[i], 0) for k in reads] for i in writes]
+    powers = p ** np.arange(len(roots) - 1, -1, -1, dtype=np.int64)
     r = np.array(reads, dtype=np.int64)
     w = np.array(writes, dtype=np.int64)
     arrays = (np.array(columns, dtype=np.int64), powers[r][:, None],
@@ -411,7 +419,7 @@ def _move(n: int, p: int, drivers: Tuple[int, ...], reads: Tuple[int, ...],
     fed = tuple((1 << i, sum(1 << k for k, c in zip(reads, row)
                              if c and k != i))
                 for i, row in zip(writes, columns))
-    return arrays + (sum(1 << k for k in drivers), fed)
+    return arrays + (drivers, fed)
 
 
 @lru_cache(maxsize=8)
@@ -501,9 +509,11 @@ def _union(arrays: List[np.ndarray]) -> np.ndarray:
     """The sorted distinct codes of the arrays, by a sort: np.unique's int64
     hash path is an order of magnitude slower."""
     import numpy as np
-    codes = np.sort(np.concatenate(arrays))
-    keep = np.ones(len(codes), dtype=bool)
-    keep[1:] = codes[1:] != codes[:-1]
+    codes = np.concatenate(arrays)
+    codes.sort()
+    keep = np.empty(len(codes), dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
     return codes[keep]
 
 
@@ -513,11 +523,11 @@ def _sweep(codes: np.ndarray, p: int, move: Tuple, limit: int
     union of g^t applied to it for t < p.  Only the digits g reads are
     taken from the codes, one row per read root and one column per code,
     so each numpy call runs along the codes; g^t follows from g^(t-1) by
-    rewriting the rows of the digits g writes.  A block of codes that g
-    fixes is fixed by every g^t, and when g fixes every code the input
-    array itself is returned.  Images held past twice ``limit`` are merged;
-    merged past it, they are returned unfinished, a part of the orbit
-    already over the caller's budget."""
+    rewriting the rows of the digits g writes, when another power follows.
+    A block of codes that g fixes is fixed by every g^t, and when g fixes
+    every code the input array itself is returned.  Images held past twice
+    ``limit`` are merged; merged past it, they are returned unfinished, a
+    part of the orbit already over the caller's budget."""
     columns, read_scale, write_scale, at = move[:4]
     rows = max(1, _BLOCK_CELLS // len(read_scale))
     images = [codes]
@@ -525,13 +535,14 @@ def _sweep(codes: np.ndarray, p: int, move: Tuple, limit: int
     for first in range(0, len(codes), rows):
         image = codes[first:first + rows]
         digits = image // read_scale % p
-        for _t in range(1, p):
+        for t in range(1, p):
             new = columns @ digits % p
             step = write_scale @ (new - digits[at])
             if not step.any():
                 break
             image = image + step
-            digits[at] = new
+            if t < p - 1:
+                digits[at] = new
             images.append(image)
             held += len(image)
             if held > 2 * limit:
@@ -603,7 +614,8 @@ def all_orbits(n: int, p: int) -> List[Orbit]:
     import numpy as np
     free = np.ones(p ** (n * (n - 1) // 2), dtype=bool)
     # Each orbit still acts N² times, as perfbench TestTracer pins (9·orbits
-    # acts at n = 3); the arrays of its moves come from the memo of _move.
+    # acts at n = 3); its moves come from the memo of _move, keyed by the
+    # driver images, so only the first orbit derives them.
     generators = _generators(n, p)
     orbits = []
     code = 0

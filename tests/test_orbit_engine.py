@@ -455,7 +455,7 @@ class TestMovesAgainstDenseAssembly:
 
     @pytest.mark.parametrize(
         "n,p", [(n, p) for n in range(2, 7) for p in (2, 3)]
-        + [(4, 5), (7, 2)])
+        + [(4, 5), (5, 5), (7, 2)])
     def test_moves_equal_the_dense_assembly(self, n, p):
         from artifact import orbit_engine
         from artifact.orbit_engine import _generators
@@ -476,6 +476,72 @@ class TestMovesAgainstDenseAssembly:
                 assert all(type(x) is int for pair in fed for x in pair)
                 # Every feeder is a driver.
                 assert all(feeders & ~drivers == 0 for _bit, feeders in fed)
+
+
+def _memo_keys(monkeypatch, n, p, generators):
+    """The keys ``_generator_moves`` hands to ``_move`` for ``generators``,
+    with the moves it got for them."""
+    from artifact import orbit_engine
+
+    keys, real = [], orbit_engine._move
+
+    def recording(n, p, moved):
+        keys.append(moved)
+        return real(n, p, moved)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(orbit_engine, "_move", recording)
+        moves = orbit_engine._generator_moves(n, p, generators)
+    return keys, moves
+
+
+class TestMoveMemo:
+    """The memo of moves is keyed by the driver images: keys that differ
+    in content give different moves, and equal content read off other
+    generators gives the same object."""
+
+    def test_equal_keys_share_one_move(self, monkeypatch):
+        from artifact import orbit_engine
+        from artifact.orbit_engine import _generators
+
+        first, moves = _memo_keys(monkeypatch, 4, 5, _generators(4, 5))
+        again, _ = _memo_keys(monkeypatch, 4, 5, _generators(4, 5))
+        assert first == again
+        for a, b, move in zip(first, again, moves, strict=True):
+            assert a is not b
+            assert orbit_engine._move(4, 5, b) is move
+
+    def test_a_changed_coefficient_changes_the_move(self, monkeypatch):
+        from artifact import orbit_engine
+        from artifact.orbit_engine import _generators
+
+        keys, moves = _memo_keys(monkeypatch, 4, 5, _generators(4, 5))
+        roots = positive_roots(4)
+        for key, move in zip(keys, moves):
+            (k, *pairs), rest = key[0], key[1:]
+            at = next(t for t, (r, _v) in enumerate(pairs) if r != roots[k])
+            root, v = pairs[at]
+            pairs[at] = (root, v % 4 + 1)
+            other = orbit_engine._move(4, 5, ((k, *pairs),) + rest)
+            assert other is not move
+            # The same roots are read and written; one coefficient differs.
+            assert not np.array_equal(other[0], move[0])
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(other[1:4], move[1:4]))
+            assert other[4:] == move[4:]
+
+    def test_a_dropped_driver_changes_the_move(self, monkeypatch):
+        from artifact import orbit_engine
+        from artifact.orbit_engine import _generators
+
+        keys, moves = _memo_keys(monkeypatch, 5, 3, _generators(5, 3))
+        wide = [(key, move) for key, move in zip(keys, moves)
+                if len(key) > 1]
+        assert wide
+        for key, move in wide:
+            other = orbit_engine._move(5, 3, key[1:])
+            assert other is not move
+            assert other[4] == move[4] & ~(1 << key[0][0])
 
 
 class TestSearchAgainstReference:
