@@ -20,8 +20,10 @@ Only the functions of this packed search import numpy, each where it runs,
 so the package and every command that never searches start without it.
 
 ``coadjoint_act`` reads each group element through a sparse view, the
-nonzero entries of its columns and of its inverse's rows, built once with
-the cached inverse, and skips the validating ``LinearForm`` constructor: its
+nonzero entries of its columns and of its inverse's rows and the roots of
+the basis forms it moves, its drivers, built once with the cached inverse.
+A form that is zero at every driver is fixed and returned itself; any other
+form is summed without the validating ``LinearForm`` constructor: its
 result roots lie in the triangle by construction, and it reduces values
 itself.  A generator's N images of the basis forms are computed afresh
 for each search, and its move is looked up by the images of its drivers:
@@ -205,6 +207,12 @@ _set_n, _set_p, _set_values = (LinearForm.__dict__[name].__set__
                                for name in ("n", "p", "values"))
 
 
+def _check_form(f, stage: str) -> None:
+    """Refuse anything but a LinearForm at the library's entry points."""
+    if not isinstance(f, LinearForm):
+        raise TypeError(f"{stage} needs a LinearForm, got {type(f).__name__}")
+
+
 class GroupElement:
     """A lower unitriangular matrix over the field."""
 
@@ -249,17 +257,27 @@ class GroupElement:
     def _sparse(self):
         """The nonzero entries of each column k of the matrix, as (a, value)
         from row k down, and of each row l of the inverse, as (b, value,
-        ``_root_grid(n)[b]``) from column l left.  Built once, next to the
-        cached inverse."""
+        ``_root_grid(n)[b]``) from column l left, with the element's
+        drivers.  The root (l + 1, k + 1) is a driver when column k has a
+        nonzero entry in a row between k and l, or row l of the inverse one
+        in a column between k and l, both strictly: every other basis form
+        is fixed.  Built once, next to the cached inverse."""
         if self._view is None:
             n, m, inv = self.n, self.matrix, self.inverse().matrix
             grid = _root_grid(n)
-            self._view = (
-                tuple(tuple((a, m[a][k]) for a in range(k, n) if m[a][k])
-                      for k in range(n)),
-                tuple(tuple((b, inv[l][b], grid[b])
-                            for b in range(l, -1, -1) if inv[l][b])
-                      for l in range(n)))
+            columns = tuple(
+                tuple((a, m[a][k]) for a in range(k, n) if m[a][k])
+                for k in range(n))
+            rows = tuple(tuple((b, inv[l][b], grid[b])
+                               for b in range(l, -1, -1) if inv[l][b])
+                         for l in range(n))
+            # The first entry below the diagonal of each column, and the
+            # last left of it in each row of the inverse.
+            below = [c[1][0] if len(c) > 1 else n for c in columns]
+            left = [r[1][0] if len(r) > 1 else -1 for r in rows]
+            drivers = frozenset(grid[l][k] for l in range(n) for k in range(l)
+                                if below[k] < l or left[l] > k)
+            self._view = (columns, rows, drivers)
         return self._view
 
 
@@ -287,11 +305,19 @@ def coadjoint_act(g: GroupElement, f: LinearForm) -> LinearForm:
     g^-1[l][b] of row l, read from g's sparse view, and adds into the root
     (b + 1, a + 1) of ``_root_grid``.  So every result root lies in the
     triangle, and the result is built by the trusted ``LinearForm._reduced``
-    after reducing each value and dropping zeros in one pass."""
+    after reducing each value and dropping zeros in one pass.
+
+    For a root of f that is not a driver of g (``GroupElement._sparse``)
+    the sum has the one term (k, l) with coefficient 1, so g fixes its
+    basis form; since g.f - f is the sum of f_r (g.e_r - e_r) over the
+    roots r of f, a form that is zero at every driver is returned itself,
+    after the field check, exactly over F_p and over Q."""
     n, p = f.n, f.p
     if g.n != n or g.p != p:
         raise ValueError("group element and form live over different fields")
-    columns, rows = g._view or g._sparse()
+    columns, rows, drivers = g._view or g._sparse()
+    if drivers.isdisjoint(f.values):
+        return f
     acc: Dict[Root, object] = {}
     for root, v in f.values.items():
         l = root.row - 1
@@ -358,11 +384,13 @@ def _generator_moves(n: int, p: int,
     place ``at[t]`` of the reads, with coefficient 1.
 
     The N images of the basis forms are computed afresh by
-    ``coadjoint_act``.  A basis form keeps value 1 at its own root, so g
-    drives the basis forms whose images hold another root, writes those
-    other roots, and reads its drivers and the roots it writes.  Since
-    g.f - f is the sum of f_k (g.e_k - e_k) over the drivers k, g fixes
-    every form that is zero at all of its drivers.  ``drivers`` is an int
+    ``coadjoint_act``, which sums only those of g's drivers and returns
+    every other basis form itself.  A basis form keeps value 1 at its own
+    root, so g drives the basis forms whose images hold another root,
+    writes those other roots, and reads its drivers and the roots it
+    writes.  Since g.f - f is the sum of f_k (g.e_k - e_k) over the drivers
+    k, g fixes every form that is zero at all of its drivers, and the
+    drivers are the roots of g's driver set.  ``drivers`` is an int
     bitmask, bit k for the root at place k, and ``fed`` holds a pair (bit
     of the root, bitmask of the drivers that feed it) for each written
     root.  The images of a generator's drivers determine its move, so they
@@ -577,6 +605,7 @@ def orbit_bfs(f: LinearForm,
     the search reuses the moves kept per (n, p); ``generators``, the
     ``_generators(n, p)`` of f's field, makes it build its own moves from
     them, and anything but N group elements over f's field is refused."""
+    _check_form(f, "orbit_bfs")
     n, p = f.n, f.p
     _check_prime(p)  # also refuses a form over Q
     _check_codes_fit(n, p)
@@ -614,8 +643,10 @@ def all_orbits(n: int, p: int) -> List[Orbit]:
     import numpy as np
     free = np.ones(p ** (n * (n - 1) // 2), dtype=bool)
     # Each orbit still acts N² times, as perfbench TestTracer pins (9·orbits
-    # acts at n = 3); its moves come from the memo of _move, keyed by the
-    # driver images, so only the first orbit derives them.
+    # acts at n = 3), and each act on a basis form outside its generator's
+    # drivers returns that form at once; the moves come from the memo of
+    # _move, keyed by the driver images, so only the first orbit derives
+    # them.
     generators = _generators(n, p)
     orbits = []
     code = 0
@@ -640,6 +671,7 @@ def kirillov_rank(f: LinearForm) -> int:
     and, over Q, the values times the lcm of their denominators, which
     leaves the rank unchanged.
     """
+    _check_form(f, "kirillov_rank")
     p = f.p
     rank = getattr(f, "_rank", None)
     if rank is not None:
@@ -698,6 +730,7 @@ def _int_rank(mat: List[List[int]], p: Optional[int]) -> int:
 def stratum(f: LinearForm) -> int:
     """How many first-column values vanish, counted from the bottom row
     up to the first nonzero one."""
+    _check_form(f, "stratum")
     count = 0
     for row in range(f.n, 1, -1):
         if f.value(Root(row, 1)) != 0:
@@ -767,6 +800,7 @@ def _classify_orbit(orbit: Orbit, stage: str
 
 def classify(f: LinearForm) -> Tuple[AdmissibleSubset, Dict[Root, int]]:
     """Find the diagram and constants of the orbit through f."""
+    _check_form(f, "classify")
     return _classify_orbit(orbit_bfs(f), "classify")
 
 
@@ -814,9 +848,7 @@ class SubregularRecord:
 def subregular_classify(f: LinearForm) -> SubregularRecord:
     """Classify the subregular orbit through a point, and assemble its
     cutting system; over F_p, check that the system cuts out the orbit."""
-    if not isinstance(f, LinearForm):
-        raise TypeError(
-            f"subregular_classify needs a LinearForm, got {type(f).__name__}")
+    _check_form(f, "subregular_classify")
     n = f.n
     dim = kirillov_rank(f)
     total = n * (n - 1) // 2

@@ -476,6 +476,13 @@ class TestMovesAgainstDenseAssembly:
                 assert all(type(x) is int for pair in fed for x in pair)
                 # Every feeder is a driver.
                 assert all(feeders & ~drivers == 0 for _bit, feeders in fed)
+        # The driver set of each generator's sparse view, read as a bitmask,
+        # is the drivers of its move, and a generator without one has none.
+        index = orbit_engine._root_index(n)
+        masks = [sum(1 << index[r] for r in g._sparse()[2])
+                 for g in _generators(n, p)]
+        assert [mask for mask in masks if mask] == \
+            [move[4] for move in expected]
 
 
 def _memo_keys(monkeypatch, n, p, generators):
@@ -828,6 +835,17 @@ class TestBudgetIsOrbitSizeCap:
 def test_whole_space_searches_check_the_dimension(search, n):
     with pytest.raises(InvalidDimension):
         search(n, 2)
+
+
+@pytest.mark.parametrize("entry,arg", [
+    (classify, "x"), (orbit_bfs, {(2, 1): 1}), (kirillov_rank, None),
+    (stratum, 3)])
+def test_point_functions_refuse_what_is_not_a_form(entry, arg):
+    # Each names itself and what it got, not an attribute it missed, as
+    # subregular_classify does.
+    with pytest.raises(TypeError, match=f"^{entry.__name__} needs a "
+                       f"LinearForm, got {type(arg).__name__}$"):
+        entry(arg)
 
 
 class TestNonPrimeField:

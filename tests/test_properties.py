@@ -232,6 +232,74 @@ class TestTrustedActResult:
                     assert type(v) is int and 1 <= v < out.p
 
 
+def _dense_moved(g):
+    """The roots whose basis form g moves.  For the matrix unit E at (k, l),
+    entry (a, b) of g E g^-1 is g[a][k] g^-1[l][b], so e_(l+1,k+1) is moved
+    when that outer product has another nonzero strictly upper entry; over
+    a field, a product of reduced entries is nonzero when both are."""
+    n, m = g.n, g.matrix
+    inv = _dense_inverse(m, g.p)
+    return {Root(l + 1, k + 1) for k in range(n) for l in range(k + 1, n)
+            if any(m[a][k] and inv[l][b]
+                   for a in range(k, n) for b in range(a + 1, n)
+                   if (a, b) != (k, l))}
+
+
+@st.composite
+def element_and_form_by_drivers(draw):
+    """A group element with a few nonzero entries over F_2, F_3, F_5, F_7
+    or Q at n <= 6, and a form on every root or, half the time, only on
+    the roots whose basis forms the element fixes."""
+    n = draw(st.integers(2, 6))
+    p = draw(st.sampled_from([2, 3, 5, 7, None]))
+    nonzero = (st.fractions(-4, 4, max_denominator=5).filter(bool)
+               if p is None else st.integers(1, p - 1))
+    roots = positive_roots(n)
+    picks = draw(st.lists(st.sampled_from(roots), unique=True,
+                          min_size=min(2, len(roots)), max_size=4))
+    g = GroupElement(n, p, {(r.row, r.col): draw(nonzero) for r in picks})
+    pool = roots
+    if draw(st.booleans()):
+        moved = _dense_moved(g)
+        pool = [r for r in roots if r not in moved]
+    support = draw(st.lists(st.sampled_from(pool), unique=True,
+                            max_size=len(pool))) if pool else []
+    return g, LinearForm(n, p, {r: draw(nonzero) for r in support})
+
+
+class TestDriverFastPath:
+    """coadjoint_act returns its form itself when the form is zero at every
+    driver of the element, and the drivers are exactly the basis forms the
+    element moves, so the act stays exact."""
+
+    @given(element_and_form_by_drivers())
+    @settings(max_examples=150)
+    def test_act_is_exact_and_returns_a_fixed_form_itself(self, gf):
+        g, f = gf
+        out = coadjoint_act(g, f)
+        assert out == _dense_coadjoint(g, f)
+        moved = _dense_moved(g)
+        assert g._sparse()[2] == moved
+        if moved.isdisjoint(f.values):
+            assert out is f
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, None])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_each_generator_moves_the_basis_form_at_each_driver(self, n, p):
+        # Negative control: at each driver the act sums, and its basis form
+        # moves.
+        seen = 0
+        for alpha in positive_roots(n):
+            g = GroupElement(n, p, {alpha: 1})
+            for r in g._sparse()[2]:
+                e = LinearForm(n, p, {r: 1})
+                out = coadjoint_act(g, e)
+                assert out is not e and out != e
+                assert out == _dense_coadjoint(g, e)
+                seen += 1
+        assert seen > 0 or n == 2
+
+
 def _reference_moves(n, p):
     """The sparse generator moves, read off the dense conjugation of each
     basis form by each generator I + e_alpha, in root order."""
